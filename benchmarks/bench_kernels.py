@@ -39,7 +39,6 @@ from conftest import record
 from repro.api import ConnectionService
 from repro.chordality.peo import is_simplicial
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
-from repro.dynamic.blocks import BlockClassifier
 from repro.engine.registry import _eliminate_within
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.spanning import spanning_tree
@@ -59,16 +58,15 @@ _SCENARIOS = {}
 def _scenario(blocks):
     """Return ``(graph, service, context)`` for a seeded chordal schema.
 
-    The classification is seeded through the blockwise classifier
-    (property-tested equal to the monolithic recognition), so the cases
-    below measure warm-path behaviour rather than the one-off Theorem 1
-    cost every mode shares.
+    The context is built and classified here, once, so the cases below
+    measure warm-path behaviour rather than the one-off Theorem 1 cost
+    every mode shares.
     """
     if blocks not in _SCENARIOS:
         graph = random_62_chordal_graph(blocks, rng=1985)
         service = ConnectionService(schema=graph)
-        service.engine.seed_report(graph, BlockClassifier().classify(graph))
         context = service.engine.context_for(graph)
+        context.report
         _SCENARIOS[blocks] = (graph, service, context)
     return _SCENARIOS[blocks]
 

@@ -92,8 +92,8 @@ def test_server_round_trip_overhead_within_1_5x(benchmark):
 
     local = ConnectionService(schema=graph)
     with running_server() as server:
-        # the first RPC triggers the server-side Theorem 1 classification
-        # (tens of seconds at full scale), so give the socket headroom
+        # the first RPC triggers the server-side context build and
+        # Theorem 1 classification, so give the socket headroom
         with ReproClient("127.0.0.1", server.port, timeout=600.0) as client:
             client.create_schema(TENANT, graph)
 

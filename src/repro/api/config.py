@@ -54,8 +54,8 @@ class ServiceConfig:
         When ``True`` (the default) a mutation of the service's *bound*
         schema patches the cached schema context through
         :meth:`~repro.engine.cache.SchemaContext.apply_delta` -- only the
-        biconnected blocks the edit touched are reclassified -- instead
-        of rebuilding it with a full Theorem 1 recognition.  Set to
+        biconnected blocks the edit created are classified -- instead
+        of rebuilding it and classifying every block cold.  Set to
         ``False`` to force full rebuilds (the churn oracle and the
         dynamic benchmarks do, to have a baseline to compare against).
     metrics:

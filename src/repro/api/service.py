@@ -244,7 +244,8 @@ class ConnectionService:
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 disk_gauge.labels(stat=stat).set(value)
         # memory-budget observability: what the engine currently HOLDS
-        # (CSR arrays + oracle rows) against what it is ALLOWED to hold
+        # (CSR arrays + oracle rows + block memos) against what it is
+        # ALLOWED to hold
         memory_gauge = self._metrics.gauge(
             "repro_memory_held_bytes",
             "Bytes currently held by the engine, by component.",
@@ -255,6 +256,9 @@ class ConnectionService:
         )
         memory_gauge.labels(component="distance_oracle").set(
             stats.get("oracle_bytes", 0) or 0
+        )
+        memory_gauge.labels(component="block_memo").set(
+            stats.get("block_memo_bytes", 0) or 0
         )
         budget_gauge = self._metrics.gauge(
             "repro_memory_budget_bytes",
@@ -525,11 +529,9 @@ class ConnectionService:
 
         When the persistent cache holds the schema's classification report
         (stored by any earlier process), a cold context rebuild skips the
-        Theorem 1 recognition entirely -- on large schemas that is the
-        difference between milliseconds and tens of seconds.  The report
-        file is only read on an actual LRU miss, and a caller that already
-        computed the schema ``digest`` passes it in to avoid a second
-        fingerprint pass.
+        Theorem 1 recognition entirely.  The report file is only read on
+        an actual LRU miss, and a caller that already computed the schema
+        ``digest`` passes it in to avoid a second fingerprint pass.
         """
         resolved = self._engine.resolve_schema(schema)
         if digest is not None:

@@ -16,8 +16,8 @@ Two flavours of test are provided:
 * **efficient specialised tests** for the three classes above, routed
   through Theorem 1: acyclicity for (4,1), beta-acyclicity of the
   associated hypergraph (nest-point elimination) for (6,1),
-  gamma-acyclicity for (6,2).  The test-suite validates the specialised
-  tests against the definitional one.
+  gamma-acyclicity (Fagin's reduction) for (6,2).  The test-suite
+  validates the specialised tests against the definitional one.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ def is_62_chordal_bipartite(graph: Graph, method: str = "gamma") -> bool:
     """(6,2)-chordality test.
 
     ``method="gamma"`` routes through Theorem 1(ii): the graph is
-    (6,2)-chordal iff its associated hypergraph is gamma-acyclic.
-    ``method="cycles"`` runs the definitional check.
+    (6,2)-chordal iff its associated hypergraph is gamma-acyclic, tested
+    by Fagin's reduction rules in near-linear time.  ``method="cycles"``
+    runs the definitional check.
     """
     bipartite = _require_bipartite(graph)
     if method == "cycles":
@@ -121,7 +122,7 @@ def is_62_chordal_bipartite(graph: Graph, method: str = "gamma") -> bool:
     hypergraph = hypergraph_of_side(bipartite, side=2)
     if hypergraph.number_of_edges() == 0:
         return True
-    return is_gamma_acyclic(hypergraph, method="pattern")
+    return is_gamma_acyclic(hypergraph)
 
 
 def is_chordal_bipartite(graph: Graph, method: str = "beta") -> bool:

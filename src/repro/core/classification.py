@@ -15,29 +15,27 @@ bipartite graph class     associated schema class (Theorem 1)      minimal-conne
 general bipartite         cyclic                                   Steiner NP-complete
 ========================  =======================================  =========================
 
-:func:`classify_bipartite_graph` evaluates every membership; the resulting
-:class:`ChordalityReport` is what :class:`repro.core.connection.MinimalConnectionFinder`
-uses to pick an algorithm.
+:func:`classify_bipartite_graph` evaluates every membership by walking down
+this table on integer ids (see its docstring); the resulting
+:class:`ChordalityReport` is what the engine's planner uses to pick an
+algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chordality.mn_chordal import (
-    is_41_chordal_bipartite,
-    is_61_chordal_bipartite,
-    is_62_chordal_bipartite,
-)
 from repro.chordality.side_chordal import (
     is_side_chordal,
     is_side_conformal,
 )
 from repro.exceptions import BipartitenessError
 from repro.graphs.bipartite import BipartiteGraph, is_bipartite
+from repro.graphs.cycles import is_forest
 from repro.graphs.graph import Graph
 from repro.hypergraphs.acyclicity import acyclicity_degree
 from repro.hypergraphs.conversions import hypergraph_of_side
+from repro.hypergraphs.reduction import gamma_reduces, nest_point_order
 
 
 @dataclass(frozen=True)
@@ -92,12 +90,64 @@ class ChordalityReport:
         raise ValueError(f"side must be 1 or 2, got {side!r}")
 
 
+#: The report of a forest, (4,1)-chordal: every class holds.
+FOREST_REPORT = ChordalityReport(
+    chordal_41=True,
+    chordal_61=True,
+    chordal_62=True,
+    v1_chordal=True,
+    v1_conformal=True,
+    v2_chordal=True,
+    v2_conformal=True,
+)
+
+#: The report of a (6,2)-chordal graph that is not a forest.
+GAMMA_REPORT = ChordalityReport(
+    chordal_41=False,
+    chordal_61=True,
+    chordal_62=True,
+    v1_chordal=True,
+    v1_conformal=True,
+    v2_chordal=True,
+    v2_conformal=True,
+)
+
+#: The report of a (6,1)-chordal graph that is not (6,2)-chordal.
+BETA_REPORT = ChordalityReport(
+    chordal_41=False,
+    chordal_61=True,
+    chordal_62=False,
+    v1_chordal=True,
+    v1_conformal=True,
+    v2_chordal=True,
+    v2_conformal=True,
+)
+
+
 def classify_bipartite_graph(graph: Graph) -> ChordalityReport:
     """Return the :class:`ChordalityReport` of a bipartite graph.
 
     A plain :class:`Graph` is accepted as long as it is bipartite (a
     2-colouring is computed); otherwise :class:`BipartitenessError` is
     raised.
+
+    The classification walks down the Theorem 1 hierarchy and stops at the
+    first class the graph belongs to, testing ``H_2(G)`` on integer ids:
+
+    1. a forest is (4,1)-chordal and belongs to every class;
+    2. else, when Fagin's reduction empties ``H_2`` (gamma-acyclic, i.e.
+       (6,2)-chordal), every class but (4,1) holds;
+    3. else, when nest-point elimination removes every node of ``H_2``
+       (beta-acyclic, i.e. (6,1)-chordal), the (6,1)-chordality and the
+       four side fields hold;
+    4. only a beta-cyclic graph runs the side tests: MCS chordality of the
+       distance-two graph and Gilmore conformality, per side.
+
+    Steps 2 and 3 rest on Berge ⊂ gamma ⊂ beta ⊂ alpha and on
+    beta-acyclicity being self-dual: ``H_1`` is the dual of ``H_2``, so it
+    is beta-acyclic, hence alpha-acyclic, too, and Theorem 1(v)/(vi) turn
+    alpha-acyclicity of ``H_i`` into ``V_i``-chordality and
+    ``V_i``-conformality.
     """
     if isinstance(graph, BipartiteGraph):
         bipartite = graph
@@ -105,10 +155,24 @@ def classify_bipartite_graph(graph: Graph) -> ChordalityReport:
         if not is_bipartite(graph):
             raise BipartitenessError("classification requires a bipartite graph")
         bipartite = BipartiteGraph.from_graph(graph)
+    # a forest has fewer edges than vertices: most blocks skip the scan
+    if bipartite.number_of_edges() < bipartite.number_of_vertices() and is_forest(
+        bipartite
+    ):
+        return FOREST_REPORT
+    nodes = {vertex: index for index, vertex in enumerate(bipartite.left())}
+    edges = [
+        [nodes[vertex] for vertex in bipartite.neighbors(hub)]
+        for hub in bipartite.right()
+    ]
+    if gamma_reduces(len(nodes), edges):
+        return GAMMA_REPORT
+    if nest_point_order(len(nodes), edges) is not None:
+        return BETA_REPORT
     return ChordalityReport(
-        chordal_41=is_41_chordal_bipartite(bipartite),
-        chordal_61=is_61_chordal_bipartite(bipartite),
-        chordal_62=is_62_chordal_bipartite(bipartite),
+        chordal_41=False,
+        chordal_61=False,
+        chordal_62=False,
         v1_chordal=is_side_chordal(bipartite, 1),
         v1_conformal=is_side_conformal(bipartite, 1),
         v2_chordal=is_side_chordal(bipartite, 2),

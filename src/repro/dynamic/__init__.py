@@ -10,10 +10,11 @@ instead of a cache-flush:
   :attr:`~repro.graphs.graph.Graph.mutation_version` bump at commit --
   and emits a structured :class:`~repro.dynamic.delta.SchemaDelta`
   journal;
-* :class:`~repro.dynamic.blocks.BlockClassifier` maintains the Theorem 1
-  classification incrementally through the biconnected-block
-  decomposition (cut vertices are the local separators: an edit only
-  ever reclassifies the blocks it touched);
+* :class:`~repro.dynamic.blocks.BlockClassifier` is the one production
+  Theorem 1 classification path: it classifies cold schema contexts
+  block by block and then maintains the classification incrementally
+  (cut vertices are the local separators: an edit only ever classifies
+  the blocks it created);
 * :meth:`repro.engine.cache.SchemaContext.apply_delta` patches a cached
   schema context -- CSR backend, BFS rows, classification -- instead of
   discarding it, and the :class:`~repro.api.service.ConnectionService`

@@ -12,21 +12,25 @@ module exploits::
     property(G)  ==  AND over blocks B of G:  property(B)
 
 for every field of :class:`~repro.core.classification.ChordalityReport`
-(the dynamic test-suite re-validates the equivalence property-based).
+(the test-suite re-validates the equivalence property-based).
 
-That turns cut vertices into the "local separators" of incremental
-recognition: a single-edge edit touches one block (or merges the blocks
-along one path of the block tree), so re-running the full Theorem 1
-machinery is only ever needed on the affected blocks --
-:class:`BlockClassifier` memoises every block's report by a structural
-key and reclassifies exactly the blocks it has never seen.  On the
-515-vertex acceptance schema (293 blocks of <= 9 edges) that is the
-difference between ~18 s of monolithic recognition and ~50 ms cold /
-single-digit milliseconds per edit warm.
+:class:`BlockClassifier` is the one production classification path: a
+cold :class:`~repro.engine.cache.SchemaContext` classifies through it, and
+the same memo then travels down the context's ``apply_delta`` chain.  Cut
+vertices act as the "local separators" of incremental recognition: a
+single-edge edit touches one block (or merges the blocks along one path of
+the block tree), so only the blocks the memo has never seen are
+classified, each by the near-linear hierarchy walk of
+:func:`~repro.core.classification.classify_bipartite_graph`.  On a shared
+2-core Xeon VM, the 515-vertex acceptance schema (293 blocks of <= 9
+edges) classifies cold in about 20 ms, and one giant (6,1)-chordal block
+of 413 edges in under 10 ms (experiment CL1 in
+``benchmarks/bench_classification.py``).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,16 +41,12 @@ from repro.graphs.graph import Graph, Vertex
 
 Edge = Tuple[Vertex, Vertex]
 
-#: The report of an edgeless (sub)graph: every class holds vacuously.
-ALL_TRUE_REPORT = ChordalityReport(
-    chordal_41=True,
-    chordal_61=True,
-    chordal_62=True,
-    v1_chordal=True,
-    v1_conformal=True,
-    v2_chordal=True,
-    v2_conformal=True,
-)
+#: One shared instance per distinct report, for every memo entry to point at.
+_REPORTS: Dict[ChordalityReport, ChordalityReport] = {}
+
+#: Bytes one memo entry adds to the LRU beyond its key: the ordered
+#: dict's entry and link node (tracemalloc-measured on CPython 3.10-3.12).
+_LRU_SLOT_BYTES = 100
 
 
 def biconnected_edge_blocks(graph: Graph) -> List[List[Edge]]:
@@ -147,6 +147,19 @@ class BlockClassifier:
     classified on the spot and *not* memoised, mirroring the ambiguity
     fallback of :func:`~repro.engine.cache.schema_fingerprint`.
 
+    The memo is an LRU that :meth:`classify` grows to twice the block
+    count of the graph it classifies, so a schema with more blocks than
+    the initial ``maxsize`` never evicts its own blocks during one pass
+    (which would reclassify every block on every later call).
+
+    :meth:`bytes_held` tracks what the memo holds (each entry is sized
+    from its key when it is stored).  A :class:`~repro.engine.cache.SchemaContext`
+    built with a memory budget hands it to :attr:`memory_budget_bytes`;
+    the memo then evicts least-recently-used blocks to fit, always
+    keeping the newest, exactly like the distance oracle's rows.  A
+    schema whose blocks do not all fit reclassifies the evicted ones on
+    its next edit: bounded memory, paid for in time.
+
     Examples
     --------
     >>> from repro.graphs import BipartiteGraph
@@ -162,6 +175,9 @@ class BlockClassifier:
         self._memo = LRUCache(maxsize=maxsize)
         self._classified = 0
         self._unkeyed = 0
+        self._bytes = 0
+        #: Optional byte bound on the memo (``None`` = bounded by count only).
+        self.memory_budget_bytes: Optional[int] = None
 
     def classify(self, graph: BipartiteGraph) -> ChordalityReport:
         """Return the whole-graph :class:`ChordalityReport`, blockwise-memoised.
@@ -170,8 +186,10 @@ class BlockClassifier:
         :func:`~repro.core.classification.classify_bipartite_graph` on the
         same graph; only blocks not seen before are actually classified.
         """
+        blocks = biconnected_edge_blocks(graph)
+        self._memo.maxsize = max(self._memo.maxsize, 2 * len(blocks))
         reports = []
-        for edges in biconnected_edge_blocks(graph):
+        for edges in blocks:
             key = _block_key(graph, edges)
             if key is None:
                 self._unkeyed += 1
@@ -181,17 +199,39 @@ class BlockClassifier:
             report = self._memo.get(key)
             if report is None:
                 report = classify_bipartite_graph(block_subgraph(graph, edges))
-                self._memo.put(key, report)
+                # at most 2**7 distinct reports exist: entries share them
+                report = _REPORTS.setdefault(report, report)
+                self._store(key, report)
                 self._classified += 1
             reports.append(report)
         return combine_reports(reports)
+
+    def _store(self, key: Tuple, report: ChordalityReport) -> None:
+        """Memoise one block, evicting LRU blocks by count and by bytes."""
+        size = _entry_nbytes(key)
+        budget = self.memory_budget_bytes
+        memo = self._memo
+        while len(memo) and (
+            len(memo) >= memo.maxsize
+            or (budget is not None and self._bytes + size > budget)
+        ):
+            old_key, _ = memo.pop_oldest_item()
+            self._bytes -= _entry_nbytes(old_key)
+        memo.put(key, report)
+        self._bytes += size
+
+    def bytes_held(self) -> int:
+        """Return the bytes the memo holds (keys plus their LRU slots)."""
+        return self._bytes
 
     def stats(self) -> dict:
         """Return observability counters (memo hits/misses, work actually done)."""
         return {
             "hits": self._memo.hits,
             "misses": self._memo.misses,
+            "evictions": self._memo.evictions,
             "size": len(self._memo),
+            "bytes": self._bytes,
             "blocks_classified": self._classified,
             "unkeyed_blocks": self._unkeyed,
         }
@@ -216,7 +256,40 @@ def _block_key(graph: Graph, edges: Sequence[Edge]) -> Optional[Tuple]:
         (token, graph.side_of(vertex) if bipartite else None)
         for vertex, token in tokens.items()
     )
+    # an edge is its token pair in sorted order: canonical like a
+    # frozenset, at a quarter of the bytes
     edge_part = frozenset(
-        frozenset((tokens[u], tokens[v])) for u, v in edges
+        (a, b) if a < b else (b, a)
+        for a, b in ((tokens[u], tokens[v]) for u, v in edges)
     )
     return (vertex_part, edge_part)
+
+
+def _entry_nbytes(key: Tuple) -> int:
+    """Return the bytes one memo entry holds, sized from its key.
+
+    Counts every object the key owns -- the two frozensets, one
+    ``(token, side)`` tuple plus its token and both token strings per
+    vertex, one pair per edge (whose tokens the vertex part already
+    counted) -- plus the LRU slot.  Reports are shared, so they add
+    nothing per entry.
+    """
+    getsizeof = sys.getsizeof
+    vertex_part, edge_part = key
+    total = (
+        _LRU_SLOT_BYTES
+        + getsizeof(key)
+        + getsizeof(vertex_part)
+        + getsizeof(edge_part)
+    )
+    for entry in vertex_part:
+        token = entry[0]
+        total += (
+            getsizeof(entry)
+            + getsizeof(token)
+            + getsizeof(token[0])
+            + getsizeof(token[1])
+        )
+    for pair in edge_part:
+        total += getsizeof(pair)
+    return total

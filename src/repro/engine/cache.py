@@ -39,7 +39,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from repro.core.classification import ChordalityReport, classify_bipartite_graph
+# classify_bipartite_graph stays bound here although contexts classify
+# blockwise: the per-layer tracing of perfbench/tracing.py patches this name
+from repro.core.classification import ChordalityReport, classify_bipartite_graph  # noqa: F401
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.indexed import GraphIndex, IndexedGraph, from_indexed, to_indexed
@@ -82,11 +84,20 @@ class LRUCache:
         The memory-budget enforcement of :class:`SchemaCache` uses this to
         shed contexts by *bytes* rather than by count.
         """
+        item = self.pop_oldest_item()
+        return None if item is None else item[1]
+
+    def pop_oldest_item(self):
+        """Evict and return the least-recently-used ``(key, value)`` pair.
+
+        ``None`` when empty.  Callers that account bytes per entry (the
+        block memo sizes an entry from its key) need the key back.
+        """
         if not self._data:
             return None
-        _, value = self._data.popitem(last=False)
+        item = self._data.popitem(last=False)
         self.evictions += 1
-        return value
+        return item
 
     def __len__(self) -> int:
         return len(self._data)
@@ -276,7 +287,7 @@ class SidePlan:
     ordering: Optional[Tuple[int, ...]]
 
 
-def _new_block_classifier():
+def _new_block_classifier(memory_budget_bytes: Optional[int] = None):
     """Return a fresh blockwise classifier (function-level import by layering).
 
     ``repro.dynamic.blocks`` imports this module for its LRU and token
@@ -284,7 +295,9 @@ def _new_block_classifier():
     """
     from repro.dynamic.blocks import BlockClassifier
 
-    return BlockClassifier()
+    classifier = BlockClassifier()
+    classifier.memory_budget_bytes = memory_budget_bytes
+    return classifier
 
 
 class SchemaContext:
@@ -310,11 +323,11 @@ class SchemaContext:
         self._bfs_rows = LRUCache(maxsize=4096)
         self._side_plans: Dict[Tuple[int, int], SidePlan] = {}
         self._components: Optional[List[FrozenSet[int]]] = None
-        # blockwise incremental classifier, shared (by reference) along
-        # every apply_delta chain rooted here, so surviving blocks never
-        # pay Theorem 1 recognition again; does no work until a delta is
-        # actually applied
-        self._blocks = _new_block_classifier()
+        # blockwise classifier: the cold report classifies through it, and
+        # it is shared (by reference) along every apply_delta chain rooted
+        # here, so surviving blocks never pay Theorem 1 recognition again;
+        # its memo is bounded by the same byte budget as the oracle
+        self._blocks = _new_block_classifier(memory_budget_bytes)
         # the cross-query distance oracle is lazy (first BFS builds it);
         # the counters are shared with the owning SchemaCache when there
         # is one, so they survive eviction and apply_delta re-derivation
@@ -335,10 +348,10 @@ class SchemaContext:
         needs to rebuild an equivalent context without re-deriving the
         expensive parts: the CSR/bitset backend ships via
         :class:`~repro.graphs.indexed.IndexedGraph`'s compact pickle, and
-        the classification report (the dominant cold cost) travels as-is.
-        Accessing this property forces the classification if it has not
-        run yet.  Per-query caches (BFS rows, side plans) are deliberately
-        not shipped -- each worker re-amortises them across its own shard.
+        the classification report travels as-is.  Accessing this property
+        forces the classification if it has not run yet.  Per-query caches
+        (BFS rows, side plans) are deliberately not shipped -- each worker
+        re-amortises them across its own shard.
         """
         return (self.indexed, self.index, self.report)
 
@@ -375,9 +388,13 @@ class SchemaContext:
     # ------------------------------------------------------------------
     @property
     def report(self) -> ChordalityReport:
-        """The (lazily computed, cached) chordality classification."""
+        """The (lazily computed, cached) chordality classification.
+
+        Computed blockwise through the context's own block memo, so the
+        cold build seeds the memo its ``apply_delta`` chain reuses.
+        """
         if self._report is None:
-            self._report = classify_bipartite_graph(self.graph)
+            self._report = self._blocks.classify(self.graph)
         return self._report
 
     def seed_report(self, report: ChordalityReport) -> None:
@@ -487,16 +504,18 @@ class SchemaContext:
             self._oracle.stats = stats
 
     def adopt_kernel_policy(self, kernel_backend, memory_budget_bytes) -> None:
-        """Adopt a cache's compute lane and byte budget for the lazy oracle.
+        """Adopt a cache's compute lane and byte budget.
 
         Called by :meth:`SchemaCache.adopt` so contexts rebuilt elsewhere
         (pool workers rebuilding from shard state) produce rows on the
         adopting engine's configured lane.  An oracle that already
         materialised keeps its rows -- they are byte-identical across
-        lanes, so only *future* row production switches.
+        lanes, so only *future* row production switches.  The budget
+        bounds the oracle and the block memo from their next insert on.
         """
         self._kernel_backend = kernel_backend
         self._memory_budget = memory_budget_bytes
+        self._blocks.memory_budget_bytes = memory_budget_bytes
         if self._oracle is not None:
             if kernel_backend is not None and self._oracle.backend is not kernel_backend:
                 self._oracle.backend = kernel_backend
@@ -506,12 +525,12 @@ class SchemaContext:
     def memory_bytes(self) -> int:
         """Return the budget-relevant bytes held by this context.
 
-        Counts the canonical CSR storage plus the oracle's cached rows --
-        the two stores that scale with schema size and traffic.  The
-        remaining per-query memos (decoded BFS dicts, side plans) are
-        bounded by their own LRU capacities.
+        Counts the canonical CSR storage, the oracle's cached rows and
+        the block memo -- the stores that scale with schema size and
+        traffic.  The remaining per-query memos (decoded BFS dicts, side
+        plans) are bounded by their own LRU capacities.
         """
-        total = self.indexed.nbytes()
+        total = self.indexed.nbytes() + self._blocks.bytes_held()
         if self._oracle is not None:
             total += self._oracle.bytes_held()
         return total
@@ -617,12 +636,12 @@ class SchemaCache:
         adopted context produces BFS rows on (``None`` = process default).
     memory_budget_bytes:
         Optional byte bound over the cached contexts (CSR storage +
-        oracle rows, see :meth:`SchemaContext.memory_bytes`): when an
-        insert pushes :meth:`memory_bytes` past the budget,
+        oracle rows + block memo, see :meth:`SchemaContext.memory_bytes`):
+        when an insert pushes :meth:`memory_bytes` past the budget,
         least-recently-used contexts are evicted until the cache fits
         (the newest context always survives).  The same budget is handed
-        to each context's oracle, so a single big-schema oracle also
-        degrades by eviction instead of growing unbounded.
+        to each context's oracle and block memo, so a single big schema
+        also degrades by eviction instead of growing unbounded.
     """
 
     def __init__(
@@ -733,19 +752,13 @@ class SchemaCache:
     def memory_bytes(self) -> int:
         """Return the budget-relevant bytes of every cached context.
 
-        Shared oracles (``apply_delta`` chains) are counted once; this is
-        the number the ``repro_memory_schema_cache_bytes`` gauge exports
-        and :meth:`enforce_memory_budget` bounds.
+        CSR storage plus oracle rows plus block memos; oracles and memos
+        shared along ``apply_delta`` chains are counted once.  This is the
+        number the ``repro_memory_held_bytes{component="schema_cache"}``
+        gauge exports and :meth:`enforce_memory_budget` bounds.
         """
-        seen: set = set()
-        total = 0
-        for context in self._contexts.values():
-            total += context.indexed.nbytes()
-            oracle = getattr(context, "_oracle", None)
-            if oracle is not None and id(oracle) not in seen:
-                seen.add(id(oracle))
-                total += oracle.bytes_held()
-        return total
+        total = sum(context.indexed.nbytes() for context in self._contexts.values())
+        return total + self.oracle_bytes() + self.block_memo_bytes()
 
     def enforce_memory_budget(self) -> None:
         """Evict coldest contexts until :meth:`memory_bytes` fits the budget.
@@ -774,23 +787,37 @@ class SchemaCache:
             "memory_bytes": self.memory_bytes(),
             "memory_budget_bytes": self.memory_budget_bytes,
             "oracle_bytes": self.oracle_bytes(),
+            "block_memo_bytes": self.block_memo_bytes(),
             "distance_oracle": self.oracle_stats.as_dict(),
         }
 
     def oracle_bytes(self) -> int:
         """Total bytes held by the cached contexts' distance-oracle rows.
 
-        The oracle-side slice of :meth:`memory_bytes` (which adds the
-        resident CSR bytes on top); shared oracles are counted once.
-        Exported as ``repro_memory_held_bytes{component="distance_oracle"}``.
+        The oracle-side slice of :meth:`memory_bytes`; shared oracles are
+        counted once.  Exported as
+        ``repro_memory_held_bytes{component="distance_oracle"}``.
         """
+        return self._distinct_bytes("_oracle")
+
+    def block_memo_bytes(self) -> int:
+        """Total bytes held by the cached contexts' block memos.
+
+        The classification slice of :meth:`memory_bytes`; a memo shared
+        along an ``apply_delta`` chain is counted once.  Exported as
+        ``repro_memory_held_bytes{component="block_memo"}``.
+        """
+        return self._distinct_bytes("_blocks")
+
+    def _distinct_bytes(self, attribute: str) -> int:
+        """Sum ``bytes_held()`` over the distinct stores named ``attribute``."""
         seen: set = set()
         total = 0
         for context in self._contexts.values():
-            oracle = getattr(context, "_oracle", None)
-            if oracle is not None and id(oracle) not in seen:
-                seen.add(id(oracle))
-                total += oracle.bytes_held()
+            store = getattr(context, attribute, None)
+            if store is not None and id(store) not in seen:
+                seen.add(id(store))
+                total += store.bytes_held()
         return total
 
     def oracle_rows(self) -> int:

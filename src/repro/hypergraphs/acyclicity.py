@@ -20,9 +20,13 @@ Efficient tests
 * **beta**: nest-point elimination.  A node is a *nest point* when the
   edges containing it form a chain under inclusion; a hypergraph is
   beta-acyclic iff repeatedly deleting nest points (dropping emptied
-  edges) erases every node.
-* **gamma**: beta-acyclicity plus absence of the length-3 gamma pattern of
-  Definition 6, which only requires an ``O(|E|^3)`` scan.
+  edges) erases every node.  The elimination runs on integer ids with a
+  worklist (:func:`repro.hypergraphs.reduction.nest_point_order`).
+* **gamma**: Fagin's reduction rules
+  (:func:`repro.hypergraphs.reduction.gamma_reduces`), near-linear.  The
+  ``"pattern"`` method -- beta-acyclicity plus the ``O(|E|^3)`` scan for
+  the length-3 gamma pattern of Definition 6 -- is kept as an independent
+  reference for the test-suite.
 * **alpha**: GYO reduction, or equivalently maximum cardinality search +
   running intersection (Tarjan & Yannakakis), or the definitional
   "chordal primal graph and conformal" of Definition 7.
@@ -30,7 +34,7 @@ Efficient tests
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.hypergraphs.berge_cycles import (
     find_berge_cycle,
@@ -42,6 +46,7 @@ from repro.hypergraphs.conformality import is_conformal
 from repro.hypergraphs.conversions import incidence_graph, primal_graph
 from repro.hypergraphs.gyo import is_alpha_acyclic_gyo
 from repro.hypergraphs.hypergraph import Hypergraph, Node
+from repro.hypergraphs.reduction import gamma_reduces, nest_point_order
 from repro.hypergraphs.tarjan_yannakakis import is_alpha_acyclic_mcs
 
 DEGREES = ("berge", "gamma", "beta", "alpha", "cyclic")
@@ -93,31 +98,28 @@ def is_nest_point(hypergraph: Hypergraph, node: Node) -> bool:
     return True
 
 
+def _on_ids(hypergraph: Hypergraph) -> Tuple[List[Node], List[List[int]]]:
+    """Return ``(nodes, edges)``: repr-sorted nodes and edges as id lists."""
+    nodes = sorted(hypergraph.nodes(), key=repr)
+    ids = {node: index for index, node in enumerate(nodes)}
+    return nodes, [[ids[node] for node in members] for members in hypergraph.edges()]
+
+
 def nest_point_elimination_order(hypergraph: Hypergraph) -> Optional[List[Node]]:
     """Return a nest-point elimination order of the nodes, or ``None``.
 
     The order removes one nest point at a time (a greedy choice is safe:
     removing a nest point never destroys beta-acyclicity, and in a
-    beta-acyclic hypergraph a nest point always exists).  ``None`` is
+    beta-acyclic hypergraph a nest point always exists), always the
+    repr-smallest one available, isolated nodes included.  ``None`` is
     returned when the process gets stuck, i.e. the hypergraph is
     beta-cyclic.
     """
-    working = hypergraph.copy()
-    order: List[Node] = []
-    # isolated nodes can always be removed first
-    while True:
-        nodes = sorted(working.nodes(), key=repr)
-        if not nodes:
-            return order
-        progress = False
-        for node in nodes:
-            if working.node_degree(node) == 0 or is_nest_point(working, node):
-                order.append(node)
-                working.remove_node(node)
-                progress = True
-                break
-        if not progress:
-            return None
+    nodes, edges = _on_ids(hypergraph)
+    order = nest_point_order(len(nodes), edges)
+    if order is None:
+        return None
+    return [nodes[index] for index in order]
 
 
 def is_beta_acyclic(hypergraph: Hypergraph, method: str = "nest") -> bool:
@@ -136,13 +138,17 @@ def is_beta_acyclic(hypergraph: Hypergraph, method: str = "nest") -> bool:
 # ----------------------------------------------------------------------
 # gamma acyclicity
 # ----------------------------------------------------------------------
-def is_gamma_acyclic(hypergraph: Hypergraph, method: str = "pattern") -> bool:
+def is_gamma_acyclic(hypergraph: Hypergraph, method: str = "reduction") -> bool:
     """Return ``True`` when the hypergraph has no gamma cycle.
 
-    ``method`` is ``"pattern"`` (beta-acyclicity via nest points plus the
-    cubic scan for the length-3 gamma pattern) or ``"search"``
-    (definitional gamma-cycle search).
+    ``method`` is ``"reduction"`` (Fagin's reduction rules, near-linear),
+    ``"pattern"`` (beta-acyclicity via nest points plus the cubic scan for
+    the length-3 gamma pattern) or ``"search"`` (definitional gamma-cycle
+    search).
     """
+    if method == "reduction":
+        nodes, edges = _on_ids(hypergraph)
+        return gamma_reduces(len(nodes), edges)
     if method == "search":
         return find_gamma_cycle(hypergraph) is None
     if method != "pattern":

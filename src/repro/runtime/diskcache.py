@@ -1,15 +1,14 @@
 """Persistent, content-addressed store for classification reports and results.
 
 The engine's in-memory :class:`~repro.engine.cache.SchemaCache` dies with
-the interpreter, and on production schemas the lost work is substantial:
-re-classifying a 500-vertex chordal schema costs tens of seconds before
-the first query can be planned.  :class:`DiskCache` persists the two
-artifacts worth keeping across processes:
+the interpreter, and with it every classification and every solved
+answer.  :class:`DiskCache` persists the two artifacts worth keeping
+across processes:
 
 * the **classification report** of a schema
   (:class:`~repro.core.classification.ChordalityReport`), keyed by the
-  schema's structural digest -- a cold process warm-starts in
-  milliseconds instead of re-running the Theorem 1 recognition;
+  schema's structural digest -- a cold process skips the (blockwise,
+  tens of milliseconds on a 500-vertex schema) Theorem 1 recognition;
 * individual **connection results**, keyed by ``(schema digest, request
   key)`` -- repeat requests are replayed without solving at all.
 

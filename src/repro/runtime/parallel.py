@@ -15,8 +15,8 @@ How a shard travels
   *shard state* -- the :class:`~repro.graphs.indexed.IndexedGraph` CSR
   backend, the label index and the classification report
   (:meth:`~repro.engine.cache.SchemaContext.shard_state`).  Workers
-  rebuild an equivalent context in milliseconds instead of re-running
-  the Theorem 1 recognition (tens of seconds on large schemas).
+  rebuild an equivalent context without re-running the Theorem 1
+  recognition.
 * On POSIX the default transport is **zero-copy shared memory**
   (:mod:`repro.kernels.shm`): the CSR arrays live in one named segment
   per schema version, workers attach ``memoryview`` casts over the

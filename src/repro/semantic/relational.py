@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping
 
-from repro.core.classification import ChordalityReport, classify_bipartite_graph
+from repro.core.classification import ChordalityReport
 from repro.exceptions import ValidationError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.hypergraphs.acyclicity import acyclicity_degree, satisfies_degree
@@ -110,8 +110,14 @@ class RelationalSchema:
         return satisfies_degree(self.hypergraph(), degree)
 
     def chordality_report(self) -> ChordalityReport:
-        """Return the chordality classification of the schema graph."""
-        return classify_bipartite_graph(self.schema_graph())
+        """Return the chordality classification of the schema graph.
+
+        Classified blockwise, like every schema the engine serves.
+        """
+        # function-level import: repro.dynamic sits above repro.semantic
+        from repro.dynamic.blocks import BlockClassifier
+
+        return BlockClassifier().classify(self.schema_graph())
 
     # ------------------------------------------------------------------
     # instances

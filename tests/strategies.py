@@ -12,8 +12,10 @@ fuzzing all draw from the same distributions:
   :func:`chordal_bipartite_graphs` ((6,2)-chordal trees of complete
   bipartite blocks, the Algorithm 2 guarantee class);
 * hypergraphs: :func:`hypergraphs`;
-* schema-level instances: :func:`alpha_schema_graphs` (Algorithm 1's
-  class), :func:`relational_schemas` and :func:`er_schemas`;
+* schema-level instances: :func:`gamma_schema_graphs` ((6,2)-chordal),
+  :func:`beta_schema_graphs` ((6,1)-chordal interval schemas),
+  :func:`alpha_schema_graphs` (Algorithm 1's class),
+  :func:`relational_schemas` and :func:`er_schemas`;
 * terminal sets: :func:`draw_terminals`, a helper usable inside
   ``@st.composite`` strategies and with ``st.data()``.
 
@@ -31,6 +33,8 @@ from repro.datasets.generators import (
     random_62_chordal_graph,
     random_alpha_acyclic_schema,
     random_alpha_schema_graph,
+    random_beta_schema_graph,
+    random_gamma_schema_graph,
 )
 from repro.graphs import BipartiteGraph, Graph
 from repro.graphs.traversal import connected_components
@@ -197,6 +201,22 @@ def hypergraphs(draw, max_nodes: int = 5, max_edges: int = 5) -> Hypergraph:
 # ----------------------------------------------------------------------
 # schema-level instances (seeded generators; guaranteed class membership)
 # ----------------------------------------------------------------------
+@st.composite
+def gamma_schema_graphs(draw, max_blocks: int = 5):
+    """Schema graphs of random gamma-acyclic schemas ((6,2)-chordal)."""
+    blocks = draw(st.integers(min_value=1, max_value=max_blocks))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return random_gamma_schema_graph(blocks, rng=seed)
+
+
+@st.composite
+def beta_schema_graphs(draw, max_relations: int = 10):
+    """Schema graphs of random interval schemas ((6,1)-chordal)."""
+    relations = draw(st.integers(min_value=2, max_value=max_relations))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return random_beta_schema_graph(relations, rng=seed)
+
+
 @st.composite
 def alpha_schema_graphs(draw, max_relations: int = 6):
     """Schema graphs of random alpha-acyclic schemas (Algorithm 1's class)."""

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from strategies import COMMON_SETTINGS, bipartite_graphs, chordal_bipartite_graphs
 
-from repro.core.classification import classify_bipartite_graph
+from repro.core.classification import FOREST_REPORT, classify_bipartite_graph
 from repro.dynamic import (
     BlockClassifier,
     SchemaDelta,
@@ -23,7 +23,7 @@ from repro.dynamic import (
     block_subgraph,
     combine_reports,
 )
-from repro.dynamic.blocks import ALL_TRUE_REPORT
+from repro.dynamic.blocks import _block_key
 from repro.engine.cache import SchemaContext
 from repro.graphs import BipartiteGraph
 
@@ -80,10 +80,10 @@ def test_block_subgraph_preserves_sides():
 
 
 def test_combine_reports_of_nothing_is_all_true():
-    assert combine_reports([]) == ALL_TRUE_REPORT
+    assert combine_reports([]) == FOREST_REPORT
     # and an edgeless graph really classifies all-true monolithically
     edgeless = BipartiteGraph(left=["A"], right=[1])
-    assert classify_bipartite_graph(edgeless) == ALL_TRUE_REPORT
+    assert classify_bipartite_graph(edgeless) == FOREST_REPORT
 
 
 def test_block_memo_skips_surviving_blocks():
@@ -193,20 +193,26 @@ def test_apply_delta_shares_the_block_memo_down_the_chain():
     graph = chordal_fixture()
     context = SchemaContext(graph)
     context.report
+    classifier = context._blocks
+    # the cold report already classified every block into the shared memo
+    cold = classifier.stats()
+    assert cold["blocks_classified"] == cold["size"]
+    assert cold["size"] == len(biconnected_edge_blocks(graph))
     fresh = itertools.count(1)
     rng = random.Random(1)
-    deltas = []
     for _ in range(3):
         random_edit(graph, rng, fresh)
-        delta = SchemaDelta.between(context.graph, graph)
-        context = context.apply_delta(delta)
-        deltas.append(delta)
-    classifier = context._blocks
-    stats = classifier.stats()
-    # the first apply_delta classified every block once; later ones only
-    # touched-edit blocks, so total work stays far below blocks * edits
-    assert stats["blocks_classified"] < 2 * stats["size"] + 4 * len(deltas)
-    assert stats["hits"] > 0
+        created = set()
+        for edges in biconnected_edge_blocks(graph):
+            key = _block_key(graph, edges)
+            if key not in classifier._memo:
+                created.add(key)
+        before = classifier.stats()["blocks_classified"]
+        context = context.apply_delta(SchemaDelta.between(context.graph, graph))
+        # each edit classifies exactly the blocks it created
+        assert context._blocks is classifier
+        assert classifier.stats()["blocks_classified"] - before == len(created)
+    assert classifier.stats()["hits"] > 0
 
 
 def test_apply_delta_does_not_disturb_the_source_context():

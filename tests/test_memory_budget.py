@@ -1,14 +1,17 @@
 """Memory-budgeted degradation: bounded caches instead of unbounded growth.
 
-``ServiceConfig(memory_budget_bytes=...)`` promises that the engine's two
-row-holding structures -- the per-context
-:class:`~repro.kernels.oracle.DistanceOracle` and the
+``ServiceConfig(memory_budget_bytes=...)`` promises that the engine's
+growing structures -- the per-context
+:class:`~repro.kernels.oracle.DistanceOracle`, the per-lineage
+:class:`~repro.dynamic.blocks.BlockClassifier` memo and the
 :class:`~repro.engine.cache.SchemaCache` itself -- *evict* under memory
 pressure rather than grow without bound.  This suite pins that promise at
-all three layers:
+every layer:
 
 * the oracle alone: ``bytes_held()`` never exceeds the byte budget, the
   hottest rows survive, and ``stats.evictions`` proves eviction happened;
+* the block memo: its ``bytes_held()`` matches what the memo really
+  allocates, is counted by ``memory_bytes()``, and stays under a budget;
 * the schema cache: cold contexts are dropped oldest-first until
   ``memory_bytes()`` fits, never below one resident context;
 * the service: a budgeted workload over an at-scale generator schema
@@ -20,17 +23,27 @@ Everything here runs on whatever lane ``REPRO_KERNEL_BACKEND`` selects
 lane-independent.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 from repro.api import ConnectionService, ServiceConfig
+from repro.core.classification import classify_bipartite_graph
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
-from repro.engine.cache import SchemaCache
+from repro.dynamic import BlockClassifier, SchemaDelta, SchemaEditor
+from repro.engine.cache import SchemaCache, SchemaContext
 from repro.exceptions import ValidationError
 from repro.graphs.generators import large_block_chain, large_terminal_ids
 from repro.graphs.indexed import GraphIndex, from_indexed
 from repro.kernels import DistanceOracle
+
+
+def _chain(blocks):
+    """A ``large_block_chain`` of K_{2,2} blocks as a label-space graph."""
+    indexed = large_block_chain(blocks, 2, 2)
+    return from_indexed(indexed, GraphIndex(range(indexed.n)))
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +111,92 @@ class TestOracleBudget:
 
 
 # ----------------------------------------------------------------------
+# BlockClassifier: the memo a cold report fills is sized, counted, bounded
+# ----------------------------------------------------------------------
+class TestBlockMemoBudget:
+    def test_bytes_held_matches_the_measured_allocation(self):
+        graph = _chain(400)
+        BlockClassifier().classify(_chain(4))  # first-call allocations, off the books
+        classifier = BlockClassifier()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            classifier.classify(graph)
+            gc.collect()
+            measured = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        held = classifier.bytes_held()
+        assert held == classifier.stats()["bytes"] > 0
+        assert 0.8 * measured <= held <= 1.25 * measured
+
+    def test_cold_report_memo_is_counted_by_memory_bytes(self):
+        context = SchemaContext(_chain(60))
+        csr = context.indexed.nbytes()
+        assert context.memory_bytes() == csr  # nothing classified yet
+        context.report
+        memo = context._blocks.bytes_held()
+        assert memo > csr  # the memo, not the CSR, dominates a cold context
+        assert context.memory_bytes() == csr + memo
+
+        cache = SchemaCache(maxsize=4)
+        cached = cache.get_or_build(_chain(60))
+        cached.report
+        stats = cache.stats()
+        assert stats["block_memo_bytes"] == cached._blocks.bytes_held() == memo
+        assert stats["memory_bytes"] == cached.indexed.nbytes() + memo
+
+    def test_memo_shared_along_a_delta_chain_is_counted_once(self):
+        graph = _chain(30)
+        cache = SchemaCache(maxsize=8)
+        context = cache.get_or_build(graph)
+        context.report
+        snapshot = graph.copy()
+        anchor = next(v for v in graph.sorted_vertices() if graph.side_of(v) == 2)
+        with SchemaEditor(graph) as tx:
+            tx.add_vertex(("leaf", 1), side=1)
+            tx.add_edge(("leaf", 1), anchor)
+        patched = context.apply_delta(SchemaDelta.between(snapshot, graph))
+        cache.adopt(patched)
+        assert patched._blocks is context._blocks
+        assert cache.block_memo_bytes() == context._blocks.bytes_held()
+
+    def test_budgeted_memo_evicts_to_fit_and_stays_correct(self):
+        graph = _chain(200)
+        reference = classify_bipartite_graph(graph)
+        unbounded = BlockClassifier()
+        unbounded.classify(graph)
+        budget = unbounded.bytes_held() // 4
+        classifier = BlockClassifier()
+        classifier.memory_budget_bytes = budget
+        for _ in range(2):
+            assert classifier.classify(graph) == reference
+            assert 0 < classifier.bytes_held() <= budget
+        stats = classifier.stats()
+        assert stats["evictions"] > 0
+        assert stats["size"] < len(unbounded._memo)
+
+    def test_tiny_memo_budget_keeps_the_newest_block(self):
+        classifier = BlockClassifier()
+        classifier.memory_budget_bytes = 1
+        graph = _chain(12)
+        assert classifier.classify(graph) == classify_bipartite_graph(graph)
+        assert classifier.stats()["size"] == 1
+
+    def test_context_hands_its_budget_to_the_memo(self):
+        context = SchemaContext(_chain(8), memory_budget_bytes=1 << 16)
+        assert context._blocks.memory_budget_bytes == 1 << 16
+        cache = SchemaCache(maxsize=4, memory_budget_bytes=1 << 15)
+        rebuilt = SchemaContext.from_shard_state(*context.shard_state())
+        cache.adopt(rebuilt)
+        assert rebuilt._blocks.memory_budget_bytes == 1 << 15
+
+
+# ----------------------------------------------------------------------
 # SchemaCache: whole contexts evicted coldest-first under the budget
 # ----------------------------------------------------------------------
 class TestSchemaCacheBudget:
@@ -159,24 +258,24 @@ class TestServiceBudget:
         """Heavy traffic over an at-scale chain schema under a tight budget.
 
         Without the budget the oracle would retain every distinct source
-        row; with it, held bytes stay bounded by ``budget`` plus the
-        irreducible single-context base (the CSR itself, which the cache
-        never evicts below one resident schema) while answers stay
-        correct (spot-checked against a fresh unbudgeted service).
+        row and the block memo every block; with it, each stays within
+        ``budget`` and held bytes stay bounded by ``budget`` plus the
+        single-context base (the CSR, which the cache never evicts below
+        one resident schema, and the budget-bounded memo the cold
+        classification filled) while answers stay correct (spot-checked
+        against a fresh unbudgeted service).
         """
-        from repro.dynamic.blocks import BlockClassifier
-
         indexed = large_block_chain(250, 2, 2)
         schema = from_indexed(indexed, GraphIndex(range(indexed.n)))
         budget = 16 * 4 * indexed.n  # room for 16 oracle rows; far more requested
         service = ConnectionService(
             schema=schema, config=ServiceConfig(memory_budget_bytes=budget)
         )
-        # seed the one-off chordality classification (same shortcut the
-        # kernel benchmarks use) so the test measures budget behaviour,
-        # not the recognition cost every mode shares
-        service.engine.seed_report(schema, BlockClassifier().classify(schema))
-        base = service.cache_stats()["memory_bytes"]  # irreducible CSR bytes
+        service.classification()  # builds the resident context
+        stats = service.cache_stats()
+        assert 0 < stats["block_memo_bytes"] <= budget  # 250 blocks do not fit
+        base = stats["memory_bytes"]  # CSR bytes plus the bounded memo
+        assert base == indexed.nbytes() + stats["block_memo_bytes"]
         rng = random.Random(7)
         sampled = []
         for _ in range(48):
@@ -189,7 +288,6 @@ class TestServiceBudget:
         assert service.cache_stats()["distance_oracle"]["evictions"] > 0
 
         oracle_service = ConnectionService(schema=schema)
-        oracle_service.engine.seed_report(schema, BlockClassifier().classify(schema))
         for terminals, cost in sampled[:3]:
             assert oracle_service.connect(terminals).cost == cost
 
@@ -214,6 +312,13 @@ class TestServiceBudget:
         )
         # a warm oracle must report real held bytes, not a dead zero
         assert float(oracle_line.split()[-1]) > 0
+        memo_line = next(
+            line
+            for line in text.splitlines()
+            if line.startswith('repro_memory_held_bytes{component="block_memo"}')
+        )
+        # the cold classification filled the block memo
+        assert float(memo_line.split()[-1]) == service.cache_stats()["block_memo_bytes"] > 0
         budget_line = next(
             line
             for line in text.splitlines()
