@@ -45,7 +45,6 @@ from repro.core.classification import ChordalityReport, classify_bipartite_graph
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.indexed import GraphIndex, IndexedGraph, from_indexed, to_indexed
-from repro.kernels.bfs import levels_to_dict
 from repro.kernels.oracle import DistanceOracle, OracleStats
 
 
@@ -320,7 +319,6 @@ class SchemaContext:
         self.indexed: IndexedGraph = indexed
         self.index: GraphIndex = index
         self._report = report
-        self._bfs_rows = LRUCache(maxsize=4096)
         self._side_plans: Dict[Tuple[int, int], SidePlan] = {}
         self._components: Optional[List[FrozenSet[int]]] = None
         # blockwise classifier: the cold report classifies through it, and
@@ -373,7 +371,6 @@ class SchemaContext:
         context.indexed = indexed
         context.index = index
         context._report = report
-        context._bfs_rows = LRUCache(maxsize=4096)
         context._side_plans = {}
         context._components = None
         context._blocks = _new_block_classifier()
@@ -423,9 +420,11 @@ class SchemaContext:
           cut vertices act as local separators, so only blocks the edit
           touched (or merged) are reclassified, and the full recognition
           is only ever paid *inside* a new block;
-        * per-query caches (BFS rows, side plans, components) start
-          empty: a structural edit can shift distances and components
-          globally, and they re-amortise across the next queries.
+        * the distance oracle keeps only the rows outside the touched
+          component (all of them are dropped on vertex churn), and the
+          side plans and components start empty: a structural edit can
+          shift distances and components globally, and they re-amortise
+          across the next queries.
 
         The original context is not modified (version-keyed callers such
         as the engine LRU may still be holding it); the block memo is
@@ -463,7 +462,6 @@ class SchemaContext:
                 context._oracle = self._oracle.inherit(context.indexed, touched)
         context._blocks = self._blocks
         context._report = self._blocks.classify(new_graph)
-        context._bfs_rows = LRUCache(maxsize=4096)
         context._side_plans = {}
         context._components = None
         return context
@@ -527,28 +525,15 @@ class SchemaContext:
 
         Counts the canonical CSR storage, the oracle's cached rows and
         the block memo -- the stores that scale with schema size and
-        traffic.  The remaining per-query memos (decoded BFS dicts, side
-        plans) are bounded by their own LRU capacities.
+        traffic.  Solvers read distances only through the oracle, so no
+        uncounted row store exists; the remaining memos (side plans,
+        components) hold one entry per connected component and side, and
+        are bounded by the schema rather than by the traffic.
         """
         total = self.indexed.nbytes() + self._blocks.bytes_held()
         if self._oracle is not None:
             total += self._oracle.bytes_held()
         return total
-
-    def bfs_row(self, source: Vertex) -> Dict[Vertex, int]:
-        """Return cached BFS distances ``{vertex: distance}`` from ``source``.
-
-        Rows come from the :attr:`distance_oracle` and are decoded to the
-        label mapping once; the KMB metric closure and feasibility checks
-        share them across queries.
-        """
-        row = self._bfs_rows.get(source)
-        if row is None:
-            source_id = self.index.ids[source]
-            levels = self.distance_oracle.levels(source_id)
-            row = levels_to_dict(levels, self.index.labels)
-            self._bfs_rows.put(source, row)
-        return row
 
     # ------------------------------------------------------------------
     # components

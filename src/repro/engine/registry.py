@@ -261,8 +261,19 @@ def solve_algorithm1_indexed(
 
 
 def solve_dreyfus_wagner(context: SchemaContext, terminals: Iterable[Vertex]) -> SteinerSolution:
-    """Exact Dreyfus-Wagner dynamic program (small terminal sets)."""
-    return steiner_tree_dreyfus_wagner(context.graph, terminals)
+    """Exact Dreyfus-Wagner dynamic program (small terminal sets).
+
+    Runs on the context's ids; the terminals' distance rows come from the
+    cross-query distance oracle, so a batch whose terminal sets overlap
+    pays one BFS per distinct terminal.
+    """
+    return steiner_tree_dreyfus_wagner(
+        context.graph,
+        terminals,
+        indexed=context.indexed,
+        index=context.index,
+        oracle=context.distance_oracle,
+    )
 
 
 def solve_bruteforce(context: SchemaContext, terminals: Iterable[Vertex]) -> SteinerSolution:
@@ -273,12 +284,26 @@ def solve_bruteforce(context: SchemaContext, terminals: Iterable[Vertex]) -> Ste
 def solve_kmb(
     context: SchemaContext, terminals: Iterable[Vertex], side: Optional[int] = None
 ) -> SteinerSolution:
-    """KMB 2-approximation fed by the context's cached BFS rows."""
+    """KMB 2-approximation fed by the context's cached BFS rows.
+
+    The metric closure reads only distances between terminal pairs, so
+    they are read off the distance oracle's id rows; no label-space row is
+    decoded or kept outside the oracle's memory budget.
+    """
     terminal_list = sorted(set(terminals), key=repr)
     # validate membership first so unknown terminals raise the library's
-    # ValidationError rather than a bare KeyError from the row cache
+    # ValidationError rather than a bare GraphError from the index
     SteinerInstance(context.graph, terminal_list)
-    distances = {t: context.bfs_row(t) for t in terminal_list}
+    ids = context.index.encode(terminal_list)
+    oracle = context.distance_oracle
+    distances = {}
+    for terminal, source in zip(terminal_list, ids):
+        row = oracle.levels(source)
+        distances[terminal] = {
+            other: row[target]
+            for other, target in zip(terminal_list, ids)
+            if row[target] >= 0
+        }
     solution = kou_markowsky_berman(context.graph, terminal_list, distances=distances)
     if side is not None:
         solution.side = side

@@ -157,8 +157,9 @@ def grouped_bfs_parents(
 def levels_to_dict(row: Sequence[int], labels: Sequence) -> dict:
     """Decode a distance row into the ``{label: distance}`` mapping.
 
-    The shared decode step behind
-    :meth:`~repro.engine.cache.SchemaContext.bfs_row`; unreachable
+    Used by the heuristics' indexed lane
+    (:func:`~repro.steiner.heuristics.shortest_path_heuristic`,
+    :func:`~repro.steiner.heuristics.kou_markowsky_berman`); unreachable
     vertices (``-1``) are absent, mirroring
     :func:`~repro.graphs.traversal.bfs_distances`.
     """

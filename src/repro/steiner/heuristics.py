@@ -108,9 +108,11 @@ def kou_markowsky_berman(
     """Kou-Markowsky-Berman distance-network heuristic (unit weights).
 
     Accepts either graph backend.  ``distances`` optionally supplies
-    precomputed BFS rows ``terminal -> {vertex: distance}`` (at least for
-    every terminal); the batch engine passes its schema-level cache here so
-    the metric closure is not rebuilt for every query.
+    precomputed BFS distances ``terminal -> {vertex: distance}`` for every
+    terminal.  The metric closure reads only distances between terminals,
+    so rows restricted to the terminals suffice; the engine passes such
+    rows, read off its distance oracle, so the closure is not rebuilt for
+    every query.
     """
     instance = SteinerInstance(graph, terminals)
     instance.require_feasible()

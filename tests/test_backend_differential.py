@@ -33,7 +33,11 @@ from strategies import (
 )
 
 from repro.api import ConnectionRequest, ConnectionService, ServiceConfig
-from repro.datasets.generators import random_62_chordal_graph, random_terminals
+from repro.datasets.generators import (
+    random_62_chordal_graph,
+    random_alpha_schema_graph,
+    random_terminals,
+)
 from repro.graphs.generators import (
     large_bipartite_tree,
     large_block_chain,
@@ -182,6 +186,33 @@ def test_workload_checksums_identical_across_lanes():
     assert _service_checksums(schema, requests, "array") == _service_checksums(
         schema, requests, "numpy"
     )
+
+
+def test_general_class_batch_identical_across_lanes():
+    """Dreyfus-Wagner, KMB and Algorithm 1 side plans, all on oracle rows."""
+    rng = random.Random(41)
+    schema = random_alpha_schema_graph(30, rng=rng)
+    requests = [
+        ConnectionRequest.of(random_terminals(schema, k, rng=rng))
+        for k in (3, 4, 5, 9, 10)
+    ]
+    requests += [
+        ConnectionRequest.of(random_terminals(schema, k, rng=rng), objective="side", side=2)
+        for k in (3, 5)
+    ]
+    answers = {}
+    for backend in ("array", "numpy"):
+        service = ConnectionService(
+            schema=schema, config=ServiceConfig(kernel_backend=backend)
+        )
+        results = service.batch(list(requests))
+        answers[backend] = (
+            [result.provenance.solver for result in results],
+            canonical_checksum(results),
+        )
+    expected_solvers = ["dreyfus-wagner"] * 3 + ["kmb"] * 2 + ["algorithm1-indexed"] * 2
+    assert answers["array"][0] == expected_solvers
+    assert answers["numpy"] == answers["array"]
 
 
 def test_provenance_identical_across_lanes_minus_backend_stamp():

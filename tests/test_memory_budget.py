@@ -291,6 +291,43 @@ class TestServiceBudget:
         for terminals, cost in sampled[:3]:
             assert oracle_service.connect(terminals).cost == cost
 
+    def test_budgeted_kmb_queries_hold_no_rows_outside_the_budget(self):
+        """KMB's metric closure keeps no distances the budget cannot see.
+
+        The closure reads only terminal-pair distances, which come off the
+        oracle's id rows.  A label-space ``{vertex: distance}`` dict per
+        terminal used to be cached beside the oracle, uncounted by
+        ``memory_bytes()``: ~0.25 MB per terminal here.  Measured under
+        ``tracemalloc``, what the queries retain must stay within the
+        budget plus the resident context's CSR and block memo.
+        """
+        indexed = large_block_chain(1000, 2, 2)  # 3001 vertices
+        schema = from_indexed(indexed, GraphIndex(range(indexed.n)))
+        budget = 8 * 4 * indexed.n  # room for 8 oracle rows
+        service = ConnectionService(
+            schema=schema, config=ServiceConfig(memory_budget_bytes=budget)
+        )
+        rng = random.Random(11)
+        queries = [large_terminal_ids(indexed, 6, rng=rng) for _ in range(4)]
+        service.connect(queries[0], solver="kmb")  # builds the resident context
+        stats = service.cache_stats()
+        resident = stats["memory_bytes"] - stats["oracle_bytes"]  # CSR + memo
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for terminals in queries[1:]:
+                assert service.connect(terminals, solver="kmb").provenance.solver == "kmb"
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert held <= budget + resident
+        assert service.cache_stats()["oracle_bytes"] <= budget
+
     def test_memory_gauges_exported(self):
         from repro.metrics import MetricsRegistry
 
