@@ -11,10 +11,11 @@ Acceptance numbers for the ``repro.kernels`` subsystem on the 515-vertex
   recorded too -- it is *not* faster than raw BFS, see the write-bound
   analysis in ``docs/performance.md``, which is exactly why the oracle
   caches rows instead of recomputing them faster).
-* **KN2 -- oracle-warm batching**: warm ``batch_interpret`` over a
-  200-query mix with overlapping terminals is >= 2x faster than the PR 4
-  warm path (replicated verbatim below: per-query ``bfs_parents`` plus
-  the full-edge-scan cover induction), with identical trees.
+* **KN2 -- warm service batches**: a warm ``ConnectionService.batch``
+  (the one production batch path) over a 200-query mix with overlapping
+  terminals is >= 2x faster than the PR 4 warm path (replicated verbatim
+  below: per-query ``bfs_parents`` plus the full-edge-scan cover
+  induction), with identical trees.
 * **KN3 -- zero-copy dispatch**: shared-memory transport beats the
   pickled-blob transport on warm-worker dispatch of many small shards,
   and its per-shard payload is orders of magnitude smaller.  Answers are
@@ -65,7 +66,7 @@ def _scenario(blocks):
     if blocks not in _SCENARIOS:
         graph = random_62_chordal_graph(blocks, rng=1985)
         service = ConnectionService(schema=graph)
-        context = service.engine.context_for(graph)
+        context = service.engine.cache.get_or_build(graph)
         context.report
         _SCENARIOS[blocks] = (graph, service, context)
     return _SCENARIOS[blocks]
@@ -93,8 +94,8 @@ def test_grouped_bfs_beats_sequential_bfs_levels(benchmark):
     rng = random.Random(3)
     sources = rng.sample(range(indexed.n), k)
 
-    fresh = context.__class__(graph)  # cold oracle for the fill timing
-    fresh.seed_report(context.report)
+    # cold oracle for the fill timing
+    fresh = context.__class__(graph, report=context.report)
     started = perf_counter()
     fresh.distance_oracle.ensure(sources)
     cold_fill_seconds = perf_counter() - started
@@ -136,7 +137,7 @@ def test_grouped_bfs_beats_sequential_bfs_levels(benchmark):
 
 
 # ----------------------------------------------------------------------
-# KN2: oracle-warm batch_interpret vs the PR 4 warm path
+# KN2: warm ConnectionService.batch vs the PR 4 warm path
 # ----------------------------------------------------------------------
 def _pr4_warm_solve(context, terminals):
     """The PR 4 warm query path, replicated verbatim as the baseline.
@@ -144,7 +145,7 @@ def _pr4_warm_solve(context, terminals):
     Per query: one fresh ``bfs_parents`` traversal (no oracle), the seed
     elimination, and the cover induced by a **full edge scan** of the
     schema graph (the pre-kernel ``BipartiteGraph.subgraph``).  Returns
-    the pruned tree, which must equal the engine's.
+    the pruned tree, which must equal the service's.
     """
     instance = SteinerInstance(context.graph, terminals)
     terminal_ids = sorted(context.index.encode(instance.terminals))
@@ -171,28 +172,25 @@ def _pr4_warm_solve(context, terminals):
     return prune_non_terminal_leaves(tree, instance.terminals)
 
 
-def test_oracle_warm_batch_beats_pr4_warm_path(benchmark):
-    """Warm ``batch_interpret`` on overlapping terminals vs the PR 4 loop."""
+def test_warm_service_batch_beats_pr4_warm_path(benchmark):
+    """Warm ``ConnectionService.batch`` on overlapping terminals vs the PR 4 loop."""
     blocks, n_queries = (12, 30) if SMOKE else (170, 200)
     graph, service, context = _scenario(blocks)
-    engine = service.engine
     rng = random.Random(7)
     queries = [random_terminals(graph, 3, rng=rng) for _ in range(n_queries)]
 
-    solutions = engine.batch_interpret(graph, queries)  # warms the oracle
+    results = service.batch(queries)  # warms the oracle
     baseline_trees = [_pr4_warm_solve(context, query) for query in queries]
-    for solution, tree in zip(solutions, baseline_trees):
-        assert solution.tree.vertices() == tree.vertices()
-        assert solution.tree.edge_set() == tree.edge_set()
+    for result, tree in zip(results, baseline_trees):
+        assert result.tree.vertices() == tree.vertices()
+        assert result.tree.edge_set() == tree.edge_set()
 
     repeats = 2 if SMOKE else 5
-    warm_seconds = _best_of(
-        repeats, lambda: engine.batch_interpret(graph, queries)
-    )
+    warm_seconds = _best_of(repeats, lambda: service.batch(queries))
     pr4_seconds = _best_of(
         repeats, lambda: [_pr4_warm_solve(context, query) for query in queries]
     )
-    benchmark(engine.batch_interpret, graph, queries)
+    benchmark(service.batch, queries)
 
     speedup = warm_seconds and pr4_seconds / warm_seconds
     record(
@@ -203,12 +201,12 @@ def test_oracle_warm_batch_beats_pr4_warm_path(benchmark):
         wall_seconds=warm_seconds,
         pr4_warm_seconds=pr4_seconds,
         speedup=round(speedup, 2),
-        oracle=engine.cache_stats()["distance_oracle"],
+        oracle=service.cache_stats()["distance_oracle"],
         smoke=SMOKE,
     )
     if not SMOKE:
         assert speedup >= 2.0, (
-            f"oracle-warm batch_interpret must be >= 2x the PR 4 warm path, "
+            f"warm ConnectionService.batch must be >= 2x the PR 4 warm path, "
             f"got {speedup:.2f}x"
         )
 

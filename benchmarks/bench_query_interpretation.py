@@ -1,10 +1,10 @@
 """E14/E16 -- the database motivation: query interpretation and semijoin programs.
 
-Also home of the batched-engine headline benchmark: ``batch_interpret``
-over >= 100 random queries on a >= 500-vertex (6,2)-chordal schema vs. the
-per-query ``MinimalConnectionFinder`` loop.  Set ``REPRO_BENCH_SMOKE=1``
-to run a scaled-down smoke variant (used by CI to catch perf-path import
-breakage without paying the full measurement).
+Also home of the batch headline benchmark: a cold
+``ConnectionService.batch`` over >= 100 random queries on a >= 500-vertex
+(6,2)-chordal schema vs. the per-query ``steiner_algorithm2`` loop.  Set
+``REPRO_BENCH_SMOKE=1`` to run a scaled-down smoke variant (used by CI to
+catch perf-path import breakage without paying the full measurement).
 """
 
 import os
@@ -20,7 +20,7 @@ from repro.datasets.generators import (
     random_alpha_acyclic_schema,
     random_terminals,
 )
-from repro.engine import InterpretationEngine
+from repro.engine.planner import plan_query
 from repro.semantic import QueryInterpreter, plain_join_plan, semijoin_program
 from repro.steiner import steiner_algorithm2
 
@@ -114,18 +114,15 @@ def _batch_scenario():
     return graph, queries
 
 
-def test_batch_interpret_beats_per_query_loop(benchmark):
-    """E16+: batch_interpret amortises schema precomputation over many queries.
+def test_service_batch_beats_per_query_loop(benchmark):
+    """E16+: ``ConnectionService.batch`` amortises schema precomputation.
 
     Three timings are recorded:
 
     * ``loop_seconds``   -- per-query ``steiner_algorithm2`` calls with the
-      classification hoisted out (the paper-faithful per-query path; this
-      is what ``MinimalConnectionFinder`` dispatched inline before the
-      engine existed -- the finder itself now delegates to the engine, so
-      the raw algorithm is the honest baseline);
-    * ``batch_cold_seconds`` -- one ``batch_interpret`` on a fresh engine,
-      i.e. including the one-off classification + indexing of the schema;
+      classification hoisted out (the paper-faithful per-query path);
+    * ``batch_cold_seconds`` -- one ``batch`` on a fresh service, i.e.
+      including the one-off classification + indexing of the schema;
     * the pytest-benchmark timing -- warm batches on the cached context.
 
     The acceptance bar is cold-batch >= 3x faster than the loop; warm
@@ -142,17 +139,17 @@ def test_batch_interpret_beats_per_query_loop(benchmark):
     ]
     loop_seconds = perf_counter() - start
 
-    engine = InterpretationEngine()
+    service = ConnectionService()
     start = perf_counter()
-    batched = engine.batch_interpret(graph, queries)
+    batched = service.batch(queries, schema=graph)
     batch_cold_seconds = perf_counter() - start
 
     assert [s.vertex_count() for s in per_query] == [
-        s.vertex_count() for s in batched
-    ], "batched engine disagrees with the per-query finder"
+        r.cost for r in batched
+    ], "the service batch disagrees with the per-query algorithm"
 
-    warm = benchmark(engine.batch_interpret, graph, queries)
-    assert [s.vertex_count() for s in warm] == [s.vertex_count() for s in batched]
+    warm = benchmark(service.batch, queries, schema=graph)
+    assert [r.cost for r in warm] == [r.cost for r in batched]
 
     speedup_cold = loop_seconds / batch_cold_seconds
     record(
@@ -168,7 +165,7 @@ def test_batch_interpret_beats_per_query_loop(benchmark):
     )
     if not SMOKE:
         assert speedup_cold >= 3.0, (
-            f"batch_interpret must be >= 3x faster than the per-query loop, "
+            f"ConnectionService.batch must be >= 3x faster than the per-query loop, "
             f"got {speedup_cold:.2f}x"
         )
 
@@ -178,31 +175,39 @@ def test_service_facade_overhead(benchmark):
 
     ``ConnectionService.batch`` wraps the engine's plan/execute loop in
     request normalisation, provenance records and wall-clock stamps; the
-    contract is that this bookkeeping adds < 5% latency over calling the
-    engine directly on a warm schema cache (smoke mode uses a loose 50%
-    bar -- tiny instances make the ratio noise-dominated).
+    contract is that this bookkeeping adds < 5% latency over a bare
+    ``plan_query`` + ``engine.execute_plan`` loop on the same warm context
+    (smoke mode uses a loose 50% bar -- tiny instances make the ratio
+    noise-dominated).  The two sides alternate within each repetition, so
+    host drift hits both alike.
     """
     graph, queries = _batch_scenario()
     service = ConnectionService(schema=graph)
-    engine = service.engine  # shared engine: identical warm context
+    engine = service.engine
+    service.batch(queries)  # warm the schema context and the oracle
+    context = engine.cache.get_or_build(graph)
+    limits = {
+        "exact_terminal_limit": service.config.exact_terminal_limit,
+        "exact_vertex_limit": service.config.exact_vertex_limit,
+    }
 
-    # warm the schema context and both code paths
-    engine.batch_interpret(graph, queries)
-    service.batch(queries)
+    def bare_loop():
+        return [
+            engine.execute_plan(context, plan_query(context, query, **limits), query, 2)
+            for query in queries
+        ]
 
-    def best_of(fn, repeats=5):
-        timings = []
-        for _ in range(repeats):
-            start = perf_counter()
-            fn()
-            timings.append(perf_counter() - start)
-        return min(timings)
-
-    engine_seconds = best_of(lambda: engine.batch_interpret(graph, queries))
-    service_seconds = best_of(lambda: service.batch(queries))
+    engine_seconds = service_seconds = float("inf")
+    for _ in range(5):
+        start = perf_counter()
+        bare_loop()
+        engine_seconds = min(engine_seconds, perf_counter() - start)
+        start = perf_counter()
+        service.batch(queries)
+        service_seconds = min(service_seconds, perf_counter() - start)
 
     results = benchmark(service.batch, queries)
-    solutions = engine.batch_interpret(graph, queries)
+    solutions = bare_loop()
     assert [r.cost for r in results] == [s.vertex_count() for s in solutions], (
         "the façade changed an answer"
     )

@@ -17,14 +17,14 @@ The package provides:
   and relational schemas, query interpretation, join plans
   (``repro.semantic``),
 * named figure instances and workload generators (``repro.datasets``),
-* the batched interpretation engine -- solver registry, query planner,
-  schema-level precomputation cache and ``batch_interpret`` -- built on
-  the integer-indexed graph backend (``repro.engine``,
-  ``repro.graphs.indexed``),
+* the interpretation engine -- solver registry, query planner and
+  schema-level precomputation cache -- built on the integer-indexed
+  graph backend (``repro.engine``, ``repro.graphs.indexed``),
 * the typed service façade (``repro.api``): ``ConnectionService`` with
   ``ConnectionRequest``/``ConnectionResult`` objects (optimality
-  guarantees, provenance) and the resumable ``EnumerationStream`` for
-  interactive disambiguation -- the recommended entry point,
+  guarantees, provenance), ``connect``/``batch`` and the resumable
+  ``EnumerationStream`` for interactive disambiguation -- the one entry
+  point for answering queries,
 * the parallel/persistent runtime (``repro.runtime``):
   ``ParallelExecutor`` shards batches across a process pool,
   ``DiskCache`` persists classifications and results across processes
@@ -83,7 +83,6 @@ from repro.chordality import (
 )
 from repro.core import (
     ChordalityReport,
-    MinimalConnectionFinder,
     chordality_class,
     classify_bipartite_graph,
     is_cover,
@@ -104,7 +103,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.dynamic import BlockClassifier, EditOp, SchemaDelta, SchemaEditor
-from repro.engine import InterpretationEngine, batch_interpret, schema_digest
+from repro.engine import InterpretationEngine, schema_digest
 from repro.kernels import DistanceOracle, grouped_bfs_levels, grouped_bfs_parents
 from repro.load import LoadReport, LoadSpec, run_load
 from repro.metrics import MetricsRegistry, NullRegistry, default_metrics
@@ -156,7 +155,7 @@ from repro.steiner import (
     steiner_tree_dreyfus_wagner,
 )
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BipartiteGraph",
@@ -185,7 +184,6 @@ __all__ = [
     "LoadReport",
     "LoadSpec",
     "MetricsRegistry",
-    "MinimalConnectionFinder",
     "MissingDependencyError",
     "NotApplicableError",
     "NullRegistry",
@@ -210,7 +208,6 @@ __all__ = [
     "WorkloadReport",
     "WorkloadSpec",
     "acyclicity_degree",
-    "batch_interpret",
     "chordality_class",
     "classify_bipartite_graph",
     "default_metrics",

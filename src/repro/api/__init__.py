@@ -5,9 +5,8 @@ One entry point (:class:`ConnectionService`), typed request/result objects
 :class:`Guarantee` and :class:`Provenance`), streaming enumeration for
 interactive disambiguation (:class:`EnumerationStream`) and one
 configuration object (:class:`ServiceConfig`).  All solver dispatch flows
-through :mod:`repro.engine`; the legacy per-query
-:class:`~repro.core.connection.MinimalConnectionFinder` is a thin wrapper
-over this package.
+through :mod:`repro.engine`, and :meth:`ConnectionService.batch` is the
+library's only batch path.
 """
 
 from repro.api.config import ServiceConfig

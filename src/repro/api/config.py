@@ -1,11 +1,10 @@
 """Service-level configuration for the :class:`~repro.api.service.ConnectionService`.
 
-Before the façade existed, the knobs governing solver dispatch lived as
-scattered constructor kwargs (``MinimalConnectionFinder(exact_terminal_limit=...)``,
-``InterpretationEngine(cache_size=...)``) and per-call arguments
-(``ranked_connections(limit=..., max_extra=...)``).  :class:`ServiceConfig`
-collects them in one immutable object so a deployment can define its policy
-once and hand it to every service instance.
+The knobs governing solver dispatch -- exact-solver limits, cache size,
+enumeration budgets, kernel lane, memory budget -- live in one immutable
+object, so a deployment can define its policy once and hand it to every
+service instance.  It is the only place dispatch limits are set (besides
+per-request overrides on :class:`~repro.api.request.ConnectionRequest`).
 """
 
 from __future__ import annotations

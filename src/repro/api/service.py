@@ -19,9 +19,8 @@ All dispatch flows through the engine's planner/registry/cache
 (:func:`~repro.engine.planner.plan_query`,
 :class:`~repro.engine.registry.SolverRegistry`,
 :class:`~repro.engine.cache.SchemaCache`) -- there is no second dispatch
-path anywhere in the library; the legacy
-:class:`~repro.core.connection.MinimalConnectionFinder` is a thin wrapper
-over this service.
+or batch path anywhere in the library, and the dispatch limits live only
+in :class:`~repro.api.config.ServiceConfig` and per-request overrides.
 """
 
 from __future__ import annotations
@@ -61,14 +60,11 @@ class ConnectionService:
         every request.
     config:
         A :class:`~repro.api.config.ServiceConfig`; defaults are the
-        library-wide dispatch thresholds.
-    engine:
-        An existing :class:`~repro.engine.batch.InterpretationEngine` to
-        share (its registry and schema cache are reused).  Built from
-        ``config`` when omitted.
+        library-wide dispatch thresholds.  The service builds its own
+        :class:`~repro.engine.batch.InterpretationEngine` from it.
     registry:
-        Convenience override for the engine's solver registry (ignored
-        when ``engine`` is given).
+        Override for the engine's solver registry (e.g. to substitute a
+        solver).
 
     Examples
     --------
@@ -84,54 +80,22 @@ class ConnectionService:
         self,
         schema: Any = None,
         config: Optional[ServiceConfig] = None,
-        engine: Optional[InterpretationEngine] = None,
         registry: Optional[SolverRegistry] = None,
     ) -> None:
         self._schema = schema
-        if engine is None:
-            self._config = config if config is not None else ServiceConfig()
-            # resolve the kernel lane ONCE, at construction: a "numpy"
-            # request without numpy fails here with a typed
-            # MissingDependencyError instead of mid-query, and the
-            # resolved name is stamped into every answer's provenance
-            kernel_backend = resolve_backend(self._config.kernel_backend)
-            engine = InterpretationEngine(
-                registry=registry,
-                cache_size=self._config.cache_size,
-                exact_terminal_limit=self._config.exact_terminal_limit,
-                exact_vertex_limit=self._config.exact_vertex_limit,
-                kernel_backend=kernel_backend,
-                memory_budget_bytes=self._config.memory_budget_bytes,
-            )
-        elif config is None:
-            # adopt the engine's thresholds so the service and its engine
-            # plan identically (a single dispatch path, one policy)
-            self._config = ServiceConfig(
-                exact_terminal_limit=engine.exact_terminal_limit,
-                exact_vertex_limit=engine.exact_vertex_limit,
-            )
-        elif (
-            config.exact_terminal_limit != engine.exact_terminal_limit
-            or config.exact_vertex_limit != engine.exact_vertex_limit
-        ):
-            raise ValidationError(
-                "config dispatch limits conflict with the supplied engine's; "
-                "pass one or the other (or make them agree)"
-            )
-        else:
-            self._config = config
-        self._engine = engine
-        # the lane every answer's provenance reports: a shared engine's
-        # cache lane wins (that is the lane actually producing rows);
-        # otherwise the config resolves (instances are memoised, so this
-        # re-resolve is free on the engine-built path above)
-        cache_backend = getattr(engine.cache, "kernel_backend", None)
-        self._kernel_backend = (
-            cache_backend
-            if cache_backend is not None
-            else resolve_backend(self._config.kernel_backend)
+        self._config = config if config is not None else ServiceConfig()
+        # resolve the kernel lane ONCE, at construction: a "numpy" request
+        # without numpy fails here with a typed MissingDependencyError
+        # instead of mid-query, and the resolved name is stamped into
+        # every answer's provenance
+        kernel_backend = resolve_backend(self._config.kernel_backend)
+        self._backend_name = backend_name(kernel_backend)
+        self._engine = InterpretationEngine(
+            registry=registry,
+            cache_size=self._config.cache_size,
+            kernel_backend=kernel_backend,
+            memory_budget_bytes=self._config.memory_budget_bytes,
         )
-        self._backend_name = backend_name(self._kernel_backend)
         # see _context for the caching contract
         self._bound_context = None
         self._bound_version = None

@@ -1,4 +1,4 @@
-"""Core layer: covers, good orderings, classification, connection finding."""
+"""Core layer: covers, good orderings and the Theorem 1 classification."""
 
 from repro.core.classification import (
     ChordalityReport,
@@ -6,7 +6,6 @@ from repro.core.classification import (
     classify_bipartite_graph,
     schema_acyclicity_degree,
 )
-from repro.core.connection import MinimalConnectionFinder
 from repro.core.covers import (
     greedy_elimination_cover,
     is_cover,
@@ -31,7 +30,6 @@ from repro.core.good_ordering import (
 
 __all__ = [
     "ChordalityReport",
-    "MinimalConnectionFinder",
     "OrderingCase",
     "candidate_terminal_sets",
     "chordality_class",

@@ -1,9 +1,9 @@
-"""Batched interpretation engine: registry, planner, schema cache, batch API.
+"""Interpretation engine: registry, planner, schema cache, plan execution.
 
 This package is the scaling layer on top of the paper's algorithms.  The
 architecture, in one picture::
 
-    batch_interpret(schema, queries)
+    ConnectionService.connect / .batch   (repro.api: requests, limits)
         |
         v
     SchemaCache (LRU, structural fingerprints)
@@ -12,19 +12,22 @@ architecture, in one picture::
     SchemaContext   BFS rows, Lemma 1 orderings, component plans
         |
         v
-    plan_query  ->  QueryPlan (solver name + fallbacks, finder-compatible)
+    plan_query  ->  QueryPlan (solver name + fallbacks)
+        |
+        v
+    InterpretationEngine.execute_plan
         |
         v
     SolverRegistry  ->  chordal-elimination / algorithm1-indexed /
                         dreyfus-wagner / bruteforce / kmb / ...
 
-See :mod:`repro.engine.batch` for when batching beats the per-query
-:class:`~repro.core.connection.MinimalConnectionFinder` calls, and
-``tests/test_differential_engine.py`` for the harness pinning both paths
-to each other and to the exhaustive oracles.
+The engine has no request or batch API of its own:
+:class:`~repro.api.service.ConnectionService` is the one front door, and
+``tests/test_differential_engine.py`` pins its answers to the exhaustive
+oracles.
 """
 
-from repro.engine.batch import InterpretationEngine, batch_interpret, default_engine
+from repro.engine.batch import InterpretationEngine
 from repro.engine.cache import (
     LRUCache,
     SchemaCache,
@@ -43,8 +46,6 @@ __all__ = [
     "SchemaCache",
     "SchemaContext",
     "SolverRegistry",
-    "batch_interpret",
-    "default_engine",
     "default_registry",
     "plan_query",
     "schema_digest",

@@ -1,37 +1,31 @@
-"""The batched interpretation engine (``batch_interpret``).
+"""The interpretation engine: solver registry, schema cache, plan execution.
 
 The paper's motivating scenario is interactive: one user, one query.  At
 production scale the same schema serves streams of queries, and the
-per-query API wastes almost all of its time recomputing schema-level
-facts -- the Theorem 1 classification, BFS rows, Lemma 1 orderings.  The
-engine amortises them:
+per-query algorithms would waste almost all of their time recomputing
+schema-level facts -- the Theorem 1 classification, BFS rows, Lemma 1
+orderings.  The engine amortises them:
 
 * a :class:`~repro.engine.cache.SchemaCache` keeps one
   :class:`~repro.engine.cache.SchemaContext` per schema (LRU, structural
   fingerprint keys);
-* a :class:`~repro.engine.planner.plan_query` call picks a solver from the
+* a :func:`~repro.engine.planner.plan_query` call picks a solver from the
   :class:`~repro.engine.registry.SolverRegistry` using the cached class;
-* the solver runs on the integer-indexed fast lane and returns a
+* :meth:`InterpretationEngine.execute_plan` runs the solver on the
+  integer-indexed fast lane and returns a
   :class:`~repro.steiner.problem.SteinerSolution` on the original graph.
 
-``batch_interpret(schema, queries)`` is the one-call entry point.  It
-accepts a :class:`~repro.graphs.bipartite.BipartiteGraph`, a
-:class:`~repro.semantic.relational.RelationalSchema` or an
-:class:`~repro.semantic.er_model.ERSchema`, plus an iterable of terminal
-sets, and returns one solution per query with the exact same objective
-values as the per-query :class:`~repro.core.connection.MinimalConnectionFinder`
-calls.  Batching wins whenever the number of queries outweighs the one-off
-classification cost -- in the benchmarks a 500-vertex chordal schema with
-100 queries runs two orders of magnitude faster than the per-query loop.
+The engine is not an entry point of its own: requests, batches and
+dispatch limits live in :class:`~repro.api.service.ConnectionService`,
+which owns one engine and is the only place a batch is run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
-from repro.core.classification import ChordalityReport
 from repro.engine.cache import SchemaCache, SchemaContext
-from repro.engine.planner import QueryPlan, plan_query
+from repro.engine.planner import QueryPlan
 from repro.engine.registry import SolverRegistry, default_registry
 from repro.exceptions import NotApplicableError, ValidationError
 from repro.graphs.bipartite import BipartiteGraph
@@ -40,7 +34,7 @@ from repro.steiner.problem import SteinerSolution
 
 
 class InterpretationEngine:
-    """Batched minimal-connection engine over cached schema contexts.
+    """Solver registry plus schema-context cache behind a service.
 
     Parameters
     ----------
@@ -48,8 +42,6 @@ class InterpretationEngine:
         Solver registry; defaults to :func:`~repro.engine.registry.default_registry`.
     cache_size:
         Number of schema contexts kept in the LRU.
-    exact_terminal_limit / exact_vertex_limit:
-        Same dispatch thresholds as :class:`~repro.core.connection.MinimalConnectionFinder`.
     kernel_backend:
         The :class:`~repro.kernels.backend.KernelBackend` lane every
         context's distance oracle produces rows on (``None`` = process
@@ -60,19 +52,22 @@ class InterpretationEngine:
 
     Examples
     --------
+    >>> from repro.engine.planner import plan_query
     >>> from repro.graphs import BipartiteGraph
     >>> g = BipartiteGraph(left=["A", "B"], right=[1], edges=[("A", 1), ("B", 1)])
     >>> engine = InterpretationEngine()
-    >>> [s.vertex_count() for s in engine.batch_interpret(g, [["A", "B"], ["A"]])]
-    [3, 1]
+    >>> context = engine.cache.get_or_build(g)
+    >>> plan = plan_query(
+    ...     context, ["A", "B"], exact_terminal_limit=8, exact_vertex_limit=18
+    ... )
+    >>> engine.execute_plan(context, plan, ["A", "B"], 2).vertex_count()
+    3
     """
 
     def __init__(
         self,
         registry: Optional[SolverRegistry] = None,
         cache_size: int = 16,
-        exact_terminal_limit: int = 8,
-        exact_vertex_limit: int = 18,
         kernel_backend=None,
         memory_budget_bytes: Optional[int] = None,
     ) -> None:
@@ -82,43 +77,15 @@ class InterpretationEngine:
             kernel_backend=kernel_backend,
             memory_budget_bytes=memory_budget_bytes,
         )
-        self._exact_terminal_limit = exact_terminal_limit
-        self._exact_vertex_limit = exact_vertex_limit
-
-    # ------------------------------------------------------------------
-    # contexts
-    # ------------------------------------------------------------------
-    def context_for(self, schema) -> SchemaContext:
-        """Return the cached :class:`SchemaContext` for ``schema`` (building it once)."""
-        return self._cache.get_or_build(self._resolve_schema(schema))
-
-    def context_with_status(self, schema) -> "tuple[SchemaContext, bool]":
-        """Return ``(context, cache_hit)`` -- provenance-aware context lookup."""
-        return self._cache.lookup(self._resolve_schema(schema))
 
     @property
     def cache(self) -> SchemaCache:
         """The engine's :class:`~repro.engine.cache.SchemaCache`."""
         return self._cache
 
-    @property
-    def exact_terminal_limit(self) -> int:
-        """Dispatch threshold: max terminals for the Dreyfus-Wagner fallback."""
-        return self._exact_terminal_limit
-
-    @property
-    def exact_vertex_limit(self) -> int:
-        """Dispatch threshold: max optional vertices for brute-force fallbacks."""
-        return self._exact_vertex_limit
-
     def cache_stats(self) -> dict:
         """Return the schema cache's observability counters."""
         return self._cache.stats()
-
-    def seed_report(self, schema, report: ChordalityReport) -> None:
-        """Adopt an externally computed classification for ``schema``."""
-        graph = self._resolve_schema(schema)
-        self._cache.get_or_build(graph, report=report)
 
     def adopt_context(self, context: SchemaContext) -> SchemaContext:
         """Adopt a prebuilt :class:`SchemaContext` into this engine's cache.
@@ -134,9 +101,6 @@ class InterpretationEngine:
 
     def resolve_schema(self, schema) -> BipartiteGraph:
         """Return the :class:`BipartiteGraph` behind any accepted schema handle."""
-        return self._resolve_schema(schema)
-
-    def _resolve_schema(self, schema) -> BipartiteGraph:
         if isinstance(schema, BipartiteGraph):
             return schema
         if isinstance(schema, Graph):
@@ -151,50 +115,14 @@ class InterpretationEngine:
             "schema must be a BipartiteGraph, Graph, RelationalSchema or ERSchema"
         )
 
-    # ------------------------------------------------------------------
-    # single query
-    # ------------------------------------------------------------------
-    def plan(self, schema, terminals, objective: str = "steiner", side: int = 2) -> QueryPlan:
-        """Return the :class:`QueryPlan` the engine would use for one query."""
-        return plan_query(
-            self.context_for(schema),
-            terminals,
-            objective=objective,
-            side=side,
-            exact_terminal_limit=self._exact_terminal_limit,
-            exact_vertex_limit=self._exact_vertex_limit,
-        )
-
-    def interpret(
-        self, schema, terminals, objective: str = "steiner", side: int = 2
-    ) -> SteinerSolution:
-        """Answer a single query through the cached fast path.
-
-        Equivalent (same objective value) to
-        ``MinimalConnectionFinder(schema).minimal_connection(terminals)``
-        for ``objective="steiner"`` and to ``minimal_side_connection`` for
-        ``objective="side"``.
-        """
-        terminals = list(terminals)  # planning and solving both iterate
-        context = self.context_for(schema)
-        plan = plan_query(
-            context,
-            terminals,
-            objective=objective,
-            side=side,
-            exact_terminal_limit=self._exact_terminal_limit,
-            exact_vertex_limit=self._exact_vertex_limit,
-        )
-        return self.execute_plan(context, plan, terminals, side)
-
     def execute_plan(
         self, context: SchemaContext, plan: QueryPlan, terminals, side: int
     ) -> SteinerSolution:
         """Run a :class:`QueryPlan` (primary solver, then fallbacks) on a context.
 
         This is the one place in the library where a solver is actually
-        invoked; the :class:`~repro.api.service.ConnectionService` façade
-        and every legacy entry point funnel through it.
+        invoked; every :class:`~repro.api.service.ConnectionService`
+        request funnels through it.
         """
         names = (plan.solver, *plan.fallbacks)
         last_error: Optional[NotApplicableError] = None
@@ -216,134 +144,3 @@ class InterpretationEngine:
         raise last_error if last_error is not None else NotApplicableError(
             "no applicable solver"
         )
-
-    # ------------------------------------------------------------------
-    # batches
-    # ------------------------------------------------------------------
-    def batch_interpret(
-        self,
-        schema,
-        queries: Iterable[Iterable],
-        objective: str = "steiner",
-        side: int = 2,
-    ) -> List[SteinerSolution]:
-        """Answer many queries over one schema, amortising precomputation.
-
-        The schema is classified and indexed once (or fetched from the
-        LRU), the batch's queries are planned up front and grouped by the
-        BFS sources their solvers will need -- one
-        :class:`~repro.kernels.oracle.DistanceOracle` fill then serves
-        every query sharing a terminal -- and each query pays only its
-        solver's inner loop.  Results are returned in query order.
-        """
-        context = self.context_for(schema)
-        queries = [list(query) for query in queries]  # both phases iterate
-        plans = self._plan_batch(context, queries, objective, side)
-        results: List[SteinerSolution] = []
-        for position, query in enumerate(queries):
-            plan = plans[position]
-            if plan is None:
-                # deferred so the error surfaces at this query's position,
-                # matching the sequential contract
-                plan = plan_query(
-                    context,
-                    query,
-                    objective=objective,
-                    side=side,
-                    exact_terminal_limit=self._exact_terminal_limit,
-                    exact_vertex_limit=self._exact_vertex_limit,
-                )
-            results.append(self.execute_plan(context, plan, query, side))
-        return results
-
-    def _plan_batch(
-        self, context: SchemaContext, queries: List[List], objective: str, side: int
-    ) -> List[Optional[QueryPlan]]:
-        """Pre-plan a batch and prefill the distance oracle it will hit.
-
-        Strictly best-effort: a query whose planning fails gets ``None``
-        (re-planned -- and re-raised -- in sequence position by the
-        caller), and the grouped prefill skips anything it cannot encode.
-        Grouping means deduplication: the chordal-elimination solver
-        reads one parent row per *distinct* root terminal and the KMB
-        closure one distance row per *distinct* terminal, so overlapping
-        terminal sets across the batch collapse to single BFS fills.
-        """
-        plans: List[Optional[QueryPlan]] = []
-        parent_roots = set()
-        level_sources = set()
-        for query in queries:
-            try:
-                plan = plan_query(
-                    context,
-                    query,
-                    objective=objective,
-                    side=side,
-                    exact_terminal_limit=self._exact_terminal_limit,
-                    exact_vertex_limit=self._exact_vertex_limit,
-                )
-            except Exception:
-                plans.append(None)
-                continue
-            plans.append(plan)
-            try:
-                ids = context.index.encode(set(query))
-            except Exception:
-                continue
-            if not ids:
-                continue
-            # prefill for the *primary* solver only: a fallback rarely
-            # runs, and paying k dense BFS rows for it up front would
-            # waste traversals (and LRU slots) on the common path
-            if plan.solver == "chordal-elimination":
-                parent_roots.add(min(ids))
-            elif plan.solver == "kmb":
-                level_sources.update(ids)
-        oracle = context.distance_oracle
-        # cap the prefill at the oracle's capacity: filling more rows
-        # than the LRU holds would evict them before their query runs,
-        # paying every BFS twice (roots first -- parent rows are the
-        # common chordal-schema case)
-        budget = oracle.maxsize
-        roots = sorted(parent_roots)[:budget]
-        oracle.ensure(roots, parents=True)
-        oracle.ensure(sorted(level_sources)[: max(0, budget - len(roots))])
-        return plans
-
-
-def default_engine() -> InterpretationEngine:
-    """Return the process-wide default engine.
-
-    This is the engine behind :func:`repro.api.service.default_service`
-    (one shared schema cache): contexts warmed through either entry point
-    are visible to the other.
-    """
-    from repro.api.service import default_service  # circular at module load
-
-    return default_service().engine
-
-
-def batch_interpret(
-    schema,
-    queries: Iterable[Iterable],
-    objective: str = "steiner",
-    side: int = 2,
-    as_results: bool = False,
-) -> List:
-    """Module-level convenience wrapper around the default service.
-
-    Routes through the process-wide
-    :class:`~repro.api.service.ConnectionService` so every answer carries
-    provenance.  By default the bare
-    :class:`~repro.steiner.problem.SteinerSolution` objects are returned
-    (back-compat); pass ``as_results=True`` for the full
-    :class:`~repro.api.result.ConnectionResult` objects.
-    """
-    from repro.api.service import default_service  # circular at module load
-
-    results = default_service().batch(
-        queries, schema=schema, objective=objective, side=side
-    )
-    if as_results:
-        return results
-    return [result.solution for result in results]

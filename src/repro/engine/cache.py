@@ -1,4 +1,4 @@
-"""Schema-level precomputation cache for the batched engine.
+"""Schema-level precomputation cache for the interpretation engine.
 
 The per-query cost of the paper's algorithms is dominated by work that
 only depends on the *schema graph*, not on the terminal set: the
@@ -7,9 +7,9 @@ indexed backend, BFS distance rows, and the Lemma 1 elimination orderings.
 :class:`SchemaContext` bundles those precomputations for one schema and
 computes each lazily exactly once; :class:`SchemaCache` is a small LRU of
 contexts keyed by a structural fingerprint of the schema graph, so
-repeated :func:`repro.engine.batch.batch_interpret` calls on the same
-schema (even through different ``BipartiteGraph`` instances with equal
-structure) reuse everything.
+repeated :class:`~repro.api.service.ConnectionService` requests on the
+same schema (even through different ``BipartiteGraph`` instances with
+equal structure) reuse everything.
 
 Cache keys
 ----------
@@ -394,11 +394,6 @@ class SchemaContext:
             self._report = self._blocks.classify(self.graph)
         return self._report
 
-    def seed_report(self, report: ChordalityReport) -> None:
-        """Adopt a classification computed elsewhere (e.g. by a finder)."""
-        if self._report is None:
-            self._report = report
-
     # ------------------------------------------------------------------
     # incremental evolution (repro.dynamic)
     # ------------------------------------------------------------------
@@ -645,29 +640,23 @@ class SchemaCache:
         self.oracle_stats = OracleStats()
 
     def lookup(
-        self,
-        graph: BipartiteGraph,
-        report: Optional[ChordalityReport] = None,
-        report_factory=None,
+        self, graph: BipartiteGraph, report_factory=None
     ) -> Tuple[SchemaContext, bool]:
         """Return ``(context, cache_hit)`` for ``graph``, building on first use.
 
         The boolean feeds result provenance: ``True`` means the context was
         served from the LRU, ``False`` that it was (re)built for this call.
         ``report_factory`` is a zero-argument callable consulted only on a
-        miss (and only when ``report`` is not given) -- it lets callers
-        with an *expensive* report source (e.g. a disk read) avoid paying
-        it on the hit path.
+        miss -- it lets callers with an *expensive* report source (e.g. a
+        disk read) avoid paying it on the hit path.
         """
         key = schema_fingerprint(graph)
         context = self._contexts.get(key)
         hit = context is not None
         if context is None:
-            if report is None and report_factory is not None:
-                report = report_factory()
             context = SchemaContext(
                 graph,
-                report=report,
+                report=report_factory() if report_factory is not None else None,
                 oracle_stats=self.oracle_stats,
                 kernel_backend=self.kernel_backend,
                 memory_budget_bytes=self.memory_budget_bytes,
@@ -677,15 +666,11 @@ class SchemaCache:
                 # under it would only evict contexts that can
                 self._contexts.put(key, context)
                 self.enforce_memory_budget()
-        elif report is not None:
-            context.seed_report(report)
         return context, hit
 
-    def get_or_build(
-        self, graph: BipartiteGraph, report: Optional[ChordalityReport] = None
-    ) -> SchemaContext:
+    def get_or_build(self, graph: BipartiteGraph) -> SchemaContext:
         """Return the cached context for ``graph``, building it on first use."""
-        return self.lookup(graph, report=report)[0]
+        return self.lookup(graph)[0]
 
     def adopt(self, context: SchemaContext) -> None:
         """Insert a prebuilt context under its own graph's fingerprint.

@@ -1,10 +1,9 @@
 """Query planning: choose a solver from the schema class and query shape.
 
-The planner reproduces the dispatch policy of
-:class:`~repro.core.connection.MinimalConnectionFinder` -- same thresholds,
-same order of preference -- so that engine answers are directly comparable
-to the per-query API (the differential test-suite pins this).  The
-difference is that the classification comes from the cached
+The planner maps the Theorem 1 class of the schema and the shape of the
+query to a solver plus fallbacks; the thresholds come from the caller
+(:class:`~repro.api.config.ServiceConfig` or per-request overrides).  The
+classification comes from the cached
 :class:`~repro.engine.cache.SchemaContext` instead of being recomputed,
 and the chosen solvers run on the indexed fast lanes.
 """
@@ -41,14 +40,16 @@ def plan_query(
     terminals: Iterable,
     objective: str = "steiner",
     side: int = 2,
-    exact_terminal_limit: int = 8,
-    exact_vertex_limit: int = 18,
+    *,
+    exact_terminal_limit: int,
+    exact_vertex_limit: int,
 ) -> QueryPlan:
     """Return the :class:`QueryPlan` for one terminal set.
 
     ``objective`` is ``"steiner"`` (minimise total objects, Definition 8)
     or ``"side"`` (minimise ``V_side`` objects, Definition 9).  The
-    thresholds default to the finder's.
+    thresholds have no defaults here: they come from the caller's
+    :class:`~repro.api.config.ServiceConfig` or per-request overrides.
     """
     report = context.report
     terminal_list = sorted(set(terminals), key=repr)

@@ -24,7 +24,7 @@ anything reachable from it).
 
 Counters (``hits`` / ``misses`` / ``evictions`` / ``invalidated``) are
 accumulated on a shared :class:`OracleStats` so
-``InterpretationEngine.cache_stats()["distance_oracle"]`` reports the
+``ConnectionService.cache_stats()["distance_oracle"]`` reports the
 whole engine's oracle behaviour, mirroring the ``rebind_fallbacks``
 pattern of :class:`~repro.engine.cache.SchemaCache`.
 """
@@ -197,13 +197,10 @@ class DistanceOracle:
     def ensure(self, sources: Iterable[int], parents: bool = False) -> None:
         """Grouped prefill: materialise rows for every source in one batch.
 
-        The batch engine calls this with the deduplicated union of a
-        batch's terminal sources, so one oracle fill serves every query
-        that shares a terminal.  Missing rows are produced by the active
-        lane's *grouped* kernel -- on the numpy lane that is one batched
-        multi-source traversal, not a per-source loop.  Unknown /
-        out-of-range ids are ignored (the solvers raise their own typed
-        errors later).
+        Missing rows are produced by the active lane's *grouped* kernel --
+        on the numpy lane that is one batched multi-source traversal, not
+        a per-source loop.  Unknown / out-of-range ids are ignored (the
+        solvers raise their own typed errors later).
         """
         n = self.indexed.n
         kind = 1 if parents else 0

@@ -87,7 +87,6 @@ from repro.kernels.shm import (
     sweep_orphans,
 )
 from repro.runtime.codec import decode_result, encode_result
-from repro.steiner.problem import SteinerSolution
 
 #: Transport payload: ``("shm", segment name)`` or ``("pickle", blob)``.
 TransportPayload = Tuple[str, Any]
@@ -318,24 +317,6 @@ class ParallelExecutor:
         if self._workers == 1 or len(materialised) <= 1:
             return self._service.batch(materialised, schema=batch_schema)
         return self._parallel_batch(materialised, batch_schema)
-
-    def batch_interpret(
-        self,
-        schema: Any,
-        queries: Iterable[Iterable],
-        objective: str = "steiner",
-        side: int = 2,
-    ) -> List[SteinerSolution]:
-        """Parallel drop-in for :meth:`InterpretationEngine.batch_interpret`.
-
-        Returns bare :class:`~repro.steiner.problem.SteinerSolution`
-        objects in query order, with the same objective values as the
-        serial engine.
-        """
-        results = self.batch(
-            list(queries), schema=schema, objective=objective, side=side
-        )
-        return [result.solution for result in results]
 
     # ------------------------------------------------------------------
     # internals

@@ -123,7 +123,6 @@ class QueryInterpreter:
         if service is None:
             service = ConnectionService(schema=self._graph)
         self._service = service
-        self._finder = None  # back-compat wrapper, built on demand
 
     # ------------------------------------------------------------------
     # schema access
@@ -137,20 +136,6 @@ class QueryInterpreter:
     def service(self) -> ConnectionService:
         """The :class:`~repro.api.service.ConnectionService` answering queries."""
         return self._service
-
-    @property
-    def finder(self):
-        """Back-compat :class:`~repro.core.connection.MinimalConnectionFinder`.
-
-        .. deprecated:: 1.2.0
-            Use :attr:`service` instead; the finder is a thin wrapper that
-            shares this interpreter's service.
-        """
-        if self._finder is None:
-            from repro.core.connection import MinimalConnectionFinder
-
-            self._finder = MinimalConnectionFinder(self._graph, service=self._service)
-        return self._finder
 
     def known_objects(self) -> Set:
         """Return the set of valid query object names."""

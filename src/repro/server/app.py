@@ -59,6 +59,7 @@ from repro.server.errors import (
     envelope_for,
 )
 from repro.server.protocol import (
+    BATCH_REQUEST,
     WIRE_FORMAT_VERSION,
     encode_frame,
     lookup_command,
@@ -472,22 +473,17 @@ class ReproServer:
         self._registry.check_quota(tenant, requests=len(entries))
         requests = []
         for entry in entries:
-            if not isinstance(entry, dict) or "terminals" not in entry:
-                raise ProtocolError(
-                    "batch: each request must be an object with a "
-                    "'terminals' list"
-                )
-            terminals = [decode_value(t) for t in entry["terminals"]]
+            fields = BATCH_REQUEST.validate(entry)
+            terminals = [decode_value(t) for t in fields["terminals"]]
             self._registry.check_quota(tenant, terminals=len(terminals))
             kwargs = {
-                "objective": entry.get("objective", params["objective"]),
-                "policy": entry.get("policy", params["policy"]),
-                "side": entry.get("side", params["side"]),
+                name: fields[name] if fields[name] is not None else params[name]
+                for name in ("objective", "policy", "side")
             }
-            if entry.get("solver") is not None:
-                kwargs["solver"] = entry["solver"]
-            if entry.get("tags") is not None:
-                kwargs["tags"] = decode_value(entry["tags"])
+            if fields["solver"] is not None:
+                kwargs["solver"] = fields["solver"]
+            if fields["tags"] is not None:
+                kwargs["tags"] = decode_value(fields["tags"])
             requests.append(ConnectionRequest.of(terminals, **kwargs))
         return requests
 
@@ -501,7 +497,7 @@ class ReproServer:
         return {"results": [encode_wire_result(result) for result in results]}
 
     async def _cmd_interpret(self, params, writer, message_id) -> dict:
-        """Batch over bare terminal lists (the ``batch_interpret`` surface)."""
+        """Batch over bare terminal lists (``ConnectionService.batch``)."""
         tenant = params["tenant"]
         queries = params["queries"]
         self._registry.check_quota(tenant, requests=len(queries))

@@ -250,6 +250,23 @@ COMMANDS: Dict[str, Command] = {
 }
 
 
+#: The schema of one ``batch`` entry, validated by the same machinery as
+#: a command's parameters: an entry gets the typed ``protocol`` errors a
+#: ``connect`` call gets (unknown keys included).  Absent or null
+#: ``objective``/``side``/``policy`` fall back to the batch-level values.
+BATCH_REQUEST = Command(
+    "batch request",
+    (
+        Argument("terminals", (list,), required=True),
+        Argument("objective", (str,)),
+        Argument("side", (int,)),
+        Argument("solver", (str,)),
+        Argument("policy", (str,)),
+        Argument("tags", (dict,)),
+    ),
+)
+
+
 def lookup_command(name: object) -> Command:
     """Return the declared :class:`Command`, or raise a protocol error."""
     if not isinstance(name, str) or name not in COMMANDS:

@@ -63,8 +63,7 @@ def steiner_algorithm2(
     applicable:
         Optional precomputed answer to "is the graph (6,2)-chordal
         bipartite?".  Callers that classify the schema once and then issue
-        many queries (:class:`~repro.core.connection.MinimalConnectionFinder`,
-        the batch engine) pass it to skip the per-query re-classification,
+        many queries pass it to skip the per-query re-classification,
         which otherwise dominates the running time on large schemas.
     """
     instance = SteinerInstance(graph, terminals)

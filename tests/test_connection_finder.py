@@ -1,15 +1,16 @@
-"""MinimalConnectionFinder: classification-driven dispatch of the solvers."""
+"""Theorem 1 classification and the service's classification-driven dispatch."""
 
 import pytest
 
-from repro.core import MinimalConnectionFinder, chordality_class, classify_bipartite_graph
+from repro.api import ConnectionService
+from repro.core import chordality_class, classify_bipartite_graph
 from repro.core.classification import schema_acyclicity_degree
 from repro.datasets.generators import (
     random_62_chordal_graph,
     random_alpha_schema_graph,
     random_terminals,
 )
-from repro.exceptions import ValidationError
+from repro.exceptions import BipartitenessError
 from repro.graphs import BipartiteGraph, Graph, complete_bipartite, even_cycle_bipartite
 from repro.steiner import steiner_tree_bruteforce
 
@@ -45,74 +46,54 @@ class TestClassification:
 
 
 class TestFinderDispatch:
+    """``ConnectionService`` picks the solver from the cached classification."""
+
     def test_requires_bipartite_graph(self):
-        with pytest.raises(ValidationError):
-            MinimalConnectionFinder(Graph(edges=[("a", "b")]))
+        triangle = Graph(edges=[("a", "b"), ("b", "c"), ("c", "a")])
+        with pytest.raises(BipartitenessError):
+            ConnectionService(schema=triangle).connect(["a", "b"])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_minimal_connection_is_optimal_on_tractable_classes(self, seed):
         graph = random_62_chordal_graph(4, rng=seed)
-        finder = MinimalConnectionFinder(graph)
+        service = ConnectionService(schema=graph)
         terminals = random_terminals(graph, 3, rng=seed)
-        solution = finder.minimal_connection(terminals)
+        result = service.connect(terminals)
         exact = steiner_tree_bruteforce(graph, terminals)
-        assert solution.vertex_count() == exact.vertex_count()
-        solution.validate()
+        assert result.cost == exact.vertex_count()
+        result.validate()
 
     def test_exact_fallback_on_hard_instances(self):
         cycle = even_cycle_bipartite(10)
-        finder = MinimalConnectionFinder(cycle)
-        solution = finder.minimal_connection([0, 5])
-        assert solution.vertex_count() == 6
-        solution.validate()
+        result = ConnectionService(schema=cycle).connect([0, 5])
+        assert result.cost == 6
+        result.validate()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_minimal_side_connection_uses_algorithm1(self, seed):
         graph = random_alpha_schema_graph(5, rng=seed)
-        finder = MinimalConnectionFinder(graph)
+        service = ConnectionService(schema=graph)
         terminals = random_terminals(graph, 3, rng=seed)
-        solution = finder.minimal_side_connection(terminals, side=2)
-        # dispatch now flows through the engine: the planner must have
-        # picked the Algorithm 1 fast lane, not a fallback
+        solution = service.connect(terminals, objective="side", side=2).solution
+        # the planner must have picked the Algorithm 1 fast lane, not a
+        # fallback
         assert solution.metadata.get("solver") == "algorithm1-indexed"
         assert solution.method == "engine-algorithm1"
         assert solution.optimal
 
     def test_ranked_connections_are_sorted_and_distinct(self):
         graph = random_alpha_schema_graph(4, rng=9)
-        finder = MinimalConnectionFinder(graph)
+        service = ConnectionService(schema=graph)
         terminals = random_terminals(graph, 2, rng=9)
-        ranked = finder.ranked_connections(terminals, limit=4)
-        sizes = [solution.vertex_count() for solution in ranked]
+        ranked = list(service.enumerate(terminals, budget=4))
+        sizes = [result.cost for result in ranked]
         assert sizes == sorted(sizes)
-        vertex_sets = {frozenset(solution.tree.vertices()) for solution in ranked}
+        vertex_sets = {frozenset(result.tree.vertices()) for result in ranked}
         assert len(vertex_sets) == len(ranked)
-        assert ranked[0].optimal
+        assert ranked[0].solution.optimal
 
     def test_report_is_cached(self):
         graph = complete_bipartite(2, 2)
-        finder = MinimalConnectionFinder(graph)
-        assert finder.report is finder.report
-        assert finder.graph is graph
-
-    def test_finder_is_a_service_wrapper(self):
-        """The wrapper owns no dispatch: everything goes through its service."""
-        from repro.api import ConnectionService
-
-        graph = complete_bipartite(2, 2)
-        finder = MinimalConnectionFinder(graph)
-        assert isinstance(finder.service, ConnectionService)
-        solution = finder.minimal_connection([("l", 0), ("r", 0)])
-        # provenance written by the engine's execute_plan, proving the path
-        assert "solver" in solution.metadata and "plan" in solution.metadata
-
-    def test_finder_limits_reach_the_planner(self):
-        """Constructor kwargs become the service config's dispatch thresholds."""
-        cycle = even_cycle_bipartite(10)
-        # forbid the exact fallbacks entirely: only KMB remains applicable
-        finder = MinimalConnectionFinder(
-            cycle, exact_terminal_limit=0, exact_vertex_limit=0
-        )
-        solution = finder.minimal_connection([0, 5])
-        assert solution.metadata.get("solver") == "kmb"
-        assert not solution.optimal
+        service = ConnectionService(schema=graph)
+        assert service.classification() is service.classification()
+        assert service.schema is graph

@@ -155,7 +155,7 @@ class TestErrorPaths:
         request = ConnectionRequest.of(
             terminals, objective="side", side=2, solver="algorithm1-indexed"
         )
-        context, _ = service.engine.context_with_status(graph)
+        context, _ = service.engine.cache.lookup(graph)
         plan = service._plan(context, request, 2)
         assert plan.solver == "algorithm1-indexed"
         assert plan.fallbacks == ()
@@ -248,12 +248,6 @@ class TestProvenance:
                 [ConnectionRequest.of(["A"], schema=path_graph()), genuinely_different]
             )
 
-    def test_default_engine_is_the_default_service_engine(self):
-        from repro.api.service import default_service
-        from repro.engine import default_engine
-
-        assert default_engine() is default_service().engine
-
     def test_batch_marks_context_reuse(self):
         service = ConnectionService(schema=path_graph())
         results = service.batch([["A", "B"], ["A"], ["B"]])
@@ -286,20 +280,6 @@ class TestProvenance:
         assert result.provenance.tags == {}
         with pytest.raises(ValidationError, match="tags must be a dict"):
             ConnectionRequest.of(["A"], tags=["not", "a", "dict"])
-
-    def test_supplied_engine_limits_govern_service_planning(self):
-        from repro.engine import InterpretationEngine
-
-        engine = InterpretationEngine(
-            exact_terminal_limit=0, exact_vertex_limit=0
-        )
-        cycle = even_cycle_bipartite(10)
-        service = ConnectionService(schema=cycle, engine=engine)
-        # service adopts the engine's thresholds: only KMB applies
-        assert service.config.exact_terminal_limit == 0
-        assert service.connect([0, 5]).provenance.solver == "kmb"
-        with pytest.raises(ValidationError, match="conflict"):
-            ConnectionService(schema=cycle, engine=engine, config=ServiceConfig())
 
     def test_require_optimal_fails_fast_without_running_the_heuristic(self):
         # the plan itself names a heuristic, so rejection happens before
@@ -358,12 +338,6 @@ class TestProvenance:
         graph.add_edge("A", 1)  # already present: no-op, no version bump
         assert graph.mutation_version == before
         assert service.connect(["A", "B"]).provenance.cache_hit is True
-
-    def test_minimal_connection_finder_warns_deprecation(self):
-        from repro import MinimalConnectionFinder
-
-        with pytest.warns(DeprecationWarning, match="ConnectionService"):
-            MinimalConnectionFinder(path_graph())
 
     def test_bound_mutable_graph_mutation_is_not_served_stale(self):
         """A bound plain Graph converts per call, so mutations are seen."""
@@ -557,7 +531,7 @@ class TestPackaging:
     def test_version_and_exports(self):
         import repro
 
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "2.0.0"
         for name in (
             "BlockClassifier",
             "ConnectionRequest",
@@ -584,6 +558,32 @@ class TestPackaging:
         ):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
+
+    def test_removed_surfaces_are_gone(self):
+        """2.0.0 keeps one front door: the 1.x wrappers and knobs are gone."""
+        import repro
+        import repro.core
+        import repro.engine
+        from repro.engine import InterpretationEngine
+
+        removed = {
+            repro: ("MinimalConnectionFinder", "batch_interpret"),
+            repro.core: ("MinimalConnectionFinder",),
+            repro.engine: ("batch_interpret", "default_engine"),
+        }
+        for module, names in removed.items():
+            for name in names:
+                assert name not in module.__all__, (module.__name__, name)
+                assert not hasattr(module, name), (module.__name__, name)
+        for name in ("batch_interpret", "plan", "interpret", "context_for"):
+            assert not hasattr(InterpretationEngine, name), name
+        assert not hasattr(repro.ParallelExecutor, "batch_interpret")
+        assert not hasattr(repro.QueryInterpreter, "finder")
+        # one construction path: the engine is always built from the config
+        with pytest.raises(TypeError):
+            ConnectionService(engine=InterpretationEngine())
+        with pytest.raises(TypeError):
+            InterpretationEngine(exact_terminal_limit=0)
 
     def test_py_typed_marker_ships(self):
         import repro

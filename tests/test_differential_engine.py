@@ -6,7 +6,9 @@ least two of the following on the *same* random instance:
 * the hashable-vertex :class:`~repro.graphs.graph.Graph` algorithms (the
   seed implementations),
 * the :class:`~repro.graphs.indexed.IndexedGraph` fast lanes,
-* the batched :class:`~repro.engine.batch.InterpretationEngine`,
+* :class:`~repro.api.service.ConnectionService` -- per-query ``connect``,
+  the one batch path ``batch``, and the
+  :class:`~repro.semantic.query.QueryInterpreter` wrapper over it,
 * the exhaustive oracles (brute force, Dreyfus-Wagner, nonredundancy
   predicates).
 
@@ -38,10 +40,9 @@ from repro.chordality import is_chordal
 from repro.chordality.lexbfs import lexbfs_elimination_ordering
 from repro.chordality.mcs import mcs_elimination_ordering
 from repro.chordality.peo import is_perfect_elimination_ordering
-from repro.core import MinimalConnectionFinder, is_nonredundant_cover
+from repro.core import is_nonredundant_cover
 from repro.exceptions import NotApplicableError
 from repro.core.covers import greedy_elimination_cover
-from repro.engine import InterpretationEngine, batch_interpret
 from repro.graphs import from_indexed, to_indexed
 from repro.graphs.traversal import vertices_in_same_component
 from repro.semantic import QueryInterpreter
@@ -178,28 +179,35 @@ def test_solvers_match_across_backends(data, graph):
 
 
 # ----------------------------------------------------------------------
-# engine vs. per-query finder vs. oracles
+# batch path vs. per-query connect vs. oracles
 # ----------------------------------------------------------------------
+def assert_same_tree(left, right):
+    """Two answers are byte-identical trees (vertex and edge sets)."""
+    assert left.tree.vertices() == right.tree.vertices()
+    assert left.tree.edge_set() == right.tree.edge_set()
+
+
 @SETTINGS
 @given(st.data(), st.one_of(bipartite_graphs(), chordal_bipartite_graphs()))
 def test_engine_matches_finder_and_oracle_steiner(data, graph):
+    """The batch path equals per-query ``connect``; OPTIMAL is the true minimum."""
     terminals = draw_terminals(data.draw, graph, max_terminals=3)
     if not terminals or not vertices_in_same_component(graph, terminals):
         return
-    finder = MinimalConnectionFinder(graph)
-    per_query = finder.minimal_connection(terminals)
-    engine = InterpretationEngine()
-    batched = engine.interpret(graph, terminals)
+    per_query = ConnectionService(schema=graph).connect(terminals)
+    batched = ConnectionService(schema=graph).batch([terminals])[0]
     batched.validate()
-    assert batched.vertex_count() == per_query.vertex_count()
+    assert_same_tree(batched, per_query)
+    solution = batched.solution
     assert is_nonredundant_cover(
-        graph, batched.metadata.get("cover", batched.tree.vertices()), terminals
-    ) or batched.metadata.get("solver") in ("kmb",)
+        graph, solution.metadata.get("cover", solution.tree.vertices()), terminals
+    ) or batched.provenance.solver in ("kmb",)
     oracle = steiner_tree_bruteforce(graph, terminals)
-    if per_query.optimal:
-        assert batched.vertex_count() == oracle.vertex_count()
+    if batched.guarantee is Guarantee.OPTIMAL:
+        assert batched.provenance.solver in EXACT_SOLVERS
+        assert batched.cost == oracle.vertex_count()
     else:
-        assert batched.vertex_count() >= oracle.vertex_count()
+        assert batched.cost >= oracle.vertex_count()
 
 
 @SETTINGS
@@ -208,21 +216,26 @@ def test_engine_matches_finder_and_oracle_side(data, graph):
     terminals = draw_terminals(data.draw, graph, max_terminals=3)
     if not terminals or not vertices_in_same_component(graph, terminals):
         return
-    finder = MinimalConnectionFinder(graph)
-    per_query = finder.minimal_side_connection(terminals, side=2)
-    engine = InterpretationEngine()
-    batched = engine.interpret(graph, terminals, objective="side", side=2)
+    per_query = ConnectionService(schema=graph).connect(
+        terminals, objective="side", side=2
+    )
+    batched = ConnectionService(schema=graph).batch(
+        [terminals], objective="side", side=2
+    )[0]
     batched.validate()
-    assert batched.side_count(2) == per_query.side_count(2)
-    if per_query.optimal:
+    assert_same_tree(batched, per_query)
+    if batched.guarantee is Guarantee.OPTIMAL:
+        assert batched.provenance.solver in EXACT_SOLVERS
         oracle = pseudo_steiner_bruteforce(graph, terminals, 2)
-        assert batched.side_count(2) == oracle.side_count(2)
+        assert batched.side_cost == oracle.side_count(2)
+    else:
+        assert batched.provenance.solver == "kmb"
 
 
 @SETTINGS
 @given(st.data(), alpha_schema_graphs())
 def test_engine_algorithm1_cover_identical_to_generic(data, graph):
-    """On applicable schemas the engine replays Algorithm 1 exactly."""
+    """On applicable schemas the service replays Algorithm 1 exactly."""
     terminals = draw_terminals(data.draw, graph, max_terminals=3)
     if not terminals or not vertices_in_same_component(graph, terminals):
         return
@@ -230,10 +243,11 @@ def test_engine_algorithm1_cover_identical_to_generic(data, graph):
         generic = pseudo_steiner_algorithm1(graph, terminals, side=2, check=True)
     except NotApplicableError:
         return
-    engine = InterpretationEngine()
-    batched = engine.interpret(graph, terminals, objective="side", side=2)
-    if batched.metadata.get("solver") == "algorithm1-indexed":
-        assert batched.metadata["cover"] == generic.metadata["cover"]
+    solution = ConnectionService(schema=graph).connect(
+        terminals, objective="side", side=2
+    ).solution
+    if solution.metadata.get("solver") == "algorithm1-indexed":
+        assert solution.metadata["cover"] == generic.metadata["cover"]
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +256,7 @@ def test_engine_algorithm1_cover_identical_to_generic(data, graph):
 @SETTINGS
 @given(st.data(), st.one_of(bipartite_graphs(), chordal_bipartite_graphs()))
 def test_wrapper_and_service_identical_steiner(data, graph):
-    """`MinimalConnectionFinder` is a pure wrapper: byte-identical trees.
+    """`QueryInterpreter` is a pure wrapper: byte-identical trees.
 
     Both paths run the same planner/registry/cache, so not just the costs
     but the actual vertex and edge sets must coincide; the exhaustive
@@ -251,13 +265,9 @@ def test_wrapper_and_service_identical_steiner(data, graph):
     terminals = draw_terminals(data.draw, graph, max_terminals=3)
     if not terminals or not vertices_in_same_component(graph, terminals):
         return
-    finder = MinimalConnectionFinder(graph)
-    service = ConnectionService(schema=graph)
-    wrapped = finder.minimal_connection(terminals)
-    direct = service.connect(terminals)
-    assert wrapped.vertex_count() == direct.cost
-    assert wrapped.tree.vertices() == direct.tree.vertices()
-    assert wrapped.tree.edge_set() == direct.tree.edge_set()
+    wrapped = QueryInterpreter(graph).minimal_interpretation(terminals)
+    direct = ConnectionService(schema=graph).connect(terminals)
+    assert_same_tree(wrapped.result, direct)
     # provenance is complete and the guarantee discipline holds
     assert direct.provenance.solver
     assert direct.provenance.instance_class in {"chordal", "side-chordal", "general"}
@@ -273,13 +283,11 @@ def test_wrapper_and_service_identical_side(data, graph):
     terminals = draw_terminals(data.draw, graph, max_terminals=3)
     if not terminals or not vertices_in_same_component(graph, terminals):
         return
-    finder = MinimalConnectionFinder(graph)
-    service = ConnectionService(schema=graph)
-    wrapped = finder.minimal_side_connection(terminals, side=2)
-    direct = service.connect(terminals, objective="side", side=2)
-    assert wrapped.side_count(2) == direct.side_cost
-    assert wrapped.tree.vertices() == direct.tree.vertices()
-    assert wrapped.tree.edge_set() == direct.tree.edge_set()
+    wrapped = QueryInterpreter(graph).fewest_relations_interpretation(terminals)
+    direct = ConnectionService(schema=graph).connect(
+        terminals, objective="side", side=2
+    )
+    assert_same_tree(wrapped.result, direct)
     if direct.guarantee is Guarantee.OPTIMAL:
         assert direct.provenance.solver in EXACT_SOLVERS
         oracle = pseudo_steiner_bruteforce(graph, terminals, 2)
@@ -314,7 +322,7 @@ def test_enumeration_stream_sizes_never_decrease(data, graph):
 
 
 # ----------------------------------------------------------------------
-# batching is faithful
+# batching is faithful: service.batch trees equal per-query connect trees
 # ----------------------------------------------------------------------
 @SETTINGS
 @given(st.data(), large_chordal_bipartite_graphs(min_blocks=3, max_blocks=8))
@@ -323,60 +331,48 @@ def test_batch_results_equal_per_query_results(data, graph):
         draw_terminals(data.draw, graph, min_terminals=2, max_terminals=3)
         for _ in range(4)
     ]
-    engine = InterpretationEngine()
-    batch = engine.batch_interpret(graph, queries)
-    finder = MinimalConnectionFinder(graph)
-    for query, solution in zip(queries, batch):
-        solution.validate()
-        assert solution.optimal
-        assert solution.vertex_count() == finder.minimal_connection(query).vertex_count()
-
-
-@SETTINGS
-@given(st.data(), large_chordal_bipartite_graphs(min_blocks=2, max_blocks=6))
-def test_finder_batch_bridges_to_engine(data, graph):
-    """``MinimalConnectionFinder.batch`` returns the finder's own answers."""
-    queries = [
-        draw_terminals(data.draw, graph, min_terminals=2, max_terminals=3)
-        for _ in range(3)
-    ]
-    finder = MinimalConnectionFinder(graph)
-    batch = finder.batch(queries)
-    for query, solution in zip(queries, batch):
-        assert solution.vertex_count() == finder.minimal_connection(query).vertex_count()
-    side_batch = finder.batch(queries, objective="side", side=2)
-    for query, solution in zip(queries, side_batch):
-        assert solution.side_count(2) == finder.minimal_side_connection(
-            query, side=2
-        ).side_count(2)
+    batch = ConnectionService(schema=graph).batch(queries)
+    per_query = ConnectionService(schema=graph)
+    for query, result in zip(queries, batch):
+        result.validate()
+        assert result.guarantee is Guarantee.OPTIMAL
+        assert_same_tree(result, per_query.connect(query))
+    side_batch = ConnectionService(schema=graph).batch(
+        queries, objective="side", side=2
+    )
+    for query, result in zip(queries, side_batch):
+        assert_same_tree(
+            result, per_query.connect(query, objective="side", side=2)
+        )
 
 
 @SETTINGS
 @given(st.data(), relational_schemas(max_relations=5))
 def test_batch_interpret_on_relational_schemas(data, schema):
+    """A Relational schema handle batches like its per-query interpretations."""
     graph = schema.schema_graph()
     interpreter = QueryInterpreter(schema)
     queries = [
         draw_terminals(data.draw, graph, min_terminals=2, max_terminals=3)
         for _ in range(3)
     ]
-    batch = batch_interpret(schema, queries)
-    for query, solution in zip(queries, batch):
-        solution.validate()
-        expected = interpreter.minimal_interpretation(query).solution
-        assert solution.vertex_count() == expected.vertex_count()
+    batch = ConnectionService().batch(queries, schema=schema)
+    for query, result in zip(queries, batch):
+        result.validate()
+        assert_same_tree(result, interpreter.minimal_interpretation(query).result)
 
 
 @SETTINGS
 @given(st.data(), er_schemas())
 def test_batch_interpret_on_er_schemas(data, schema):
+    """An ER schema handle batches like per-query connects on its graph."""
     graph = schema.bipartite_graph()
     queries = [
         draw_terminals(data.draw, graph, min_terminals=2, max_terminals=3)
         for _ in range(3)
     ]
-    finder = MinimalConnectionFinder(graph)
-    batch = batch_interpret(schema, queries)
-    for query, solution in zip(queries, batch):
-        solution.validate()
-        assert solution.vertex_count() == finder.minimal_connection(query).vertex_count()
+    per_query = ConnectionService(schema=graph)
+    batch = ConnectionService(schema=schema).batch(queries)
+    for query, result in zip(queries, batch):
+        result.validate()
+        assert_same_tree(result, per_query.connect(query))

@@ -3,8 +3,10 @@
 ``tests/golden/figures.json`` serialises, for every worked figure of the
 paper, the structural facts (sizes, chordality class) together with the
 covers, orderings and tree costs the algorithms produce on deterministic
-query sets.  ``tests/golden/engine_queries.json`` pins the batched engine
-on a seeded large schema.  Refactors of the graph core, the solvers or
+query sets (``tree_cost`` from per-query ``ConnectionService.connect``,
+``engine_tree_cost`` from ``ConnectionService.batch``).
+``tests/golden/engine_queries.json`` pins the batch path on a seeded
+large schema.  Refactors of the graph core, the solvers or
 the engine must reproduce these byte-identical values; intentional
 behaviour changes are made visible by regenerating:
 
@@ -21,11 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import MinimalConnectionFinder, classify_bipartite_graph
+from repro.api import ConnectionService
+from repro.core import classify_bipartite_graph
 from repro.chordality.mcs import mcs_elimination_ordering
 from repro.datasets import figures
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
-from repro.engine import InterpretationEngine
 from repro.exceptions import NotApplicableError
 from repro.graphs.traversal import vertices_in_same_component
 from repro.steiner.algorithm1 import lemma1_ordering
@@ -72,10 +74,9 @@ def _query_sets(graph):
 
 def _compute_figures_payload():
     payload = {}
-    engine = InterpretationEngine()
     for name, graph in sorted(_figure_graphs().items()):
         report = classify_bipartite_graph(graph)
-        finder = MinimalConnectionFinder(graph)
+        service = ConnectionService(schema=graph)
         entry = {
             "vertices": graph.number_of_vertices(),
             "edges": graph.number_of_edges(),
@@ -92,9 +93,10 @@ def _compute_figures_payload():
             [repr(v) for v in ordering] if ordering is not None else None
         )
         queries = []
-        for terminals in _query_sets(graph):
-            steiner = finder.minimal_connection(terminals)
-            engine_steiner = engine.interpret(graph, terminals)
+        query_sets = _query_sets(graph)
+        batched = ConnectionService(schema=graph).batch(query_sets)
+        for terminals, batched_result in zip(query_sets, batched):
+            steiner = service.connect(terminals).solution
             record = {
                 "terminals": sorted(map(repr, terminals)),
                 "tree_cost": steiner.vertex_count(),
@@ -102,12 +104,12 @@ def _compute_figures_payload():
                 "cover": sorted(
                     map(repr, steiner.metadata.get("cover", steiner.tree.vertices()))
                 ),
-                "engine_tree_cost": engine_steiner.vertex_count(),
+                "engine_tree_cost": batched_result.cost,
                 "optimal": steiner.optimal,
             }
             try:
-                side = finder.minimal_side_connection(terminals, side=2)
-                record["side2_cost"] = side.side_count(2)
+                side = service.connect(terminals, objective="side", side=2)
+                record["side2_cost"] = side.side_cost
             except NotApplicableError:  # pragma: no cover - defensive
                 record["side2_cost"] = None
             queries.append(record)
@@ -121,8 +123,9 @@ def _compute_engine_payload():
     queries = [
         sorted(random_terminals(graph, 3, rng=seed), key=repr) for seed in range(12)
     ]
-    engine = InterpretationEngine()
-    solutions = engine.batch_interpret(graph, queries)
+    solutions = [
+        result.solution for result in ConnectionService(schema=graph).batch(queries)
+    ]
     return {
         "schema": {
             "generator": "random_62_chordal_graph(12, rng=2026)",
@@ -163,7 +166,7 @@ def test_figures_match_golden():
 
 
 def test_engine_queries_match_golden():
-    """The batched engine reproduces the pinned costs on the seeded schema."""
+    """The batch path reproduces the pinned costs on the seeded schema."""
     current, stored = _load_or_regen(ENGINE_PATH, _compute_engine_payload)
     assert current == stored
 
@@ -179,7 +182,7 @@ def test_golden_files_are_wellformed():
         assert {"vertices", "edges", "class", "queries"} <= set(entry), name
         for record in entry["queries"]:
             assert record["tree_cost"] == record["engine_tree_cost"], (
-                f"{name}: engine and finder disagree in the golden data"
+                f"{name}: batch and per-query answers disagree in the golden data"
             )
             assert record["tree_cost"] >= len(record["terminals"])
     engine_data = json.loads(ENGINE_PATH.read_text())

@@ -278,19 +278,6 @@ def test_workers_one_short_circuits_to_serial():
     assert canonical(results) == canonical(serial)
 
 
-def test_batch_interpret_parity_with_engine(executor):
-    from repro.datasets.generators import random_62_chordal_graph, random_terminals
-    from repro.engine import InterpretationEngine
-
-    graph = random_62_chordal_graph(6, rng=17)
-    queries = [random_terminals(graph, 3, rng=i) for i in range(8)]
-    engine_solutions = InterpretationEngine().batch_interpret(graph, queries)
-    parallel_solutions = executor.batch_interpret(graph, queries)
-    assert [s.vertex_count() for s in parallel_solutions] == [
-        s.vertex_count() for s in engine_solutions
-    ]
-
-
 def test_executor_constructor_validation():
     with pytest.raises(ValidationError):
         ParallelExecutor(workers=0)

@@ -427,6 +427,46 @@ class TestServerSession:
                         trigger()
                     assert excinfo.value.kind == kind, kind
 
+    def test_batch_entries_get_connect_type_checks(self):
+        """Every ``batch`` entry is validated like ``connect`` parameters:
+        wrong types, strings posing as terminal lists, bools posing as
+        sides and unknown keys are typed ``protocol`` errors, never an
+        ``internal`` crash or a silently reinterpreted request."""
+        bad_entries = [
+            {"terminals": ["A", "B"], "solver": ["kmb"]},
+            {"terminals": 7},
+            {"terminals": "AB"},
+            {"terminals": ["A", "B"], "side": True},
+            {"terminals": ["A", "B"], "objective": 3},
+            {"terminals": ["A", "B"], "policy": {}},
+            {"terminals": ["A", "B"], "tags": "x"},
+            {"terminals": ["A", "B"], "exact_terminal_limit": 0},
+            {"objective": "steiner"},
+            ["A", "B"],
+        ]
+        with running_server() as server:
+            with ReproClient(port=server.port) as client:
+                client.create_schema("t", small_graph())
+                for entry in bad_entries:
+                    with pytest.raises(RemoteError) as excinfo:
+                        client.call("batch", tenant="t", requests=[entry])
+                    assert excinfo.value.kind == "protocol", entry
+                # null fields fall back to the batch-level values
+                good = client.call(
+                    "batch",
+                    tenant="t",
+                    objective="side",
+                    side=2,
+                    requests=[
+                        {"terminals": ["A", "C"], "objective": None, "side": None},
+                        {"terminals": ["A", "C"], "objective": "steiner"},
+                    ],
+                )["results"]
+                assert [r["objective"] for r in good] == ["side", "steiner"]
+                side = client.connect("t", ["A", "C"], objective="side", side=2)
+                assert good[0]["tree_edges"] == side["tree_edges"]
+                assert good[1]["cost"] == client.connect("t", ["A", "C"])["cost"]
+
     def test_mutation_rpc_applies_transactionally(self):
         with running_server() as server:
             with ReproClient(port=server.port) as client:
