@@ -19,6 +19,14 @@ Three timings per k, each the median over the same terminal sets:
   context, whose distance oracle already holds the terminals' rows;
 * ``reference_seconds`` -- the label-space reference.
 
+EX2 -- the heuristic the planner sends larger general-class requests
+to: ``solve_kmb`` on a warm schema context (metric closure from the
+distance oracle's level rows, closure edges expanded along its cached
+parent rows, the tree built on ids) against the label-space
+``reference_kou_markowsky_berman`` of the same module, at k = 9 and 10
+on the same 60-relation schema.  Every tree must be identical to the
+reference's, and in full mode the registry path must be >= 6x faster.
+
 Set ``REPRO_BENCH_SMOKE=1`` for the scaled-down CI variant: same code
 paths, a 20-relation schema, correctness assertions only.
 """
@@ -36,7 +44,7 @@ from conftest import record
 
 from repro.datasets.generators import random_alpha_schema_graph, random_terminals
 from repro.engine.cache import SchemaContext
-from repro.engine.registry import solve_dreyfus_wagner
+from repro.engine.registry import solve_dreyfus_wagner, solve_kmb
 from repro.steiner import steiner_tree_dreyfus_wagner
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -46,6 +54,10 @@ QUERIES = 2 if SMOKE else 5
 
 #: Full-mode bar at k = 5, against the label-space reference.
 MIN_SPEEDUP_K5 = 5.0
+
+#: Full-mode EX2 bar for KMB on a warm context, against the label-space
+#: reference (18-19x measured on a 2-core VM).
+MIN_SPEEDUP_KMB = 6.0
 
 
 def _load_reference():
@@ -57,7 +69,9 @@ def _load_reference():
     return module
 
 
-reference_dreyfus_wagner = _load_reference().reference_dreyfus_wagner
+_REFERENCE = _load_reference()
+reference_dreyfus_wagner = _REFERENCE.reference_dreyfus_wagner
+reference_kou_markowsky_berman = _REFERENCE.reference_kou_markowsky_berman
 
 
 def _timed(solve, queries):
@@ -119,4 +133,48 @@ def test_dreyfus_wagner_on_ids(benchmark, k):
         assert speedup >= MIN_SPEEDUP_K5, (
             f"Dreyfus-Wagner on ids must be >= {MIN_SPEEDUP_K5}x faster than "
             f"the label-space reference at k = 5, got {speedup:.1f}x"
+        )
+
+
+def _tree(solution):
+    return solution.tree.vertices(), solution.tree.edge_set()
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_kmb_on_ids(benchmark, k):
+    """EX2: KMB on ids and the distance oracle against the label-space reference."""
+    graph = random_alpha_schema_graph(20 if SMOKE else 60, rng=7)
+    rng = random.Random(2000 + k)
+    queries = [random_terminals(graph, k, rng=rng) for _ in range(QUERIES)]
+    context = SchemaContext(graph)
+    for terminals in queries:  # warm the level and parent rows KMB reads
+        solve_kmb(context, terminals)
+
+    registry_seconds, served = _timed(
+        lambda terminals: solve_kmb(context, terminals), queries
+    )
+    reference_seconds, expected = _timed(
+        lambda terminals: reference_kou_markowsky_berman(graph, terminals), queries
+    )
+    for engine, reference in zip(served, expected):
+        assert _tree(engine) == _tree(reference)
+
+    benchmark(lambda: solve_kmb(context, queries[0]))
+
+    speedup = reference_seconds / registry_seconds if registry_seconds > 0 else 0.0
+    record(
+        benchmark,
+        experiment="EX2",
+        k=k,
+        vertices=graph.number_of_vertices(),
+        edges=graph.number_of_edges(),
+        registry_seconds=round(registry_seconds, 5),
+        reference_seconds=round(reference_seconds, 4),
+        speedup=round(speedup, 1),
+        smoke=SMOKE,
+    )
+    if not SMOKE:
+        assert speedup >= MIN_SPEEDUP_KMB, (
+            f"KMB on a warm context must be >= {MIN_SPEEDUP_KMB}x faster than "
+            f"the label-space reference at k = {k}, got {speedup:.1f}x"
         )

@@ -26,7 +26,7 @@ in :class:`~repro.api.config.ServiceConfig` and per-request overrides.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.config import ServiceConfig
 from repro.api.context import current_request, phase
@@ -44,6 +44,11 @@ from repro.metrics import MetricsRegistry, default_metrics
 from repro.steiner.problem import SteinerSolution
 
 RequestLike = Union[ConnectionRequest, Iterable]
+
+#: Labels of the per-answer instruments.  "tenant" is the multi-tenant
+#: server's dimension; in-process callers (no active request scope)
+#: collect under tenant="".
+_QUERY_LABELS = ("instance_class", "solver", "guarantee", "tenant")
 
 
 class ConnectionService:
@@ -115,19 +120,19 @@ class ConnectionService:
             if self._config.metrics is not None
             else default_metrics()
         )
-        # "tenant" is the multi-tenant server's dimension; in-process
-        # callers (no active request scope) collect under tenant=""
-        query_labels = ("instance_class", "solver", "guarantee", "tenant")
         self._queries_total = self._metrics.counter(
             "repro_queries_total",
             "Connection requests answered, by plan and outcome.",
-            query_labels,
+            _QUERY_LABELS,
         )
         self._query_latency = self._metrics.histogram(
             "repro_query_latency_seconds",
             "Wall time of one answered connection request.",
-            query_labels,
+            _QUERY_LABELS,
         )
+        # the two instruments' children per outcome key, looked up once:
+        # metric families never drop a child, so a memoised one stays live
+        self._outcome_children: Dict[Tuple, Tuple[Any, Any]] = {}
         self._disk_replays = self._metrics.counter(
             "repro_disk_replays_total",
             "Requests answered verbatim from the persistent result cache.",
@@ -606,16 +611,21 @@ class ConnectionService:
             phases=scope.phases_ms() if scope is not None else None,
             backend=self._backend_name,
         )
-        outcome = {
-            "instance_class": provenance.instance_class,
-            "solver": provenance.solver,
-            "guarantee": guarantee.value,
-            "tenant": (
-                scope.tenant if scope is not None and scope.tenant is not None else ""
-            ),
-        }
-        self._queries_total.labels(**outcome).inc()
-        self._query_latency.labels(**outcome).observe(elapsed)
+        key = (
+            provenance.instance_class,
+            provenance.solver,
+            guarantee.value,
+            scope.tenant if scope is not None and scope.tenant is not None else "",
+        )
+        children = self._outcome_children.get(key)
+        if children is None:
+            outcome = dict(zip(_QUERY_LABELS, key))
+            children = self._outcome_children[key] = (
+                self._queries_total.labels(**outcome),
+                self._query_latency.labels(**outcome),
+            )
+        children[0].inc()
+        children[1].observe(elapsed)
         return ConnectionResult(
             request=request,
             solution=solution,

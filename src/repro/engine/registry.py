@@ -31,16 +31,17 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 from repro.engine.cache import SchemaContext
 from repro.exceptions import DisconnectedTerminalsError, NotApplicableError
 from repro.graphs.graph import Vertex
-from repro.graphs.indexed import indexed_elimination_cover, iter_bits
-from repro.graphs.spanning import spanning_tree
+from repro.graphs.indexed import indexed_elimination_cover, indexed_pruned_tree, iter_bits
 from repro.steiner.exact import steiner_tree_bruteforce, steiner_tree_dreyfus_wagner
 from repro.steiner.heuristics import kou_markowsky_berman
-from repro.steiner.problem import (
-    SteinerInstance,
-    SteinerSolution,
-    prune_non_terminal_leaves,
-)
+from repro.steiner.problem import SteinerInstance, SteinerSolution
 from repro.steiner.pseudo import pseudo_steiner_bruteforce
+
+# spanning_tree and prune_non_terminal_leaves stay bound here although the
+# solvers build their trees on ids: the per-layer tracing of
+# perfbench/tracing.py patches these names
+from repro.graphs.spanning import spanning_tree  # noqa: F401
+from repro.steiner.problem import prune_non_terminal_leaves  # noqa: F401
 
 
 class InstanceClass(Enum):
@@ -145,18 +146,22 @@ def solve_chordal_elimination(context: SchemaContext, terminals: Iterable[Vertex
     # 2. nonredundant elimination inside the seed (ascending id order)
     cover = _eliminate_within(indexed, seed, terminal_ids)
 
-    # 3. spanning tree of the cover, mapped back to the original labels
-    labels = context.index.decode_set(cover)
-    tree = spanning_tree(context.graph.subgraph(labels))
-    tree = prune_non_terminal_leaves(tree, instance.terminals)
+    # 3. spanning tree of the cover, built on ids, decoded once
     solution = SteinerSolution(
-        tree=tree,
+        tree=_cover_tree(context, cover, terminal_ids),
         instance=instance,
         method="engine-chordal-elimination",
         optimal=context.report.steiner_tractable(),
     )
-    solution.metadata["cover"] = set(labels)
+    solution.metadata["cover"] = context.index.decode_set(cover)
     return solution
+
+
+def _cover_tree(context: SchemaContext, cover: Set[int], terminal_ids: Sequence[int]):
+    """The pruned spanning tree of a connected id cover, as a label graph."""
+    row = context.indexed.row
+    adjacency = {v: [u for u in row(v) if u in cover] for v in cover}
+    return indexed_pruned_tree(adjacency, terminal_ids, context.index.labels)
 
 
 def _eliminate_within(indexed, seed: Set[int], terminal_ids: Sequence[int]) -> Set[int]:
@@ -245,17 +250,14 @@ def solve_algorithm1_indexed(
         removal_batches=True,
         restrict=plan.component,
     )
-    labels = context.index.decode_set(cover_ids)
-    tree = spanning_tree(context.graph.subgraph(labels))
-    tree = prune_non_terminal_leaves(tree, instance.terminals)
     solution = SteinerSolution(
-        tree=tree,
+        tree=_cover_tree(context, cover_ids, terminal_ids),
         instance=instance,
         method="engine-algorithm1",
         side=side,
         optimal=True,
     )
-    solution.metadata["cover"] = set(labels)
+    solution.metadata["cover"] = context.index.decode_set(cover_ids)
     solution.metadata["ordering"] = context.index.decode(plan.ordering)
     return solution
 
@@ -284,27 +286,19 @@ def solve_bruteforce(context: SchemaContext, terminals: Iterable[Vertex]) -> Ste
 def solve_kmb(
     context: SchemaContext, terminals: Iterable[Vertex], side: Optional[int] = None
 ) -> SteinerSolution:
-    """KMB 2-approximation fed by the context's cached BFS rows.
+    """KMB 2-approximation on the context's ids and distance oracle.
 
-    The metric closure reads only distances between terminal pairs, so
-    they are read off the distance oracle's id rows; no label-space row is
-    decoded or kept outside the oracle's memory budget.
+    The metric closure reads the terminals' level rows and every closure
+    edge expands along a cached parent row, so a batch whose terminal sets
+    overlap pays one BFS per distinct terminal and row kind.
     """
-    terminal_list = sorted(set(terminals), key=repr)
-    # validate membership first so unknown terminals raise the library's
-    # ValidationError rather than a bare GraphError from the index
-    SteinerInstance(context.graph, terminal_list)
-    ids = context.index.encode(terminal_list)
-    oracle = context.distance_oracle
-    distances = {}
-    for terminal, source in zip(terminal_list, ids):
-        row = oracle.levels(source)
-        distances[terminal] = {
-            other: row[target]
-            for other, target in zip(terminal_list, ids)
-            if row[target] >= 0
-        }
-    solution = kou_markowsky_berman(context.graph, terminal_list, distances=distances)
+    solution = kou_markowsky_berman(
+        context.graph,
+        terminals,
+        indexed=context.indexed,
+        index=context.index,
+        oracle=context.distance_oracle,
+    )
     if side is not None:
         solution.side = side
     return solution

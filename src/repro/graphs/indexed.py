@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
 
@@ -636,7 +636,6 @@ def indexed_elimination_cover(
             continue
         if removal_batches:
             removal = [vertex]
-            bit = 1 << vertex
             for u in rows[vertex]:
                 if alive[u] and all(
                     not alive[w] or w == vertex for w in rows[u]
@@ -701,6 +700,103 @@ def _terminals_reachable(
                         return True
                 queue.append(neighbor)
     return found == needed
+
+
+# ----------------------------------------------------------------------
+# the answer tree (the shared tail of every engine solver)
+# ----------------------------------------------------------------------
+def parent_path_edges(parents: Sequence[int], u: int, v: int) -> Iterator[Edge]:
+    """Yield the edges of the path from ``v`` back to ``u`` along a parent row.
+
+    ``parents`` is ``u``'s BFS parent row
+    (:func:`repro.kernels.bfs.bfs_parents_row`); each edge comes as
+    ``(parent, child)``.  ``u == v`` yields nothing.
+    """
+    current = v
+    while current != u:
+        previous = parents[current]
+        yield previous, current
+        current = previous
+
+
+def edge_adjacency(edges: Iterable[Edge]) -> Dict[int, List[int]]:
+    """Return the adjacency of an id edge list with ascending rows.
+
+    Repeated edges, in either orientation, collapse.
+    """
+    adjacency: Dict[int, Set[int]] = {}
+    for u, v in edges:
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
+    return {vertex: sorted(neighbors) for vertex, neighbors in adjacency.items()}
+
+
+def indexed_pruned_tree(
+    adjacency: Mapping[int, Sequence[int]],
+    terminals: Iterable[int],
+    labels: Sequence,
+):
+    """Return the label tree of a solver's id-space cover, pruned to the terminals.
+
+    ``adjacency`` maps every id of the cover to its neighbours inside the
+    cover, in ascending order; the cover must be connected and hold every
+    terminal.  The result is the label
+    :class:`~repro.graphs.graph.Graph` (``labels[i]`` for id ``i``) of the
+    BFS spanning tree rooted at the cover's smallest id, neighbours
+    visited in ascending order, with non-terminal leaves pruned.
+
+    On ids numbered by :func:`to_indexed` that is exactly
+    ``prune_non_terminal_leaves(spanning_tree(cover), terminals)`` on the
+    label graph: ascending ids are the ``repr`` order ``spanning_tree``
+    picks its root and visits neighbours in, and a tree holds one subtree
+    whose leaves are all terminals, so any pruning order reaches it.  Here
+    it is the union of the terminals' root paths minus the non-terminal
+    chain above the point where they meet.
+
+    Raises
+    ------
+    GraphError
+        If the cover is not connected, as ``spanning_tree`` does, or
+        misses a terminal.
+    """
+    from repro.graphs.graph import Graph
+
+    root = min(adjacency)
+    parent = {root: root}
+    order = [root]
+    for current in order:  # the list grows behind the cursor: a FIFO queue
+        for neighbor in adjacency[current]:
+            if neighbor not in parent:
+                parent[neighbor] = current
+                order.append(neighbor)
+    if len(order) != len(adjacency):
+        raise GraphError("spanning_tree requires a connected graph")
+    terminal_set = set(terminals)
+    if not terminal_set <= parent.keys():
+        raise GraphError("every terminal must lie in the cover")
+
+    # every vertex on a terminal's path to the root, with its kept children
+    keep = set()
+    children: Dict[int, List[int]] = {}
+    for terminal in terminal_set:
+        vertex = terminal
+        while vertex not in keep:
+            keep.add(vertex)
+            if vertex == root:
+                break
+            children.setdefault(parent[vertex], []).append(vertex)
+            vertex = parent[vertex]
+    # the non-terminal chain above the meeting point is what pruning removes
+    top = root
+    while top not in terminal_set and len(children[top]) == 1:
+        keep.discard(top)
+        top = children[top][0]
+
+    tree = Graph(vertices=[labels[top]])
+    for vertex in order:
+        if vertex in keep and vertex != top:
+            tree.add_edge(labels[parent[vertex]], labels[vertex])
+    return tree
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -133,10 +133,10 @@ def grouped_bfs_levels(
     """Fill one BFS distance row per source, sharing one scratch.
 
     The grouped form is the kernel layer's batch entry point: callers
-    with many sources (the KMB metric closure, the oracle's prefill pass)
-    pay the scratch setup once and get ``array('i')`` rows whose values
-    match per-source :meth:`~repro.graphs.indexed.IndexedGraph.bfs_levels`
-    calls exactly.
+    with many sources (the shortest-path heuristic's terminal rows, the
+    oracle's prefill pass) pay the scratch setup once and get
+    ``array('i')`` rows whose values match per-source
+    :meth:`~repro.graphs.indexed.IndexedGraph.bfs_levels` calls exactly.
     """
     if scratch is None:
         scratch = KernelScratch(graph.n)
@@ -157,9 +157,8 @@ def grouped_bfs_parents(
 def levels_to_dict(row: Sequence[int], labels: Sequence) -> dict:
     """Decode a distance row into the ``{label: distance}`` mapping.
 
-    Used by the heuristics' indexed lane
-    (:func:`~repro.steiner.heuristics.shortest_path_heuristic`,
-    :func:`~repro.steiner.heuristics.kou_markowsky_berman`); unreachable
+    Used by the indexed lane of
+    :func:`~repro.steiner.heuristics.shortest_path_heuristic`; unreachable
     vertices (``-1``) are absent, mirroring
     :func:`~repro.graphs.traversal.bfs_distances`.
     """

@@ -47,7 +47,7 @@ carry.
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -49,7 +49,6 @@ from repro.server.codec import (
     decode_schema,
     decode_value,
     encode_continuation,
-    encode_value,
     encode_wire_result,
 )
 from repro.server.errors import (

@@ -19,12 +19,19 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import add
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import DisconnectedTerminalsError
 from repro.graphs.backend import is_indexed
 from repro.graphs.graph import Graph, Vertex
-from repro.graphs.indexed import GraphIndex, IndexedGraph, to_indexed
+from repro.graphs.indexed import (
+    GraphIndex,
+    IndexedGraph,
+    edge_adjacency,
+    indexed_pruned_tree,
+    parent_path_edges,
+    to_indexed,
+)
 from repro.graphs.spanning import spanning_tree
 from repro.graphs.traversal import component_containing, vertices_in_same_component
 from repro.kernels.bfs import bfs_parents_row
@@ -179,8 +186,8 @@ def steiner_tree_dreyfus_wagner(
         merged[mask] = best
         cost[mask] = _extend(best, adjacency, unreachable)
 
-    # recover the tree edges (id pairs, smaller id first)
-    edges: Set[Tuple[int, int]] = set()
+    # recover the tree edges (id pairs along BFS parent rows)
+    edges: List[Tuple[int, int]] = []
     parent_rows: Dict[int, List[int]] = {}
 
     def _shortest_path_edges(u: int, v: int) -> None:
@@ -189,11 +196,7 @@ def steiner_tree_dreyfus_wagner(
         parents = parent_rows.get(u)
         if parents is None:
             parents = parent_rows[u] = bfs_parents_row(indexed, u)
-        current = v
-        while current != u:
-            previous = parents[current]
-            edges.add((previous, current) if previous < current else (current, previous))
-            current = previous
+        edges.extend(parent_path_edges(parents, u, v))
 
     stack = [(full_mask, root)]
     while stack:
@@ -214,18 +217,12 @@ def steiner_tree_dreyfus_wagner(
         stack.append((submask, v))
         stack.append((mask ^ submask, v))
 
-    # decode once; the union of the recovered paths is connected and spans
-    # the terminals, and a spanning tree of it achieves the DP cost (with
-    # unit weights any cycle would contradict minimality, but pruning
-    # keeps us safe)
+    # the union of the recovered paths is connected and spans the
+    # terminals, and a spanning tree of it achieves the DP cost (with unit
+    # weights any cycle would contradict minimality, but pruning keeps us
+    # safe); built on ids and decoded once
     labels = index.labels if index is not None else range(indexed.n)
-    root_label = terminal_list[-1]
-    cover = Graph(vertices=[root_label] + terminal_list)
-    for a, b in edges:
-        cover.add_edge(labels[a], labels[b])
-    component = component_containing(cover, root_label)
-    tree = spanning_tree(cover.subgraph(component))
-    tree = prune_non_terminal_leaves(tree, terminal_list)
+    tree = indexed_pruned_tree(edge_adjacency(edges), ids, labels)
     solution = SteinerSolution(
         tree=tree, instance=instance, method="dreyfus-wagner", optimal=True
     )

@@ -19,13 +19,25 @@ graphs.
 
 from __future__ import annotations
 
+import warnings
+from math import inf
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.exceptions import DisconnectedTerminalsError
 from repro.graphs.backend import is_indexed
 from repro.graphs.graph import Graph, Vertex
+from repro.graphs.indexed import (
+    GraphIndex,
+    IndexedGraph,
+    edge_adjacency,
+    indexed_pruned_tree,
+    parent_path_edges,
+    to_indexed,
+)
 from repro.graphs.paths import shortest_path
 from repro.graphs.spanning import spanning_tree
 from repro.graphs.traversal import bfs_distances, component_containing
+from repro.kernels.oracle import DistanceOracle
 from repro.steiner.problem import (
     SteinerInstance,
     SteinerSolution,
@@ -104,18 +116,53 @@ def kou_markowsky_berman(
     graph: Graph,
     terminals: Iterable[Vertex],
     distances: Optional[Dict[Vertex, Dict[Vertex, int]]] = None,
+    *,
+    indexed: Optional[IndexedGraph] = None,
+    index: Optional[GraphIndex] = None,
+    oracle: Optional[DistanceOracle] = None,
 ) -> SteinerSolution:
     """Kou-Markowsky-Berman distance-network heuristic (unit weights).
 
-    Accepts either graph backend.  ``distances`` optionally supplies
-    precomputed BFS distances ``terminal -> {vertex: distance}`` for every
-    terminal.  The metric closure reads only distances between terminals,
-    so rows restricted to the terminals suffice; the engine passes such
-    rows, read off its distance oracle, so the closure is not rebuilt for
-    every query.
+    Accepts either graph backend and runs on integer ids: the terminals'
+    metric closure, its minimum spanning tree (Prim), the expansion of
+    every closure edge ``(u, v)`` into the shortest path the parent row of
+    ``u`` holds, and a spanning tree of that expansion pruned to the
+    terminals.  Ties break by ascending id -- ``repr`` order on a label
+    graph, whose ids :func:`~repro.graphs.indexed.to_indexed` assigns in
+    that order -- so the tree is the one the label-space formulation
+    builds: Prim picks the least ``(distance, u, v)``, and a parent row
+    holds the discovery order of
+    :func:`~repro.graphs.paths.shortest_path`.  Labels are decoded once,
+    at the end.
+
+    Parameters
+    ----------
+    distances:
+        Deprecated; removed in 3.0.0.  Precomputed BFS distances
+        ``terminal -> {vertex: distance}`` that replace the oracle's
+        distances between terminals in the metric closure (a missing
+        entry keeps the pair out of it).  Every other step still reads
+        the oracle, so they save no work.
+    indexed, index:
+        An indexed view of ``graph``, as
+        :func:`~repro.graphs.indexed.to_indexed` returns it.  Built on the
+        fly when omitted; an :class:`~repro.graphs.indexed.IndexedGraph`
+        ``graph`` is its own view.
+    oracle:
+        A :class:`~repro.kernels.oracle.DistanceOracle` over ``indexed``
+        supplying the terminals' level rows and the closure edges' parent
+        rows (cached across calls).  Without one, a private oracle
+        computes them.
     """
+    if distances is not None:
+        warnings.warn(
+            "kou_markowsky_berman(distances=...) is deprecated and will be "
+            "removed in 3.0.0; the metric closure comes from the distance "
+            "oracle (pass oracle= to share one)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     instance = SteinerInstance(graph, terminals)
-    instance.require_feasible()
     terminal_list = instance.terminal_list()
     if len(terminal_list) == 1:
         return SteinerSolution(
@@ -124,35 +171,44 @@ def kou_markowsky_berman(
             method="kmb",
             optimal=False,
         )
-    # 1. metric closure over the terminals (grouped kernel on the
-    #    indexed backend; the engine passes its oracle-backed rows here)
+    if indexed is None:
+        if is_indexed(graph):
+            indexed = graph
+        else:
+            indexed, index = to_indexed(graph)
+    if oracle is None:
+        oracle = DistanceOracle(indexed)
+    labels = index.labels if index is not None else range(indexed.n)
+    ids = sorted(index.encode(terminal_list) if index is not None else terminal_list)
+    rows = [oracle.levels(ids[0])]
+    if any(rows[0][t] < 0 for t in ids):
+        raise DisconnectedTerminalsError(
+            "the terminals do not lie in a single connected component"
+        )
+    # 1. metric closure over the terminals
     if distances is None:
-        distances = _terminal_distance_rows(graph, terminal_list)
-    # 2. minimum spanning tree of the closure (Prim)
-    in_tree = {terminal_list[0]}
-    closure_edges: List[Tuple[Vertex, Vertex]] = []
-    while len(in_tree) < len(terminal_list):
-        best: Optional[Tuple[int, Vertex, Vertex]] = None
-        for u in in_tree:
-            for v in terminal_list:
-                if v in in_tree:
-                    continue
-                d = distances[u].get(v)
-                if d is None:
-                    continue
-                candidate = (d, repr(u), repr(v))
-                if best is None or candidate < (best[0], repr(best[1]), repr(best[2])):
-                    best = (d, u, v)
-        closure_edges.append((best[1], best[2]))
-        in_tree.add(best[2])
-    # 3. expand closure edges into shortest paths in the original graph
-    expanded = Graph(vertices=terminal_list)
+        rows += [oracle.levels(u) for u in ids[1:]]
+        closure = [[row[v] for v in ids] for row in rows]
+    else:
+        closure = [
+            [distances[labels[u]].get(labels[v], inf) for v in ids] for u in ids
+        ]
+    # 2. minimum spanning tree of the closure (Prim): the least crossing
+    #    (d, u, v) joins first, kept per outside terminal as (d, u)
+    best = {j: (closure[0][j], 0) for j in range(1, len(ids))}
+    closure_edges: List[Tuple[int, int]] = []
+    while best:
+        j = min(best, key=lambda t: (best[t], t))
+        i = best.pop(j)[1]
+        closure_edges.append((ids[i], ids[j]))
+        row = closure[j]
+        for other, entry in best.items():
+            if (row[other], j) < entry:
+                best[other] = (row[other], j)
+    # 3. expand closure edges into shortest paths along u's parent row
+    path_edges: List[Tuple[int, int]] = []
     for u, v in closure_edges:
-        path = shortest_path(graph, u, v)
-        for a, b in zip(path, path[1:]):
-            expanded.add_edge(a, b)
-    # 4. spanning tree of the expansion, then prune non-terminal leaves
-    component = component_containing(expanded, terminal_list[0])
-    tree = spanning_tree(expanded.subgraph(component))
-    tree = prune_non_terminal_leaves(tree, terminal_list)
+        path_edges.extend(parent_path_edges(oracle.parents(u), u, v))
+    # 4. spanning tree of the expansion, pruned to the terminals
+    tree = indexed_pruned_tree(edge_adjacency(path_edges), ids, labels)
     return SteinerSolution(tree=tree, instance=instance, method="kmb", optimal=False)

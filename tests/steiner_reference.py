@@ -1,20 +1,28 @@
-"""The Dreyfus-Wagner dynamic program as it was before the id-space rewrite.
+"""Label-space Steiner solvers as they were before the id-space rewrites.
 
-This is the label-space ``O(2^k n^2)`` body of
-``steiner_tree_dreyfus_wagner`` kept as a reference only: all-pairs BFS
-over label dicts rebuilt on every call, sub-mask merges per vertex, and
-the extension by an in-place ascending scan over every vertex pair.  No
-production path runs it.  ``tests/test_steiner_dreyfus_wagner.py`` pins
-the id-space solver against it tree-for-tree, and experiment EX1
-(``benchmarks/bench_steiner_exact.py``) times the solver against it, so
-both compare with one and the same reference.
+Two references, kept only as test oracles; no production path runs them:
+
+* ``reference_dreyfus_wagner`` -- the ``O(2^k n^2)`` body of
+  ``steiner_tree_dreyfus_wagner``: all-pairs BFS over label dicts rebuilt
+  on every call, sub-mask merges per vertex, and the extension by an
+  in-place ascending scan over every vertex pair;
+* ``reference_kou_markowsky_berman`` -- the label-space body of
+  ``kou_markowsky_berman``: one label BFS per terminal for the metric
+  closure, Prim with ``repr`` tie-breaks, and one ``shortest_path`` BFS
+  per closure edge.
+
+``tests/test_steiner_dreyfus_wagner.py`` and ``tests/test_id_trees.py``
+pin the id-space solvers against them tree-for-tree, and experiments EX1
+and EX2 (``benchmarks/bench_steiner_exact.py``) time the solvers against
+them, so both compare with one and the same reference.
 """
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph, Vertex
+from repro.graphs.paths import shortest_path
 from repro.graphs.spanning import spanning_tree
-from repro.graphs.traversal import bfs_distances
+from repro.graphs.traversal import bfs_distances, component_containing
 from repro.steiner.problem import (
     SteinerInstance,
     SteinerSolution,
@@ -48,12 +56,9 @@ def reference_dreyfus_wagner(
     }
     paths: Dict[Tuple[Vertex, Vertex], List[Vertex]] = {}
 
-    from repro.graphs.paths import shortest_path
-
     infinity = float("inf")
     first_terminals = terminal_list[:-1]
     root = terminal_list[-1]
-    index_of = {t: 1 << i for i, t in enumerate(first_terminals)}
     full_mask = (1 << len(first_terminals)) - 1
 
     # cost[mask][v]: minimum edges of a tree spanning {terminals in mask} ∪ {v}
@@ -142,8 +147,6 @@ def reference_dreyfus_wagner(
     # The union of the recovered paths is connected and spans the terminals;
     # a spanning tree of it achieves the DP cost (with unit weights any
     # cycle would contradict minimality, but pruning keeps us safe).
-    from repro.graphs.traversal import component_containing
-
     component = component_containing(cover, root)
     tree = spanning_tree(cover.subgraph(component))
     tree = prune_non_terminal_leaves(tree, terminal_list)
@@ -152,3 +155,55 @@ def reference_dreyfus_wagner(
     )
     solution.metadata["dp_cost_edges"] = cost[full_mask][root]
     return solution
+
+
+def reference_kou_markowsky_berman(
+    graph: Graph, terminals: Iterable[Vertex]
+) -> SteinerSolution:
+    """Kou-Markowsky-Berman distance-network heuristic (unit weights).
+
+    Metric closure over the terminals from one BFS each, its minimum
+    spanning tree by Prim with ``(distance, repr(u), repr(v))`` ties, each
+    closure edge expanded into ``shortest_path``, then a spanning tree of
+    the expansion pruned to the terminals.
+    """
+    instance = SteinerInstance(graph, terminals)
+    instance.require_feasible()
+    terminal_list = instance.terminal_list()
+    if len(terminal_list) == 1:
+        return SteinerSolution(
+            tree=Graph(vertices=terminal_list),
+            instance=instance,
+            method="kmb",
+            optimal=False,
+        )
+    # 1. metric closure over the terminals
+    distances = {t: bfs_distances(graph, t) for t in terminal_list}
+    # 2. minimum spanning tree of the closure (Prim)
+    in_tree = {terminal_list[0]}
+    closure_edges: List[Tuple[Vertex, Vertex]] = []
+    while len(in_tree) < len(terminal_list):
+        best: Optional[Tuple[int, Vertex, Vertex]] = None
+        for u in in_tree:
+            for v in terminal_list:
+                if v in in_tree:
+                    continue
+                d = distances[u].get(v)
+                if d is None:
+                    continue
+                candidate = (d, repr(u), repr(v))
+                if best is None or candidate < (best[0], repr(best[1]), repr(best[2])):
+                    best = (d, u, v)
+        closure_edges.append((best[1], best[2]))
+        in_tree.add(best[2])
+    # 3. expand closure edges into shortest paths in the original graph
+    expanded = Graph(vertices=terminal_list)
+    for u, v in closure_edges:
+        path = shortest_path(graph, u, v)
+        for a, b in zip(path, path[1:]):
+            expanded.add_edge(a, b)
+    # 4. spanning tree of the expansion, then prune non-terminal leaves
+    component = component_containing(expanded, terminal_list[0])
+    tree = spanning_tree(expanded.subgraph(component))
+    tree = prune_non_terminal_leaves(tree, terminal_list)
+    return SteinerSolution(tree=tree, instance=instance, method="kmb", optimal=False)
