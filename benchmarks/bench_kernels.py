@@ -1,13 +1,13 @@
-"""Kernel-layer benchmarks: grouped BFS, the distance oracle, zero-copy dispatch.
+"""Kernel-layer benchmarks: the distance oracle and the hot-loop audit.
 
 Acceptance numbers for the ``repro.kernels`` subsystem on the 515-vertex
 (6,2)-chordal acceptance schema (same generator seed as
 ``python -m repro spec-template``):
 
-* **KN1 -- grouped BFS**: reading k=16 distance rows through the
-  :class:`~repro.kernels.oracle.DistanceOracle`'s grouped entry point is
-  >= 3x faster than k sequential ``bfs_levels`` calls once the oracle is
-  warm (in practice two orders of magnitude; the cold grouped fill is
+* **KN1 -- oracle reads**: reading a group of k=16 distance rows through
+  :meth:`~repro.kernels.oracle.DistanceOracle.levels` (the serving path)
+  is >= 3x faster than k sequential ``bfs_levels`` calls once the oracle
+  is warm (in practice two orders of magnitude; the cold fill is
   recorded too -- it is *not* faster than raw BFS, see the write-bound
   analysis in ``docs/performance.md``, which is exactly why the oracle
   caches rows instead of recomputing them faster).
@@ -16,15 +16,13 @@ Acceptance numbers for the ``repro.kernels`` subsystem on the 515-vertex
   terminals is >= 2x faster than the PR 4 warm path (replicated verbatim
   below: per-query ``bfs_parents`` plus the full-edge-scan cover
   induction), with identical trees.
-* **KN3 -- zero-copy dispatch**: shared-memory transport beats the
-  pickled-blob transport on warm-worker dispatch of many small shards,
-  and its per-shard payload is orders of magnitude smaller.  Answers are
-  byte-identical across serial / shm / pickle.
 * **KN4 -- hot-loop audit**: the ``row()``/dense-level fast lanes that
   replaced fresh-``set``-allocating ``neighbors()`` calls in the
   steiner/chordality inner loops are measurably faster (the audit also
   *rejected* a bitset Lex-BFS refinement that measured slower; the
   losing variant is kept in ``tests/test_kernels.py`` as a reference).
+* **KN6 -- budgeted oracle**: a byte-budgeted oracle streamed far more
+  sources than it can hold stays under its budget by evicting.
 
 Set ``REPRO_BENCH_SMOKE=1`` for the scaled-down CI variant: same code
 paths, tiny workload, correctness assertions only.
@@ -44,9 +42,6 @@ from repro.engine.registry import _eliminate_within
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.spanning import spanning_tree
 from repro.graphs.traversal import vertices_in_same_component
-from repro.kernels import shared_memory_available
-from repro.runtime import ParallelExecutor
-from repro.runtime.workload import canonical_checksum
 from repro.steiner.problem import SteinerInstance, prune_non_terminal_leaves
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -83,10 +78,10 @@ def _best_of(repeats, function):
 
 
 # ----------------------------------------------------------------------
-# KN1: grouped BFS through the oracle vs sequential bfs_levels
+# KN1: a group of rows read through the oracle vs sequential bfs_levels
 # ----------------------------------------------------------------------
 def test_grouped_bfs_beats_sequential_bfs_levels(benchmark):
-    """Oracle-warm grouped row reads vs k fresh ``bfs_levels`` traversals."""
+    """Oracle-warm reads of k rows vs k fresh ``bfs_levels`` traversals."""
     blocks, k = (12, 8) if SMOKE else (170, 16)
     graph, _, context = _scenario(blocks)
     indexed = context.indexed
@@ -95,13 +90,14 @@ def test_grouped_bfs_beats_sequential_bfs_levels(benchmark):
     sources = rng.sample(range(indexed.n), k)
 
     # cold oracle for the fill timing
-    fresh = context.__class__(graph, report=context.report)
+    fresh = context.__class__(graph, report=context.report).distance_oracle
     started = perf_counter()
-    fresh.distance_oracle.ensure(sources)
+    for source in sources:
+        fresh.levels(source)
     cold_fill_seconds = perf_counter() - started
 
     oracle = context.distance_oracle
-    oracle.ensure(sources)  # the amortised fill every later read shares
+    # the amortised fill every later read shares
     rows = [oracle.levels(source) for source in sources]
     naive = [indexed.bfs_levels(source) for source in sources]
     assert [list(row) for row in rows] == naive  # value-identical rows
@@ -131,7 +127,7 @@ def test_grouped_bfs_beats_sequential_bfs_levels(benchmark):
     )
     if not SMOKE:
         assert speedup >= 3.0, (
-            f"grouped oracle reads must be >= 3x sequential bfs_levels, got "
+            f"warm oracle reads must be >= 3x sequential bfs_levels, got "
             f"{speedup:.2f}x"
         )
 
@@ -212,81 +208,6 @@ def test_warm_service_batch_beats_pr4_warm_path(benchmark):
 
 
 # ----------------------------------------------------------------------
-# KN3: shared-memory vs pickled-blob dispatch
-# ----------------------------------------------------------------------
-def test_shared_memory_dispatch_beats_pickled_blob(benchmark):
-    """Warm-worker dispatch of many 1-request shards, shm vs pickle.
-
-    ``shard_size=1`` maximises dispatch pressure: the pickle transport
-    re-ships the whole shard-state blob inside every submission, the
-    shared-memory transport ships a constant-size segment name.  Both
-    transports must answer byte-identically to the serial batch (asserted
-    in every mode); the wall-clock comparison is asserted in full mode.
-    """
-    if not shared_memory_available():  # pragma: no cover - POSIX-only CI
-        import pytest
-
-        pytest.skip("shared-memory transport unavailable on this platform")
-    blocks, n_queries = (12, 40) if SMOKE else (500, 300)
-    graph, service, context = _scenario(blocks)
-    rng = random.Random(7)
-    queries = [random_terminals(graph, 2, rng=rng) for _ in range(n_queries)]
-    serial = service.batch(queries)
-    expected = canonical_checksum(serial)
-
-    import pickle
-
-    blob_bytes = len(
-        pickle.dumps(context.shard_state(), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-
-    executors = {
-        kind: ParallelExecutor(
-            2, service=service, shard_size=1, transport=kind
-        )
-        for kind in ("shm", "pickle")
-    }
-    timings = {kind: float("inf") for kind in executors}
-    try:
-        for executor in executors.values():  # pool + transport warm-up
-            results = executor.batch(queries[:8])
-        rounds = 1 if SMOKE else 3
-        for _ in range(rounds):  # interleaved to cancel drift
-            for kind, executor in executors.items():
-                started = perf_counter()
-                results = executor.batch(queries)
-                timings[kind] = min(timings[kind], perf_counter() - started)
-                assert canonical_checksum(results) == expected
-        results = benchmark(executors["shm"].batch, queries)
-        assert canonical_checksum(results) == expected
-    finally:
-        for executor in executors.values():
-            executor.close()
-
-    payload_ratio = blob_bytes / 64.0  # segment-name payloads are ~tens of bytes
-    speedup = timings["shm"] and timings["pickle"] / timings["shm"]
-    record(
-        benchmark,
-        experiment="KN3",
-        vertices=context.indexed.n,
-        queries=n_queries,
-        shards=n_queries,
-        wall_seconds=timings["shm"],
-        pickle_seconds=timings["pickle"],
-        blob_bytes=blob_bytes,
-        payload_shrink=round(payload_ratio, 1),
-        speedup=round(speedup, 2),
-        smoke=SMOKE,
-    )
-    if not SMOKE:
-        assert payload_ratio >= 50, "per-shard payload must shrink by >= 50x"
-        assert timings["shm"] <= timings["pickle"] * 1.05, (
-            f"shared-memory dispatch must beat pickled-blob dispatch, got "
-            f"shm={timings['shm']:.3f}s vs pickle={timings['pickle']:.3f}s"
-        )
-
-
-# ----------------------------------------------------------------------
 # KN4: hot-loop audit -- row()/dense-level lanes vs neighbors() sets
 # ----------------------------------------------------------------------
 def _feasibility_reference(graph, vertices):
@@ -363,69 +284,6 @@ def test_hot_loop_audit_row_lanes_beat_neighbor_sets(benchmark):
 
 
 # ----------------------------------------------------------------------
-# KN5: vectorized grouped BFS (numpy lane) vs the array lane at 10^5
-# ----------------------------------------------------------------------
-def test_numpy_lane_grouped_bfs_speedup(benchmark):
-    """KN5: the numpy lane's batched bitset traversal vs the array lane.
-
-    The regime the two-lane backend seam exists for: one grouped
-    multi-source distance fill over a low-diameter 10^5-vertex random
-    bipartite schema (the vectorized lane's per-level overhead means a
-    path-like schema with 10^4+ BFS levels would *not* clear the bar --
-    that trade-off is documented in ``docs/backends.md``).  Byte-identity
-    is asserted on every row; full mode additionally asserts the >= 5x
-    acceptance speedup (measured ~8x).
-    """
-    from repro.graphs.generators import large_random_bipartite, large_terminal_ids
-    from repro.kernels import numpy_available, resolve_backend
-
-    if not numpy_available():
-        import pytest
-
-        pytest.skip("numpy lane not installed")
-    side, edges, k = (500, 3000, 8) if SMOKE else (50_000, 300_000, 32)
-    graph = large_random_bipartite(side, side, edges, rng=random.Random(29))
-    assert graph.n >= (1000 if SMOKE else 100_000)
-    sources = large_terminal_ids(graph, k, rng=random.Random(29))
-
-    arr = resolve_backend("array")
-    npy = resolve_backend("numpy")
-    arr_scratch = arr.scratch(graph)
-    npy_scratch = npy.scratch(graph)
-
-    repeats = 1 if SMOKE else 3
-    array_seconds = _best_of(
-        repeats, lambda: arr.grouped_bfs_levels(graph, sources, arr_scratch)
-    )
-    numpy_seconds = _best_of(
-        repeats, lambda: npy.grouped_bfs_levels(graph, sources, npy_scratch)
-    )
-    rows_array = arr.grouped_bfs_levels(graph, sources, arr_scratch)
-    rows_numpy = npy.grouped_bfs_levels(graph, sources, npy_scratch)
-    for row_a, row_b in zip(rows_array, rows_numpy):
-        assert row_a.tobytes() == row_b.tobytes()
-    benchmark(lambda: npy.grouped_bfs_levels(graph, sources, npy_scratch))
-
-    speedup = array_seconds / numpy_seconds
-    record(
-        benchmark,
-        experiment="KN5",
-        vertices=graph.n,
-        sources=k,
-        wall_seconds=numpy_seconds,
-        array_seconds=round(array_seconds, 4),
-        numpy_seconds=round(numpy_seconds, 4),
-        speedup=round(speedup, 2),
-        smoke=SMOKE,
-    )
-    if not SMOKE:
-        assert speedup >= 5.0, (
-            f"the numpy lane must run grouped BFS >= 5x faster than the "
-            f"array lane on a 10^5-vertex schema, got {speedup:.2f}x"
-        )
-
-
-# ----------------------------------------------------------------------
 # KN6: budgeted oracle under memory pressure (bounded, never OOM)
 # ----------------------------------------------------------------------
 def test_budgeted_oracle_under_memory_pressure(benchmark):
@@ -450,9 +308,9 @@ def test_budgeted_oracle_under_memory_pressure(benchmark):
     peak = 0
     started = perf_counter()
     for _ in range(waves):
-        sources = [rng.randrange(graph.n) for _ in range(k)]
-        oracle.ensure(sources)
-        peak = max(peak, oracle.bytes_held())
+        for _ in range(k):
+            oracle.levels(rng.randrange(graph.n))
+            peak = max(peak, oracle.bytes_held())
         assert oracle.bytes_held() <= budget
     fill_seconds = perf_counter() - started
 
@@ -462,7 +320,7 @@ def test_budgeted_oracle_under_memory_pressure(benchmark):
     assert oracle.stats.evictions > 0, "the budget never forced an eviction"
     assert oracle.bytes_held() <= budget
 
-    benchmark(lambda: oracle.ensure([rng.randrange(graph.n) for _ in range(k)]))
+    benchmark(lambda: [oracle.levels(rng.randrange(graph.n)) for _ in range(k)])
     record(
         benchmark,
         experiment="KN6",

@@ -1,14 +1,11 @@
-"""Runtime benchmarks: parallel sharding and the persistent result cache.
+"""Runtime benchmarks: the persistent result cache.
 
 Acceptance numbers for the `repro.runtime` subsystem on the 515-vertex
 (6,2)-chordal workload (the ``python -m repro spec-template`` spec):
 
-* ``ParallelExecutor`` at 4 workers completes the warm workload >= 3x
-  faster than ``workers=1`` (asserted when the machine actually has >= 4
-  cores; always *recorded*);
 * a disk-warm replay (fresh service, populated cache) lands within 10%
   of the in-memory warm batch (in practice it is faster);
-* every configuration's answers are byte-identical (asserted always,
+* replayed answers are byte-identical to computed ones (asserted always,
   including smoke mode).
 
 Set ``REPRO_BENCH_SMOKE=1`` for the scaled-down CI variant: same code
@@ -23,15 +20,9 @@ from conftest import record
 
 from repro.api import ConnectionService, ServiceConfig
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
-from repro.runtime import ParallelExecutor
 from repro.runtime.workload import canonical_checksum
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-CORES = (
-    len(os.sched_getaffinity(0))
-    if hasattr(os, "sched_getaffinity")
-    else (os.cpu_count() or 1)
-)
 
 
 def _scenario():
@@ -41,58 +32,6 @@ def _scenario():
     rng = random.Random(7)
     queries = [random_terminals(graph, 3, rng=rng) for _ in range(n_queries)]
     return graph, queries
-
-
-def test_parallel_shard_merge_speedup(benchmark):
-    """Warm-path speedup of 4-worker sharding over the serial batch.
-
-    Both sides exclude the one-off classification (it is a shared,
-    amortised cost -- the engine benchmark measures it); what is compared
-    is the steady state a service actually runs in.  Byte-identity of the
-    merged answers is asserted in every mode.
-    """
-    graph, queries = _scenario()
-    assert graph.number_of_vertices() >= (30 if SMOKE else 500)
-
-    service = ConnectionService(schema=graph)
-    serial = service.batch(queries)  # also warms the schema context
-
-    start = perf_counter()
-    serial_again = service.batch(queries)
-    serial_seconds = perf_counter() - start
-    assert canonical_checksum(serial_again) == canonical_checksum(serial)
-
-    workers = 2 if SMOKE else 4
-    with ParallelExecutor(workers, service=service) as executor:
-        # pay pool start-up (fork/spawn + first transport) outside the clock
-        executor.batch(queries[: workers * 2])
-
-        start = perf_counter()
-        parallel = executor.batch(queries)
-        parallel_seconds = perf_counter() - start
-        assert canonical_checksum(parallel) == canonical_checksum(serial)
-
-        results = benchmark(executor.batch, queries)
-    assert canonical_checksum(results) == canonical_checksum(serial)
-
-    speedup = serial_seconds / parallel_seconds if parallel_seconds > 0 else 0.0
-    record(
-        benchmark,
-        experiment="RT1",
-        vertices=graph.number_of_vertices(),
-        queries=len(queries),
-        workers=workers,
-        cores=CORES,
-        serial_warm_seconds=round(serial_seconds, 3),
-        parallel_warm_seconds=round(parallel_seconds, 3),
-        speedup=round(speedup, 2),
-        smoke=SMOKE,
-    )
-    if not SMOKE and CORES >= 4:
-        assert speedup >= 3.0, (
-            f"4-worker sharding must be >= 3x the serial warm batch, got "
-            f"{speedup:.2f}x"
-        )
 
 
 def test_disk_warm_within_10pct_of_memory_warm(benchmark, tmp_path):

@@ -25,9 +25,8 @@ The package provides:
   guarantees, provenance), ``connect``/``batch`` and the resumable
   ``EnumerationStream`` for interactive disambiguation -- the one entry
   point for answering queries,
-* the parallel/persistent runtime (``repro.runtime``):
-  ``ParallelExecutor`` shards batches across a process pool,
-  ``DiskCache`` persists classifications and results across processes
+* the persistent runtime (``repro.runtime``): ``DiskCache`` persists
+  classifications and results across processes
   (``ServiceConfig(cache_dir=...)``), and ``WorkloadSpec`` +
   ``python -m repro run`` execute declarative workloads end to end,
 * the incremental dynamic-schema subsystem (``repro.dynamic``):
@@ -37,11 +36,10 @@ The package provides:
   contexts blockwise instead of re-running the Theorem 1 recognition --
   schema churn as a first-class workload (the ``churn`` phase of
   ``python -m repro run``),
-* the kernel layer (``repro.kernels``): batched BFS kernels over the
-  CSR backend, the cross-query ``DistanceOracle`` attached to every
-  schema context (component-granular invalidation under edits), and
-  the zero-copy shared-memory transport the parallel runtime dispatches
-  shards with (see ``docs/performance.md``),
+* the kernel layer (``repro.kernels``): BFS kernels over the CSR
+  backend and the cross-query ``DistanceOracle`` attached to every
+  schema context (component-granular invalidation under edits; see
+  ``docs/performance.md``),
 * the observability layer (``repro.metrics``): zero-dependency
   counters/gauges/histograms with Prometheus text exposition, wired
   through the service, runtime and dynamic layers -- injectable per
@@ -104,7 +102,7 @@ from repro.exceptions import (
 )
 from repro.dynamic import BlockClassifier, EditOp, SchemaDelta, SchemaEditor
 from repro.engine import InterpretationEngine, schema_digest
-from repro.kernels import DistanceOracle, grouped_bfs_levels, grouped_bfs_parents
+from repro.kernels import DistanceOracle
 from repro.load import LoadReport, LoadSpec, run_load
 from repro.metrics import MetricsRegistry, NullRegistry, default_metrics
 from repro.graphs import (
@@ -132,7 +130,6 @@ from repro.semantic import (
 )
 from repro.runtime import (
     DiskCache,
-    ParallelExecutor,
     WorkloadReport,
     WorkloadSpec,
     run_workload,
@@ -155,7 +152,7 @@ from repro.steiner import (
     steiner_tree_dreyfus_wagner,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "BipartiteGraph",
@@ -187,7 +184,6 @@ __all__ = [
     "MissingDependencyError",
     "NotApplicableError",
     "NullRegistry",
-    "ParallelExecutor",
     "Provenance",
     "QueryInterpreter",
     "Relation",
@@ -212,8 +208,6 @@ __all__ = [
     "classify_bipartite_graph",
     "default_metrics",
     "from_indexed",
-    "grouped_bfs_levels",
-    "grouped_bfs_parents",
     "is_41_chordal_bipartite",
     "is_61_chordal_bipartite",
     "is_62_chordal_bipartite",

@@ -1,7 +1,7 @@
 """Service-level configuration for the :class:`~repro.api.service.ConnectionService`.
 
 The knobs governing solver dispatch -- exact-solver limits, cache size,
-enumeration budgets, kernel lane, memory budget -- live in one immutable
+enumeration budgets, memory budget -- live in one immutable
 object, so a deployment can define its policy once and hand it to every
 service instance.  It is the only place dispatch limits are set (besides
 per-request overrides on :class:`~repro.api.request.ConnectionRequest`).
@@ -63,20 +63,7 @@ class ServiceConfig:
         process-wide registry from :func:`~repro.metrics.default_metrics`;
         inject a fresh registry to isolate one service's metrics, or a
         :class:`~repro.metrics.NullRegistry` to disable instrumentation
-        entirely.  Pool workers always run with ``metrics=None``
-        overridden in (registries do not cross process boundaries).
-    kernel_backend:
-        Which kernel lane (:mod:`repro.kernels.backend`) BFS rows are
-        produced on: ``"array"`` (the zero-dependency default),
-        ``"numpy"`` (the vectorized lane; raises
-        :class:`~repro.exceptions.MissingDependencyError` at service
-        construction when numpy is absent), ``"auto"`` (numpy when
-        importable, else array) or ``None`` to defer to the
-        ``REPRO_KERNEL_BACKEND`` environment variable / the array
-        default.  Both lanes return byte-identical rows; the resolved
-        lane is stamped into every answer's provenance, and -- because
-        the config travels to pool workers via ``with_overrides`` --
-        workers resolve the same lane after fork *or* spawn.
+        entirely.
     memory_budget_bytes:
         Optional byte budget for the engine's schema cache and its
         distance oracles.  When an insert pushes the held bytes past the
@@ -95,7 +82,6 @@ class ServiceConfig:
     cache_dir: Optional[Union[str, os.PathLike]] = None
     incremental: bool = True
     metrics: Optional[MetricsRegistry] = None
-    kernel_backend: Optional[str] = None
     memory_budget_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -117,14 +103,6 @@ class ServiceConfig:
             raise ValidationError("incremental must be a bool")
         if self.metrics is not None and not isinstance(self.metrics, MetricsRegistry):
             raise ValidationError("metrics must be a MetricsRegistry (or None)")
-        if self.kernel_backend is not None and self.kernel_backend not in (
-            "array",
-            "numpy",
-            "auto",
-        ):
-            raise ValidationError(
-                "kernel_backend must be 'array', 'numpy', 'auto' or None"
-            )
         if self.memory_budget_bytes is not None and (
             not isinstance(self.memory_budget_bytes, int)
             or self.memory_budget_bytes < 1

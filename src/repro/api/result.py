@@ -50,9 +50,8 @@ class Provenance:
         (``None`` when the primary solver succeeded).
     wall_time_ms:
         End-to-end service-side latency of this answer in milliseconds.
-        For answers computed by a pool worker this is the worker-side
-        solve time; for answers replayed from the persistent cache it is
-        the original computation's time.
+        For answers replayed from the persistent cache it is the original
+        computation's time.
     tags:
         The request's free-form annotations, echoed back.
     result_cache:
@@ -71,11 +70,9 @@ class Provenance:
         server logs and provenance agree on identity while in-process
         callers see no change.
     backend:
-        Name of the kernel lane (``"array"`` or ``"numpy"``, see
-        :mod:`repro.kernels.backend`) the answering service resolved.
-        Informational only -- both lanes return byte-identical answers
-        -- and ``None`` for results produced outside a service (direct
-        engine / solver calls).
+        Name of the kernel lane that filled the answer's BFS rows:
+        ``"array"``, the only lane, for an answering service; ``None`` for
+        results produced outside a service (direct engine / solver calls).
     """
 
     solver: str

@@ -39,7 +39,6 @@ from repro.engine.cache import SchemaContext
 from repro.engine.planner import QueryPlan, plan_query
 from repro.engine.registry import SolverRegistry
 from repro.exceptions import NotApplicableError, ValidationError
-from repro.kernels.backend import backend_name, resolve_backend
 from repro.metrics import MetricsRegistry, default_metrics
 from repro.steiner.problem import SteinerSolution
 
@@ -89,16 +88,9 @@ class ConnectionService:
     ) -> None:
         self._schema = schema
         self._config = config if config is not None else ServiceConfig()
-        # resolve the kernel lane ONCE, at construction: a "numpy" request
-        # without numpy fails here with a typed MissingDependencyError
-        # instead of mid-query, and the resolved name is stamped into
-        # every answer's provenance
-        kernel_backend = resolve_backend(self._config.kernel_backend)
-        self._backend_name = backend_name(kernel_backend)
         self._engine = InterpretationEngine(
             registry=registry,
             cache_size=self._config.cache_size,
-            kernel_backend=kernel_backend,
             memory_budget_bytes=self._config.memory_budget_bytes,
         )
         # see _context for the caching contract
@@ -368,22 +360,6 @@ class ConnectionService:
         self._disk_replays.inc()
         return replay
 
-    def _disk_replay_scan(
-        self, disk, materialised: "List[ConnectionRequest]", digest: str
-    ) -> dict:
-        """Return ``{position: replayed result}`` for every stored answer.
-
-        The shared first stage of the serial and parallel batch paths:
-        positions absent from the returned dict are the ones that must be
-        computed (and then stored via :meth:`_disk_store`).
-        """
-        replayed: dict = {}
-        for position, request in enumerate(materialised):
-            replay = self._disk_lookup(disk, request, digest)
-            if replay is not None:
-                replayed[position] = replay
-        return replayed
-
     def _disk_store(self, disk, request: ConnectionRequest, digest: str, result) -> None:
         """Persist one freshly computed result (best-effort, never raises)."""
         from repro.runtime.codec import encode_result, request_key
@@ -452,7 +428,7 @@ class ConnectionService:
         only the biconnected blocks the edits touched are reclassified,
         instead of paying the full Theorem 1 recognition.  The patched
         context is adopted into the engine's LRU (under its new
-        fingerprint), so batch/parallel lookups and later services see it
+        fingerprint), so batch lookups and later services see it
         too.  A structurally no-op version bump keeps the previous
         context; anything unexpected falls back to the full
         :meth:`_build_context` path -- incremental rebinding is an
@@ -516,8 +492,7 @@ class ConnectionService:
 
     def _plan(self, context: SchemaContext, request: ConnectionRequest, side: int) -> QueryPlan:
         # degenerate terminal sets get explicit ValidationErrors at the one
-        # choke point every entry path shares (connect, batch, and the
-        # parallel executor's worker-side batches)
+        # choke point every entry path shares (connect and batch)
         validate_terminals(context.graph, request.terminals)
         plan = plan_query(
             context,
@@ -609,7 +584,8 @@ class ConnectionService:
             request_id=scope.request_id if scope is not None else None,
             tenant=scope.tenant if scope is not None else None,
             phases=scope.phases_ms() if scope is not None else None,
-            backend=self._backend_name,
+            # the one kernel lane; the field stays on the wire
+            backend="array",
         )
         key = (
             provenance.instance_class,
@@ -696,11 +672,13 @@ class ConnectionService:
         )
         batch_schema = self._batch_schema(materialised, schema)
         disk, digest = self._persistent_layer(batch_schema)
-        replayed = (
-            self._disk_replay_scan(disk, materialised, digest)
-            if disk is not None
-            else {}
-        )
+        # replay every stored answer first; only the rest is computed
+        replayed = {}
+        if disk is not None:
+            for position, request in enumerate(materialised):
+                replay = self._disk_lookup(disk, request, digest)
+                if replay is not None:
+                    replayed[position] = replay
         context = None
         cache_hit = False
         results: List[ConnectionResult] = []
@@ -737,12 +715,7 @@ class ConnectionService:
         side: Optional[int] = None,
         policy: str = "auto",
     ) -> List[ConnectionRequest]:
-        """Normalise a mixed batch into :class:`ConnectionRequest` objects.
-
-        Shared by :meth:`batch` and the parallel executor
-        (:class:`~repro.runtime.parallel.ParallelExecutor`) so both paths
-        apply identical validation and keyword fill-in semantics.
-        """
+        """Normalise a mixed batch into :class:`ConnectionRequest` objects."""
         requests = list(requests)
         if (objective != "steiner" or side is not None or policy != "auto") and any(
             isinstance(request, ConnectionRequest) for request in requests

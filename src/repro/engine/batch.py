@@ -42,10 +42,6 @@ class InterpretationEngine:
         Solver registry; defaults to :func:`~repro.engine.registry.default_registry`.
     cache_size:
         Number of schema contexts kept in the LRU.
-    kernel_backend:
-        The :class:`~repro.kernels.backend.KernelBackend` lane every
-        context's distance oracle produces rows on (``None`` = process
-        default; rows are byte-identical across lanes).
     memory_budget_bytes:
         Optional byte budget for the schema cache and its oracles (see
         :class:`~repro.engine.cache.SchemaCache`).
@@ -68,14 +64,11 @@ class InterpretationEngine:
         self,
         registry: Optional[SolverRegistry] = None,
         cache_size: int = 16,
-        kernel_backend=None,
         memory_budget_bytes: Optional[int] = None,
     ) -> None:
         self.registry = registry if registry is not None else default_registry()
         self._cache = SchemaCache(
-            maxsize=cache_size,
-            kernel_backend=kernel_backend,
-            memory_budget_bytes=memory_budget_bytes,
+            maxsize=cache_size, memory_budget_bytes=memory_budget_bytes
         )
 
     @property
@@ -86,18 +79,6 @@ class InterpretationEngine:
     def cache_stats(self) -> dict:
         """Return the schema cache's observability counters."""
         return self._cache.stats()
-
-    def adopt_context(self, context: SchemaContext) -> SchemaContext:
-        """Adopt a prebuilt :class:`SchemaContext` into this engine's cache.
-
-        The context is registered under its own graph's structural
-        fingerprint, so subsequent queries on a structurally equal schema
-        hit it directly.  This is how pool workers warm-start from the
-        parent's transported shard state (see
-        :meth:`SchemaContext.from_shard_state`).
-        """
-        self._cache.adopt(context)
-        return context
 
     def resolve_schema(self, schema) -> BipartiteGraph:
         """Return the :class:`BipartiteGraph` behind any accepted schema handle."""

@@ -44,7 +44,7 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 from repro.core.classification import ChordalityReport, classify_bipartite_graph  # noqa: F401
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.graph import Graph, Vertex
-from repro.graphs.indexed import GraphIndex, IndexedGraph, from_indexed, to_indexed
+from repro.graphs.indexed import GraphIndex, IndexedGraph, to_indexed
 from repro.kernels.oracle import DistanceOracle, OracleStats
 
 
@@ -219,9 +219,8 @@ def schema_digest(graph: Graph) -> str:
     and serialised, so it is stable across processes and interpreter runs --
     which the in-process fingerprint tuples (built on ``frozenset``) are
     not.  The persistent layer (:class:`repro.runtime.diskcache.DiskCache`)
-    and the parallel executor's worker transport key everything on it:
-    mutating a graph changes its digest, which safely invalidates every
-    derived artifact.
+    keys everything on it: mutating a graph changes its digest, which
+    safely invalidates every derived artifact.
 
     An *ambiguous* graph (distinct vertices sharing a ``(type, repr)``
     token, see :func:`vertex_tokens`) has no trustworthy structural
@@ -307,7 +306,6 @@ class SchemaContext:
         graph: BipartiteGraph,
         report: Optional[ChordalityReport] = None,
         oracle_stats: Optional[OracleStats] = None,
-        kernel_backend=None,
         memory_budget_bytes: Optional[int] = None,
     ) -> None:
         # defensive copy: the context outlives the call that built it (LRU),
@@ -331,54 +329,9 @@ class SchemaContext:
         # is one, so they survive eviction and apply_delta re-derivation
         self._oracle: Optional[DistanceOracle] = None
         self._oracle_stats = oracle_stats
-        # compute-lane selection + byte budget for the lazy oracle; both
-        # propagate along apply_delta chains and through SchemaCache.adopt
-        self._kernel_backend = kernel_backend
+        # byte budget for the lazy oracle; it propagates along apply_delta
+        # chains and through SchemaCache.adopt
         self._memory_budget = memory_budget_bytes
-
-    # ------------------------------------------------------------------
-    # shard transport (parallel workers)
-    # ------------------------------------------------------------------
-    def shard_state(self) -> Tuple[IndexedGraph, GraphIndex, ChordalityReport]:
-        """Return the compact, picklable planner state of this context.
-
-        The triple ``(indexed, index, report)`` is everything a pool worker
-        needs to rebuild an equivalent context without re-deriving the
-        expensive parts: the CSR/bitset backend ships via
-        :class:`~repro.graphs.indexed.IndexedGraph`'s compact pickle, and
-        the classification report travels as-is.  Accessing this property
-        forces the classification if it has not run yet.  Per-query caches
-        (BFS rows, side plans) are deliberately not shipped -- each worker
-        re-amortises them across its own shard.
-        """
-        return (self.indexed, self.index, self.report)
-
-    @classmethod
-    def from_shard_state(
-        cls,
-        indexed: IndexedGraph,
-        index: GraphIndex,
-        report: Optional[ChordalityReport] = None,
-    ) -> "SchemaContext":
-        """Rebuild a context from :meth:`shard_state` without re-deriving it.
-
-        The hashable-vertex graph is reconstructed from the indexed pair
-        (lossless by :func:`~repro.graphs.indexed.from_indexed`); the
-        indexed backend and the classification are adopted as-is.
-        """
-        context = cls.__new__(cls)
-        context.graph = from_indexed(indexed, index)
-        context.indexed = indexed
-        context.index = index
-        context._report = report
-        context._side_plans = {}
-        context._components = None
-        context._blocks = _new_block_classifier()
-        context._oracle = None
-        context._oracle_stats = None
-        context._kernel_backend = None
-        context._memory_budget = None
-        return context
 
     # ------------------------------------------------------------------
     # classification
@@ -431,7 +384,6 @@ class SchemaContext:
         context.graph = new_graph
         context._oracle_stats = self._oracle_stats
         context._oracle = None
-        context._kernel_backend = self._kernel_backend
         context._memory_budget = self._memory_budget
         if delta.added_vertices or delta.removed_vertices:
             context.indexed, context.index = to_indexed(new_graph)
@@ -480,7 +432,6 @@ class SchemaContext:
             self._oracle = DistanceOracle(
                 self.indexed,
                 stats=self._oracle_stats,
-                backend=self._kernel_backend,
                 memory_budget_bytes=self._memory_budget,
             )
         return self._oracle
@@ -488,31 +439,23 @@ class SchemaContext:
     def adopt_oracle_stats(self, stats: OracleStats) -> None:
         """Re-home this context's oracle counters onto a cache's shared stats.
 
-        Called by :meth:`SchemaCache.adopt` so contexts rebuilt elsewhere
-        (pool workers, ``apply_delta`` chains started before adoption)
-        count into the adopting engine's ``cache_stats()``.
+        Called by :meth:`SchemaCache.adopt` so contexts derived elsewhere
+        (``apply_delta`` chains started before adoption) count into the
+        adopting engine's ``cache_stats()``.
         """
         self._oracle_stats = stats
         if self._oracle is not None:
             self._oracle.stats = stats
 
-    def adopt_kernel_policy(self, kernel_backend, memory_budget_bytes) -> None:
-        """Adopt a cache's compute lane and byte budget.
+    def adopt_kernel_policy(self, memory_budget_bytes) -> None:
+        """Adopt a cache's byte budget.
 
-        Called by :meth:`SchemaCache.adopt` so contexts rebuilt elsewhere
-        (pool workers rebuilding from shard state) produce rows on the
-        adopting engine's configured lane.  An oracle that already
-        materialised keeps its rows -- they are byte-identical across
-        lanes, so only *future* row production switches.  The budget
-        bounds the oracle and the block memo from their next insert on.
+        Called by :meth:`SchemaCache.adopt`.  The budget bounds the oracle
+        and the block memo from their next insert on.
         """
-        self._kernel_backend = kernel_backend
         self._memory_budget = memory_budget_bytes
         self._blocks.memory_budget_bytes = memory_budget_bytes
         if self._oracle is not None:
-            if kernel_backend is not None and self._oracle.backend is not kernel_backend:
-                self._oracle.backend = kernel_backend
-                self._oracle.scratch = kernel_backend.scratch(self.indexed)
             self._oracle.memory_budget_bytes = memory_budget_bytes
 
     def memory_bytes(self) -> int:
@@ -611,9 +554,6 @@ class SchemaCache:
     ----------
     maxsize:
         Entry-count bound of the LRU.
-    kernel_backend:
-        The :class:`~repro.kernels.backend.KernelBackend` every built or
-        adopted context produces BFS rows on (``None`` = process default).
     memory_budget_bytes:
         Optional byte bound over the cached contexts (CSR storage +
         oracle rows + block memo, see :meth:`SchemaContext.memory_bytes`):
@@ -627,12 +567,10 @@ class SchemaCache:
     def __init__(
         self,
         maxsize: int = 16,
-        kernel_backend=None,
         memory_budget_bytes: Optional[int] = None,
     ) -> None:
         self._contexts = LRUCache(maxsize=maxsize)
         self.rebind_fallbacks = 0
-        self.kernel_backend = kernel_backend
         self.memory_budget_bytes = memory_budget_bytes
         # one shared counter object for every context's distance oracle,
         # so cache_stats() reports engine-wide oracle behaviour even
@@ -658,7 +596,6 @@ class SchemaCache:
                 graph,
                 report=report_factory() if report_factory is not None else None,
                 oracle_stats=self.oracle_stats,
-                kernel_backend=self.kernel_backend,
                 memory_budget_bytes=self.memory_budget_bytes,
             )
             if not fingerprint_is_ambiguous(key):
@@ -675,17 +612,16 @@ class SchemaCache:
     def adopt(self, context: SchemaContext) -> None:
         """Insert a prebuilt context under its own graph's fingerprint.
 
-        Used by pool workers to seed their cache with a context rebuilt
-        from transported shard state
-        (:meth:`SchemaContext.from_shard_state`), so the first query pays
-        no classification or re-indexing.  Contexts of ambiguous graphs
-        are not insertable (their fingerprints never repeat) and are
-        silently skipped.
+        The service's incremental rebind path adopts the context
+        :meth:`SchemaContext.apply_delta` derived, so later lookups of the
+        edited structure hit it.  Contexts of ambiguous graphs are not
+        insertable (their fingerprints never repeat) and are silently
+        skipped.
         """
         key = schema_fingerprint(context.graph)
         if not fingerprint_is_ambiguous(key):
             context.adopt_oracle_stats(self.oracle_stats)
-            context.adopt_kernel_policy(self.kernel_backend, self.memory_budget_bytes)
+            context.adopt_kernel_policy(self.memory_budget_bytes)
             self._contexts.put(key, context)
             self.enforce_memory_budget()
 

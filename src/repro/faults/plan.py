@@ -43,7 +43,6 @@ from repro.exceptions import ValidationError
 SITES: Tuple[str, ...] = (
     "wire-frame-delay",
     "wire-frame-drop",
-    "worker-crash",
     "disk-write-tear",
     "deadline-exceeded",
     "server-kill",

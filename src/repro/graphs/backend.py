@@ -28,19 +28,11 @@ transparently; the hot paths additionally dispatch on
 (``add_edge`` / ``remove_vertex``) is deliberately excluded:
 :class:`IndexedGraph` is immutable, and code that needs to mutate first
 materialises a :class:`Graph` via ``subgraph`` or ``to_graph``.
-
-Below the graph protocol sits a second seam: the **kernel-backend
-registry** of :mod:`repro.kernels.backend`, which picks *how* the BFS
-kernels traverse an :class:`IndexedGraph` -- the zero-dependency
-``array('i')`` lane or the vectorized numpy lane.  :func:`csr_arrays` is
-the bridge between the two seams: it exposes the canonical CSR buffers of
-an indexed graph in a buffer-protocol-agnostic form every kernel lane
-(and the shm transport) can adopt without copying.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Protocol, Set, Tuple, runtime_checkable
+from typing import Iterable, Iterator, List, Protocol, Set, Tuple, runtime_checkable
 
 from repro.graphs.indexed import GraphIndex, IndexedGraph, to_indexed
 
@@ -88,18 +80,3 @@ def ensure_indexed(graph) -> Tuple[IndexedGraph, GraphIndex]:
     if isinstance(graph, IndexedGraph):
         return graph, GraphIndex(range(graph.n))
     return to_indexed(graph)
-
-
-def csr_arrays(graph: IndexedGraph) -> Tuple[int, object, object, Optional[object]]:
-    """Return ``(n, indptr, indices, sides)`` -- the canonical CSR buffers.
-
-    The returned objects are whatever buffer-protocol storage the graph
-    currently holds: ``array('l')`` for freshly built graphs,
-    ``array('q')`` for unpickled ones, ``memoryview`` casts for graphs
-    attached from a shared-memory segment.  Consumers must treat them as
-    read-only and interrogate ``memoryview(...).itemsize`` rather than
-    assume a dtype; ``np.frombuffer`` adopts each of them zero-copy,
-    which is how the numpy kernel lane runs on the exact bytes the shm
-    transport ships.
-    """
-    return graph.n, graph.indptr, graph.indices, graph.sides

@@ -16,14 +16,11 @@ finite simple undirected graph over the contiguous vertex ids
 The CSR arrays are the *canonical* storage; the bitset rows and the
 per-vertex row cache are **lazily derived**.  This is what lets schemas
 reach 10^5 - 10^6 vertices: big-int bitset rows cost O(n^2 / 16) bytes in
-the worst case, so a graph consumed only through the CSR surface (the
-kernel backends of :mod:`repro.kernels.backend`, the shared-memory
-transport) never pays for them.  The first call to a bitset primitive
-(``has_edge``, ``is_clique`` ...) materialises ``bits`` once; the first
-Python-loop traversal materialises ``_rows`` once.  ``indptr`` /
-``indices`` / ``sides`` may be any buffer-protocol integer storage --
-``array`` objects, ``memoryview`` casts over a shared-memory segment, or
-(in the numpy kernel lane) ``np.frombuffer`` views over the same bytes.
+the worst case, so a graph consumed only through the CSR surface (the BFS
+kernels of :mod:`repro.kernels.bfs`) never pays for them.  The first call
+to a bitset primitive (``has_edge``, ``is_clique`` ...) materialises
+``bits`` once; the first Python-loop traversal materialises ``_rows``
+once.
 
 The class implements the read-only part of the :class:`~repro.graphs.graph.Graph`
 API (``neighbors``, ``vertices``, ``has_edge``, ``subgraph`` ...), so every
@@ -73,8 +70,8 @@ class GraphIndex:
         return len(self.labels)
 
     def __getstate__(self) -> Tuple:
-        # ids is a pure derivative of labels; transporting only the label
-        # tuple halves the pickle payload for worker dispatch
+        # ids is a pure derivative of labels; pickling only the label
+        # tuple halves the payload
         return self.labels
 
     def __setstate__(self, state: Tuple) -> None:
@@ -176,7 +173,7 @@ class IndexedGraph:
 
         ``bits[v]`` has bit ``u`` set exactly when ``{u, v}`` is an edge.
         Worst-case O(n^2 / 16) bytes, so large CSR-only consumers (the
-        kernel backends, the shm transport) must not touch this property.
+        BFS kernels) must not touch this property.
         """
         if self._bits is None:
             bits = [0] * self.n
@@ -392,85 +389,33 @@ class IndexedGraph:
         """Return ``self`` -- :class:`IndexedGraph` is immutable."""
         return self
 
-    # ------------------------------------------------------------------
-    # CSR adoption (worker transport, zero-copy attach)
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_csr(
-        cls,
-        n: int,
-        indptr,
-        indices,
-        sides=None,
-    ) -> "IndexedGraph":
-        """Build a graph directly from CSR arrays, without an edge pass.
-
-        ``indptr``/``indices`` (and optionally ``sides``) may be
-        ``array`` objects, ``memoryview`` casts over a shared-memory
-        buffer (the zero-copy transport of :mod:`repro.kernels.shm`), or
-        any integer sequences; they are adopted as-is in O(1) -- the
-        bitset rows and the per-vertex row cache are lazily derived on
-        first use, so a worker that consumes the graph purely through a
-        CSR kernel backend never materialises them at all.  The arrays
-        must describe a symmetric simple adjacency with ascending rows
-        (both directions present); this is guaranteed for arrays read
-        back from another :class:`IndexedGraph` and is not re-validated
-        here.
-        """
-        graph = cls.__new__(cls)
-        graph.n = n
-        graph.indptr = indptr
-        graph.indices = indices
-        graph.sides = sides
-        graph._derive_from_csr()
-        return graph
-
-    def _derive_from_csr(self) -> None:
-        """Reset the lazily derived structures after adopting CSR arrays.
-
-        Symmetric adjacency means ``len(indices)`` counts each edge twice,
-        so the edge count is available without a scan; the bitset rows and
-        the row cache stay unmaterialised until a consumer asks.
-        """
-        self._bits = None
-        self._rows_cache = None
-        self._edge_count = len(self.indices) // 2
-
     def nbytes(self) -> int:
         """Return the canonical (CSR + sides) storage footprint in bytes.
 
-        Counts only the buffer-backed arrays -- the lazily derived bitset
-        rows and row cache are excluded, matching what the shm transport
-        ships and what the memory-budget accounting of
+        Counts only the arrays -- the lazily derived bitset rows and row
+        cache are excluded, matching what a pickle ships and what the
+        memory-budget accounting of
         :class:`~repro.engine.cache.SchemaCache` needs to bound.
         """
-        total = 0
-        for buf in (self.indptr, self.indices, self.sides):
-            if buf is None:
-                continue
-            try:
-                total += memoryview(buf).nbytes
-            except TypeError:  # adopted plain sequences: estimate at 8B/entry
-                total += 8 * len(buf)
-        return total
+        return sum(
+            len(buf) * buf.itemsize
+            for buf in (self.indptr, self.indices, self.sides)
+            if buf is not None
+        )
 
     # ------------------------------------------------------------------
-    # pickling (worker transport)
+    # pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         # ship only the canonical CSR arrays (compact, array-typed); the
         # bitset rows and the per-vertex row cache are derived structures
         # whose pickled size would dwarf the CSR payload, and rebuilding
-        # them from CSR is linear -- this is what makes shipping schemas
-        # to pool workers cheap
-        # a graph adopted from shared memory (from_csr over memoryviews)
-        # re-materialises plain arrays: views into another process's
-        # segment are not picklable and must not outlive it anyway
+        # them from CSR is linear
         return {
             "n": self.n,
-            "indptr": self.indptr if isinstance(self.indptr, array) else array("q", self.indptr),
-            "indices": self.indices if isinstance(self.indices, array) else array("q", self.indices),
-            "sides": self.sides if self.sides is None or isinstance(self.sides, array) else array("b", self.sides),
+            "indptr": self.indptr,
+            "indices": self.indices,
+            "sides": self.sides,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -478,7 +423,12 @@ class IndexedGraph:
         self.indptr = state["indptr"]
         self.indices = state["indices"]
         self.sides = state["sides"]
-        self._derive_from_csr()
+        # symmetric adjacency stores each edge twice, so the edge count
+        # needs no scan; the bitset rows and the row cache stay
+        # unmaterialised until a consumer asks
+        self._bits = None
+        self._rows_cache = None
+        self._edge_count = len(self.indices) // 2
 
     # ------------------------------------------------------------------
     # dunder protocol

@@ -1,71 +1,39 @@
-"""``repro.kernels``: pluggable BFS kernel lanes, the distance oracle, zero-copy transport.
+"""``repro.kernels``: the BFS kernels and the cross-query distance oracle.
 
-The kernel layer sits between the graph substrate and the engine.  It
-owns the mechanisms that make heavy multi-query traffic cheap:
+The kernel layer sits between the graph substrate and the engine:
 
-* :mod:`repro.kernels.backend` -- the **kernel-backend registry**: the
-  zero-dependency ``array('i')`` lane and the optional vectorized numpy
-  lane (:mod:`repro.kernels.np_lane`) behind one
-  :class:`KernelBackend` contract, selected via ``REPRO_KERNEL_BACKEND``
-  or ``ServiceConfig(kernel_backend=...)`` and pinned byte-identical by
-  the differential suites;
-* :mod:`repro.kernels.bfs` -- the reference level-synchronous single-
-  and multi-source BFS kernels over
-  :class:`~repro.graphs.indexed.IndexedGraph` CSR rows, producing flat
-  ``array('i')`` distance/parent rows from reusable scratch buffers;
+* :mod:`repro.kernels.bfs` -- the level-synchronous single-source BFS
+  kernels over :class:`~repro.graphs.indexed.IndexedGraph` CSR rows,
+  producing flat ``array('i')`` distance/parent rows from reusable
+  scratch buffers;
+* :mod:`repro.kernels.backend` -- :class:`ArrayBackend`, the one lane
+  object the oracle fills rows through (:func:`resolve_backend`);
 * :mod:`repro.kernels.oracle` -- :class:`DistanceOracle`, the
   cross-query LRU of those rows attached to every
   :class:`~repro.engine.cache.SchemaContext`, with component-granular
   invalidation wired into ``apply_delta`` and an optional byte budget
-  under which it evicts instead of growing;
-* :mod:`repro.kernels.shm` -- the shared-memory CSR transport the
-  parallel runtime uses to hand schemas to pool workers without
-  per-dispatch pickling (the numpy lane adopts the same bytes through
-  ``np.frombuffer``).
+  under which it evicts instead of growing.
 
-See ``docs/backends.md`` for lane selection and the buffer layout
-contract, and ``docs/performance.md`` for the measured numbers.
+See ``docs/backends.md`` for the buffer layout and memory budgets, and
+``docs/performance.md`` for the measured numbers.
 """
 
-from repro.kernels.backend import (
-    ArrayBackend,
-    KernelBackend,
-    available_backends,
-    backend_name,
-    numpy_available,
-    resolve_backend,
-)
+from repro.kernels.backend import ArrayBackend, resolve_backend
 from repro.kernels.bfs import (
     KernelScratch,
     bfs_levels_row,
     bfs_parents_row,
-    grouped_bfs_levels,
-    grouped_bfs_parents,
     levels_to_dict,
 )
 from repro.kernels.oracle import DistanceOracle, OracleStats
-from repro.kernels.shm import (
-    attach_segment,
-    create_segment,
-    shared_memory_available,
-)
 
 __all__ = [
     "ArrayBackend",
-    "KernelBackend",
     "KernelScratch",
-    "available_backends",
-    "backend_name",
     "bfs_levels_row",
     "bfs_parents_row",
-    "grouped_bfs_levels",
-    "grouped_bfs_parents",
     "levels_to_dict",
-    "numpy_available",
     "resolve_backend",
     "DistanceOracle",
     "OracleStats",
-    "attach_segment",
-    "create_segment",
-    "shared_memory_available",
 ]

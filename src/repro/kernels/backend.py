@@ -1,234 +1,60 @@
-"""The kernel-backend registry: pluggable compute lanes for the BFS kernels.
+"""The BFS kernel lane: the one object every distance-oracle row is filled through.
 
-PR 5's write-bound analysis (see :mod:`repro.kernels.bfs`) proved the
-pure-Python kernels are at their floor, so this module changes the
-*substrate* instead of the loop: every BFS row the engine consumes is
-produced by a :class:`KernelBackend`, and two lanes implement that
-contract:
-
-* **array** (:class:`ArrayBackend`) -- the zero-dependency default,
-  delegating to the existing ``array('i')`` kernels of
-  :mod:`repro.kernels.bfs`;
-* **numpy** (:class:`~repro.kernels.np_lane.NumpyBackend`) -- the
-  vectorized lane of :mod:`repro.kernels.np_lane`, adopting the graph's
-  CSR buffers through ``np.frombuffer`` (the same bytes the shm
-  transport ships zero-copy) and running frontier expansion and grouped
-  multi-source BFS as batched array operations.
-
-Both lanes return ``array('i')`` rows that are **byte-identical** --
-including the discovery-order parent tie-breaks -- so the engine, the
-differential suites and the golden fixtures cannot tell them apart.
-
-Lane selection
---------------
-* ``resolve_backend(None)`` (the default everywhere) honours the
-  ``REPRO_KERNEL_BACKEND`` environment variable at import/call time and
-  falls back to ``"array"``;
-* ``ServiceConfig(kernel_backend="numpy")`` selects a lane per service --
-  the name travels inside the config through ``fork``/``spawn`` to pool
-  workers, so worker-side oracles resolve the same lane;
-* ``"auto"`` picks numpy when it is importable and array otherwise.
-
-Requesting ``"numpy"`` without numpy installed raises a typed
-:class:`~repro.exceptions.MissingDependencyError`; probing
-(:func:`available_backends`, ``"auto"``) never raises.
+:class:`ArrayBackend` delegates to the ``array('i')`` kernels of
+:mod:`repro.kernels.bfs`, and :func:`resolve_backend` returns its single
+instance.  The :class:`~repro.kernels.oracle.DistanceOracle` fills rows
+through that instance's methods (looked up on the class at call time), so
+a profiler that wraps them on ``type(resolve_backend(None))`` sees every
+oracle miss.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.exceptions import MissingDependencyError, ValidationError
 from repro.graphs.indexed import IndexedGraph
-from repro.kernels.bfs import (
-    KernelScratch,
-    bfs_levels_row,
-    bfs_parents_row,
-)
-
-#: Environment variable consulted when no explicit lane is configured.
-BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-
-#: Every lane name the registry understands (``"auto"`` resolves to one).
-KNOWN_BACKENDS: Tuple[str, ...] = ("array", "numpy")
+from repro.kernels.bfs import KernelScratch, bfs_levels_row, bfs_parents_row
 
 
-class KernelBackend:
-    """Contract every compute lane implements (and the array lane's base).
+class ArrayBackend:
+    """The ``array('i')`` lane: thin delegation to :mod:`repro.kernels.bfs`."""
 
-    A backend is a stateless strategy object: per-graph state (adopted
-    CSR views, scratch buffers) lives in the object returned by
-    :meth:`scratch`, which the :class:`~repro.kernels.oracle.DistanceOracle`
-    keeps alongside the graph.  All four row producers must return
-    ``array('i')`` rows byte-identical to the :mod:`repro.kernels.bfs`
-    reference kernels.
-    """
-
-    #: Registry name of the lane.
-    name = "abstract"
-
-    def scratch(self, graph: IndexedGraph):
-        """Return the reusable per-graph scratch state for this lane."""
-        raise NotImplementedError
-
-    def bfs_levels_row(self, graph: IndexedGraph, source: int, scratch=None) -> array:
-        """Return the BFS distance row from ``source`` (``-1`` = unreachable)."""
-        raise NotImplementedError
-
-    def bfs_parents_row(self, graph: IndexedGraph, source: int, scratch=None) -> array:
-        """Return the BFS parent row from ``source`` (discovery-order ties)."""
-        raise NotImplementedError
-
-    def grouped_bfs_levels(
-        self, graph: IndexedGraph, sources: Sequence[int], scratch=None
-    ) -> List[array]:
-        """Fill one distance row per source in one batched call."""
-        raise NotImplementedError
-
-    def grouped_bfs_parents(
-        self, graph: IndexedGraph, sources: Sequence[int], scratch=None
-    ) -> List[array]:
-        """Fill one parent row per source in one batched call."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<KernelBackend {self.name!r}>"
-
-
-class ArrayBackend(KernelBackend):
-    """The zero-dependency ``array('i')`` lane (the default).
-
-    Thin delegation to the reference kernels of :mod:`repro.kernels.bfs`;
-    exists so the oracle and the engine talk to one interface whichever
-    lane is active.
-    """
-
-    name = "array"
-
-    def scratch(self, graph: IndexedGraph) -> KernelScratch:
-        """Return a :class:`~repro.kernels.bfs.KernelScratch` for ``graph``."""
-        return KernelScratch(graph.n)
-
-    def _scratch(self, graph: IndexedGraph, scratch) -> KernelScratch:
-        # foreign-lane (or missing) scratch objects are replaced, so a
-        # caller switching lanes mid-flight cannot corrupt a traversal
-        if isinstance(scratch, KernelScratch) and scratch.n == graph.n:
-            return scratch
-        return KernelScratch(graph.n)
-
-    def bfs_levels_row(self, graph: IndexedGraph, source: int, scratch=None) -> array:
+    def bfs_levels_row(
+        self, graph: IndexedGraph, source: int, scratch: KernelScratch = None
+    ) -> array:
         """Return the distance row via :func:`repro.kernels.bfs.bfs_levels_row`."""
-        return bfs_levels_row(graph, source, self._scratch(graph, scratch))
+        return bfs_levels_row(graph, source, scratch)
 
-    def bfs_parents_row(self, graph: IndexedGraph, source: int, scratch=None) -> array:
+    def bfs_parents_row(
+        self, graph: IndexedGraph, source: int, scratch: KernelScratch = None
+    ) -> array:
         """Return the parent row via :func:`repro.kernels.bfs.bfs_parents_row`."""
-        return bfs_parents_row(graph, source, self._scratch(graph, scratch))
+        return bfs_parents_row(graph, source, scratch)
 
+    # The two grouped methods below have one caller: the per-layer tracer
+    # of perfbench/tracing.py wraps them by name.  They go once that
+    # tracer reads request spans instead of wrapping names.
     def grouped_bfs_levels(
-        self, graph: IndexedGraph, sources: Sequence[int], scratch=None
+        self, graph: IndexedGraph, sources: Sequence[int], scratch: KernelScratch = None
     ) -> List[array]:
         """Run the single-source kernel per source, sharing one scratch."""
-        scratch = self._scratch(graph, scratch)
+        scratch = scratch if scratch is not None else KernelScratch(graph.n)
         return [bfs_levels_row(graph, source, scratch) for source in sources]
 
     def grouped_bfs_parents(
-        self, graph: IndexedGraph, sources: Sequence[int], scratch=None
+        self, graph: IndexedGraph, sources: Sequence[int], scratch: KernelScratch = None
     ) -> List[array]:
         """Run the single-source parent kernel per source, sharing one scratch."""
-        scratch = self._scratch(graph, scratch)
+        scratch = scratch if scratch is not None else KernelScratch(graph.n)
         return [bfs_parents_row(graph, source, scratch) for source in sources]
 
 
-def numpy_available() -> bool:
-    """Return ``True`` when the numpy lane could be resolved (probe only)."""
-    try:
-        import importlib.util
-
-        return importlib.util.find_spec("numpy") is not None
-    except (ImportError, ValueError):  # pragma: no cover - exotic finders
-        return False
+_LANE = ArrayBackend()
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Return the lane names resolvable right now (never raises)."""
-    if numpy_available():
-        return KNOWN_BACKENDS
-    return ("array",)
-
-
-#: Resolved singletons, one per lane (backends are stateless strategies).
-_INSTANCES: dict = {}
-
-
-def resolve_backend(name: Optional[str] = None) -> KernelBackend:
-    """Return the :class:`KernelBackend` singleton for ``name``.
-
-    ``None`` consults the ``REPRO_KERNEL_BACKEND`` environment variable
-    and defaults to ``"array"``; ``"auto"`` picks numpy when importable.
-    Unknown names raise :class:`~repro.exceptions.ValidationError`;
-    requesting ``"numpy"`` without numpy installed raises
-    :class:`~repro.exceptions.MissingDependencyError`.
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or "array"
-    if name == "auto":
-        name = "numpy" if numpy_available() else "array"
-    if name not in KNOWN_BACKENDS:
-        raise ValidationError(
-            f"unknown kernel backend {name!r}; known: "
-            f"{', '.join(KNOWN_BACKENDS)} (or 'auto')"
-        )
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    if name == "array":
-        instance = ArrayBackend()
-    else:
-        try:
-            from repro.kernels.np_lane import NumpyBackend
-        except ImportError:
-            raise MissingDependencyError(
-                "numpy", "the 'numpy' kernel backend"
-            ) from None
-        instance = NumpyBackend()
-    _INSTANCES[name] = instance
-    return instance
-
-
-def backend_name(backend: Optional[KernelBackend]) -> str:
-    """Return the lane name of ``backend``, resolving the default for ``None``."""
-    if backend is None:
-        backend = resolve_backend(None)
-    return backend.name
-
-
-def grouped_bfs_levels(
-    graph: IndexedGraph,
-    sources: Iterable[int],
-    scratch=None,
-    backend: Optional[KernelBackend] = None,
-) -> List[array]:
-    """Grouped distance rows through the active (or given) lane.
-
-    Backend-dispatching convenience over
-    :meth:`KernelBackend.grouped_bfs_levels`; the rows are byte-identical
-    whichever lane runs.  When ``scratch`` belongs to a different lane it
-    is ignored (each lane builds its own).
-    """
-    if backend is None:
-        backend = resolve_backend(None)
-    return backend.grouped_bfs_levels(graph, list(sources), scratch)
-
-
-def grouped_bfs_parents(
-    graph: IndexedGraph,
-    sources: Iterable[int],
-    scratch=None,
-    backend: Optional[KernelBackend] = None,
-) -> List[array]:
-    """Grouped parent rows through the active (or given) lane."""
-    if backend is None:
-        backend = resolve_backend(None)
-    return backend.grouped_bfs_parents(graph, list(sources), scratch)
+def resolve_backend(name: None = None) -> ArrayBackend:
+    """Return the single :class:`ArrayBackend` instance (``name`` must be ``None``)."""
+    if name is not None:
+        raise TypeError("resolve_backend() takes no lane name since 3.0.0")
+    return _LANE

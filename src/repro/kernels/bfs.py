@@ -1,4 +1,4 @@
-"""Batched BFS kernels over the CSR arrays of :class:`~repro.graphs.indexed.IndexedGraph`.
+"""BFS kernels over the CSR arrays of :class:`~repro.graphs.indexed.IndexedGraph`.
 
 The engine's per-query cost on warm schemas is dominated by breadth-first
 searches: the metric closure of the KMB heuristic, the shortest-path seed
@@ -11,13 +11,9 @@ are implemented for the indexed backend:
   values (including the discovery-order parent tie-breaks) as
   :meth:`~repro.graphs.indexed.IndexedGraph.bfs_levels` and
   :meth:`~repro.graphs.indexed.IndexedGraph.bfs_parents`;
-* :func:`grouped_bfs_levels` / :func:`grouped_bfs_parents` -- the grouped
-  (multi-source) entry points: one call fills one row per source, sharing
-  a :class:`KernelScratch` so the per-call allocation churn (fresh
-  ``[-1] * n`` lists, deque objects) disappears;
-* :class:`KernelScratch` -- the reusable per-graph scratch state
-  (a ``-1``-filled template the rows are memcpy'd from, and the frontier
-  lists the level-synchronous loop swaps between).
+* :class:`KernelScratch` -- the reusable per-graph scratch state (a
+  ``-1``-filled template the rows are memcpy'd from), shared across the
+  calls of one caller so the per-call ``[-1] * n`` list build disappears.
 
 A note on speed, recorded here so nobody re-learns it the hard way: a
 *dense* distance row over ``n`` vertices requires one interpreted write
@@ -35,7 +31,7 @@ The benchmarks in ``benchmarks/bench_kernels.py`` quantify both.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.graphs.indexed import IndexedGraph
 
@@ -123,35 +119,6 @@ def bfs_parents_row(
                     push(neighbor)
         frontier = nxt
     return parents
-
-
-def grouped_bfs_levels(
-    graph: IndexedGraph,
-    sources: Iterable[int],
-    scratch: KernelScratch = None,
-) -> List[array]:
-    """Fill one BFS distance row per source, sharing one scratch.
-
-    The grouped form is the kernel layer's batch entry point: callers
-    with many sources (the shortest-path heuristic's terminal rows, the
-    oracle's prefill pass) pay the scratch setup once and get
-    ``array('i')`` rows whose values match per-source
-    :meth:`~repro.graphs.indexed.IndexedGraph.bfs_levels` calls exactly.
-    """
-    if scratch is None:
-        scratch = KernelScratch(graph.n)
-    return [bfs_levels_row(graph, source, scratch) for source in sources]
-
-
-def grouped_bfs_parents(
-    graph: IndexedGraph,
-    sources: Iterable[int],
-    scratch: KernelScratch = None,
-) -> List[array]:
-    """Fill one BFS parent row per source, sharing one scratch."""
-    if scratch is None:
-        scratch = KernelScratch(graph.n)
-    return [bfs_parents_row(graph, source, scratch) for source in sources]
 
 
 def levels_to_dict(row: Sequence[int], labels: Sequence) -> dict:

@@ -4,7 +4,9 @@ A schema serves streams of queries whose terminal sets overlap heavily;
 every one of them used to re-run single-source BFS from each terminal.
 :class:`DistanceOracle` ends that: it is a per-schema-context LRU of
 distance and parent rows (flat ``array('i')``, produced by the kernels in
-:mod:`repro.kernels.bfs`) keyed by source id.  Because a
+:mod:`repro.kernels.bfs` through the lane object of
+:mod:`repro.kernels.backend`, so a profiler wrapping the lane's methods
+sees every fill) keyed by source id.  Because a
 :class:`~repro.engine.cache.SchemaContext` snapshots one immutable
 structure per ``mutation_version``, a row cached here can never be stale
 within its context -- the effective cache key is ``(source,
@@ -36,7 +38,8 @@ from collections import OrderedDict
 from typing import Iterable, List, Optional, Set
 
 from repro.graphs.indexed import IndexedGraph
-from repro.kernels.backend import KernelBackend, resolve_backend
+from repro.kernels.backend import resolve_backend
+from repro.kernels.bfs import KernelScratch
 
 
 class OracleStats:
@@ -99,11 +102,6 @@ class DistanceOracle:
     maxsize:
         Maximum number of *sources* kept (each source holds its distance
         row and, when requested, its parent row).
-    backend:
-        The :class:`~repro.kernels.backend.KernelBackend` lane producing
-        the rows; ``None`` resolves the process default
-        (``REPRO_KERNEL_BACKEND`` or the ``array`` lane).  Rows are
-        byte-identical whichever lane runs.
     memory_budget_bytes:
         Optional hard bound on the bytes held by cached rows.  Each
         materialised row costs ``4 * n`` bytes; when an insert pushes
@@ -128,7 +126,6 @@ class DistanceOracle:
         "indexed",
         "stats",
         "maxsize",
-        "backend",
         "memory_budget_bytes",
         "scratch",
         "_rows",
@@ -141,7 +138,6 @@ class DistanceOracle:
         indexed: IndexedGraph,
         stats: Optional[OracleStats] = None,
         maxsize: int = 1024,
-        backend: Optional[KernelBackend] = None,
         memory_budget_bytes: Optional[int] = None,
     ) -> None:
         if maxsize < 1:
@@ -151,9 +147,8 @@ class DistanceOracle:
         self.indexed = indexed
         self.stats = stats if stats is not None else OracleStats()
         self.maxsize = maxsize
-        self.backend = backend if backend is not None else resolve_backend(None)
         self.memory_budget_bytes = memory_budget_bytes
-        self.scratch = self.backend.scratch(indexed)
+        self.scratch = KernelScratch(indexed.n)
         # source id -> [levels row | None, parents row | None]
         self._rows: "OrderedDict[int, List[Optional[array]]]" = OrderedDict()
         self._bytes = 0
@@ -169,7 +164,7 @@ class DistanceOracle:
             # a source entry may exist with only the other row kind
             # materialised; count hit/miss by the BFS actually saved
             self.stats.misses += 1
-            entry[0] = self.backend.bfs_levels_row(self.indexed, source, self.scratch)
+            entry[0] = resolve_backend().bfs_levels_row(self.indexed, source, self.scratch)
             self._bytes += _row_bytes(entry[0])
             self._enforce_budget()
         else:
@@ -187,54 +182,12 @@ class DistanceOracle:
         entry = self._entry(source)
         if entry[1] is None:
             self.stats.misses += 1
-            entry[1] = self.backend.bfs_parents_row(self.indexed, source, self.scratch)
+            entry[1] = resolve_backend().bfs_parents_row(self.indexed, source, self.scratch)
             self._bytes += _row_bytes(entry[1])
             self._enforce_budget()
         else:
             self.stats.hits += 1
         return entry[1]
-
-    def ensure(self, sources: Iterable[int], parents: bool = False) -> None:
-        """Grouped prefill: materialise rows for every source in one batch.
-
-        Missing rows are produced by the active lane's *grouped* kernel --
-        on the numpy lane that is one batched multi-source traversal, not
-        a per-source loop.  Unknown / out-of-range ids are ignored (the
-        solvers raise their own typed errors later).
-        """
-        n = self.indexed.n
-        kind = 1 if parents else 0
-        missing: List[int] = []
-        pending = set()
-        for source in sources:
-            if not (isinstance(source, int) and 0 <= source < n):
-                continue
-            if source in pending:
-                continue
-            entry = self._rows.get(source)
-            if entry is not None and entry[kind] is not None:
-                self._rows.move_to_end(source)
-                self.stats.hits += 1
-            else:
-                pending.add(source)
-                missing.append(source)
-        if not missing:
-            return
-        if parents:
-            produced = self.backend.grouped_bfs_parents(
-                self.indexed, missing, self.scratch
-            )
-        else:
-            produced = self.backend.grouped_bfs_levels(
-                self.indexed, missing, self.scratch
-            )
-        for source, row in zip(missing, produced):
-            self.stats.misses += 1
-            entry = self._entry(source)
-            if entry[kind] is None:
-                entry[kind] = row
-                self._bytes += _row_bytes(row)
-        self._enforce_budget()
 
     def bytes_held(self) -> int:
         """Return the bytes currently held by cached rows (both kinds)."""
@@ -330,7 +283,6 @@ class DistanceOracle:
             new_indexed,
             stats=self.stats,
             maxsize=self.maxsize,
-            backend=self.backend,
             memory_budget_bytes=self.memory_budget_bytes,
         )
         labels = self.component_labels()
@@ -357,5 +309,4 @@ class DistanceOracle:
         data["rows"] = len(self._rows)
         data["bytes"] = self._bytes
         data["memory_budget_bytes"] = self.memory_budget_bytes
-        data["backend"] = self.backend.name
         return data

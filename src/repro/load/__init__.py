@@ -31,7 +31,7 @@ This package is the other half of the measurement story:
 * :mod:`~repro.load.soak` -- N cycles of churn+query+enumerate traffic
   with resource probes sampled between cycles
   (:class:`~repro.load.soak.SoakMonitor`), flagging monotonic growth in
-  shm segments, oracle rows, schema contexts, or disk-cache bytes;
+  oracle rows, schema contexts, or disk-cache bytes;
 * :func:`~repro.load.runner.run_load` -- the orchestrator behind
   ``python -m repro load`` (see ``docs/load.md``);
 * :mod:`~repro.load.chaos` -- chaos mode (``python -m repro load

@@ -94,7 +94,6 @@ SMOKE_SPEC: dict = {
         "cycles": 3,
         "queries_per_cycle": 4,
         "edits_per_cycle": 1,
-        "workers": 0,
         "warmup": 1,
     },
 }
@@ -160,7 +159,6 @@ TEMPLATE: dict = {
         "cycles": 6,
         "queries_per_cycle": 8,
         "edits_per_cycle": 2,
-        "workers": 0,
         "warmup": 2,
         "allowed_growth": {"disk_bytes": 0},
     },

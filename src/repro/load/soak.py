@@ -1,13 +1,11 @@
 """Soak mode: repeated churn+query cycles with resource-leak detection.
 
 A load burst shows tail latency; what kills a long-lived service is the
-slow leak -- a cache keyed on something that never repeats, a shared
-memory segment nobody unlinks, an oracle that survives invalidation.
-:func:`run_soak` runs ``cycles`` rounds of the full write/read surface
-(grow-and-prune schema churn through
-:class:`~repro.dynamic.editor.SchemaEditor`, connection queries, paged
-enumeration, optionally a parallel batch through
-:class:`~repro.runtime.parallel.ParallelExecutor`) against one
+slow leak -- a cache keyed on something that never repeats, a store
+nobody prunes, an oracle that survives invalidation.  :func:`run_soak`
+runs ``cycles`` rounds of the full write/read surface (grow-and-prune
+schema churn through :class:`~repro.dynamic.editor.SchemaEditor`,
+connection queries, paged enumeration) against one
 :class:`~repro.api.service.ConnectionService`, sampling **resource
 probes** once per cycle:
 
@@ -16,8 +14,6 @@ probes** once per cycle:
                      objects (:meth:`ConnectionService.resource_stats`).
 ``oracle_rows``      BFS rows held across the cached distance oracles.
 ``disk_bytes``       Bytes in the persistent result store.
-``shm_segments``     Parent-owned shared-memory segments (only sampled
-                     when ``workers > 0``).
 =================  ====================================================
 
 Each churn edit is a *grow-then-prune* pair inside the cycle, so the
@@ -190,7 +186,6 @@ def run_soak(
     rng = random.Random(seed)
     tenant = spec.tenants[0]
     graph = tenant.build_schema()
-    executor = None
     with tempfile.TemporaryDirectory(prefix="repro-soak-") as cache_dir:
         service = ConnectionService(
             schema=graph,
@@ -198,69 +193,48 @@ def run_soak(
                 cache_dir=cache_dir, metrics=MetricsRegistry()
             ),
         )
-        try:
-            if soak.workers > 0:
-                from repro.runtime.parallel import ParallelExecutor
-
-                executor = ParallelExecutor(soak.workers, service=service)
-            if probes_override is not None:
-                probes = dict(probes_override)
-            else:
-                probes = {
-                    "schema_contexts": lambda: service.resource_stats()[
-                        "schema_contexts"
-                    ],
-                    "oracle_rows": lambda: service.resource_stats()[
-                        "oracle_rows"
-                    ],
-                    "disk_bytes": lambda: service.resource_stats()[
-                        "disk_bytes"
-                    ],
-                }
-                if executor is not None:
-                    probes["shm_segments"] = lambda: len(
-                        executor.active_segments()
-                    )
-            monitor = SoakMonitor(
-                probes,
-                allowed_growth=soak.allowed_growth,
-                warmup=soak.warmup,
-            )
-            # fixed per-run traffic, repeated every cycle: a steady-state
-            # workload revisits the same schema states and request keys,
-            # so every held resource must plateau (fresh keys per cycle
-            # would make content-addressed stores grow by design)
-            anchors = [
-                rng.choice(graph.sorted_vertices())
-                for _ in range(soak.edits_per_cycle)
-            ]
-            queries = [
-                random_terminals(graph, soak.terminals, rng=rng)
-                for _ in range(soak.queries_per_cycle)
-            ]
-            for _cycle in range(soak.cycles):
-                _churn(service, graph, anchors)
-                if executor is not None:
-                    executor.batch(queries)
-                else:
-                    service.batch(queries)
-                stream = service.enumerate(
-                    queries[0], budget=soak.enumerate_budget
-                )
-                stream.take(soak.enumerate_budget)
-                monitor.sample()
-            return SoakReport(
-                cycles=soak.cycles,
-                samples=tuple(
-                    (name, tuple(values))
-                    for name, values in sorted(monitor.samples.items())
-                ),
-                leaks=tuple(monitor.leaks()),
-                cache_stats=tuple(sorted(_flatten(service.cache_stats()))),
-            )
-        finally:
-            if executor is not None:
-                executor.close()
+        if probes_override is not None:
+            probes = dict(probes_override)
+        else:
+            probes = {
+                "schema_contexts": lambda: service.resource_stats()[
+                    "schema_contexts"
+                ],
+                "oracle_rows": lambda: service.resource_stats()["oracle_rows"],
+                "disk_bytes": lambda: service.resource_stats()["disk_bytes"],
+            }
+        monitor = SoakMonitor(
+            probes,
+            allowed_growth=soak.allowed_growth,
+            warmup=soak.warmup,
+        )
+        # fixed per-run traffic, repeated every cycle: a steady-state
+        # workload revisits the same schema states and request keys, so
+        # every held resource must plateau (fresh keys per cycle would
+        # make content-addressed stores grow by design)
+        anchors = [
+            rng.choice(graph.sorted_vertices())
+            for _ in range(soak.edits_per_cycle)
+        ]
+        queries = [
+            random_terminals(graph, soak.terminals, rng=rng)
+            for _ in range(soak.queries_per_cycle)
+        ]
+        for _cycle in range(soak.cycles):
+            _churn(service, graph, anchors)
+            service.batch(queries)
+            stream = service.enumerate(queries[0], budget=soak.enumerate_budget)
+            stream.take(soak.enumerate_budget)
+            monitor.sample()
+        return SoakReport(
+            cycles=soak.cycles,
+            samples=tuple(
+                (name, tuple(values))
+                for name, values in sorted(monitor.samples.items())
+            ),
+            leaks=tuple(monitor.leaks()),
+            cache_stats=tuple(sorted(_flatten(service.cache_stats()))),
+        )
 
 
 def _flatten(stats: dict, prefix: str = "") -> List[Tuple[str, object]]:

@@ -33,8 +33,8 @@ Spec shape (see ``docs/load.md`` for the full schema)::
                  "error_rates": {"internal": 0.0},
                  "min_achieved_fraction": 0.05},
      "soak": {"cycles": 4, "queries_per_cycle": 6,
-              "edits_per_cycle": 1, "workers": 0,
-              "allowed_growth": {"shm_segments": 0}}}
+              "edits_per_cycle": 1,
+              "allowed_growth": {"oracle_rows": 0}}}
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ PROFILE_OPS = (
 QUANTILE_FIELDS = (("p50", 0.50), ("p99", 0.99), ("p999", 0.999))
 
 #: Resource probes a soak section may bound (see :mod:`repro.load.soak`).
-SOAK_PROBES = ("shm_segments", "oracle_rows", "schema_contexts", "disk_bytes")
+SOAK_PROBES = ("oracle_rows", "schema_contexts", "disk_bytes")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -302,9 +302,6 @@ class SoakSpec:
         pair, so the schema returns to its starting structure each
         cycle -- a correctly behaving stack reaches a resource plateau,
         and anything that keeps climbing is a leak.
-    workers:
-        Process-pool width for the per-cycle parallel batch (``0``
-        skips the pool and the ``shm_segments`` probe).
     warmup:
         Samples ignored before growth is measured (caches legitimately
         fill during the first cycles).
@@ -320,7 +317,6 @@ class SoakSpec:
     edits_per_cycle: int = 1
     enumerate_budget: int = 2
     terminals: int = 3
-    workers: int = 0
     warmup: int = 1
     allowed_growth: Tuple[Tuple[str, float], ...] = ()
     seed: Optional[int] = None
@@ -331,7 +327,6 @@ class SoakSpec:
         _require(self.edits_per_cycle >= 0, "soak edits_per_cycle must be >= 0")
         _require(self.enumerate_budget >= 1, "soak enumerate_budget must be >= 1")
         _require(self.terminals >= 1, "soak terminals must be >= 1")
-        _require(self.workers >= 0, "soak workers must be >= 0")
         _require(0 <= self.warmup < self.cycles, "soak warmup must be < cycles")
         for probe, allowance in self.allowed_growth:
             _require(
@@ -348,7 +343,6 @@ class SoakSpec:
             "edits_per_cycle": self.edits_per_cycle,
             "enumerate_budget": self.enumerate_budget,
             "terminals": self.terminals,
-            "workers": self.workers,
             "warmup": self.warmup,
         }
         if self.allowed_growth:
@@ -516,7 +510,7 @@ class LoadSpec:
                 soak_data,
                 (
                     "cycles", "queries_per_cycle", "edits_per_cycle",
-                    "enumerate_budget", "terminals", "workers", "warmup",
+                    "enumerate_budget", "terminals", "warmup",
                     "allowed_growth", "seed",
                 ),
                 "soak",
@@ -531,7 +525,6 @@ class LoadSpec:
                 edits_per_cycle=int(soak_data.get("edits_per_cycle", 1)),
                 enumerate_budget=int(soak_data.get("enumerate_budget", 2)),
                 terminals=int(soak_data.get("terminals", 3)),
-                workers=int(soak_data.get("workers", 0)),
                 warmup=int(soak_data.get("warmup", 1)),
                 allowed_growth=tuple(
                     (probe, float(value)) for probe, value in sorted(growth.items())

@@ -18,16 +18,13 @@ from repro.metrics.instruments import (
     format_value,
 )
 from repro.metrics.registry import (
-    SNAPSHOT_VERSION,
     MetricsRegistry,
     NullRegistry,
     default_metrics,
-    snapshot_delta,
 )
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
-    "SNAPSHOT_VERSION",
     "Counter",
     "Gauge",
     "Histogram",
@@ -36,5 +33,4 @@ __all__ = [
     "default_metrics",
     "escape_label_value",
     "format_value",
-    "snapshot_delta",
 ]

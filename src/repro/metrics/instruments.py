@@ -19,8 +19,7 @@ suite pins on random workloads.
 
 Everything here is zero-dependency and, like the engine's LRU caches,
 single-threaded by contract: collection sites and scrapes run on the
-service's thread (pool *workers* keep their own registries and never
-share instruments across processes).
+service's thread.
 """
 
 from __future__ import annotations
@@ -137,53 +136,6 @@ class MetricFamily:
             )
         return self._children[()]
 
-    def _child_for_key(self, key: Sequence[str]):
-        """Return (creating on first use) the child for a raw label-value key.
-
-        The merge-side twin of :meth:`labels`: snapshots carry the key as
-        a plain value tuple, so merging must not round-trip through
-        keyword arguments (label *names* may legally collide with Python
-        keywords).
-        """
-        values = tuple(str(value) for value in key)
-        if len(values) != len(self.labelnames):
-            raise ValidationError(
-                f"metric {self.name!r} takes {len(self.labelnames)} label "
-                f"value(s), snapshot child key has {len(values)}"
-            )
-        child = self._children.get(values)
-        if child is None:
-            child = self._new_child()
-            self._children[values] = child
-        return child
-
-    # ------------------------------------------------------------------
-    # snapshot / merge (cross-process metric transport)
-    # ------------------------------------------------------------------
-    def _child_state(self, child):
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def _merge_child_state(self, child, state) -> None:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def snapshot(self) -> dict:
-        """Return this family's picklable state (see ``MetricsRegistry.snapshot``)."""
-        record = {
-            "name": self.name,
-            "kind": self.kind,
-            "help": self.help,
-            "labelnames": list(self.labelnames),
-            "children": [
-                [list(key), self._child_state(child)]
-                for key, child in self.children()
-            ],
-        }
-        return record
-
-    def merge_child(self, key: Sequence[str], state) -> None:
-        """Fold one snapshotted child's state into this family."""
-        self._merge_child_state(self._child_for_key(key), state)
-
 
 class CounterChild:
     """A monotonically increasing count for one label combination."""
@@ -209,14 +161,6 @@ class Counter(MetricFamily):
     def _new_child(self) -> CounterChild:
         """Return a fresh zeroed child."""
         return CounterChild()
-
-    def _child_state(self, child: CounterChild) -> float:
-        """A counter child's state is its count."""
-        return child.value
-
-    def _merge_child_state(self, child: CounterChild, state) -> None:
-        """Counters merge additively (a worker's count joins the parent's)."""
-        child.inc(float(state))
 
     def inc(self, amount: float = 1.0) -> None:
         """Increment the implicit child of an unlabeled counter."""
@@ -258,14 +202,6 @@ class Gauge(MetricFamily):
     def _new_child(self) -> GaugeChild:
         """Return a fresh zeroed child."""
         return GaugeChild()
-
-    def _child_state(self, child: GaugeChild) -> float:
-        """A gauge child's state is its current value."""
-        return child.value
-
-    def _merge_child_state(self, child: GaugeChild, state) -> None:
-        """Gauges merge last-writer-wins (a snapshot *is* a point-in-time set)."""
-        child.set(float(state))
 
     def set(self, value: float) -> None:
         """Set the implicit child of an unlabeled gauge."""
@@ -380,40 +316,6 @@ class Histogram(MetricFamily):
     def _new_child(self) -> HistogramChild:
         """Return a fresh child sharing this family's bucket edges."""
         return HistogramChild(self._buckets)
-
-    def snapshot(self) -> dict:
-        """Family state plus the bucket edges (receivers must agree on them)."""
-        record = super().snapshot()
-        record["buckets"] = list(self._buckets)
-        return record
-
-    def _child_state(self, child: HistogramChild) -> dict:
-        """A histogram child's state: per-bucket counts plus the scalars."""
-        return {
-            "counts": list(child.counts),
-            "sum": child.sum,
-            "count": child.count,
-            "min": child.min,
-            "max": child.max,
-        }
-
-    def _merge_child_state(self, child: HistogramChild, state) -> None:
-        """Histograms merge additively; ``None`` min/max (deltas) contribute nothing."""
-        counts = state["counts"]
-        if len(counts) != len(child.counts):
-            raise ValidationError(
-                f"histogram {self.name!r}: snapshot has {len(counts)} bucket "
-                f"count(s), this family has {len(child.counts)} -- bucket "
-                "edges must agree between producer and receiver"
-            )
-        for position, count in enumerate(counts):
-            child.counts[position] += count
-        child.sum += state["sum"]
-        child.count += state["count"]
-        if state["min"] is not None and (child.min is None or state["min"] < child.min):
-            child.min = state["min"]
-        if state["max"] is not None and (child.max is None or state["max"] > child.max):
-            child.max = state["max"]
 
     @property
     def bucket_edges(self) -> Tuple[float, ...]:

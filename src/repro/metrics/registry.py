@@ -4,12 +4,11 @@ A :class:`MetricsRegistry` owns a namespace of instrument families
 (get-or-create by name, so every component naming the same metric shares
 one family) plus a set of *snapshot collectors*: callbacks run at
 :meth:`MetricsRegistry.render_text` time that copy existing plain-int
-counters -- ``cache_stats()``, :class:`~repro.kernels.oracle.OracleStats`,
-shared-memory segment inventories -- into gauges, the MAAS pattern of
-keeping metric definitions separate from collection sites so everything
-is testable without a live scrape.  Collectors registered from bound
+counters -- ``cache_stats()``, :class:`~repro.kernels.oracle.OracleStats`
+-- into gauges, the MAAS pattern of keeping metric definitions separate
+from collection sites so everything is testable without a live scrape.  Collectors registered from bound
 methods are held through :class:`weakref.WeakMethod`, so instrumented
-objects (services, executors) stay garbage-collectable; a dead collector
+objects (services, servers) stay garbage-collectable; a dead collector
 is silently pruned at the next render.
 
 :func:`default_metrics` returns the process-wide registry every
@@ -42,11 +41,6 @@ from repro.metrics.instruments import (
     format_value,
 )
 
-
-#: Version stamp on registry snapshots; mismatched snapshots are ignored
-#: on merge, so mixed-version parent/worker pairs degrade to "no worker
-#: metrics" instead of corrupting the parent registry.
-SNAPSHOT_VERSION = 1
 
 
 class MetricsRegistry:
@@ -111,63 +105,6 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         """True when a family with this name has been declared."""
         return name in self._families
-
-    # ------------------------------------------------------------------
-    # cross-process transport: snapshot / merge
-    # ------------------------------------------------------------------
-    def snapshot(self, kinds: Optional[Iterable[str]] = None) -> dict:
-        """Return a picklable snapshot of the registry's instrument state.
-
-        ``kinds`` optionally restricts the snapshot to some instrument
-        kinds (``"counter"`` / ``"gauge"`` / ``"histogram"``) -- the shard
-        envelope ships only counters and histograms, because those merge
-        additively; point-in-time gauges from a dead worker are noise.
-        Snapshot collectors do **not** run: a snapshot is the raw
-        instrument state, cheap enough for a worker's result envelope.
-        """
-        wanted = None if kinds is None else set(kinds)
-        return {
-            "v": SNAPSHOT_VERSION,
-            "families": [
-                family.snapshot()
-                for family in self._families.values()
-                if wanted is None or family.kind in wanted
-            ],
-        }
-
-    def merge_snapshot(self, snapshot: Optional[dict]) -> None:
-        """Fold a :meth:`snapshot` (or :func:`snapshot_delta`) into this registry.
-
-        Families are get-or-created with the snapshot's declaration
-        (name, help, labels, buckets), so merging works even before the
-        receiver has declared the instrument itself.  Counters and
-        histograms merge additively; gauges are set.  ``None`` and
-        version-mismatched snapshots are ignored -- shipping metrics is
-        best-effort and must never take the serving path down.
-        """
-        if not isinstance(snapshot, dict) or snapshot.get("v") != SNAPSHOT_VERSION:
-            return
-        for record in snapshot.get("families", ()):
-            kind = record.get("kind")
-            if kind == "counter":
-                family = self.counter(
-                    record["name"], record.get("help", ""), record["labelnames"]
-                )
-            elif kind == "gauge":
-                family = self.gauge(
-                    record["name"], record.get("help", ""), record["labelnames"]
-                )
-            elif kind == "histogram":
-                family = self.histogram(
-                    record["name"],
-                    record.get("help", ""),
-                    record["labelnames"],
-                    buckets=record.get("buckets"),
-                )
-            else:
-                continue
-            for key, state in record.get("children", ()):
-                family.merge_child(key, state)
 
     # ------------------------------------------------------------------
     # snapshot collectors
@@ -334,71 +271,9 @@ class NullRegistry(MetricsRegistry):
     def register_collector(self, collector: Callable[[], None]) -> None:
         """Discard the collector (nothing will ever render)."""
 
-    def snapshot(self, kinds: Optional[Iterable[str]] = None) -> dict:
-        """A no-op registry has no state to ship."""
-        return {"v": SNAPSHOT_VERSION, "families": []}
-
-    def merge_snapshot(self, snapshot: Optional[dict]) -> None:
-        """Discard the snapshot (its no-op instruments cannot hold it)."""
-
     def render_text(self) -> str:
         """A no-op registry exposes nothing."""
         return ""
-
-
-def snapshot_delta(after: dict, before: dict) -> dict:
-    """Return the additive difference between two registry snapshots.
-
-    The shard-envelope primitive: a pool worker's service registry is
-    long-lived (workers are reused across batches), so shipping its raw
-    state would double-count everything already shipped.  The worker
-    snapshots its registry before and after one batch and sends only the
-    difference.  Counters keep their value delta; histograms keep the
-    per-bucket count deltas plus sum/count deltas with ``min``/``max``
-    cleared (extrema are not differentiable -- the merged parent histogram
-    simply keeps its own observed range).  Gauges and unchanged children
-    are dropped; families left with no children are dropped too.
-    """
-    if (
-        not isinstance(after, dict)
-        or not isinstance(before, dict)
-        or after.get("v") != SNAPSHOT_VERSION
-        or before.get("v") != SNAPSHOT_VERSION
-    ):
-        return {"v": SNAPSHOT_VERSION, "families": []}
-    previous = {
-        record["name"]: {tuple(key): state for key, state in record["children"]}
-        for record in before.get("families", ())
-    }
-    families = []
-    for record in after.get("families", ()):
-        if record.get("kind") not in ("counter", "histogram"):
-            continue
-        baseline = previous.get(record["name"], {})
-        children = []
-        for key, state in record.get("children", ()):
-            prior = baseline.get(tuple(key))
-            if record["kind"] == "counter":
-                delta = float(state) - (float(prior) if prior is not None else 0.0)
-                if delta > 0:
-                    children.append([key, delta])
-            else:
-                prior_counts = prior["counts"] if prior is not None else None
-                delta_state = {
-                    "counts": [
-                        count - (prior_counts[position] if prior_counts else 0)
-                        for position, count in enumerate(state["counts"])
-                    ],
-                    "sum": state["sum"] - (prior["sum"] if prior is not None else 0.0),
-                    "count": state["count"] - (prior["count"] if prior is not None else 0),
-                    "min": None,
-                    "max": None,
-                }
-                if delta_state["count"] > 0:
-                    children.append([key, delta_state])
-        if children:
-            families.append({**record, "children": children})
-    return {"v": SNAPSHOT_VERSION, "families": families}
 
 
 _DEFAULT_REGISTRY: Optional[MetricsRegistry] = None

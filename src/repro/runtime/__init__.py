@@ -1,22 +1,16 @@
-"""`repro.runtime`: parallel execution and persistence for the service layer.
+"""`repro.runtime`: persistence and declarative workloads for the service layer.
 
-The runtime takes the engine/facade stack from single-process, in-memory
-execution to sharded-parallel, persistent operation:
-
-* :class:`~repro.runtime.parallel.ParallelExecutor` shards
-  :meth:`~repro.api.service.ConnectionService.batch` traffic across a
-  process pool with a deterministic, provenance-preserving merge;
 * :class:`~repro.runtime.diskcache.DiskCache` persists classification
   reports and connection results across processes (opt-in via
   ``ServiceConfig(cache_dir=...)``);
 * :class:`~repro.runtime.workload.WorkloadSpec` /
   :func:`~repro.runtime.workload.run_workload` describe and execute whole
-  workloads (serial vs parallel, cold vs warm), reported by
+  workloads (cold vs warm, in memory vs disk, static vs churn), reported by
   :class:`~repro.runtime.workload.WorkloadReport`;
 * ``python -m repro run`` (:mod:`repro.runtime.cli`) is the command-line
   face of it all.
 
-See ``docs/runtime.md`` for the caching/parallelism guide.
+See ``docs/runtime.md`` for the caching guide.
 """
 
 from repro.runtime.codec import (
@@ -27,7 +21,6 @@ from repro.runtime.codec import (
     request_key,
 )
 from repro.runtime.diskcache import FORMAT_VERSION, DiskCache
-from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.workload import (
     GENERATORS,
     PhaseResult,
@@ -43,7 +36,6 @@ __all__ = [
     "FORMAT_VERSION",
     "GENERATORS",
     "PAYLOAD_VERSION",
-    "ParallelExecutor",
     "PayloadError",
     "PhaseResult",
     "QueryMix",

@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro run <spec.json>``.
 
 The CLI executes a :class:`~repro.runtime.workload.WorkloadSpec` through
-the full phase matrix -- serial cold, serial warm, parallel, (with
+the full phase matrix -- serial cold, serial warm, (with
 ``--cache-dir``) disk-populate and disk-warm, and (with a ``churn`` mix
 in the spec) the schema-evolution phases churn-incremental and
 churn-oracle -- prints a human-readable summary, and optionally writes
@@ -13,7 +13,7 @@ oracle answers").
 
 Subcommands::
 
-    python -m repro run spec.json --workers 4 --cache-dir .repro-cache
+    python -m repro run spec.json --cache-dir .repro-cache
     python -m repro spec-template          # print a starter spec
     python -m repro serve --port 7463      # multi-tenant connection server
     python -m repro load --smoke           # open-loop load & soak harness
@@ -31,7 +31,7 @@ already run, and ``--in-process`` skips sockets entirely.  The exit
 code follows the report verdict -- 0 when every budget held and the
 verify checksum matched, 1 otherwise, 2 for an invalid spec.
 
-See ``docs/runtime.md`` for the caching/parallelism guide.
+See ``docs/runtime.md`` for the caching guide.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ TEMPLATE = {
     "schema": {"generator": "random_62_chordal_graph",
                "params": {"blocks": 170, "rng": 1985}},
     "queries": [{"count": 2000, "terminals": 3, "objective": "steiner", "seed": 7}],
-    "workers": 4,
-    "shard_size": None,
     "batch_size": None,
     "seed": 0,
     "churn": {"edits": 25, "queries_per_edit": 8, "terminals": 3,
@@ -69,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description=(
             "Run declarative minimal-connection workloads "
-            "(serial vs parallel, cold vs warm, optionally disk-cached)."
+            "(cold vs warm, optionally disk-cached)."
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -78,14 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="execute a workload spec and report phase timings"
     )
     run.add_argument("spec", help="path to a workload spec JSON file ('-' = stdin)")
-    run.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (overrides the spec; 1 = serial only)",
-    )
-    run.add_argument(
-        "--shard-size", type=int, default=None,
-        help="requests per dispatched shard (default: two shards per worker)",
-    )
     run.add_argument(
         "--cache-dir", default=None,
         help="enable the persistent result cache and run the disk phases",
@@ -212,23 +202,15 @@ def _print_summary(report: WorkloadReport) -> None:
     )
     print(f"queries   : {report.queries}")
     print()
-    print(f"{'phase':<18} {'workers':>7} {'seconds':>10} {'q/s':>10}")
+    print(f"{'phase':<18} {'seconds':>10} {'q/s':>10}")
     for phase in report.phases:
         rate = phase.queries / phase.seconds if phase.seconds > 0 else float("inf")
-        print(
-            f"{phase.name:<18} {phase.workers:>7} {phase.seconds:>10.3f} "
-            f"{rate:>10.1f}"
-        )
+        print(f"{phase.name:<18} {phase.seconds:>10.3f} {rate:>10.1f}")
     print()
-    if report.parallel_speedup is not None:
-        print(f"parallel speedup (serial-warm / parallel-warm): "
-              f"{report.parallel_speedup:.2f}x")
     if report.disk_warm_ratio is not None:
-        print(f"disk-warm / serial-warm ratio                 : "
-              f"{report.disk_warm_ratio:.2f}")
+        print(f"disk-warm / serial-warm ratio       : {report.disk_warm_ratio:.2f}")
     if report.churn_speedup is not None:
-        print(f"churn speedup (oracle / incremental)          : "
-              f"{report.churn_speedup:.2f}x")
+        print(f"churn speedup (oracle / incremental): {report.churn_speedup:.2f}x")
     solvers = ", ".join(f"{name}={count}" for name, count in report.solver_histogram)
     guarantees = ", ".join(
         f"{name}={count}" for name, count in report.guarantee_histogram
@@ -273,8 +255,6 @@ def _print_metrics(summary: dict) -> None:
             for outcome, count in sorted(summary["rebinds"].items())
         )
         print(f"  rebinds          : {outcomes}")
-    if "shards_dispatched" in summary:
-        print(f"  shards dispatched: {int(summary['shards_dispatched'])}")
     if "disk_replays" in summary:
         print(f"  disk replays     : {int(summary['disk_replays'])}")
 
@@ -429,8 +409,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec = _load_spec(args.spec)
         report = run_workload(
             spec,
-            workers=args.workers,
-            shard_size=args.shard_size,
             cache_dir=args.cache_dir,
             include_cold=not args.no_cold,
         )

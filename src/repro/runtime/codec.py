@@ -1,8 +1,7 @@
 """Result payloads and request keys: the runtime's wire/storage format.
 
-Both runtime transports -- process-pool workers shipping answers back to
-the parent (:mod:`repro.runtime.parallel`) and the persistent result store
-(:mod:`repro.runtime.diskcache`) -- need a representation of a
+The persistent result store (:mod:`repro.runtime.diskcache`) needs a
+representation of a
 :class:`~repro.api.result.ConnectionResult` that does not drag the whole
 schema graph along: a solution object references its host graph through
 :class:`~repro.steiner.problem.SteinerInstance`, so naively pickling a
@@ -168,7 +167,6 @@ def decode_result(
     *,
     graph: Graph,
     request: ConnectionRequest,
-    cache_hit: Optional[bool] = None,
     result_cache: Optional[str] = None,
 ) -> ConnectionResult:
     """Re-materialise a :class:`ConnectionResult` from a payload.
@@ -184,10 +182,6 @@ def decode_result(
         The receiver's request object; it becomes the result's ``request``
         and its ``tags`` are echoed into provenance, exactly as on the
         direct path.
-    cache_hit:
-        Optional override of the stored ``cache_hit`` flag.  The parallel
-        executor stamps the *parent's* schema-cache status here so merged
-        batches report the same provenance as a serial batch would.
     result_cache:
         Set to ``"disk"`` when replaying from the persistent store.
 
@@ -220,7 +214,7 @@ def decode_result(
             solver=stored["solver"],
             instance_class=stored["instance_class"],
             plan=stored["plan"],
-            cache_hit=stored["cache_hit"] if cache_hit is None else cache_hit,
+            cache_hit=stored["cache_hit"],
             fallback_from=stored["fallback_from"],
             wall_time_ms=stored["wall_time_ms"],
             tags=dict(request.tags),

@@ -3,13 +3,13 @@
 A :class:`WorkloadSpec` is a JSON-friendly description of a complete
 experiment: which schema to generate (generator name + parameters), what
 query traffic to run against it (one or more :class:`QueryMix` entries:
-count, terminals per query, objective, seeds), how to execute it
-(workers, shard size, batch size), and optionally a *churn* phase
+count, terminals per query, objective, seeds), how to page it (batch
+size), and optionally a *churn* phase
 (:class:`ChurnMix`): interleaved schema mutations and queries that
 exercise the incremental dynamic-schema machinery of ``repro.dynamic``.
 :func:`run_workload` executes a spec through every interesting
-configuration -- serial cold, serial warm, parallel, (with a cache
-directory) disk-populate and disk-warm, and (with a churn mix) the
+configuration -- serial cold, serial warm, (with a cache directory)
+disk-populate and disk-warm, and (with a churn mix) the
 mutation phases -- and returns a :class:`WorkloadReport` with per-phase
 wall times, speedups, a solver/guarantee histogram, and determinism
 checksums asserting that every phase of a group produced identical
@@ -26,7 +26,6 @@ Examples
 ...     "schema": {"generator": "random_62_chordal_graph",
 ...                "params": {"blocks": 4, "rng": 11}},
 ...     "queries": {"count": 6, "terminals": 3},
-...     "workers": 2,
 ... })
 >>> report = run_workload(spec)
 >>> report.queries, report.checksums_consistent
@@ -59,7 +58,6 @@ from repro.dynamic.editor import SchemaEditor
 from repro.exceptions import ValidationError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.metrics import MetricsRegistry, NullRegistry
-from repro.runtime.parallel import ParallelExecutor
 
 #: Schema generators a spec may name (an allowlist: specs are data, and
 #: data must not execute arbitrary callables).
@@ -187,8 +185,6 @@ class WorkloadSpec:
         "rng": 1985}``); must be JSON-representable.
     mixes:
         The query traffic, as a tuple of :class:`QueryMix`.
-    workers / shard_size:
-        Parallel-execution defaults (overridable per run).
     batch_size:
         Split the traffic into batches of this size (``None`` = one
         batch), modelling paged arrival of requests.
@@ -203,8 +199,6 @@ class WorkloadSpec:
     generator: str
     params: Tuple[Tuple[str, Any], ...]
     mixes: Tuple[QueryMix, ...]
-    workers: int = 1
-    shard_size: Optional[int] = None
     batch_size: Optional[int] = None
     seed: int = 0
     churn: Optional[ChurnMix] = None
@@ -225,10 +219,6 @@ class WorkloadSpec:
             ) from error
         if not self.mixes:
             raise ValidationError("a workload needs at least one query mix")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
-        if self.shard_size is not None and self.shard_size < 1:
-            raise ValidationError("shard_size must be >= 1 (or None)")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1 (or None)")
 
@@ -244,15 +234,11 @@ class WorkloadSpec:
             {"name": str,
              "schema": {"generator": str, "params": {...}},
              "queries": {...} | [{...}, ...],   # QueryMix fields
-             "workers": int, "shard_size": int|null,
              "batch_size": int|null, "seed": int}
         """
         if not isinstance(data, dict):
             raise ValidationError("a workload spec must be a JSON object")
-        unknown = set(data) - {
-            "name", "schema", "queries", "workers", "shard_size",
-            "batch_size", "seed", "churn",
-        }
+        unknown = set(data) - {"name", "schema", "queries", "batch_size", "seed", "churn"}
         if unknown:
             raise ValidationError(f"unknown spec field(s): {sorted(unknown)}")
         schema = data.get("schema")
@@ -299,8 +285,6 @@ class WorkloadSpec:
             generator=schema["generator"],
             params=tuple(sorted(params.items())),
             mixes=tuple(mixes),
-            workers=int(data.get("workers", 1)),
-            shard_size=data.get("shard_size"),
             batch_size=data.get("batch_size"),
             seed=int(data.get("seed", 0)),
             churn=churn,
@@ -330,8 +314,6 @@ class WorkloadSpec:
                 }
                 for mix in self.mixes
             ],
-            "workers": self.workers,
-            "shard_size": self.shard_size,
             "batch_size": self.batch_size,
             "seed": self.seed,
         }
@@ -385,7 +367,6 @@ class PhaseResult:
     name: str
     seconds: float
     queries: int
-    workers: int
     checksum: str
     group: str = "main"
 
@@ -395,7 +376,6 @@ class PhaseResult:
             "name": self.name,
             "seconds": round(self.seconds, 6),
             "queries": self.queries,
-            "workers": self.workers,
             "checksum": self.checksum,
             "group": self.group,
         }
@@ -408,10 +388,10 @@ class WorkloadReport:
     ``checksum`` is a digest over the canonical answers (trees, costs,
     guarantees, solvers -- no timings, no cache flags); every phase of a
     checksum group must reproduce its group's digest, and
-    ``checksums_consistent`` says whether they all did.  The speedup
-    fields compare warm phases only, so they measure the steady-state
-    effect of parallelism / persistence rather than the one-off
-    classification cost (which ``cold_seconds`` reports);
+    ``checksums_consistent`` says whether they all did.
+    ``disk_warm_ratio`` compares warm phases only, so it measures the
+    steady-state effect of persistence rather than the one-off
+    classification cost;
     ``churn_speedup`` compares the incremental churn phase against the
     fresh-context oracle (``None`` without churn or with
     ``verify=false``).
@@ -426,7 +406,6 @@ class WorkloadReport:
     checksums_consistent: bool
     solver_histogram: Tuple[Tuple[str, int], ...]
     guarantee_histogram: Tuple[Tuple[str, int], ...]
-    parallel_speedup: Optional[float] = None
     disk_warm_ratio: Optional[float] = None
     churn_speedup: Optional[float] = None
     cache_stats: dict = field(default_factory=dict)
@@ -451,7 +430,6 @@ class WorkloadReport:
             "checksums_consistent": self.checksums_consistent,
             "solver_histogram": dict(self.solver_histogram),
             "guarantee_histogram": dict(self.guarantee_histogram),
-            "parallel_speedup": self.parallel_speedup,
             "disk_warm_ratio": self.disk_warm_ratio,
             "churn_speedup": self.churn_speedup,
             "cache_stats": self.cache_stats,
@@ -470,8 +448,7 @@ def canonical_checksum(results: Sequence[ConnectionResult]) -> str:
 
     Covers terminals, objective, tree vertices and edges, cost, guarantee,
     rank, solver, instance class and plan reason; excludes wall times and
-    cache flags, which legitimately differ between cold/warm/parallel/disk
-    phases.  Two runs of the same workload must agree on this digest --
+    cache flags, which legitimately differ between cold/warm/disk phases.  Two runs of the same workload must agree on this digest --
     :func:`run_workload` asserts it across every phase.
     """
     hasher = hashlib.sha256()
@@ -480,9 +457,7 @@ def canonical_checksum(results: Sequence[ConnectionResult]) -> str:
         provenance = record.get("provenance", {})
         provenance.pop("cache_hit", None)
         provenance.pop("result_cache", None)
-        # the kernel lane is a run condition, not an answer: both lanes
-        # return byte-identical trees (the backend-differential suite
-        # pins it), so the stamp must not split the digest
+        # the kernel lane is a run condition, not an answer
         provenance.pop("backend", None)
         record["tree_vertices"] = sorted(repr(v) for v in result.tree.vertices())
         record["tree_edges"] = sorted(
@@ -616,8 +591,6 @@ def _run_batches(execute, requests: List[ConnectionRequest], batch_size: Optiona
 def run_workload(
     spec: WorkloadSpec,
     *,
-    workers: Optional[int] = None,
-    shard_size: Optional[int] = None,
     cache_dir: Optional[str] = None,
     include_cold: bool = True,
     base_config: Optional[ServiceConfig] = None,
@@ -629,26 +602,22 @@ def run_workload(
     1. ``serial-cold`` -- fresh service, empty caches: pays classification
        plus every solve (skipped with ``include_cold=False``).
     2. ``serial-warm`` -- same service again: the in-memory steady state.
-    3. ``parallel-warm`` -- a :class:`~repro.runtime.parallel.ParallelExecutor`
-       sharing the warm service, with the requested worker count.
-    4. ``disk-populate`` / ``disk-warm`` -- only with ``cache_dir``: a
+    3. ``disk-populate`` / ``disk-warm`` -- only with ``cache_dir``: a
        caching service computes-and-stores, then a *fresh* service replays
        everything from disk (no classification, no solving).
-    5. ``churn-incremental`` / ``churn-oracle`` -- only with a churn mix:
+    4. ``churn-incremental`` / ``churn-oracle`` -- only with a churn mix:
        interleaved mutation+query traffic answered by an incremental
        service, then (``verify=true``) replayed by a fresh-context oracle
        that fully rebuilds after every mutation.  The two churn phases
        answer mutated schemas, so they form their own checksum group.
 
     Every phase's answers are digested with :func:`canonical_checksum`;
-    the report flags any in-group disagreement.  ``parallel_speedup`` is
-    serial-warm over parallel-warm; ``disk_warm_ratio`` is disk-warm over
-    serial-warm (< 1 means the disk replay beats in-memory solving);
+    the report flags any in-group disagreement.  ``disk_warm_ratio`` is
+    disk-warm over serial-warm (< 1 means the disk replay beats in-memory
+    solving);
     ``churn_speedup`` is churn-oracle over churn-incremental (how much
     faster the incremental service keeps up with schema evolution).
     """
-    overridden_workers = workers if workers is not None else spec.workers
-    overridden_shard = shard_size if shard_size is not None else spec.shard_size
     config = base_config if base_config is not None else ServiceConfig()
     if config.metrics is None:
         # one per-run registry shared by every phase's services, so the
@@ -676,7 +645,7 @@ def run_workload(
         "repro_phases_total", "Workload phases executed.", ("group",)
     )
 
-    def record_phase(name, seconds, results, phase_workers=1, group="main"):
+    def record_phase(name, seconds, results, group="main"):
         phase_seconds.labels(phase=name).set(seconds)
         phase_queries.labels(phase=name).set(len(results))
         phases_total.labels(group=group).inc()
@@ -687,7 +656,6 @@ def run_workload(
                 name=name,
                 seconds=seconds,
                 queries=len(results),
-                workers=phase_workers,
                 checksum=checksum,
                 group=group,
             )
@@ -711,21 +679,6 @@ def run_workload(
         by_guarantee[result.guarantee.value] = (
             by_guarantee.get(result.guarantee.value, 0) + 1
         )
-
-    parallel_speedup = None
-    if overridden_workers > 1:
-        with ParallelExecutor(
-            overridden_workers, shard_size=overridden_shard, service=service
-        ) as executor:
-            started = perf_counter()
-            parallel = _run_batches(executor.batch, requests, spec.batch_size)
-            parallel_seconds = perf_counter() - started
-        record_phase(
-            "parallel-warm", parallel_seconds, parallel, overridden_workers
-        )
-        warm_phase = next(p for p in phases if p.name == "serial-warm")
-        if parallel_seconds > 0:
-            parallel_speedup = warm_phase.seconds / parallel_seconds
 
     disk_warm_ratio = None
     disk_stats = None
@@ -784,7 +737,7 @@ def run_workload(
         cache_stats["disk"] = disk_stats
 
     # rendering runs the snapshot collectors, so the exposition text and
-    # the condensed summary both see final cache/oracle/shm counters
+    # the condensed summary both see final cache/oracle counters
     metrics_text = registry.render_text()
     metrics_summary = _metrics_summary(registry, cache_stats)
 
@@ -800,7 +753,6 @@ def run_workload(
         ),
         solver_histogram=tuple(sorted(by_solver.items())),
         guarantee_histogram=tuple(sorted(by_guarantee.items())),
-        parallel_speedup=parallel_speedup,
         disk_warm_ratio=disk_warm_ratio,
         churn_speedup=churn_speedup,
         cache_stats=cache_stats,
@@ -845,9 +797,6 @@ def _metrics_summary(registry: MetricsRegistry, cache_stats: dict) -> dict:
         }
         if outcomes:
             summary["rebinds"] = outcomes
-    shards = registry.get("repro_shards_total")
-    if shards is not None and shards.value:
-        summary["shards_dispatched"] = shards.value
     replays = registry.get("repro_disk_replays_total")
     if replays is not None and replays.value:
         summary["disk_replays"] = replays.value

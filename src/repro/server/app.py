@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from repro.api.context import request_scope
 from repro.api.request import ConnectionRequest
@@ -143,6 +143,8 @@ class ReproServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._connections: Dict[asyncio.Task, _Connection] = {}
         self._tenant_locks: Dict[str, asyncio.Lock] = {}
+        # deadline-expired solves whose thread still runs (see _solve)
+        self._abandoned: Set[asyncio.Task] = set()
         self._streams: "Dict[str, dict]" = {}
         self._stream_seq = itertools.count(1)
         self._request_seq = itertools.count(1)
@@ -210,7 +212,9 @@ class ReproServer:
         Idempotent: concurrent calls all wait for the one drain.  Idle
         connections are closed immediately; busy ones get
         ``drain_grace`` seconds to finish their current command (each
-        read loop exits at its next frame boundary once draining).
+        read loop exits at its next frame boundary once draining), and
+        solves abandoned past their deadline get as long again to return
+        before the flush.
         Returns ``{"flushed": <classification reports stored>}``.
         """
         if self._draining:
@@ -229,6 +233,8 @@ class ReproServer:
             )
         for connection in self._connections.values():
             connection.writer.close()
+        if self._abandoned:
+            await asyncio.wait(set(self._abandoned), timeout=self._drain_grace)
         flushed = self._registry.flush()
         self._streams.clear()
         if self._http_server is not None:
@@ -338,14 +344,19 @@ class ReproServer:
         the returned provenance.
 
         With ``TenantLimits.deadline_ms`` set, the whole admitted span
-        (lock wait included) runs under :func:`asyncio.wait_for`; on
-        expiry the request is *abandoned* with a typed ``deadline``
-        envelope and ``repro_deadline_exceeded_total`` is incremented.
-        The worker thread may still finish its solve in the background
-        -- the deadline bounds the caller's wait, not the computation.
+        (lock wait included) runs as a task awaited with that timeout; on
+        expiry the caller gets a typed ``deadline`` envelope at once and
+        ``repro_deadline_exceeded_total`` is incremented.  A request
+        still waiting for the lock is cancelled.  One whose solve already
+        runs is *abandoned*: its thread finishes in the background, and
+        the task keeps the tenant's lock and inflight slot until it does,
+        so the tenant's next request cannot enter the same (not
+        thread-safe) service and LRU eviction cannot drop it.
+        :meth:`drain` waits for abandoned tasks.
         """
         self._registry.authenticate(tenant, token)
         record = self._registry.acquire(tenant)
+        handed_off = False
         try:
             deadline_ms = record.limits.deadline_ms
             injector = _FAULTS.injector
@@ -358,9 +369,12 @@ class ReproServer:
                     f"tenant {tenant!r}: fault-injected deadline expiry"
                 )
             service = self._registry.service(tenant)
+            solving = False
 
             async def admitted():
+                nonlocal solving
                 async with self._lock_for(tenant):
+                    solving = True
                     with request_scope(
                         request_id=f"req-{next(self._request_seq)}",
                         tenant=tenant,
@@ -369,18 +383,37 @@ class ReproServer:
 
             if deadline_ms is None:
                 return await admitted()
+            task = asyncio.ensure_future(admitted())
+
+            def settle(finished: asyncio.Task) -> None:
+                # the task owns the inflight slot from here on and gives it
+                # back however it ends; an abandoned answer has no reader,
+                # so its error is retrieved here
+                self._registry.release(tenant)
+                self._abandoned.discard(finished)
+                if not finished.cancelled():
+                    finished.exception()
+
+            task.add_done_callback(settle)
+            handed_off = True
+            done: Set[asyncio.Task] = set()
             try:
-                return await asyncio.wait_for(
-                    admitted(), timeout=deadline_ms / 1000.0
-                )
-            except asyncio.TimeoutError:
-                self._deadline_total.labels(tenant=tenant).inc()
-                raise DeadlineError(
-                    f"tenant {tenant!r}: request exceeded "
-                    f"deadline_ms={deadline_ms}"
-                ) from None
+                done, _ = await asyncio.wait({task}, timeout=deadline_ms / 1000.0)
+            finally:
+                if task not in done:
+                    if solving:
+                        self._abandoned.add(task)
+                    else:
+                        task.cancel()
+            if task in done:
+                return task.result()
+            self._deadline_total.labels(tenant=tenant).inc()
+            raise DeadlineError(
+                f"tenant {tenant!r}: request exceeded deadline_ms={deadline_ms}"
+            )
         finally:
-            self._registry.release(tenant)
+            if not handed_off:
+                self._registry.release(tenant)
 
     # ------------------------------------------------------------------
     # command handlers (one per COMMANDS entry)

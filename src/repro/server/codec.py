@@ -159,7 +159,7 @@ def encode_wire_result(result: ConnectionResult) -> dict:
     """Return the JSON-safe wire payload for one answered request.
 
     Built on :func:`~repro.runtime.codec.encode_result` (so provenance,
-    guarantee and the tree travel exactly as they do to pool workers)
+    guarantee and the tree travel exactly as they do to the disk cache)
     with every vertex label made JSON-safe, plus the request's terminals
     and objective so a schema-holding receiver can rebuild the full
     :class:`~repro.api.result.ConnectionResult` without out-of-band
@@ -194,8 +194,8 @@ def encode_wire_result(result: ConnectionResult) -> dict:
     payload["objective"] = result.request.objective
     # derived, but clients without the schema want it without decoding
     payload["cost"] = result.cost
-    # the runtime codec drops result_cache (pool workers re-stamp it on
-    # the receiving side); the wire is the final hop, so carry it through
+    # the runtime codec drops result_cache (a disk replay re-stamps it on
+    # the reading side); the wire is the final hop, so carry it through
     payload["provenance"] = dict(payload["provenance"])
     payload["provenance"]["result_cache"] = result.provenance.result_cache
     return payload

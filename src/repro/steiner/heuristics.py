@@ -19,8 +19,6 @@ graphs.
 
 from __future__ import annotations
 
-import warnings
-from math import inf
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import DisconnectedTerminalsError
@@ -46,22 +44,21 @@ from repro.steiner.problem import (
 
 
 def _terminal_distance_rows(graph: Graph, terminal_list) -> Dict[Vertex, Dict[Vertex, int]]:
-    """Return ``{terminal: {vertex: distance}}``, batched on the fast backend.
+    """Return ``{terminal: {vertex: distance}}``.
 
-    On an :class:`~repro.graphs.indexed.IndexedGraph` the rows come from
-    one grouped kernel call sharing a scratch buffer
-    (:func:`repro.kernels.bfs.grouped_bfs_levels`); the mappings are
-    value-identical to per-terminal :func:`bfs_distances` calls either
-    way.
+    On an :class:`~repro.graphs.indexed.IndexedGraph` each row comes from
+    :func:`repro.kernels.bfs.bfs_levels_row`, all of them sharing one
+    scratch buffer; the mappings are value-identical to per-terminal
+    :func:`bfs_distances` calls either way.
     """
     if is_indexed(graph):
-        from repro.kernels.bfs import grouped_bfs_levels, levels_to_dict
+        from repro.kernels.bfs import KernelScratch, bfs_levels_row, levels_to_dict
 
-        rows = grouped_bfs_levels(graph, terminal_list)
+        scratch = KernelScratch(graph.n)
         vertex_ids = range(graph.n)
         return {
-            terminal: levels_to_dict(row, vertex_ids)
-            for terminal, row in zip(terminal_list, rows)
+            terminal: levels_to_dict(bfs_levels_row(graph, terminal, scratch), vertex_ids)
+            for terminal in terminal_list
         }
     return {t: bfs_distances(graph, t) for t in terminal_list}
 
@@ -70,7 +67,7 @@ def shortest_path_heuristic(graph: Graph, terminals: Iterable[Vertex]) -> Steine
     """Takahashi-Matsuyama shortest-path heuristic (unit weights).
 
     Accepts either graph backend: the terminal distance rows are computed
-    once up front (through the grouped BFS kernel when ``graph`` is an
+    once up front (through the BFS kernel when ``graph`` is an
     :class:`~repro.graphs.indexed.IndexedGraph`; terminals are then ids)
     instead of once per attachment round -- the rows only depend on the
     host graph, so the produced tree is unchanged.
@@ -115,7 +112,6 @@ def shortest_path_heuristic(graph: Graph, terminals: Iterable[Vertex]) -> Steine
 def kou_markowsky_berman(
     graph: Graph,
     terminals: Iterable[Vertex],
-    distances: Optional[Dict[Vertex, Dict[Vertex, int]]] = None,
     *,
     indexed: Optional[IndexedGraph] = None,
     index: Optional[GraphIndex] = None,
@@ -137,12 +133,6 @@ def kou_markowsky_berman(
 
     Parameters
     ----------
-    distances:
-        Deprecated; removed in 3.0.0.  Precomputed BFS distances
-        ``terminal -> {vertex: distance}`` that replace the oracle's
-        distances between terminals in the metric closure (a missing
-        entry keeps the pair out of it).  Every other step still reads
-        the oracle, so they save no work.
     indexed, index:
         An indexed view of ``graph``, as
         :func:`~repro.graphs.indexed.to_indexed` returns it.  Built on the
@@ -154,14 +144,6 @@ def kou_markowsky_berman(
         rows (cached across calls).  Without one, a private oracle
         computes them.
     """
-    if distances is not None:
-        warnings.warn(
-            "kou_markowsky_berman(distances=...) is deprecated and will be "
-            "removed in 3.0.0; the metric closure comes from the distance "
-            "oracle (pass oracle= to share one)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     instance = SteinerInstance(graph, terminals)
     terminal_list = instance.terminal_list()
     if len(terminal_list) == 1:
@@ -186,13 +168,8 @@ def kou_markowsky_berman(
             "the terminals do not lie in a single connected component"
         )
     # 1. metric closure over the terminals
-    if distances is None:
-        rows += [oracle.levels(u) for u in ids[1:]]
-        closure = [[row[v] for v in ids] for row in rows]
-    else:
-        closure = [
-            [distances[labels[u]].get(labels[v], inf) for v in ids] for u in ids
-        ]
+    rows += [oracle.levels(u) for u in ids[1:]]
+    closure = [[row[v] for v in ids] for row in rows]
     # 2. minimum spanning tree of the closure (Prim): the least crossing
     #    (d, u, v) joins first, kept per outside terminal as (d, u)
     best = {j: (closure[0][j], 0) for j in range(1, len(ids))}

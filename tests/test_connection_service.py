@@ -395,16 +395,9 @@ class TestProvenance:
             stream.extend_budget(-1)
 
     def test_golden_provenance_record(self):
-        """One full provenance record, pinned byte-for-byte (sans timing).
-
-        The kernel lane is pinned to ``array`` explicitly so the fixture
-        stays stable when the suite runs under ``REPRO_KERNEL_BACKEND``
-        overrides (the lanes differ only in the ``backend`` stamp).
-        """
+        """One full provenance record, pinned byte-for-byte (sans timing)."""
         schema = figure1_relational_schema()
-        service = ConnectionService(
-            schema=schema, config=ServiceConfig(kernel_backend="array")
-        )
+        service = ConnectionService(schema=schema)
         service.connect(figure1_query())  # warm the context: pin a cache hit
         result = service.connect(figure1_query())
         current = result.to_dict(include_timing=False)
@@ -531,7 +524,7 @@ class TestPackaging:
     def test_version_and_exports(self):
         import repro
 
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
         for name in (
             "BlockClassifier",
             "ConnectionRequest",
@@ -546,7 +539,6 @@ class TestPackaging:
             "LoadSpec",
             "MetricsRegistry",
             "NullRegistry",
-            "ParallelExecutor",
             "Provenance",
             "RetryPolicy",
             "SchemaDelta",
@@ -560,16 +552,34 @@ class TestPackaging:
             assert getattr(repro, name) is not None
 
     def test_removed_surfaces_are_gone(self):
-        """2.0.0 keeps one front door: the 1.x wrappers and knobs are gone."""
+        """2.0.0 keeps one front door, 3.0.0 one kernel lane and no process pool."""
         import repro
         import repro.core
         import repro.engine
+        import repro.kernels
+        import repro.runtime
         from repro.engine import InterpretationEngine
+        from repro.faults import FaultPlan
+        from repro.kernels import DistanceOracle
+        from repro.runtime import WorkloadSpec
+        from repro.steiner import kou_markowsky_berman
 
         removed = {
-            repro: ("MinimalConnectionFinder", "batch_interpret"),
+            repro: (
+                "MinimalConnectionFinder",
+                "batch_interpret",
+                "ParallelExecutor",
+                "grouped_bfs_levels",
+                "grouped_bfs_parents",
+            ),
             repro.core: ("MinimalConnectionFinder",),
             repro.engine: ("batch_interpret", "default_engine"),
+            repro.kernels: (
+                "grouped_bfs_levels",
+                "grouped_bfs_parents",
+                "available_backends",
+            ),
+            repro.runtime: ("ParallelExecutor",),
         }
         for module, names in removed.items():
             for name in names:
@@ -577,13 +587,31 @@ class TestPackaging:
                 assert not hasattr(module, name), (module.__name__, name)
         for name in ("batch_interpret", "plan", "interpret", "context_for"):
             assert not hasattr(InterpretationEngine, name), name
-        assert not hasattr(repro.ParallelExecutor, "batch_interpret")
         assert not hasattr(repro.QueryInterpreter, "finder")
+        assert not hasattr(DistanceOracle, "ensure")
         # one construction path: the engine is always built from the config
         with pytest.raises(TypeError):
             ConnectionService(engine=InterpretationEngine())
         with pytest.raises(TypeError):
             InterpretationEngine(exact_terminal_limit=0)
+        # 3.0.0: the lane and pool knobs fail as typed errors, no shim
+        with pytest.raises(TypeError):
+            ServiceConfig(kernel_backend="array")
+        graph = path_graph()
+        with pytest.raises(TypeError):
+            kou_markowsky_berman(graph, ["A", "B"], distances={})
+        with pytest.raises(ValidationError, match="unknown site"):
+            FaultPlan.from_dict(
+                {"seed": 0, "rules": [{"site": "worker-crash", "at": [0]}]}
+            )
+        with pytest.raises(ValidationError, match="workers"):
+            WorkloadSpec.from_dict(
+                {
+                    "schema": {"generator": "random_62_chordal_graph"},
+                    "queries": {"count": 1},
+                    "workers": 2,
+                }
+            )
 
     def test_py_typed_marker_ships(self):
         import repro

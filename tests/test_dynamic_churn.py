@@ -2,9 +2,8 @@
 
 The invalidation chain under test: a schema mutation must flow through
 the service's version-gated bound context, the engine's fingerprinted
-LRU, the parallel executor's worker transport, and the persistent
-cache's digests -- so that no entry point can ever answer from a stale
-structure.  Every test interleaves random edits with queries and asserts
+LRU and the persistent cache's digests -- so that no entry point can
+ever answer from a stale structure.  Every test interleaves random edits with queries and asserts
 the answers are checksum-identical (tree, cost, guarantee, provenance
 minus wall time and cache flags) to a fresh-context serial oracle that
 rebuilds from scratch after every mutation.
@@ -20,7 +19,6 @@ from strategies import COMMON_SETTINGS, common_settings
 from repro.api import ConnectionService, ServiceConfig
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
 from repro.dynamic import SchemaEditor
-from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.workload import CHURN_KINDS, _churn_step, canonical_checksum
 
 
@@ -111,31 +109,6 @@ def test_incremental_flag_off_still_matches(seed):
         got = service.batch(queries)
         expected = ConnectionService(schema=graph.copy()).batch(queries)
         assert canonical_checksum(got) == canonical_checksum(expected)
-
-
-# ----------------------------------------------------------------------
-# parallel: worker transport re-keying
-# ----------------------------------------------------------------------
-@common_settings(max_examples=3)
-@given(seed=st.integers(min_value=0, max_value=2**10))
-def test_parallel_executor_never_answers_from_stale_transport(seed):
-    graph = random_62_chordal_graph(4, rng=seed)
-    service = ConnectionService(schema=graph)
-    rng = random.Random(seed + 1)
-    fresh = itertools.count(1)
-    results = []
-    oracle = []
-    with ParallelExecutor(workers=2, service=service) as executor:
-        for _ in range(3):
-            _churn_step(graph, rng, CHURN_KINDS, fresh)
-            queries = [random_terminals(graph, 3, rng=rng) for _ in range(4)]
-            results.extend(executor.batch(queries))
-            oracle.extend(
-                ConnectionService(
-                    schema=graph.copy(), config=ServiceConfig(incremental=False)
-                ).batch(queries)
-            )
-    assert canonical_checksum(results) == canonical_checksum(oracle)
 
 
 # ----------------------------------------------------------------------

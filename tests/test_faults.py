@@ -8,9 +8,8 @@ Three layers of proof, in rough order of ambition:
 * the **site layer** -- each instrumented site produces exactly the
   failure it models (torn disk writes read as misses, dropped wire
   frames are survived by the client's :class:`RetryPolicy`, deadlines
-  raise typed ``deadline`` envelopes, a killed pool worker degrades to
-  the serial fallback with identical answers, orphaned shm segments are
-  reaped);
+  raise typed ``deadline`` envelopes and an abandoned solve keeps its
+  tenant serialised);
 * the **chaos layer** -- the ISSUE's acceptance criterion: a load run
   that SIGKILLs and restarts the server mid-traffic must still produce
   the serial oracle's answer checksum, with paused enumeration streams
@@ -19,9 +18,6 @@ Three layers of proof, in rough order of ambition:
 
 import asyncio
 import contextlib
-import os
-import subprocess
-import sys
 import threading
 import time
 
@@ -36,11 +32,6 @@ from repro.faults import (
     clear,
     injected,
     install,
-)
-from repro.kernels.shm import (
-    SEGMENT_PREFIX,
-    shared_memory_available,
-    sweep_orphans,
 )
 from repro.load.chaos import (
     CHAOS_SPEC,
@@ -403,6 +394,60 @@ class TestDeadline:
                 client.create_schema("free", small_graph())
                 assert client.connect("free", ["A", 3])["cost"] >= 1
 
+    def test_abandoned_solve_keeps_the_tenant_serialised(self, monkeypatch):
+        from repro.api.service import ConnectionService
+
+        lock = threading.Lock()
+        inside = {"now": 0, "peak": 0}
+        original = ConnectionService.connect
+
+        def slow_connect(service, *args, **kwargs):
+            with lock:
+                inside["now"] += 1
+                inside["peak"] = max(inside["peak"], inside["now"])
+            try:
+                time.sleep(0.3)
+                return original(service, *args, **kwargs)
+            finally:
+                with lock:
+                    inside["now"] -= 1
+
+        monkeypatch.setattr(ConnectionService, "connect", slow_connect)
+        with running_server() as server:
+            with ReproClient("127.0.0.1", server.port) as admin:
+                admin.create_schema(
+                    "slow", small_graph(), limits={"deadline_ms": 50}
+                )
+            kinds = []
+
+            def client_call():
+                with ReproClient("127.0.0.1", server.port) as client:
+                    try:
+                        client.connect("slow", ["A", 3])
+                        kinds.append("ok")
+                    except RemoteError as error:
+                        kinds.append(error.kind)
+
+            callers = []
+            for _ in range(4):
+                caller = threading.Thread(target=client_call)
+                caller.start()
+                callers.append(caller)
+                time.sleep(0.06)
+            for caller in callers:
+                caller.join(10)
+                assert not caller.is_alive()
+            # the abandoned solve still runs; wait for it to hand back
+            # the tenant's lock and inflight slot
+            stop = time.monotonic() + 5
+            while time.monotonic() < stop and (
+                inside["now"] or server.registry.record("slow").inflight
+            ):
+                time.sleep(0.02)
+            assert kinds == ["deadline"] * 4
+            assert inside["peak"] == 1
+            assert server.registry.record("slow").inflight == 0
+
 
 class TestIdempotentMutate:
     def test_same_key_applies_once(self):
@@ -504,108 +549,6 @@ class TestHello:
             # negotiated connection then serves normal traffic
             with ReproClient("127.0.0.1", server.port) as client:
                 assert client.ping()["pong"] is True
-
-
-# ----------------------------------------------------------------------
-# site layer: worker-crash and shm recovery
-# ----------------------------------------------------------------------
-class TestWorkerCrash:
-    def test_killed_worker_falls_back_serial_with_identical_answers(self):
-        from repro.datasets.generators import (
-            random_62_chordal_graph,
-            random_terminals,
-        )
-        from repro.runtime.parallel import ParallelExecutor
-
-        graph = random_62_chordal_graph(5, rng=7)
-        queries = [random_terminals(graph, 3, rng=i) for i in range(8)]
-        with ParallelExecutor(workers=2, schema=graph) as executor:
-            baseline = [r.cost for r in executor.batch(queries)]
-        plan = FaultPlan.from_dict(
-            {"seed": 0, "rules": [{"site": "worker-crash", "at": [0]}]}
-        )
-        with ParallelExecutor(workers=2, schema=graph) as executor:
-            with injected(plan) as injector:
-                answers = [r.cost for r in executor.batch(queries)]
-            assert injector.fired("worker-crash") == 1
-            assert answers == baseline
-            assert executor._serial_fallbacks.value == 1
-            # the executor recovers: the next batch rebuilds the pool
-            assert [r.cost for r in executor.batch(queries)] == baseline
-
-
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="needs POSIX shared memory"
-)
-class TestShmRecovery:
-    def _segment_script(self, epilogue: str) -> str:
-        return (
-            "import sys; sys.path.insert(0, 'src')\n"
-            "from repro.datasets.generators import random_62_chordal_graph\n"
-            "from repro.engine.cache import SchemaContext\n"
-            "from repro.kernels import shm\n"
-            "graph = random_62_chordal_graph(3, rng=5)\n"
-            "context = SchemaContext(graph)\n"
-            "segment = shm.create_segment("
-            "context.indexed, context.index, context.report)\n"
-            "print(segment.name, flush=True)\n" + epilogue
-        )
-
-    def _run_child(self, epilogue: str):
-        process = subprocess.Popen(
-            [sys.executable, "-c", self._segment_script(epilogue)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            cwd="/root/repo",
-        )
-        name = process.stdout.readline().strip()
-        process.wait(timeout=60)
-        process.stdout.close()
-        assert name.startswith(SEGMENT_PREFIX)
-        return name
-
-    def test_atexit_unlinks_on_abnormal_unwinding_exit(self):
-        name = self._run_child("raise SystemExit(1)\n")
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_sigkill_strands_segment_and_sweep_reaps_it(self):
-        name = self._run_child(
-            "import os, signal\nos.kill(os.getpid(), signal.SIGKILL)\n"
-        )
-        assert os.path.exists(f"/dev/shm/{name}")
-        reaped = sweep_orphans()
-        assert name in reaped
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_sweep_never_touches_live_segments(self):
-        from repro.datasets.generators import random_62_chordal_graph
-        from repro.engine.cache import SchemaContext
-        from repro.kernels import shm
-
-        context = SchemaContext(random_62_chordal_graph(3, rng=5))
-        segment = shm.create_segment(
-            context.indexed, context.index, context.report
-        )
-        try:
-            assert segment.name not in sweep_orphans()
-            assert os.path.exists(f"/dev/shm/{segment.name}")
-        finally:
-            segment.unlink()
-            segment.close()
-
-    def test_executor_counts_reaped_orphans(self):
-        from repro.runtime.parallel import ParallelExecutor
-
-        name = self._run_child(
-            "import os, signal\nos.kill(os.getpid(), signal.SIGKILL)\n"
-        )
-        executor = ParallelExecutor(workers=1, schema=small_graph())
-        try:
-            assert not os.path.exists(f"/dev/shm/{name}")
-            assert executor._orphans_reaped.value >= 1
-        finally:
-            executor.close()
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ Every engine solver finds its cover on CSR ids and builds the answer tree
 there too (``repro.graphs.indexed.indexed_pruned_tree``), decoding labels
 once.  Ids follow ``repr`` order, so the trees must equal the label-space
 formulations exactly -- the same vertex set and the same edge set.  This
-suite pins that, once per kernel lane in ``available_backends()``:
+suite pins that:
 
 * chordal-elimination and algorithm1-indexed trees equal
   ``prune_non_terminal_leaves(spanning_tree(graph.subgraph(cover)), terminals)``
@@ -45,8 +45,6 @@ from repro.exceptions import (
 from repro.graphs import BipartiteGraph, Graph, random_graph
 from repro.graphs.indexed import edge_adjacency, indexed_pruned_tree, parent_path_edges
 from repro.graphs.spanning import spanning_tree
-from repro.graphs.traversal import bfs_distances
-from repro.kernels import available_backends, resolve_backend
 from repro.steiner import kou_markowsky_berman, steiner_tree_dreyfus_wagner
 from repro.steiner.problem import prune_non_terminal_leaves
 
@@ -57,8 +55,6 @@ FAMILIES = {
     "v2-alpha": alpha_schema_graphs(),
     "bipartite": bipartite_graphs(),
 }
-
-LANES = available_backends()
 
 #: (registry name, keyword arguments) of the solvers whose tree is a
 #: pruned spanning tree of their reported cover
@@ -77,26 +73,25 @@ def shape(solution):
     return tree_shape(solution.tree)
 
 
-def draw_instance(data, family, lane, queries=2):
-    """A graph, a few feasible terminal sets, and a context on ``lane``."""
+def draw_instance(data, family, queries=2):
+    """A graph, a few feasible terminal sets, and a context on the graph."""
     graph = data.draw(FAMILIES[family])
     terminal_sets = [
         sorted(draw_terminals(data.draw, graph, max_terminals=5), key=repr)
         for _ in range(queries)
     ]
-    context = SchemaContext(graph, kernel_backend=resolve_backend(lane))
+    context = SchemaContext(graph)
     return graph, terminal_sets, context
 
 
 # ----------------------------------------------------------------------
-# hypothesis differentials, per family and kernel lane
+# hypothesis differentials, per family
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @SETTINGS
 @given(data=st.data())
-def test_cover_solver_trees_are_pruned_spanning_trees_of_the_cover(lane, family, data):
-    graph, terminal_sets, context = draw_instance(data, family, lane)
+def test_cover_solver_trees_are_pruned_spanning_trees_of_the_cover(family, data):
+    graph, terminal_sets, context = draw_instance(data, family)
     registry = default_registry()
     for terminals in terminal_sets:
         for name, kwargs in COVER_SOLVERS:
@@ -111,12 +106,11 @@ def test_cover_solver_trees_are_pruned_spanning_trees_of_the_cover(lane, family,
             assert shape(solution) == tree_shape(expected)
 
 
-@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @SETTINGS
 @given(data=st.data())
-def test_dreyfus_wagner_equals_reference(lane, family, data):
-    graph, terminal_sets, context = draw_instance(data, family, lane)
+def test_dreyfus_wagner_equals_reference(family, data):
+    graph, terminal_sets, context = draw_instance(data, family)
     solve = default_registry().get("dreyfus-wagner")
     for terminals in terminal_sets:
         expected = shape(reference_dreyfus_wagner(graph, terminals))
@@ -124,25 +118,17 @@ def test_dreyfus_wagner_equals_reference(lane, family, data):
         assert shape(solve(context, terminals)) == expected
 
 
-@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @SETTINGS
 @given(data=st.data())
-def test_kmb_equals_reference(lane, family, data):
-    graph, terminal_sets, context = draw_instance(data, family, lane)
+def test_kmb_equals_reference(family, data):
+    graph, terminal_sets, context = draw_instance(data, family)
     expected = [
         shape(reference_kou_markowsky_berman(graph, terminals))
         for terminals in terminal_sets
     ]
     for terminals, tree in zip(terminal_sets, expected):
         assert shape(kou_markowsky_berman(graph, terminals)) == tree
-        # the deprecated closure rows: restricted to the other terminals
-        distances = {
-            t: {u: d for u, d in bfs_distances(graph, t).items() if u in terminals and u != t}
-            for t in terminals
-        }
-        with pytest.warns(DeprecationWarning, match="distances"):
-            assert shape(kou_markowsky_berman(graph, terminals, distances)) == tree
         solve_kmb(context, terminals)
     # warm: every level and parent row the queries need is cached now
     misses = context.distance_oracle.stats.misses
@@ -198,9 +184,9 @@ def _split_schema():
     )
 
 
-def _all_solvers(graph, lane):
+def _all_solvers(graph):
     """Every id-space entry point, each as ``terminals -> solution``."""
-    context = SchemaContext(graph, kernel_backend=resolve_backend(lane))
+    context = SchemaContext(graph)
     registry = default_registry()
     return {
         "chordal-elimination": lambda ts: registry.get("chordal-elimination")(context, ts),
@@ -214,10 +200,9 @@ def _all_solvers(graph, lane):
     }
 
 
-@pytest.mark.parametrize("lane", LANES)
-def test_single_terminal_and_adjacent_pair(lane):
+def test_single_terminal_and_adjacent_pair():
     graph = _split_schema()
-    for name, solve in _all_solvers(graph, lane).items():
+    for name, solve in _all_solvers(graph).items():
         assert shape(solve(["r0"])) == ({"r0"}, set()), name
         assert shape(solve(["l1", "r0"])) == (
             {"l1", "r0"},
@@ -225,7 +210,6 @@ def test_single_terminal_and_adjacent_pair(lane):
         ), name
 
 
-@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize(
     "terminals, error",
     [
@@ -234,8 +218,8 @@ def test_single_terminal_and_adjacent_pair(lane):
         ([], ValidationError),
     ],
 )
-def test_invalid_terminals_keep_their_exception_types(lane, terminals, error):
-    for name, solve in _all_solvers(_split_schema(), lane).items():
+def test_invalid_terminals_keep_their_exception_types(terminals, error):
+    for name, solve in _all_solvers(_split_schema()).items():
         with pytest.raises(error):
             solve(terminals)
 

@@ -1,27 +1,24 @@
-"""Differential and lifecycle tests for the ``repro.kernels`` layer.
+"""Differential tests for the ``repro.kernels`` layer.
 
 Three contracts are pinned here:
 
-* **kernel exactness** -- the grouped BFS kernels produce rows
-  value-identical to per-source ``bfs_levels`` / ``bfs_parents`` on
-  arbitrary (including disconnected and bipartite) graphs, so rewiring
-  the solvers onto them cannot move a single answer;
+* **kernel exactness** -- the BFS kernels produce rows value-identical
+  to ``bfs_levels`` / ``bfs_parents`` on arbitrary (including
+  disconnected and bipartite) graphs, also when many sources share one
+  scratch, so rewiring the solvers onto them cannot move a single answer;
 * **oracle invalidation** -- cached distance/parent rows survive exactly
   the schema edits that cannot affect them (component granularity), and
-  a service answering interleaved edits and queries -- serially and
-  through the parallel executor -- agrees checksum-for-checksum with a
-  fresh-context oracle;
-* **shared-memory lifecycle** -- the zero-copy transport's segments are
-  always unlinked by :meth:`ParallelExecutor.close`, including after
-  worker-side errors, and by the GC finalizer when an executor is
-  dropped without ``close()``.
+  a service answering interleaved edits and queries agrees
+  checksum-for-checksum with a fresh-context oracle;
+* **compact pickling** -- an :class:`IndexedGraph` and its
+  :class:`GraphIndex` round-trip through ``pickle`` losslessly, shipping
+  only the CSR arrays.
 """
 
-import gc
+import pickle
 import random
 
-import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 from strategies import (
     COMMON_SETTINGS,
     bipartite_graphs,
@@ -34,24 +31,16 @@ from repro.datasets.generators import random_62_chordal_graph, random_terminals
 from repro.dynamic.delta import SchemaDelta
 from repro.dynamic.editor import SchemaEditor
 from repro.engine.cache import SchemaContext
-from repro.exceptions import DisconnectedTerminalsError
+from repro.graphs import from_indexed
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.indexed import IndexedGraph, to_indexed
 from repro.kernels import (
     DistanceOracle,
     KernelScratch,
-    attach_segment,
-    create_segment,
-    grouped_bfs_levels,
-    grouped_bfs_parents,
-    shared_memory_available,
+    bfs_levels_row,
+    bfs_parents_row,
 )
-from repro.runtime import ParallelExecutor
 from repro.runtime.workload import canonical_checksum
-
-needs_shm = pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory unavailable"
-)
 
 
 # ----------------------------------------------------------------------
@@ -59,26 +48,20 @@ needs_shm = pytest.mark.skipif(
 # ----------------------------------------------------------------------
 @given(graph=small_graphs(max_vertices=9))
 @COMMON_SETTINGS
-def test_grouped_kernels_match_naive_bfs_on_arbitrary_graphs(graph):
+def test_kernels_match_naive_bfs_on_arbitrary_graphs(graph):
     indexed, _ = to_indexed(graph)
-    sources = list(range(indexed.n))
     scratch = KernelScratch(indexed.n)
-    levels = grouped_bfs_levels(indexed, sources, scratch)
-    parents = grouped_bfs_parents(indexed, sources, scratch)
-    for source, row in zip(sources, levels):
-        assert list(row) == indexed.bfs_levels(source)
-    for source, row in zip(sources, parents):
-        assert list(row) == indexed.bfs_parents(source)
+    for source in range(indexed.n):
+        assert list(bfs_levels_row(indexed, source, scratch)) == indexed.bfs_levels(source)
+        assert list(bfs_parents_row(indexed, source, scratch)) == indexed.bfs_parents(source)
 
 
 @given(graph=bipartite_graphs())
 @COMMON_SETTINGS
-def test_grouped_kernels_match_naive_bfs_on_bipartite_graphs(graph):
+def test_kernels_match_naive_bfs_on_bipartite_graphs(graph):
     indexed, _ = to_indexed(graph)
-    sources = list(range(indexed.n))
-    rows = grouped_bfs_levels(indexed, sources)
-    for source, row in zip(sources, rows):
-        assert list(row) == indexed.bfs_levels(source)
+    for source in range(indexed.n):
+        assert list(bfs_levels_row(indexed, source)) == indexed.bfs_levels(source)
 
 
 @given(graph=chordal_bipartite_graphs())
@@ -232,131 +215,63 @@ def _churn_step(graph, rng, fresh_ids):
         tx.add_edge(vertex, anchor)
 
 
-def test_oracle_invalidation_under_editor_churn_serial_and_parallel():
-    """Interleaved edits + queries: incremental serial == parallel == fresh oracle."""
+def test_oracle_invalidation_under_editor_churn():
+    """Interleaved edits + queries: the incremental service == a fresh oracle."""
     import itertools
 
     graph = random_62_chordal_graph(6, rng=3)
     service = ConnectionService(schema=graph)
     rng = random.Random(42)
     fresh_ids = itertools.count(1)
-    with ParallelExecutor(2, service=service) as executor:
-        for _ in range(6):
-            _churn_step(graph, rng, fresh_ids)
-            queries = [random_terminals(graph, 3, rng=rng) for _ in range(4)]
-            serial = service.batch(queries)
-            parallel = executor.batch(queries)
-            oracle_service = ConnectionService(schema=graph.copy())
-            expected = oracle_service.batch(queries)
-            assert canonical_checksum(serial) == canonical_checksum(expected)
-            assert canonical_checksum(parallel) == canonical_checksum(expected)
+    for _ in range(6):
+        _churn_step(graph, rng, fresh_ids)
+        queries = [random_terminals(graph, 3, rng=rng) for _ in range(4)]
+        serial = service.batch(queries)
+        oracle_service = ConnectionService(schema=graph.copy())
+        expected = oracle_service.batch(queries)
+        assert canonical_checksum(serial) == canonical_checksum(expected)
 
 
 # ----------------------------------------------------------------------
-# shared-memory transport lifecycle
+# compact pickling
 # ----------------------------------------------------------------------
-@needs_shm
-def test_segment_roundtrip_is_zero_copy_and_lossless():
-    graph = random_62_chordal_graph(4, rng=9)
-    context = SchemaContext(graph)
-    segment = create_segment(context.indexed, context.index, None)
-    try:
-        holder, indexed, index, report = attach_segment(segment.name)
-        assert report is None
-        assert indexed == context.indexed
-        assert index.labels == context.index.labels
-        assert isinstance(indexed.indptr, memoryview)  # zero-copy views
-        del indexed, holder
-        gc.collect()
-    finally:
-        segment.unlink()
-        segment.close()
+@COMMON_SETTINGS
+@given(data=st.data())
+def test_indexed_graph_pickle_round_trip(data):
+    graph = data.draw(bipartite_graphs(max_left=4, max_right=4))
+    indexed, index = to_indexed(graph)
+    clone = pickle.loads(pickle.dumps(indexed))
+    assert clone == indexed
+    assert clone.number_of_edges() == indexed.number_of_edges()
+    assert clone.edge_set() == indexed.edge_set()
+    for v in range(indexed.n):
+        assert clone.neighbors(v) == indexed.neighbors(v)
+        assert clone.degree(v) == indexed.degree(v)
+    index_clone = pickle.loads(pickle.dumps(index))
+    assert index_clone.labels == index.labels
+    assert index_clone.ids == index.ids
+    assert from_indexed(clone, index_clone) == graph
 
 
-@needs_shm
-def test_segments_unlinked_on_close_even_after_worker_errors():
-    from multiprocessing import shared_memory
+def test_indexed_pickle_is_compact():
+    from repro.datasets.generators import random_62_chordal_graph
 
-    graph = random_62_chordal_graph(5, rng=7)
-    disconnected = graph.copy()
-    disconnected.add_to_side("island", 1)
-    rng = random.Random(1)
-    queries = [random_terminals(disconnected, 3, rng=rng) for _ in range(8)]
-    executor = ParallelExecutor(2, schema=disconnected, shard_size=1)
-    assert executor.transport == "shm"
-    executor.batch(queries)
-    names = executor.active_segments()
-    assert names
-    # a worker-side failure (disconnected terminals) must not leak anything
-    bad = [["island", queries[0][0]]] * 4
-    with pytest.raises(DisconnectedTerminalsError):
-        executor.batch(bad)
-    executor.close()
-    assert executor.active_segments() == ()
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-    # close() is idempotent and the executor stays usable
-    executor.close()
-    results = executor.batch(queries)
-    second = executor.active_segments()
-    executor.close()
-    assert len(results) == len(queries)
-    for name in second:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-@needs_shm
-def test_mutation_rekeys_transport_and_unlinks_stale_segment():
-    from multiprocessing import shared_memory
-
-    graph = random_62_chordal_graph(5, rng=7)
-    rng = random.Random(2)
-    queries = [random_terminals(graph, 3, rng=rng) for _ in range(8)]
-    with ParallelExecutor(2, schema=graph, shard_size=2) as executor:
-        executor.batch(queries)
-        (stale,) = executor.active_segments()
-        anchor = graph.sorted_vertices()[0]
-        with SchemaEditor(graph) as tx:
-            tx.add_vertex(("new", 1), side=3 - graph.side_of(anchor))
-            tx.add_edge(("new", 1), anchor)
-        executor.batch(queries)
-        names = executor.active_segments()
-        assert stale not in names
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=stale)
-
-
-@needs_shm
-def test_finalizer_releases_segments_without_close():
-    from multiprocessing import shared_memory
-
-    graph = random_62_chordal_graph(4, rng=13)
-    rng = random.Random(3)
-    queries = [random_terminals(graph, 3, rng=rng) for _ in range(4)]
-    executor = ParallelExecutor(2, schema=graph)
-    executor.batch(queries)
-    names = executor.active_segments()
-    assert names
-    executor._pool.shutdown(wait=True)  # drop the pool reference cleanly
-    executor._pool = None
-    del executor
-    gc.collect()
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-def test_pickle_transport_stays_byte_identical():
-    graph = random_62_chordal_graph(5, rng=7)
-    rng = random.Random(4)
-    queries = [random_terminals(graph, 3, rng=rng) for _ in range(10)]
-    service = ConnectionService(schema=graph)
-    serial = service.batch(queries)
-    with ParallelExecutor(2, service=service, transport="pickle") as executor:
-        assert executor.transport == "pickle"
-        assert canonical_checksum(executor.batch(queries)) == canonical_checksum(
-            serial
-        )
-        assert executor.active_segments() == ()
+    graph = random_62_chordal_graph(40, rng=5)
+    indexed, index = to_indexed(graph)
+    payload = pickle.dumps(indexed, protocol=pickle.HIGHEST_PROTOCOL)
+    # the custom __getstate__ ships the CSR arrays only; the derived
+    # structures a default slot-state pickle would also carry (bitset rows
+    # plus the per-vertex row cache) must stay out of the payload
+    naive_state = pickle.dumps(
+        {
+            "n": indexed.n,
+            "indptr": indexed.indptr,
+            "indices": indexed.indices,
+            "sides": indexed.sides,
+            "bits": indexed.bits,
+            "_rows": indexed._rows,
+            "_edge_count": indexed._edge_count,
+        },
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    assert len(payload) < 0.7 * len(naive_state)

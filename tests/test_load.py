@@ -415,21 +415,21 @@ class TestSoak:
             soak={"cycles": 4, "queries_per_cycle": 1, "edits_per_cycle": 0,
                   "warmup": 1},
         )
-        counter = {"segments": 0}
+        counter = {"rows": 0}
 
-        def leaky_segments():
-            counter["segments"] += 2  # one never-unlinked segment per cycle
-            return counter["segments"]
+        def leaky_rows():
+            counter["rows"] += 2  # rows that are never evicted, every cycle
+            return counter["rows"]
 
         report = run_soak(
             spec,
             probes_override={
-                "shm_segments": leaky_segments,
+                "oracle_rows": leaky_rows,
                 "flat": lambda: 1,
             },
         )
         assert not report.ok()
-        assert any("shm_segments" in leak for leak in report.leaks)
+        assert any("oracle_rows" in leak for leak in report.leaks)
         assert not any("flat" in leak for leak in report.leaks)
 
     def test_leaky_soak_fails_the_load_report(self):

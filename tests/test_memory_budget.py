@@ -17,10 +17,6 @@ every layer:
 * the service: a budgeted workload over an at-scale generator schema
   stays under budget end-to-end, keeps answering correctly, and exports
   the ``repro_memory_held_bytes`` / ``repro_memory_budget_bytes`` gauges.
-
-Everything here runs on whatever lane ``REPRO_KERNEL_BACKEND`` selects
-(the numpy CI job pins it to ``numpy``); budget semantics are
-lane-independent.
 """
 
 import gc
@@ -191,9 +187,9 @@ class TestBlockMemoBudget:
         context = SchemaContext(_chain(8), memory_budget_bytes=1 << 16)
         assert context._blocks.memory_budget_bytes == 1 << 16
         cache = SchemaCache(maxsize=4, memory_budget_bytes=1 << 15)
-        rebuilt = SchemaContext.from_shard_state(*context.shard_state())
-        cache.adopt(rebuilt)
-        assert rebuilt._blocks.memory_budget_bytes == 1 << 15
+        adopted = SchemaContext(_chain(8))
+        cache.adopt(adopted)
+        assert adopted._blocks.memory_budget_bytes == 1 << 15
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +377,7 @@ class TestServiceBudget:
         assert float(budget_line.split()[-1]) == 0.0
 
     def test_budget_survives_worker_config(self):
-        """The parallel worker config carries the budget to child services."""
+        """A config derived with ``with_overrides`` carries the budget along."""
         schema = random_62_chordal_graph(12, rng=random.Random(8))
         service = ConnectionService(
             schema=schema, config=ServiceConfig(memory_budget_bytes=1 << 20)

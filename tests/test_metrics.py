@@ -439,7 +439,6 @@ TINY_SPEC = {
     "schema": {"generator": "random_62_chordal_graph",
                "params": {"blocks": 4, "rng": 11}},
     "queries": [{"count": 6, "terminals": 3, "seed": 1}],
-    "workers": 2,
     "churn": {"edits": 4, "queries_per_edit": 2, "seed": 5, "verify": True},
 }
 
@@ -450,7 +449,7 @@ def test_run_workload_rolls_metrics_into_the_report():
     assert summary["queries_observed"] > 0
     assert summary["latency_p50_ms"] <= summary["latency_p99_ms"]
     assert 0.0 <= summary["schema_cache_hit_rate"] <= 1.0
-    assert summary["shards_dispatched"] >= 1
+    assert "shards_dispatched" not in summary  # no process pool since 3.0.0
     assert "incremental" in summary["rebinds"] or "full" in summary["rebinds"]
     # the exposition text parses and covers the query path
     metadata, samples = parse_exposition(report.metrics_text)
@@ -467,7 +466,7 @@ def test_run_workload_rolls_metrics_into_the_report():
 
 def test_run_workload_honours_an_injected_null_registry():
     report = run_workload(
-        WorkloadSpec.from_dict({**TINY_SPEC, "workers": 1}),
+        WorkloadSpec.from_dict(TINY_SPEC),
         include_cold=False,
         base_config=ServiceConfig(metrics=NullRegistry()),
     )
@@ -506,82 +505,3 @@ def test_cli_prints_metrics_section_and_writes_exposition(tmp_path):
         if name == "repro_query_latency_seconds_count"
     ]
     assert sum(counts) > 0
-
-
-# ----------------------------------------------------------------------
-# snapshot / merge / delta (the worker-to-parent metrics transport)
-# ----------------------------------------------------------------------
-def test_snapshot_round_trips_through_merge():
-    from repro.metrics import SNAPSHOT_VERSION
-
-    source = MetricsRegistry()
-    source.counter("jobs", labelnames=("kind",)).labels(kind="a").inc(3)
-    source.gauge("depth").set(7)
-    histogram = source.histogram("lat", buckets=(1.0, 2.0))
-    histogram.observe(0.5)
-    histogram.observe(1.5)
-    snapshot = source.snapshot()
-    assert snapshot["v"] == SNAPSHOT_VERSION
-
-    target = MetricsRegistry()
-    target.merge_snapshot(json.loads(json.dumps(snapshot)))  # JSON-safe
-    assert target.counter("jobs", labelnames=("kind",)).labels(kind="a").value == 3
-    assert target.gauge("depth").value == 7
-    merged = target.histogram("lat", buckets=(1.0, 2.0)).merged()
-    assert merged.count == 2 and merged.counts == [1, 1, 0]
-    assert (merged.min, merged.max) == (0.5, 1.5)
-
-
-def test_merge_snapshot_is_additive_for_counters_and_histograms():
-    source = MetricsRegistry()
-    source.counter("jobs").inc(2)
-    target = MetricsRegistry()
-    target.counter("jobs").inc(5)
-    target.merge_snapshot(source.snapshot())
-    target.merge_snapshot(source.snapshot())
-    assert target.counter("jobs").value == 9  # 5 + 2 + 2
-
-
-def test_snapshot_delta_keeps_only_moved_children():
-    from repro.metrics import snapshot_delta
-
-    registry = MetricsRegistry()
-    moved = registry.counter("moved", labelnames=("k",))
-    registry.counter("idle").inc(10)
-    histogram = registry.histogram("lat", buckets=(1.0,))
-    before = registry.snapshot(kinds=("counter", "histogram"))
-    moved.labels(k="x").inc(4)
-    histogram.observe(0.5)
-    delta = snapshot_delta(
-        registry.snapshot(kinds=("counter", "histogram")), before
-    )
-    families = {family["name"]: family for family in delta["families"]}
-    assert set(families) == {"moved", "lat"}  # "idle" did not move
-    assert families["moved"]["children"] == [[["x"], 4.0]]
-    state = families["lat"]["children"][0][1]
-    assert state["count"] == 1 and state["counts"] == [1, 0]
-    assert state["min"] is None and state["max"] is None  # deltas carry no extrema
-
-    target = MetricsRegistry()
-    target.merge_snapshot(delta)
-    assert target.counter("moved", labelnames=("k",)).labels(k="x").value == 4
-
-
-def test_merge_snapshot_rejects_bucket_mismatch_and_skips_bad_versions():
-    source = MetricsRegistry()
-    source.histogram("lat", buckets=(1.0, 2.0)).observe(0.5)
-    target = MetricsRegistry()
-    target.histogram("lat", buckets=(9.0,))
-    with pytest.raises(ValidationError, match="bucket"):
-        target.merge_snapshot(source.snapshot())
-    # unknown versions and None are silently ignored (forward compat)
-    target.merge_snapshot(None)
-    target.merge_snapshot({"v": 999, "families": [{"name": "x"}]})
-
-
-def test_null_registry_snapshot_is_inert():
-    null = NullRegistry()
-    null.counter("jobs").inc()
-    snapshot = null.snapshot()
-    assert snapshot["families"] == []
-    null.merge_snapshot(MetricsRegistry().snapshot())  # no-op, no error

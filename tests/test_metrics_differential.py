@@ -102,7 +102,6 @@ SPEC = {
     "schema": {"generator": "random_62_chordal_graph",
                "params": {"blocks": 4, "rng": 11}},
     "queries": [{"count": 6, "terminals": 3, "seed": 1}],
-    "workers": 2,
     "churn": {"edits": 4, "queries_per_edit": 2, "seed": 5, "verify": True},
 }
 

@@ -4,7 +4,7 @@ The library's contract (``pyproject.toml`` ships numpy only under the
 ``[numpy]`` extra) has two halves, both pinned here:
 
 * **no import leak** -- importing the entire public surface and running
-  a real workload on the default ``array`` lane never imports numpy.
+  a real workload never imports numpy.
   The check runs in a subprocess whose meta-path *blocks* numpy outright
   (stronger than inspecting ``sys.modules`` in-process, where another
   test may already have imported it), so any future module-level
@@ -12,10 +12,9 @@ The library's contract (``pyproject.toml`` ships numpy only under the
   same guarantee the numpy-free CI job enforces at the environment
   level;
 * **typed degradation** -- with numpy absent, the numpy-touching
-  surfaces (:mod:`repro.graphs.matrices`, the ``"numpy"`` kernel lane)
-  raise :class:`~repro.exceptions.MissingDependencyError` naming the
-  dependency and the install extra, while ``resolve_backend("auto")``
-  quietly falls back to the array lane.
+  surface (:mod:`repro.graphs.matrices`) raises
+  :class:`~repro.exceptions.MissingDependencyError` naming the dependency
+  and the install extra.
 """
 
 import subprocess
@@ -58,19 +57,17 @@ import repro.server
 import repro.steiner
 import repro.utils
 
-# a real answer on the default lane, not just imports
+# a real answer, not just imports
 from repro.api import ConnectionService
 from repro.graphs import BipartiteGraph, large_bipartite_tree
-from repro.kernels import resolve_backend
 
 graph = BipartiteGraph(left=["A", "B"], right=[1], edges=[("A", 1), ("B", 1)])
 result = ConnectionService(schema=graph).connect(["A", "B"])
 assert result.provenance.backend == "array", result.provenance.backend
 assert result.cost == 3
 
-# the at-scale generators and the auto lane are numpy-free too
+# the at-scale generators are numpy-free too
 large_bipartite_tree(64)
-assert resolve_backend("auto").name == "array"
 
 assert not any(m == "numpy" or m.startswith("numpy.") for m in sys.modules), (
     sorted(m for m in sys.modules if m.startswith("numpy"))
@@ -85,7 +82,6 @@ _DEGRADATION_SCRIPT = (
 from repro.exceptions import MissingDependencyError
 from repro.graphs import BipartiteGraph
 from repro.graphs.matrices import adjacency_matrix
-from repro.kernels import resolve_backend
 
 graph = BipartiteGraph(left=["A"], right=[1], edges=[("A", 1)])
 try:
@@ -95,24 +91,6 @@ except MissingDependencyError as error:
     assert "[numpy]" in str(error)
 else:
     raise AssertionError("adjacency_matrix must need numpy")
-
-try:
-    resolve_backend("numpy")
-except MissingDependencyError as error:
-    assert error.dependency == "numpy"
-else:
-    raise AssertionError("the numpy lane must need numpy")
-
-from repro.api import ConnectionService, ServiceConfig
-from repro.exceptions import ValidationError
-
-graph2 = BipartiteGraph(left=["A", "B"], right=[1], edges=[("A", 1), ("B", 1)])
-try:
-    ConnectionService(schema=graph2, config=ServiceConfig(kernel_backend="numpy"))
-except MissingDependencyError:
-    pass
-else:
-    raise AssertionError("a numpy-lane service must fail at construction")
 print("DEGRADATION-OK")
 """
 )

@@ -17,7 +17,6 @@ TINY_SPEC = {
                "params": {"blocks": 4, "rng": 11}},
     "queries": [{"count": 5, "terminals": 3, "seed": 1},
                 {"count": 3, "terminals": 2, "objective": "side", "side": 2}],
-    "workers": 2,
     "batch_size": 4,
 }
 
@@ -85,12 +84,9 @@ def test_run_workload_phases_and_consistency(tmp_path):
     spec = WorkloadSpec.from_dict(TINY_SPEC)
     report = run_workload(spec, cache_dir=str(tmp_path / "cache"))
     names = [phase.name for phase in report.phases]
-    assert names == [
-        "serial-cold", "serial-warm", "parallel-warm", "disk-populate", "disk-warm",
-    ]
+    assert names == ["serial-cold", "serial-warm", "disk-populate", "disk-warm"]
     assert report.checksums_consistent
     assert report.queries == 8
-    assert report.parallel_speedup is not None
     assert report.disk_warm_ratio is not None
     assert dict(report.solver_histogram)  # at least one solver recorded
     assert report.phase("disk-warm").checksum == report.checksum
@@ -101,10 +97,10 @@ def test_run_workload_phases_and_consistency(tmp_path):
 
 
 def test_run_workload_serial_only_and_no_cold():
-    spec = WorkloadSpec.from_dict({**TINY_SPEC, "workers": 1})
+    spec = WorkloadSpec.from_dict(TINY_SPEC)
     report = run_workload(spec, include_cold=False)
     assert [phase.name for phase in report.phases] == ["serial-warm"]
-    assert report.parallel_speedup is None and report.disk_warm_ratio is None
+    assert report.disk_warm_ratio is None
 
 
 # ----------------------------------------------------------------------
@@ -127,23 +123,22 @@ def test_cli_run_executes_spec_and_writes_report(tmp_path):
 
     proc = run_cli(
         "run", str(spec_path),
-        "--workers", "2",
         "--cache-dir", str(tmp_path / "cache"),
         "--json", str(report_path),
     )
     assert proc.returncode == 0, proc.stderr
     assert "CONSISTENT" in proc.stdout
-    assert "parallel speedup" in proc.stdout
+    assert "disk-warm / serial-warm" in proc.stdout
     report = json.loads(report_path.read_text())
     assert report["checksums_consistent"] is True
     assert {p["name"] for p in report["phases"]} >= {
-        "serial-cold", "serial-warm", "parallel-warm", "disk-warm",
+        "serial-cold", "serial-warm", "disk-warm",
     }
 
 
 def test_cli_json_to_stdout_and_no_cold(tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({**TINY_SPEC, "workers": 1}))
+    spec_path.write_text(json.dumps(TINY_SPEC))
     proc = run_cli("run", str(spec_path), "--no-cold", "--json", "-")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -174,7 +169,6 @@ def test_cli_rejects_broken_spec(tmp_path):
 # ----------------------------------------------------------------------
 CHURN_SPEC = {
     **TINY_SPEC,
-    "workers": 1,
     "churn": {"edits": 6, "queries_per_edit": 2, "terminals": 3, "seed": 5},
 }
 

@@ -213,17 +213,3 @@ def test_connect_and_batch_reject_degenerate_terminals():
         service.batch([["a", "b"], ["a", "ghost"]])
     # single terminals stay valid through every entry point
     assert service.connect(["a"]).cost == 1
-
-
-def test_parallel_executor_rejects_degenerate_terminals():
-    from repro.runtime import ParallelExecutor
-
-    graph = tiny_graph()
-    queries = [["a", "b"]] * 4
-    with ParallelExecutor(workers=2, schema=graph) as executor:
-        with pytest.raises(ValidationError, match="non-empty"):
-            executor.batch(queries + [[]])
-        with pytest.raises(ValidationError, match="not vertices"):
-            executor.batch(queries + [["ghost", "a"]])
-        singles = executor.batch([["a"]] * 3 + queries)
-        assert [r.cost for r in singles[:3]] == [1, 1, 1]
