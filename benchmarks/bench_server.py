@@ -21,7 +21,6 @@ smoke timings cannot resolve the 1.5x bound).
 
 import asyncio
 import contextlib
-import dataclasses
 import os
 import random
 import threading
@@ -65,19 +64,6 @@ def running_server(**kwargs):
         assert not thread.is_alive(), "server did not drain"
 
 
-def _strip_span(results):
-    """Drop the server-minted span fields so checksums compare answers."""
-    return [
-        dataclasses.replace(
-            result,
-            provenance=dataclasses.replace(
-                result.provenance, request_id=None, tenant=None, phases=None
-            ),
-        )
-        for result in results
-    ]
-
-
 def test_server_round_trip_overhead_within_1_5x(benchmark):
     """SV1: warm RPC ``batch`` vs the identical in-process ``batch``."""
     blocks, n_queries, rounds = (12, 30, 2) if SMOKE else (170, 150, 4)
@@ -103,10 +89,10 @@ def test_server_round_trip_overhead_within_1_5x(benchmark):
             wire_payloads = client.batch(
                 TENANT, [{"terminals": list(q)} for q in query_sets[0]]
             )
-            remote_results = _strip_span(
+            remote_results = [
                 decode_wire_result(payload, graph=graph)
                 for payload in wire_payloads
-            )
+            ]
             assert canonical_checksum(remote_results) == canonical_checksum(
                 local_results
             )

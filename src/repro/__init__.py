@@ -152,7 +152,7 @@ from repro.steiner import (
     steiner_tree_dreyfus_wagner,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "BipartiteGraph",

@@ -69,10 +69,6 @@ class Provenance:
         the enclosing scope).  All ``None`` outside a request scope, so
         server logs and provenance agree on identity while in-process
         callers see no change.
-    backend:
-        Name of the kernel lane that filled the answer's BFS rows:
-        ``"array"``, the only lane, for an answering service; ``None`` for
-        results produced outside a service (direct engine / solver calls).
     """
 
     solver: str
@@ -86,7 +82,6 @@ class Provenance:
     request_id: Optional[str] = None
     tenant: Optional[str] = None
     phases: Optional[dict] = None
-    backend: Optional[str] = None
 
     def to_dict(self, include_timing: bool = True) -> dict:
         """Return a JSON-serialisable record (timing is droppable for fixtures)."""
@@ -107,8 +102,6 @@ class Provenance:
             record["request_id"] = self.request_id
         if self.tenant is not None:
             record["tenant"] = self.tenant
-        if self.backend is not None:
-            record["backend"] = self.backend
         if self.phases is not None and include_timing:
             record["phases"] = dict(self.phases)
         return record

@@ -357,6 +357,7 @@ class ConnectionService:
             # miss, never a crash -- the request is simply recomputed
             disk.invalid += 1
             return None
+        disk.hits += 1
         self._disk_replays.inc()
         return replay
 
@@ -584,8 +585,6 @@ class ConnectionService:
             request_id=scope.request_id if scope is not None else None,
             tenant=scope.tenant if scope is not None else None,
             phases=scope.phases_ms() if scope is not None else None,
-            # the one kernel lane; the field stays on the wire
-            backend="array",
         )
         key = (
             provenance.instance_class,

@@ -23,7 +23,7 @@ snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.exceptions import ValidationError
 from repro.graphs.bipartite import BipartiteGraph
@@ -126,6 +126,15 @@ class SchemaDelta:
             f"+{len(self.added_vertices)}v/-{len(self.removed_vertices)}v "
             f"+{len(self.added_edges)}e/-{len(self.removed_edges)}e"
         )
+
+    def counts(self) -> Dict[str, int]:
+        """Return the net edit count per kind (a wire ``mutate`` reply's ``delta``)."""
+        return {
+            "added_vertices": len(self.added_vertices),
+            "removed_vertices": len(self.removed_vertices),
+            "added_edges": len(self.added_edges),
+            "removed_edges": len(self.removed_edges),
+        }
 
     # ------------------------------------------------------------------
     # construction

@@ -22,19 +22,19 @@ Two transports implement the same operation vocabulary:
   enumeration follow-up pages optionally resumed on a *fresh
   connection* via the continuation token (resume-across-reconnect).
 
-Every operation yields a canonical **answer digest**
-(:func:`result_digest`) computed from transport-independent fields --
-terminals, objective, cost, guarantee, tree edges -- so in-process and
-wire runs of the same plan produce the same
-:func:`samples_checksum`.  Deliberate error traffic digests as
-``error:<kind>``; admission bounces are retried with backoff (they are
-a concurrency artefact, not an answer) and surface only in the retry
-counters and error taxonomy.
+Every answer reduces to one **answer digest** over its answer fields
+and none of its run conditions (:func:`digest_result_object` for a live
+result, :func:`digest_wire_payload` for its wire form), so in-process
+and wire runs of the same plan produce the same :func:`samples_checksum`.
+Deliberate error traffic digests as ``error:<kind>``; admission bounces
+are retried with backoff (they are a concurrency artefact, not an
+answer) and surface only in the retry counters and error taxonomy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -55,51 +55,66 @@ WRITE_GATE_TIMEOUT_S = 60.0
 
 
 # ----------------------------------------------------------------------
-# canonical answer digests
+# the answer digest
 # ----------------------------------------------------------------------
-def _edges_key(edges) -> str:
-    """Canonical string for a tree's edge set (orientation-free, sorted)."""
-    pairs = sorted(
-        "|".join(sorted((repr(u), repr(v)))) for u, v in edges
-    )
-    return ";".join(pairs)
-
-
-def result_digest(
+def _digest_answer(
     *,
     terminals,
     objective: str,
+    side: Optional[int],
     cost: int,
     guarantee: str,
+    rank: int,
+    solver: str,
+    instance_class: str,
+    plan: str,
+    fallback_from: Optional[str],
+    vertices,
     edges,
 ) -> str:
-    """Digest one answer from its transport-independent fields.
+    """SHA-256 of one answer record: the one definition of "same answer".
 
-    Both transports reduce an answer to the same five fields -- the
-    in-process side from a live
-    :class:`~repro.api.result.ConnectionResult`, the wire side from the
-    JSON payload -- so equal answers digest equally no matter how they
-    travelled.
+    The record is what was asked (terminals, objective, side), what was
+    answered (cost, guarantee, rank, the tree's vertices and its
+    orientation-free edges) and how the engine chose it (solver,
+    instance class, plan, ``fallback_from``).  Run conditions -- wall
+    times, phases, request id, tenant, tags, cache flags -- are not part
+    of an answer, so the same answer digests alike cold or warm, replayed
+    from disk or served over the wire.
     """
-    text = "\n".join(
-        (
-            ",".join(sorted(repr(t) for t in terminals)),
-            objective,
-            str(cost),
-            guarantee,
-            _edges_key(edges),
-        )
-    )
+    record = [
+        sorted(repr(t) for t in terminals),
+        objective,
+        side,
+        cost,
+        guarantee,
+        rank,
+        solver,
+        instance_class,
+        plan,
+        fallback_from,
+        sorted(repr(v) for v in vertices),
+        sorted(sorted((repr(u), repr(v))) for u, v in edges),
+    ]
+    text = json.dumps(record, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def digest_result_object(result) -> str:
     """Digest an in-process :class:`~repro.api.result.ConnectionResult`."""
-    return result_digest(
+    provenance = result.provenance
+    return _digest_answer(
         terminals=result.request.terminals,
         objective=result.request.objective,
+        side=result.solution.side,
         cost=result.cost,
         guarantee=result.guarantee.value,
+        rank=result.rank,
+        solver=provenance.solver,
+        instance_class=provenance.instance_class,
+        plan=provenance.plan,
+        fallback_from=provenance.fallback_from,
+        vertices=result.tree.vertices(),
         edges=result.tree.edges(),
     )
 
@@ -108,15 +123,25 @@ def digest_wire_payload(payload: Dict[str, Any]) -> str:
     """Digest a wire result payload (the server's JSON encoding)."""
     from repro.server.codec import decode_value
 
-    return result_digest(
+    provenance = payload["provenance"]
+    edges = [(decode_value(u), decode_value(v)) for u, v in payload["tree_edges"]]
+    if "tree_vertices" in payload:
+        vertices = [decode_value(v) for v in payload["tree_vertices"]]
+    else:  # omitted on the wire when the edges cover every vertex
+        vertices = {v for edge in edges for v in edge}
+    return _digest_answer(
         terminals=[decode_value(t) for t in payload["terminals"]],
         objective=payload["objective"],
+        side=payload["side"],
         cost=payload["cost"],
         guarantee=payload["guarantee"],
-        edges=[
-            (decode_value(u), decode_value(v))
-            for u, v in payload["tree_edges"]
-        ],
+        rank=payload["rank"],
+        solver=provenance["solver"],
+        instance_class=provenance["instance_class"],
+        plan=provenance["plan"],
+        fallback_from=provenance["fallback_from"],
+        vertices=vertices,
+        edges=edges,
     )
 
 
@@ -297,7 +322,7 @@ class InProcessTransport:
             with self._registry_lock:
                 self._registry.release(tenant)
         record.mutations += 1
-        return _mutation_digest(record.graph.mutation_version, delta)
+        return _mutation_digest(record.graph.mutation_version, delta.counts())
 
     def run_serial(self, plan: Sequence[PlannedOp]) -> List[OpSample]:
         """Replay a plan in index order on this thread (the verify oracle)."""
@@ -322,12 +347,12 @@ def _apply_raw_edit(transaction, edit: Dict[str, Any]) -> None:
         raise RemoteError("internal", f"unknown edit op {op!r}")
 
 
-def _mutation_digest(version: int, delta) -> str:
-    """Digest a committed mutation from its version and net delta."""
+def _mutation_digest(version: int, delta: Dict[str, int]) -> str:
+    """Digest a committed mutation from its version and net delta counts."""
     return (
         f"mutate:v{version}"
-        f":+v{len(delta.added_vertices)}-v{len(delta.removed_vertices)}"
-        f":+e{len(delta.added_edges)}-e{len(delta.removed_edges)}"
+        f":+v{delta['added_vertices']}-v{delta['removed_vertices']}"
+        f":+e{delta['added_edges']}-e{delta['removed_edges']}"
     )
 
 
@@ -401,13 +426,7 @@ class WireTransport:
             answer = client.mutate(
                 tenant, payload["edits"], token=self._tokens[tenant]
             )
-            return (
-                f"mutate:v{answer['version']}"
-                f":+v{answer['delta']['added_vertices']}"
-                f"-v{answer['delta']['removed_vertices']}"
-                f":+e{answer['delta']['added_edges']}"
-                f"-e{answer['delta']['removed_edges']}"
-            )
+            return _mutation_digest(answer["version"], answer["delta"])
         if op.op == "bad_auth":
             client.mutate(tenant, payload["edits"], token=payload["token"])
             raise RemoteError(  # pragma: no cover - auth must have raised
@@ -610,7 +629,6 @@ __all__ = [
     "execute_op",
     "digest_result_object",
     "digest_wire_payload",
-    "result_digest",
     "run_plan",
     "samples_checksum",
     "MAX_ADMISSION_RETRIES",

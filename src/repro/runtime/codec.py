@@ -157,7 +157,6 @@ def encode_result(result: ConnectionResult) -> dict:
             "request_id": result.provenance.request_id,
             "tenant": result.provenance.tenant,
             "phases": result.provenance.phases,
-            "backend": result.provenance.backend,
         },
     }
 
@@ -224,7 +223,6 @@ def decode_result(
             request_id=stored.get("request_id"),
             tenant=stored.get("tenant"),
             phases=stored.get("phases"),
-            backend=stored.get("backend"),
         )
         return ConnectionResult(
             request=request,

@@ -132,7 +132,9 @@ class DiskCache:
         """Return the stored result payload for ``(digest, key)``, or ``None``.
 
         The payload is the :func:`~repro.runtime.codec.encode_result` dict;
-        decoding (and its own validation) is the caller's job.
+        decoding (and its own validation) is the caller's job, and so is
+        counting the lookup: a ``hit`` once the payload decodes, ``invalid``
+        when it does not.
         """
         record = self._read(self._result_path(digest, key), kind="result")
         if record is None:
@@ -140,7 +142,6 @@ class DiskCache:
         if record.get("key") != key or not isinstance(record.get("data"), dict):
             self.invalid += 1
             return None
-        self.hits += 1
         return record["data"]
 
     def store_result(self, digest: str, key: str, payload: dict) -> None:

@@ -444,28 +444,20 @@ class WorkloadReport:
 
 
 def canonical_checksum(results: Sequence[ConnectionResult]) -> str:
-    """Digest the *answers* of a result sequence, ignoring run conditions.
+    """Digest the *answers* of a result sequence, in order.
 
-    Covers terminals, objective, tree vertices and edges, cost, guarantee,
-    rank, solver, instance class and plan reason; excludes wall times and
-    cache flags, which legitimately differ between cold/warm/disk phases.  Two runs of the same workload must agree on this digest --
+    A fold of :func:`repro.load.clients.digest_result_object`, the one
+    answer digest: wall times, cache flags and request identity are left
+    out, since they legitimately differ between cold/warm/disk phases.
+    Two runs of the same workload must agree on this digest --
     :func:`run_workload` asserts it across every phase.
     """
+    # imported here: repro.load.spec imports this module
+    from repro.load.clients import digest_result_object
+
     hasher = hashlib.sha256()
     for result in results:
-        record = result.to_dict(include_timing=False)
-        provenance = record.get("provenance", {})
-        provenance.pop("cache_hit", None)
-        provenance.pop("result_cache", None)
-        # the kernel lane is a run condition, not an answer
-        provenance.pop("backend", None)
-        record["tree_vertices"] = sorted(repr(v) for v in result.tree.vertices())
-        record["tree_edges"] = sorted(
-            "|".join(sorted((repr(u), repr(v)))) for u, v in result.tree.edges()
-        )
-        hasher.update(
-            json.dumps(record, sort_keys=True, default=repr).encode("utf-8")
-        )
+        hasher.update(digest_result_object(result).encode("ascii"))
     return hasher.hexdigest()
 
 

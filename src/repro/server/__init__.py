@@ -6,7 +6,7 @@ frames over TCP (:mod:`repro.server.protocol`), fronting a
 :class:`~repro.server.registry.SchemaRegistry` that hosts many named
 schemas with per-tenant configuration, admission control, and LRU
 eviction of cold tenants backed by the
-:class:`~repro.runtime.cache.DiskCache` for disk-warm rebinds.  Ranked
+:class:`~repro.runtime.diskcache.DiskCache` for disk-warm rebinds.  Ranked
 enumeration streams pause and resume *across the wire* -- opaque
 continuation tokens (:mod:`repro.server.codec`) survive client
 reconnects and even server restarts.  A sidecar HTTP listener serves the

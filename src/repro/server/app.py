@@ -590,12 +590,7 @@ class ReproServer:
         self._drop_streams(tenant)
         response = {
             "version": record.graph.mutation_version,
-            "delta": {
-                "added_vertices": len(delta.added_vertices),
-                "removed_vertices": len(delta.removed_vertices),
-                "added_edges": len(delta.added_edges),
-                "removed_edges": len(delta.removed_edges),
-            },
+            "delta": delta.counts(),
         }
         if key is not None:
             self._registry.remember_idempotent(tenant, key, response)
@@ -661,41 +656,31 @@ class ReproServer:
         sid = record["sid"]
         page = self._page_size(tenant, params["budget"])
         entry = self._streams.get(sid)
-        if (
-            entry is not None
-            and entry["tenant"] == tenant
-            and entry["stream"].yielded == skip
-        ):
-            # fast path: the paused stream is still live server-side
-            stream = entry["stream"]
-            self._registry.authenticate(tenant, token)
-            self._registry.acquire(tenant)
-            try:
-                async with self._lock_for(tenant):
-                    stream.extend_budget(page)
-                    with request_scope(
-                        request_id=f"req-{next(self._request_seq)}",
-                        tenant=tenant,
-                    ):
-                        results = await asyncio.to_thread(stream.take, page)
-            finally:
-                self._registry.release(tenant)
-        else:
+        live = (
+            entry["stream"]
+            if entry is not None and entry["tenant"] == tenant
+            else None
+        )
+
+        def resume(service):
+            # checked under the tenant lock: a resume abandoned past its
+            # deadline may have moved the live stream on after it expired
+            if live is not None and live.yielded == skip:
+                # fast path: the paused stream is still live server-side
+                live.extend_budget(page)
+                return live, live.take(page)
             # stateless path: rebuild and replay -- enumeration is
             # deterministic, so ranks skip+1.. come out identical (this
             # is what survives reconnects, eviction, and restarts)
-            self._streams.pop(sid, None)
+            stream = service.enumerate(
+                terminals, budget=skip + page, max_extra=max_extra
+            )
+            replayed = stream.take(skip)
+            if len(replayed) < skip:
+                return stream, []
+            return stream, stream.take(page)
 
-            def resume(service):
-                stream = service.enumerate(
-                    terminals, budget=skip + page, max_extra=max_extra
-                )
-                replayed = stream.take(skip)
-                if len(replayed) < skip:
-                    return stream, []
-                return stream, stream.take(page)
-
-            stream, results = await self._solve(tenant, token, resume)
+        stream, results = await self._solve(tenant, token, resume)
         return await self._finish_enumeration(
             writer,
             message_id,

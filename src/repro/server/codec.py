@@ -28,6 +28,7 @@ from typing import Any, List, Optional
 
 from repro.api.request import ConnectionRequest
 from repro.api.result import ConnectionResult
+from repro.exceptions import ValidationError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.runtime.codec import _label_repr, decode_result, encode_result
 from repro.server.errors import ProtocolError
@@ -213,7 +214,8 @@ def decode_wire_result(
     ``graph`` is the receiver's copy of the schema.  When ``request`` is
     omitted it is rebuilt from the payload's embedded terminals and
     objective -- enough for tree/guarantee/provenance comparisons; pass
-    the original request to round-trip tags and policy too.
+    the original request to round-trip tags and policy too.  Every
+    malformed payload raises :class:`~repro.server.errors.ProtocolError`.
     """
     if not isinstance(payload, dict):
         raise ProtocolError(
@@ -245,13 +247,15 @@ def decode_wire_result(
         inner["provenance"] = provenance
         if result_cache is None:
             result_cache = stored_result_cache
-    except (KeyError, TypeError) as error:
+        if request is None:
+            request = ConnectionRequest.of(terminals, objective=objective)
+        return decode_result(
+            inner, graph=graph, request=request, result_cache=result_cache
+        )
+    except (KeyError, TypeError, ValueError, ValidationError) as error:
+        # ValueError covers decode_result's PayloadError, ValidationError
+        # an embedded request that ConnectionRequest rejects
         raise ProtocolError(f"malformed wire result: {error}") from error
-    if request is None:
-        request = ConnectionRequest.of(terminals, objective=objective)
-    return decode_result(
-        inner, graph=graph, request=request, result_cache=result_cache
-    )
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.api import (
     ConnectionService,
     EnumerationStream,
     Guarantee,
+    Provenance,
     ServiceConfig,
 )
 from repro.datasets.figures import figure1_query, figure1_relational_schema
@@ -524,7 +525,7 @@ class TestPackaging:
     def test_version_and_exports(self):
         import repro
 
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "4.0.0"
         for name in (
             "BlockClassifier",
             "ConnectionRequest",
@@ -552,11 +553,12 @@ class TestPackaging:
             assert getattr(repro, name) is not None
 
     def test_removed_surfaces_are_gone(self):
-        """2.0.0 keeps one front door, 3.0.0 one kernel lane and no process pool."""
+        """2.0.0 keeps one front door, 3.0.0 one lane, 4.0.0 one answer digest."""
         import repro
         import repro.core
         import repro.engine
         import repro.kernels
+        import repro.load.clients
         import repro.runtime
         from repro.engine import InterpretationEngine
         from repro.faults import FaultPlan
@@ -580,6 +582,7 @@ class TestPackaging:
                 "available_backends",
             ),
             repro.runtime: ("ParallelExecutor",),
+            repro.load.clients: ("result_digest",),
         }
         for module, names in removed.items():
             for name in names:
@@ -603,6 +606,12 @@ class TestPackaging:
         with pytest.raises(ValidationError, match="unknown site"):
             FaultPlan.from_dict(
                 {"seed": 0, "rules": [{"site": "worker-crash", "at": [0]}]}
+            )
+        # 4.0.0: the lane name is gone from provenance too
+        with pytest.raises(TypeError):
+            Provenance(
+                solver="s", instance_class="c", plan="p", cache_hit=False,
+                backend="array",
             )
         with pytest.raises(ValidationError, match="workers"):
             WorkloadSpec.from_dict(

@@ -92,6 +92,17 @@ def small_graph():
     )
 
 
+def cycle_graph():
+    """A six-cycle: "A" and "C" connect two ways, so a stream pages."""
+    from repro.graphs import BipartiteGraph
+
+    return BipartiteGraph(
+        left=["A", "B", "C"],
+        right=[1, 2, 3],
+        edges=[("A", 1), ("B", 1), ("B", 2), ("C", 2), ("C", 3), ("A", 3)],
+    )
+
+
 @pytest.fixture(autouse=True)
 def _no_ambient_injector():
     """Every test starts and ends with the fault plane disabled."""
@@ -447,6 +458,77 @@ class TestDeadline:
             assert kinds == ["deadline"] * 4
             assert inside["peak"] == 1
             assert server.registry.record("slow").inflight == 0
+
+    def test_injected_deadline_stops_an_enumeration_resume(self):
+        with running_server() as server:
+            with ReproClient("127.0.0.1", server.port) as client:
+                client.create_schema(
+                    "acme", cycle_graph(), limits={"deadline_ms": 60000}
+                )
+                page = client.enumerate("acme", ["A", "C"], budget=1)
+                plan = FaultPlan.from_dict(
+                    {
+                        "seed": 0,
+                        "rules": [{"site": "deadline-exceeded", "at": [0]}],
+                    }
+                )
+                with injected(plan):
+                    with pytest.raises(RemoteError) as info:
+                        client.enumerate(
+                            "acme", continuation=page["continuation"], budget=1
+                        )
+                    assert info.value.kind == "deadline"
+                # the fault fired on the resume, not on the next request
+                assert client.connect("acme", ["A", "C"])["cost"] == 3
+
+    def test_real_deadline_stops_an_enumeration_resume(self, monkeypatch):
+        from repro.api import ConnectionService
+        from repro.api.stream import EnumerationStream
+        from repro.load.clients import digest_result_object, digest_wire_payload
+
+        slow = threading.Event()
+        original = EnumerationStream.take
+
+        def slow_take(stream, count):
+            if slow.is_set():
+                time.sleep(1.0)
+            return original(stream, count)
+
+        monkeypatch.setattr(EnumerationStream, "take", slow_take)
+        with running_server() as server:
+            with ReproClient("127.0.0.1", server.port) as client:
+                # room for the cold first page, none for a slowed resume
+                client.create_schema(
+                    "acme", cycle_graph(), limits={"deadline_ms": 200}
+                )
+                first = client.enumerate("acme", ["A", "C"], budget=1)
+                token = first["continuation"]
+                slow.set()
+                with pytest.raises(RemoteError) as info:
+                    client.enumerate("acme", continuation=token, budget=1)
+                assert info.value.kind == "deadline"
+                slow.clear()
+                # the abandoned take still runs and moves the live stream
+                # past the token; once it hands the tenant back, the same
+                # token resumes on the stateless path at the right page
+                stop = time.monotonic() + 5
+                while (
+                    time.monotonic() < stop
+                    and server.registry.record("acme").inflight
+                ):
+                    time.sleep(0.02)
+                second = client.enumerate("acme", continuation=token, budget=1)
+        stream = ConnectionService(schema=cycle_graph()).enumerate(
+            ["A", "C"], budget=1
+        )
+        expected = [digest_result_object(r) for r in stream.take(1)]
+        stream.extend_budget(1)
+        expected += [digest_result_object(r) for r in stream.take(1)]
+        got = [
+            digest_wire_payload(r) for r in first["results"] + second["results"]
+        ]
+        assert got == expected
+        assert [r["rank"] for r in second["results"]] == [2]
 
 
 class TestIdempotentMutate:

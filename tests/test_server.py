@@ -250,6 +250,21 @@ class TestCodec:
         assert clone.to_dict() == result.to_dict()
         assert clone.tree.vertices() == result.tree.vertices()
 
+    def test_malformed_wire_result_is_a_protocol_error(self):
+        graph = small_graph()
+        result = ConnectionService(schema=graph).connect(["A", 3])
+        payload = json.loads(json.dumps(encode_wire_result(result)))
+        damaged = [
+            {k: v for k, v in payload.items() if k != "version"},
+            {k: v for k, v in payload.items() if k != "tree_edges"},
+            dict(payload, guarantee="maybe"),
+            dict(payload, provenance="nope"),
+            dict(payload, objective="widest"),
+        ]
+        for broken in damaged:
+            with pytest.raises(ProtocolError, match="malformed wire result"):
+                decode_wire_result(broken, graph=graph)
+
     def test_continuation_round_trip(self):
         token = encode_continuation(
             tenant="t", terminals=[encode_value(("l", 1))],
