@@ -31,7 +31,7 @@ from repro.api import ConnectionService, ServiceConfig
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
 from repro.dynamic import SchemaDelta, SchemaEditor
 from repro.engine.cache import SchemaContext
-from repro.runtime.workload import canonical_checksum
+from repro.load.clients import canonical_checksum
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 

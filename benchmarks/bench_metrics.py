@@ -24,7 +24,7 @@ from conftest import record
 from repro.api import ConnectionService, ServiceConfig
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
 from repro.metrics import MetricsRegistry, NullRegistry
-from repro.runtime.workload import canonical_checksum
+from repro.load.clients import canonical_checksum
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 

@@ -1,7 +1,8 @@
 """Runtime benchmarks: the persistent result cache.
 
 Acceptance numbers for the `repro.runtime` subsystem on the 515-vertex
-(6,2)-chordal workload (the ``python -m repro spec-template`` spec):
+(6,2)-chordal workload (``random_62_chordal_graph(170, rng=1985)``,
+2,000 three-terminal queries):
 
 * a disk-warm replay (fresh service, populated cache) lands within 10%
   of the in-memory warm batch (in practice it is faster);
@@ -20,7 +21,7 @@ from conftest import record
 
 from repro.api import ConnectionService, ServiceConfig
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
-from repro.runtime.workload import canonical_checksum
+from repro.load.clients import canonical_checksum
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 

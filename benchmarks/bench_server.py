@@ -30,7 +30,7 @@ from conftest import record
 
 from repro.api import ConnectionService
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
-from repro.runtime.workload import canonical_checksum
+from repro.load.clients import canonical_checksum
 from repro.server import ReproClient, ReproServer
 from repro.server.codec import decode_wire_result
 

@@ -27,15 +27,19 @@ The package provides:
   point for answering queries,
 * the persistent runtime (``repro.runtime``): ``DiskCache`` persists
   classifications and results across processes
-  (``ServiceConfig(cache_dir=...)``), and ``WorkloadSpec`` +
-  ``python -m repro run`` execute declarative workloads end to end,
+  (``ServiceConfig(cache_dir=...)``),
+* the one workload model (``repro.load``): a ``LoadSpec`` compiles to a
+  deterministic plan that ``python -m repro load`` drives open-loop
+  (``run_load``) and ``python -m repro run`` replays serially as cold,
+  warm and disk-cached phases (``run_phases``), every run checked
+  against one serial oracle,
 * the incremental dynamic-schema subsystem (``repro.dynamic``):
   ``SchemaEditor`` batches schema edits into atomic transactions (one
   version bump, rollback on error, structured ``SchemaDelta``
   journals), and ``SchemaContext.apply_delta`` patches cached schema
   contexts blockwise instead of re-running the Theorem 1 recognition --
-  schema churn as a first-class workload (the ``churn`` phase of
-  ``python -m repro run``),
+  schema churn as a first-class workload (the ``mutate`` traffic of a
+  ``LoadSpec``),
 * the kernel layer (``repro.kernels``): BFS kernels over the CSR
   backend and the cross-query ``DistanceOracle`` attached to every
   schema context (component-granular invalidation under edits; see
@@ -103,7 +107,7 @@ from repro.exceptions import (
 from repro.dynamic import BlockClassifier, EditOp, SchemaDelta, SchemaEditor
 from repro.engine import InterpretationEngine, schema_digest
 from repro.kernels import DistanceOracle
-from repro.load import LoadReport, LoadSpec, run_load
+from repro.load import LoadReport, LoadSpec, run_load, run_phases
 from repro.metrics import MetricsRegistry, NullRegistry, default_metrics
 from repro.graphs import (
     BipartiteGraph,
@@ -128,12 +132,7 @@ from repro.semantic import (
     Relation,
     RelationalSchema,
 )
-from repro.runtime import (
-    DiskCache,
-    WorkloadReport,
-    WorkloadSpec,
-    run_workload,
-)
+from repro.runtime import DiskCache
 from repro.server import (
     RemoteError,
     ReproClient,
@@ -152,7 +151,7 @@ from repro.steiner import (
     steiner_tree_dreyfus_wagner,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "BipartiteGraph",
@@ -201,8 +200,6 @@ __all__ = [
     "SteinerInstance",
     "SteinerSolution",
     "ValidationError",
-    "WorkloadReport",
-    "WorkloadSpec",
     "acyclicity_degree",
     "chordality_class",
     "classify_bipartite_graph",
@@ -229,7 +226,7 @@ __all__ = [
     "pseudo_steiner_algorithm1",
     "pseudo_steiner_bruteforce",
     "run_load",
-    "run_workload",
+    "run_phases",
     "schema_digest",
     "steiner_algorithm2",
     "steiner_tree_bruteforce",

@@ -1,4 +1,4 @@
-"""``python -m repro``: the workload-runner CLI (see :mod:`repro.runtime.cli`)."""
+"""``python -m repro``: the command line (see :mod:`repro.runtime.cli`)."""
 
 from repro.runtime.cli import main
 

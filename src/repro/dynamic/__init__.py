@@ -22,8 +22,8 @@ instead of a cache-flush:
   (:attr:`~repro.api.config.ServiceConfig.incremental`).
 
 See ``docs/dynamic.md`` for the full guide, including the invalidation
-chain through the parallel executor and the persistent cache, and the
-"churn" workload phase of ``python -m repro run``.
+chain through the persistent cache, and churn workloads: the ``mutate``
+traffic of a :class:`~repro.load.spec.LoadSpec`.
 """
 
 from repro.dynamic.blocks import (

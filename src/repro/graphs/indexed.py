@@ -14,13 +14,16 @@ finite simple undirected graph over the contiguous vertex ids
   :class:`~repro.graphs.bipartite.BipartiteGraph`.
 
 The CSR arrays are the *canonical* storage; the bitset rows and the
-per-vertex row cache are **lazily derived**.  This is what lets schemas
-reach 10^5 - 10^6 vertices: big-int bitset rows cost O(n^2 / 16) bytes in
-the worst case, so a graph consumed only through the CSR surface (the BFS
-kernels of :mod:`repro.kernels.bfs`) never pays for them.  The first call
-to a bitset primitive (``has_edge``, ``is_clique`` ...) materialises
-``bits`` once; the first Python-loop traversal materialises ``_rows``
-once.
+per-vertex row cache are **lazily derived**.  Big-int bitset rows cost
+O(n^2 / 16) bytes in the worst case, so only the graphs that call a
+bitset primitive (``has_edge``, ``is_clique``, ``bits`` ...) pay for
+them; the first such call materialises ``bits`` once, and the first
+Python-loop traversal materialises ``_rows`` once.  The serving path
+does pay: every chordal-elimination answer reads ``indexed.bits``
+(``_eliminate_within`` in :mod:`repro.engine.registry`), so a served
+schema holds its rows from the first such answer on -- outside
+:meth:`IndexedGraph.nbytes` and therefore outside every memory budget,
+until ROADMAP item 4 step 1 (seed-local bitsets) lands.
 
 The class implements the read-only part of the :class:`~repro.graphs.graph.Graph`
 API (``neighbors``, ``vertices``, ``has_edge``, ``subgraph`` ...), so every
@@ -393,9 +396,11 @@ class IndexedGraph:
         """Return the canonical (CSR + sides) storage footprint in bytes.
 
         Counts only the arrays -- the lazily derived bitset rows and row
-        cache are excluded, matching what a pickle ships and what the
-        memory-budget accounting of
-        :class:`~repro.engine.cache.SchemaCache` needs to bound.
+        cache are excluded, matching what a pickle ships.  The memory
+        budget of :class:`~repro.engine.cache.SchemaCache` reads this
+        figure, so it does not bound the bitset rows that every
+        chordal-elimination answer materialises (see the module
+        docstring and ROADMAP item 4 step 1).
         """
         return sum(
             len(buf) * buf.itemsize

@@ -16,7 +16,8 @@ Two transports implement the same operation vocabulary:
   process's threads, replicating the server's request path
   (authenticate, admission ``acquire``/``release``, quota checks, the
   per-tenant solve lock) without any sockets -- the fastest way to
-  saturate the engine, and the transport the serial verify oracle uses;
+  saturate the engine, and the transport of the serial verify oracle
+  and of ``python -m repro run``'s phases;
 * :class:`WireTransport` speaks the real protocol through one blocking
   :class:`~repro.server.client.ReproClient` per worker thread, with
   enumeration follow-up pages optionally resumed on a *fresh
@@ -25,7 +26,8 @@ Two transports implement the same operation vocabulary:
 Every answer reduces to one **answer digest** over its answer fields
 and none of its run conditions (:func:`digest_result_object` for a live
 result, :func:`digest_wire_payload` for its wire form), so in-process
-and wire runs of the same plan produce the same :func:`samples_checksum`.
+and wire runs of the same plan produce the same :func:`samples_checksum`
+(and :func:`canonical_checksum` folds a plain result sequence).
 Deliberate error traffic digests as ``error:<kind>``; admission bounces
 are retried with backoff (they are a concurrency artefact, not an
 answer) and surface only in the retry counters and error taxonomy.
@@ -40,7 +42,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.load.report import OpSample
-from repro.load.schedule import PlannedOp
+from repro.load.schedule import PlannedOp, apply_edits
 from repro.load.spec import LoadSpec
 from repro.server.errors import RemoteError, envelope_for
 
@@ -145,6 +147,19 @@ def digest_wire_payload(payload: Dict[str, Any]) -> str:
     )
 
 
+def canonical_checksum(results) -> str:
+    """Fold the answer digests of a result sequence, in order.
+
+    Two runs that answered the same requests alike agree on this
+    checksum whatever their run conditions (cold or warm, replayed from
+    disk, instrumented or not).
+    """
+    hasher = hashlib.sha256()
+    for result in results:
+        hasher.update(digest_result_object(result).encode("ascii"))
+    return hasher.hexdigest()
+
+
 def _join_digests(parts: Sequence[str]) -> str:
     """Fold many per-result digests into one op digest."""
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
@@ -244,11 +259,12 @@ class InProcessTransport:
     def _dispatch(self, op: PlannedOp) -> str:
         payload = op.payload
         tenant = op.tenant
+        shape = {"objective": self._spec.objective, "side": self._spec.side}
         if op.op == "connect":
             terminals = payload["terminals"]
             with self._registry_lock:
                 self._registry.check_quota(tenant, terminals=len(terminals))
-            result = self._solve(tenant, lambda s: s.connect(terminals))
+            result = self._solve(tenant, lambda s: s.connect(terminals, **shape))
             return _join_digests([digest_result_object(result)])
         if op.op in ("batch", "interpret"):
             queries = payload["queries"]
@@ -256,7 +272,7 @@ class InProcessTransport:
                 self._registry.check_quota(tenant, requests=len(queries))
                 for query in queries:
                     self._registry.check_quota(tenant, terminals=len(query))
-            results = self._solve(tenant, lambda s: s.batch(queries))
+            results = self._solve(tenant, lambda s: s.batch(queries, **shape))
             return _join_digests([digest_result_object(r) for r in results])
         if op.op == "enumerate":
             return self._enumerate(op)
@@ -305,8 +321,6 @@ class InProcessTransport:
         return self._solve(tenant, pull)
 
     def _mutate(self, tenant: str, edits, token: Optional[str]) -> str:
-        from repro.dynamic.editor import SchemaEditor
-
         with self._registry_lock:
             self._registry.authenticate(tenant, token, mutating=True)
             record = self._registry.record(tenant)
@@ -314,37 +328,12 @@ class InProcessTransport:
             self._registry.service(tenant)
         try:
             with self._tenant_locks[tenant]:
-                with SchemaEditor(record.graph) as transaction:
-                    for edit in edits:
-                        _apply_raw_edit(transaction, edit)
-                delta = transaction.delta
+                delta = apply_edits(record.graph, edits)
         finally:
             with self._registry_lock:
                 self._registry.release(tenant)
         record.mutations += 1
         return _mutation_digest(record.graph.mutation_version, delta.counts())
-
-    def run_serial(self, plan: Sequence[PlannedOp]) -> List[OpSample]:
-        """Replay a plan in index order on this thread (the verify oracle)."""
-        samples: List[OpSample] = []
-        for op in plan:
-            samples.append(execute_op(self, op, pace=False))
-        return samples
-
-
-def _apply_raw_edit(transaction, edit: Dict[str, Any]) -> None:
-    """Apply one plan edit record (raw labels) to an open transaction."""
-    op = edit["op"]
-    if op == "add_vertex":
-        transaction.add_vertex(edit["vertex"], side=edit.get("side"))
-    elif op == "remove_vertex":
-        transaction.remove_vertex(edit["vertex"])
-    elif op == "add_edge":
-        transaction.add_edge(edit["u"], edit["v"])
-    elif op == "remove_edge":
-        transaction.remove_edge(edit["u"], edit["v"])
-    else:  # pragma: no cover - plans only emit the four ops above
-        raise RemoteError("internal", f"unknown edit op {op!r}")
 
 
 def _mutation_digest(version: int, delta: Dict[str, int]) -> str:
@@ -409,16 +398,17 @@ class WireTransport:
         payload = op.payload
         tenant = op.tenant
         client = self._client()
+        shape = {"objective": self._spec.objective, "side": self._spec.side}
         if op.op == "connect":
-            answer = client.connect(tenant, payload["terminals"])
+            answer = client.connect(tenant, payload["terminals"], **shape)
             return _join_digests([digest_wire_payload(answer)])
         if op.op == "batch":
             answers = client.batch(
-                tenant, [{"terminals": q} for q in payload["queries"]]
+                tenant, [{"terminals": q} for q in payload["queries"]], **shape
             )
             return _join_digests([digest_wire_payload(a) for a in answers])
         if op.op == "interpret":
-            answers = client.interpret(tenant, payload["queries"])
+            answers = client.interpret(tenant, payload["queries"], **shape)
             return _join_digests([digest_wire_payload(a) for a in answers])
         if op.op == "enumerate":
             return self._enumerate(client, op)
@@ -479,14 +469,14 @@ class WireTransport:
 # the open-loop executor
 # ----------------------------------------------------------------------
 class _WriteGate:
-    """Per-tenant ordering gate for mutations (see the schedule module)."""
+    """Per-tenant plan-order gate for mutated tenants (see the schedule module)."""
 
     def __init__(self, tenants: Sequence[str]) -> None:
         self._condition = threading.Condition()
         self._next: Dict[str, int] = {name: 0 for name in tenants}
 
     def wait_for(self, tenant: str, seq: int) -> None:
-        """Block until every earlier mutation of ``tenant`` has applied."""
+        """Block until every earlier sequenced op of ``tenant`` has finished."""
         with self._condition:
             if not self._condition.wait_for(
                 lambda: self._next[tenant] >= seq,
@@ -498,7 +488,7 @@ class _WriteGate:
                 )
 
     def advance(self, tenant: str, seq: int) -> None:
-        """Mark mutation ``seq`` finished (success or failure alike)."""
+        """Mark op ``seq`` finished (success or failure alike)."""
         with self._condition:
             self._next[tenant] = max(self._next[tenant], seq + 1)
             self._condition.notify_all()
@@ -626,6 +616,7 @@ def run_plan(
 __all__ = [
     "InProcessTransport",
     "WireTransport",
+    "canonical_checksum",
     "execute_op",
     "digest_result_object",
     "digest_wire_payload",

@@ -92,7 +92,10 @@ class LoadReport:
     asked for); ``unexpected_errors`` counts only failures the plan did
     not script, and it is what error-rate budgets are evaluated
     against.  ``checksum``/``oracle_checksum`` carry the verify-mode
-    digests (empty strings when verification was off).
+    digests (empty strings when verification was off).  ``phases``
+    holds ``(name, seconds, checksum)`` per replay of a serial
+    ``repro run`` (empty for a load run); each must match the oracle
+    too.
     """
 
     spec_name: str
@@ -110,12 +113,16 @@ class LoadReport:
     oracle_checksum: str = ""
     soak: Optional[object] = None
     extra: Tuple[Tuple[str, object], ...] = field(default_factory=tuple)
+    phases: Tuple[Tuple[str, float, str], ...] = ()
+
+    def matches_oracle(self) -> bool:
+        """True when verify was off or every checksum equals the oracle's."""
+        checksums = {self.checksum, *(checksum for _, _, checksum in self.phases)}
+        return not self.oracle_checksum or checksums == {self.oracle_checksum}
 
     def ok(self) -> bool:
         """Return ``True`` when every declared budget held and verify matched."""
-        if self.budget_violations:
-            return False
-        if self.oracle_checksum and self.checksum != self.oracle_checksum:
+        if self.budget_violations or not self.matches_oracle():
             return False
         soak = self.soak
         if soak is not None and not soak.ok():  # type: ignore[attr-defined]
@@ -140,6 +147,11 @@ class LoadReport:
             "oracle_checksum": self.oracle_checksum,
             "ok": self.ok(),
         }
+        if self.phases:
+            data["phases"] = [
+                {"name": name, "seconds": seconds, "checksum": checksum}
+                for name, seconds, checksum in self.phases
+            ]
         if self.soak is not None:
             data["soak"] = self.soak.to_dict()  # type: ignore[attr-defined]
         for key, value in self.extra:
@@ -171,8 +183,10 @@ class LoadReport:
         lines.append(f"  errors: {taxonomy or 'none'}"
                      f" (unexpected: {self.unexpected_errors},"
                      f" admission retries: {self.retries})")
+        for name, seconds, checksum in self.phases:
+            lines.append(f"  phase {name:<14}{seconds:>9.3f}s  {checksum[:16]}…")
         if self.oracle_checksum:
-            verdict = "MATCH" if self.checksum == self.oracle_checksum else "MISMATCH"
+            verdict = "MATCH" if self.matches_oracle() else "MISMATCH"
             lines.append(f"  verify: {verdict} ({self.checksum[:16]}…)")
         if self.soak is not None:
             lines.append(self.soak.render_text())  # type: ignore[attr-defined]
@@ -260,6 +274,7 @@ def build_report(
     checksum: str = "",
     oracle_checksum: str = "",
     soak: Optional[object] = None,
+    phases: Tuple[Tuple[str, float, str], ...] = (),
 ) -> LoadReport:
     """Fold executed samples into a budget-evaluated :class:`LoadReport`."""
     by_op: Dict[str, List[OpSample]] = {}
@@ -298,6 +313,7 @@ def build_report(
         checksum=checksum,
         oracle_checksum=oracle_checksum,
         soak=soak,
+        phases=phases,
     )
 
 

@@ -4,15 +4,19 @@
 the schemas, compile the plan, execute it over the chosen transport
 (in-process registry or a live server), replay the serial verify
 oracle, run the optional soak phase, and fold everything into a
-:class:`~repro.load.report.LoadReport`.
+:class:`~repro.load.report.LoadReport`.  :func:`run_phases` is its
+serial preset behind ``python -m repro run``: the same plan, replayed in
+process on one client as cold, warm and disk-cached phases.
 
 The **serial oracle** (:func:`serial_oracle_checksum`) replays the exact
 same plan through an :class:`~repro.load.clients.InProcessTransport` on
-one thread in plan order -- no concurrency, no sockets, no pacing.  Its
-checksum is the ground truth a concurrent run must reproduce: matching
-checksums mean every answer (and every scripted rejection) that crossed
-threads, sockets, reconnects and admission retries was byte-equivalent
-to the quiet serial answer.
+one client in plan order -- no concurrency, no sockets, no pacing -- on
+a registry where every tenant the plan mutates rebuilds its context
+from scratch after each edit.  Its checksum is the ground truth every
+run must reproduce: matching checksums mean every answer (and every
+scripted rejection) that crossed threads, sockets, reconnects,
+admission retries, incremental rebinds and disk replays was
+byte-equivalent to the quiet serial answer.
 
 :data:`SMOKE_SPEC` is the committed CI acceptance spec -- small enough
 for a pull-request gate, wide enough to cross every op kind, both error
@@ -25,7 +29,7 @@ import re
 import subprocess
 import sys
 import time
-from typing import Dict, Optional, Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 from repro.exceptions import ValidationError
 from repro.load.clients import (
@@ -175,12 +179,21 @@ def build_graphs(spec: LoadSpec) -> Dict[str, object]:
     return {tenant.name: tenant.build_schema() for tenant in spec.tenants}
 
 
-def build_registry(spec: LoadSpec, *, metrics=None, cache_dir=None):
+def build_registry(
+    spec: LoadSpec,
+    *,
+    metrics=None,
+    cache_dir=None,
+    fresh_context: Collection[str] = (),
+):
     """Build a fresh :class:`SchemaRegistry` populated with the spec's tenants.
 
     Schemas are regenerated (not shared with any other run), so every
     registry starts from the pristine state -- mutations in one run can
-    never bleed into another.
+    never bleed into another.  Tenants named in ``fresh_context`` rebuild
+    their context from scratch after every edit (``incremental=False``
+    and a one-slot context cache, so no earlier structure is reused):
+    the oracle's view of a mutated tenant.
     """
     from repro.metrics import MetricsRegistry
     from repro.server.registry import SchemaRegistry
@@ -191,10 +204,13 @@ def build_registry(spec: LoadSpec, *, metrics=None, cache_dir=None):
         metrics=metrics if metrics is not None else MetricsRegistry(),
     )
     for tenant in spec.tenants:
+        overrides = dict(tenant.config)
+        if tenant.name in fresh_context:
+            overrides.update(incremental=False, cache_size=1)
         registry.create(
             tenant.name,
             tenant.build_schema(),
-            config_overrides=dict(tenant.config),
+            config_overrides=overrides,
             limits=dict(tenant.limits),
             token=tenant.token,
         )
@@ -205,8 +221,69 @@ def serial_oracle_checksum(spec: LoadSpec, plan=None) -> str:
     """Replay the plan serially in-process; return the ground-truth checksum."""
     if plan is None:
         plan = build_plan(spec, build_graphs(spec))
-    transport = InProcessTransport(build_registry(spec), spec)
-    return samples_checksum(transport.run_serial(plan))
+    mutated = {op.tenant for op in plan if op.op == "mutate"}
+    transport = InProcessTransport(
+        build_registry(spec, fresh_context=mutated), spec
+    )
+    samples, _ = run_plan(plan, transport, clients=1, pace=False)
+    return samples_checksum(samples)
+
+
+def run_phases(spec: LoadSpec, *, cache_dir=None, metrics=None) -> LoadReport:
+    """Replay the spec's plan in process, phase by phase (``repro run``).
+
+    Each phase runs the whole plan on the executor with one client and
+    no pacing, against a registry of its own:
+
+    * ``serial-cold`` -- a fresh registry: classification plus every solve;
+    * ``serial-warm`` -- the same registry again, only when the plan has
+      no mutations (replaying edits on an edited schema would be another
+      workload);
+    * ``disk-populate`` / ``disk-warm`` -- only with ``cache_dir``: a
+      fresh registry that stores every answer there, then another that
+      replays them from disk.
+
+    Every phase's checksum must equal the serial oracle's (when
+    ``spec.verify``); :meth:`~repro.load.report.LoadReport.ok` says
+    whether they all did.  Op statistics and budgets come from
+    ``serial-cold``; the soak section is ``repro load``'s alone.  Wall
+    times go to the ``repro_phase_seconds{phase}`` gauge of ``metrics``
+    (a fresh :class:`~repro.metrics.MetricsRegistry` when ``None``),
+    which every phase's services also collect into.
+    """
+    from repro.metrics import MetricsRegistry
+
+    metrics = metrics if metrics is not None else MetricsRegistry()
+    phase_seconds = metrics.gauge(
+        "repro_phase_seconds", "Wall time of each `repro run` phase.", ("phase",)
+    )
+    plan = build_plan(spec, build_graphs(spec))
+    phases = []
+
+    def replay(name: str, registry):
+        samples, seconds = run_plan(
+            plan, InProcessTransport(registry, spec), clients=1, pace=False
+        )
+        phase_seconds.labels(phase=name).set(seconds)
+        phases.append((name, seconds, samples_checksum(samples)))
+        return samples, seconds
+
+    registry = build_registry(spec, metrics=metrics)
+    cold, duration = replay("serial-cold", registry)
+    if not any(op.op == "mutate" for op in plan):
+        replay("serial-warm", registry)
+    if cache_dir is not None:
+        for name in ("disk-populate", "disk-warm"):
+            replay(name, build_registry(spec, metrics=metrics, cache_dir=cache_dir))
+    return build_report(
+        spec,
+        "serial",
+        cold,
+        duration,
+        checksum=phases[0][2],
+        oracle_checksum=serial_oracle_checksum(spec, plan) if spec.verify else "",
+        phases=tuple(phases),
+    )
 
 
 def run_load(
@@ -354,6 +431,7 @@ __all__ = [
     "build_graphs",
     "build_registry",
     "run_load",
+    "run_phases",
     "serial_oracle_checksum",
     "smoke_spec",
     "spawn_server",

@@ -10,39 +10,40 @@ same spec yields the same plan, byte for byte, which is what makes
 verify-mode checksums comparable across runs, client counts, and
 transports.
 
-Three design rules keep concurrent execution deterministic:
+Two design rules keep concurrent execution deterministic:
 
-* **Churn and query populations are disjoint.**  When the profile mixes
-  ``mutate`` with query traffic, mutations go to *tokened* tenants and
-  verified query ops to *token-free* tenants -- answers on a schema
-  under concurrent mutation are not checksum-stable (enumeration tie
-  order depends on the vertex set), so the planner never races the two
-  on one tenant.
-* **Mutations are structure-preserving churn.**  Every ``mutate`` op
-  grows a pendant leaf (and later prunes a previously grown one), so a
-  churn tenant's schema stays valid and size-bounded over arbitrarily
-  long runs -- while the incremental rebind machinery
-  (:mod:`repro.dynamic`) still pays for every edit.
-* **Writes are ordered per tenant.**  Each ``mutate`` op carries a
-  ``write_seq``; executors gate on it so a tenant's mutations apply in
-  plan order regardless of which client thread picked them up (a prune
-  references a leaf grown by an earlier op, and the reported schema
-  version is only deterministic under a fixed apply order).
+* **Mutations are planned, not improvised.**  Every ``mutate`` op is a
+  raw edit list drawn by :func:`churn_edits` (the one churn generator:
+  ``grow-leaf``, ``prune-leaf``, ``drop-edge``, ``attach-block``)
+  against a *planning copy* of the tenant's schema, which the planner
+  evolves edit by edit.  Queries on a mutated tenant sample their
+  terminals from that evolved copy, so they stay feasible and ask
+  exactly what the schema at their plan position can answer.
+* **A mutated tenant runs in plan order.**  Every op on a tenant the
+  plan mutates -- its queries included -- carries a per-tenant
+  ``write_seq``; executors gate on it, so each op sees the schema
+  version the serial oracle saw, whichever client thread picked it up.
+  Ops on unmutated tenants carry no sequence and run fully concurrent.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.datasets.generators import random_terminals
+from repro.dynamic.delta import SchemaDelta
+from repro.dynamic.editor import SchemaEditor
+from repro.exceptions import ValidationError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.load.spec import LoadSpec
 
-#: Label prefix for leaves grown by mutation traffic; tuples survive the
-#: wire codec losslessly and can never collide with generator vertices.
-LEAF_PREFIX = "load-leaf"
+#: Label prefix for vertices grown by mutation traffic; tuples survive
+#: the wire codec losslessly and can never collide with generator
+#: vertices.
+CHURN_PREFIX = "churn"
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,9 @@ class PlannedOp:
         The typed error kind deliberate error traffic must be answered
         with (``None`` for regular traffic).
     write_seq:
-        Per-tenant mutation order (``None`` for non-mutating ops).
+        The op's position among the ops of its tenant, when the plan
+        mutates that tenant (``None`` otherwise); executors run a
+        mutated tenant's ops in this order.
     """
 
     index: int
@@ -107,32 +110,107 @@ def _weighted_ops(spec: LoadSpec, rng: random.Random, count: int) -> List[str]:
     return rng.choices(population, weights=weights, k=count)
 
 
-def _leaf_edits(
-    graph: BipartiteGraph,
-    tenant: str,
-    rng: random.Random,
-    grown: List[Any],
-    leaf_counter: List[int],
-) -> List[Dict[str, Any]]:
-    """Build one answer-preserving edit transaction (grow, maybe prune).
-
-    The new leaf attaches to an anchor drawn from the *initial* schema
-    (so planning never has to track the evolved graph), on the opposite
-    side.  Once two leaves are outstanding the oldest is pruned in the
-    same transaction, keeping the schema's size bounded over long runs.
-    """
+def _grow_leaf(graph, rng, fresh_ids):
     anchor = rng.choice(graph.sorted_vertices())
-    leaf_counter[0] += 1
-    leaf = (LEAF_PREFIX, tenant, leaf_counter[0])
-    edits: List[Dict[str, Any]] = [
+    leaf = (CHURN_PREFIX, next(fresh_ids))
+    return [
         {"op": "add_vertex", "vertex": leaf, "side": 3 - graph.side_of(anchor)},
         {"op": "add_edge", "u": leaf, "v": anchor},
     ]
-    grown.append(leaf)
-    if len(grown) > 2:
-        victim = grown.pop(0)
-        edits.append({"op": "remove_vertex", "vertex": victim})
+
+
+def _prune_leaf(graph, rng, fresh_ids):
+    leaves = [v for v in graph.sorted_vertices() if graph.degree(v) == 1]
+    if not leaves:
+        return []
+    return [{"op": "remove_vertex", "vertex": rng.choice(leaves)}]
+
+
+def _drop_edge(graph, rng, fresh_ids):
+    edges = sorted(
+        (tuple(sorted(edge, key=repr)) for edge in graph.edges()), key=repr
+    )
+    if not edges:
+        return []
+    u, v = rng.choice(edges)
+    return [{"op": "remove_edge", "u": u, "v": v}]
+
+
+def _attach_block(graph, rng, fresh_ids):
+    anchor = rng.choice(graph.sorted_vertices())
+    partner, first, second = (
+        (CHURN_PREFIX, next(fresh_ids)) for _ in range(3)
+    )
+    side = graph.side_of(anchor)
+    edits = [
+        {"op": "add_vertex", "vertex": partner, "side": side},
+        {"op": "add_vertex", "vertex": first, "side": 3 - side},
+        {"op": "add_vertex", "vertex": second, "side": 3 - side},
+    ]
+    for hub in (anchor, partner):
+        for spoke in (first, second):
+            edits.append({"op": "add_edge", "u": hub, "v": spoke})
     return edits
+
+
+_CHURN_DRAWS = {
+    "grow-leaf": _grow_leaf,
+    "prune-leaf": _prune_leaf,
+    "drop-edge": _drop_edge,
+    "attach-block": _attach_block,
+}
+
+
+def churn_edits(
+    graph: BipartiteGraph,
+    rng: random.Random,
+    kinds: Sequence[str],
+    fresh_ids: Iterator[int],
+) -> List[Dict[str, Any]]:
+    """Draw one mutation transaction, apply it to ``graph``, return its edits.
+
+    The kind is drawn from ``kinds`` (see
+    :data:`~repro.load.spec.CHURN_KINDS`); inapplicable draws (no leaf
+    to prune, no edge to drop) fall through to the next candidate.  When
+    *no* allowed kind applies -- possible only for allowlists without a
+    growth kind, e.g. pure ``drop-edge`` churn on a schema that ran out
+    of edges -- this raises instead of silently mutating outside the
+    allowlist.  Every choice goes through repr-sorted orderings and the
+    supplied RNG, and fresh vertices are labelled
+    ``(CHURN_PREFIX, next(fresh_ids))``: the same seed against an equal
+    graph reproduces the same evolution.  The returned raw edit records
+    are what a ``mutate`` op sends; :func:`apply_edits` replays them.
+    """
+    candidates = list(kinds)
+    rng.shuffle(candidates)
+    for kind in candidates:
+        edits = _CHURN_DRAWS[kind](graph, rng, fresh_ids)
+        if edits:
+            apply_edits(graph, edits)
+            return edits
+    raise ValidationError(
+        f"no churn kind of {sorted(set(kinds))} is applicable to the current "
+        "schema (nothing left to prune or drop); include 'grow-leaf' or "
+        "'attach-block' for an always-applicable mutation mix"
+    )
+
+
+def apply_edits(graph, edits: Sequence[Dict[str, Any]]) -> SchemaDelta:
+    """Apply raw edit records to ``graph`` as one editor transaction."""
+    with SchemaEditor(graph) as transaction:
+        for edit in edits:
+            op = edit["op"]
+            if op == "add_vertex":
+                transaction.add_vertex(edit["vertex"], side=edit.get("side"))
+            elif op == "remove_vertex":
+                transaction.remove_vertex(edit["vertex"])
+            elif op == "add_edge":
+                transaction.add_edge(edit["u"], edit["v"])
+            elif op == "remove_edge":
+                transaction.remove_edge(edit["u"], edit["v"])
+            else:  # pragma: no cover - plans only emit the four ops above
+                raise ValidationError(f"unknown edit op {op!r}")
+    return transaction.delta
 
 
 def build_plan(
@@ -140,10 +218,12 @@ def build_plan(
 ) -> List[PlannedOp]:
     """Compile a spec (plus its generated schemas) into a request plan.
 
-    ``graphs`` maps tenant name to the tenant's *initial* schema --
-    terminal sets are sampled from each schema's largest connected
-    component, so every planned query is feasible.  The function is
-    pure: no clocks, no global state, same inputs, same plan.
+    ``graphs`` maps tenant name to the tenant's *initial* schema; it is
+    not modified (mutations evolve private planning copies).  Terminal
+    sets are sampled from the largest connected component of the
+    tenant's schema as of the op's plan position, so every planned
+    query is feasible.  The function is pure: no clocks, no global
+    state, same inputs, same plan.
     """
     count = spec.arrival.requests
     arrival_seed = (
@@ -159,32 +239,16 @@ def build_plan(
 
     tenant_names = [tenant.name for tenant in spec.tenants]
     tokened = [tenant.name for tenant in spec.tokened_tenants()]
-    mutating = bool(dict(spec.profile).get("mutate", 0))
-    # churn/query partition (see the module docstring): with mutation in
-    # the mix, query ops avoid the tenants whose schemas are changing
-    query_pool = (
-        [name for name in tenant_names if name not in set(tokened)]
-        if mutating
-        else tenant_names
-    ) or tenant_names
     by_name = {tenant.name: tenant for tenant in spec.tenants}
-    write_seq: Dict[str, int] = {name: 0 for name in tenant_names}
-    grown: Dict[str, List[Any]] = {name: [] for name in tenant_names}
-    leaf_counter: Dict[str, List[int]] = {name: [0] for name in tenant_names}
+    planning = {name: graph.copy() for name, graph in graphs.items()}
+    fresh_ids = {name: itertools.count(1) for name in tenant_names}
 
-    plan: List[PlannedOp] = []
+    drafts = []
     for index, (at, op) in enumerate(zip(offsets, ops)):
-        if op in ("mutate", "bad_auth"):
-            tenant = rng.choice(tokened)
-        elif op == "over_quota":
-            # quota bounces never touch the service, so any tenant works
-            tenant = rng.choice(tenant_names)
-        else:
-            tenant = rng.choice(query_pool)
-        graph = graphs[tenant]
+        tenant = rng.choice(tokened if op in ("mutate", "bad_auth") else tenant_names)
+        graph = planning[tenant]
         payload: Dict[str, Any] = {}
         expect_error: Optional[str] = None
-        seq: Optional[int] = None
         if op == "connect":
             payload["terminals"] = random_terminals(graph, spec.terminals, rng=rng)
         elif op in ("batch", "interpret"):
@@ -197,11 +261,9 @@ def build_plan(
             payload["budget"] = spec.enumerate_budget
             payload["pages"] = spec.enumerate_pages
         elif op == "mutate":
-            payload["edits"] = _leaf_edits(
-                graph, tenant, rng, grown[tenant], leaf_counter[tenant]
+            payload["edits"] = churn_edits(
+                graph, rng, spec.mutate_kinds, fresh_ids[tenant]
             )
-            seq = write_seq[tenant]
-            write_seq[tenant] += 1
         elif op == "bad_auth":
             # a would-be mutation with a wrong token: must bounce with
             # the typed ``auth`` kind before touching anything
@@ -209,7 +271,7 @@ def build_plan(
             payload["edits"] = [
                 {
                     "op": "add_vertex",
-                    "vertex": (LEAF_PREFIX, tenant, "denied"),
+                    "vertex": (CHURN_PREFIX, "denied"),
                     "side": 3 - graph.side_of(anchor),
                 }
             ]
@@ -222,18 +284,29 @@ def build_plan(
             terminals = random_terminals(graph, min(2, spec.terminals), rng=rng)
             payload["queries"] = [terminals for _ in range(size)]
             expect_error = "quota"
-        plan.append(
-            PlannedOp(
-                index=index,
-                at=at,
-                tenant=tenant,
-                op=op,
-                payload=payload,
-                expect_error=expect_error,
-                write_seq=seq,
-            )
+        drafts.append((index, at, tenant, op, payload, expect_error))
+
+    mutated = {tenant for _, _, tenant, op, _, _ in drafts if op == "mutate"}
+    write_seq = {name: itertools.count() for name in mutated}
+    return [
+        PlannedOp(
+            index=index,
+            at=at,
+            tenant=tenant,
+            op=op,
+            payload=payload,
+            expect_error=expect_error,
+            write_seq=next(write_seq[tenant]) if tenant in mutated else None,
         )
-    return plan
+        for index, at, tenant, op, payload, expect_error in drafts
+    ]
 
 
-__all__ = ["PlannedOp", "arrival_offsets", "build_plan", "LEAF_PREFIX"]
+__all__ = [
+    "CHURN_PREFIX",
+    "PlannedOp",
+    "apply_edits",
+    "arrival_offsets",
+    "build_plan",
+    "churn_edits",
+]

@@ -1,14 +1,16 @@
-"""`LoadSpec`: the JSON description of one open-loop load experiment.
+"""`LoadSpec`: the JSON description of one workload, served or serial.
 
-A load spec is data, in the same sense a
-:class:`~repro.runtime.workload.WorkloadSpec` is: generators come from
-an allowlist, every field is validated up front with a typed
-:class:`~repro.exceptions.ValidationError`, and two specs that parse
-equal produce byte-identical request plans
+A load spec is data: generators come from an allowlist, every field is
+validated up front with a typed :class:`~repro.exceptions.ValidationError`
+(a wrong JSON type included -- ``"clients": "four"``, a ``2.7`` profile
+weight or ``"reconnect": "false"`` are rejected, never coerced), and two
+specs that parse equal produce byte-identical request plans
 (:func:`~repro.load.schedule.build_plan` is a pure function of the
 spec).  Wall clocks appear only in *pacing* and *measurement* -- never
 in any decision that affects which requests are sent or what answers
-are expected.
+are expected.  The same spec drives ``python -m repro load`` (open-loop,
+concurrent, in process or over the wire) and ``python -m repro run``
+(its serial preset, :func:`~repro.load.runner.run_phases`).
 
 Spec shape (see ``docs/load.md`` for the full schema)::
 
@@ -26,8 +28,10 @@ Spec shape (see ``docs/load.md`` for the full schema)::
      "profile": {"connect": 6, "batch": 2, "interpret": 2,
                  "enumerate": 2, "mutate": 1, "bad_auth": 1,
                  "over_quota": 1},
-     "terminals": 3, "batch_size": 4,
+     "terminals": 3, "objective": "steiner", "side": null, "batch_size": 4,
      "enumerate": {"budget": 2, "pages": 3, "reconnect": true},
+     "mutate": {"kinds": ["grow-leaf", "prune-leaf", "drop-edge",
+                          "attach-block"]},
      "clients": 4, "seed": 42, "verify": true,
      "budgets": {"latency_ms": {"connect": {"p50": 250, "p99": 1000}},
                  "error_rates": {"internal": 0.0},
@@ -44,8 +48,22 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.datasets.generators import (
+    random_62_chordal_graph,
+    random_alpha_schema_graph,
+    random_beta_schema_graph,
+    random_gamma_schema_graph,
+)
 from repro.exceptions import ValidationError
-from repro.runtime.workload import GENERATORS
+
+#: Schema generators a spec may name (an allowlist: specs are data, and
+#: data must not execute arbitrary callables).
+GENERATORS = {
+    "random_62_chordal_graph": random_62_chordal_graph,
+    "random_alpha_schema_graph": random_alpha_schema_graph,
+    "random_beta_schema_graph": random_beta_schema_graph,
+    "random_gamma_schema_graph": random_gamma_schema_graph,
+}
 
 #: Operation kinds a traffic profile may weight.  The first five are the
 #: service surface; ``bad_auth`` and ``over_quota`` are *deliberate*
@@ -60,6 +78,13 @@ PROFILE_OPS = (
     "bad_auth",
     "over_quota",
 )
+
+#: Mutation kinds a ``mutate`` op may draw (see
+#: :func:`~repro.load.schedule.churn_edits`): ``grow-leaf`` (new pendant
+#: concept), ``prune-leaf`` (drop a degree-1 concept), ``drop-edge``
+#: (remove an association), ``attach-block`` (glue a small complete
+#: bipartite block onto an existing concept, as one transaction).
+CHURN_KINDS = ("grow-leaf", "prune-leaf", "drop-edge", "attach-block")
 
 #: Latency quantiles a budget may bound, as (field name, quantile).
 QUANTILE_FIELDS = (("p50", 0.50), ("p99", 0.99), ("p999", 0.999))
@@ -81,6 +106,39 @@ def _check_unknown(data: Dict[str, Any], allowed, where: str) -> None:
         raise ValidationError(f"unknown {where} field(s): {unknown}")
 
 
+#: The JSON scalar types a spec field may declare.  ``bool`` is an
+#: ``int`` subclass in Python, so it is excluded from the numeric types.
+_SCALARS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+}
+
+
+def _field(
+    data: Dict[str, Any],
+    key: str,
+    default: Any,
+    expected: str,
+    where: str = "",
+    *,
+    optional: bool = False,
+) -> Any:
+    """Return ``data[key]`` (``default`` when absent), type-checked.
+
+    ``expected`` names a :data:`_SCALARS` entry; a value of any other
+    JSON type is a :class:`ValidationError`, never a coercion.  With
+    ``optional`` a ``null`` passes through as ``None``.
+    """
+    value = data.get(key, default)
+    if value is None and optional:
+        return None
+    if not _SCALARS[expected](value):
+        raise ValidationError(f"'{where}{key}' must be {expected}, got {value!r}")
+    return float(value) if expected == "a number" else value
+
+
 @dataclass(frozen=True)
 class TenantSpec:
     """One simulated tenant: a generated schema plus auth/quota settings.
@@ -90,17 +148,14 @@ class TenantSpec:
     name:
         Tenant name, unique within the spec.
     generator / params:
-        Schema generator (key into the workload allowlist) and its
-        keyword arguments, exactly as in
-        :class:`~repro.runtime.workload.WorkloadSpec`.
+        Schema generator (key into :data:`GENERATORS`) and its keyword
+        arguments.
     token:
         Optional mutation token.  A tokened tenant receives the spec's
         authenticated ``mutate`` traffic and is eligible for
-        ``bad_auth`` error traffic.  When the profile mixes mutation
-        with query traffic, tokened tenants form the *churn* population
-        and token-free tenants serve the verified query traffic --
-        answers on a schema under concurrent mutation are not
-        checksum-stable, so the planner keeps the populations disjoint.
+        ``bad_auth`` error traffic; it serves query traffic like any
+        other tenant, and every op on a tenant the plan mutates runs in
+        plan order (see :mod:`repro.load.schedule`).
     config / limits:
         Per-tenant :class:`~repro.api.config.ServiceConfig` overrides
         and :class:`~repro.server.registry.TenantLimits` fields,
@@ -258,20 +313,27 @@ class Budgets:
                 isinstance(bounds, dict),
                 f"'budgets.latency_ms.{op}' must be an object of quantile bounds",
             )
+            where = f"budgets.latency_ms.{op}."
             latency_items.append(
-                (op, tuple((name, float(ms)) for name, ms in sorted(bounds.items())))
+                (op, tuple(
+                    (name, _field(bounds, name, None, "a number", where))
+                    for name in sorted(bounds)
+                ))
             )
         error_rates = data.get("error_rates", {})
         _require(
             isinstance(error_rates, dict), "'budgets.error_rates' must be an object"
         )
-        fraction = data.get("min_achieved_fraction")
         return cls(
             latency_ms=tuple(latency_items),
             error_rates=tuple(
-                (kind, float(value)) for kind, value in sorted(error_rates.items())
+                (kind, _field(error_rates, kind, None, "a number", "budgets.error_rates."))
+                for kind in sorted(error_rates)
             ),
-            min_achieved_fraction=None if fraction is None else float(fraction),
+            min_achieved_fraction=_field(
+                data, "min_achieved_fraction", None, "a number", "budgets.",
+                optional=True,
+            ),
         )
 
     def to_dict(self) -> dict:
@@ -354,7 +416,7 @@ class SoakSpec:
 
 @dataclass(frozen=True)
 class LoadSpec:
-    """A complete, JSON-serialisable open-loop load experiment.
+    """A complete, JSON-serialisable workload: tenants, traffic, checks.
 
     Attributes
     ----------
@@ -370,10 +432,17 @@ class LoadSpec:
     terminals / batch_size:
         Terminal-set size per query and requests per ``batch`` /
         ``interpret`` op.
+    objective / side:
+        The objective of ``connect``/``batch``/``interpret`` queries
+        (``"steiner"``, Definition 8, or ``"side"``, Definition 9) and
+        the minimised side of ``"side"`` queries (``None`` defers to
+        the service default).  Enumeration is always ``"steiner"``.
     enumerate_budget / enumerate_pages / reconnect:
         Paged-enumeration shape: page size, pages pulled per op, and
         whether wire-mode sessions resume each follow-up page on a
         *fresh connection* via the continuation token.
+    mutate_kinds:
+        The :data:`CHURN_KINDS` a ``mutate`` op draws from.
     clients:
         Concurrent simulated clients (the executor's thread count).
     seed:
@@ -392,10 +461,13 @@ class LoadSpec:
     arrival: ArrivalSpec
     profile: Tuple[Tuple[str, int], ...]
     terminals: int = 3
+    objective: str = "steiner"
+    side: Optional[int] = None
     batch_size: int = 4
     enumerate_budget: int = 2
     enumerate_pages: int = 3
     reconnect: bool = True
+    mutate_kinds: Tuple[str, ...] = CHURN_KINDS
     clients: int = 4
     seed: int = 0
     verify: bool = True
@@ -424,22 +496,21 @@ class LoadSpec:
                 "'mutate' and 'bad_auth' traffic need at least one tenant "
                 "with a token (mutation is authenticated)",
             )
-        query_ops = ("connect", "batch", "interpret", "enumerate")
-        if weights.get("mutate", 0) > 0 and any(
-            weights.get(op, 0) > 0 for op in query_ops
-        ):
-            _require(
-                any(tenant.token is None for tenant in self.tenants),
-                "mixing 'mutate' with query traffic needs at least one "
-                "token-free tenant: tokened tenants are the churn "
-                "population, token-free tenants serve the verified query "
-                "traffic (answers on a schema under concurrent mutation "
-                "are not checksum-stable)",
-            )
         _require(self.terminals >= 1, "terminals must be >= 1")
+        _require(
+            self.objective in ("steiner", "side"),
+            f"objective must be 'steiner' or 'side', got {self.objective!r}",
+        )
+        _require(self.side in (None, 1, 2), "side must be 1, 2 or null")
         _require(self.batch_size >= 1, "batch_size must be >= 1")
         _require(self.enumerate_budget >= 1, "enumerate_budget must be >= 1")
         _require(self.enumerate_pages >= 1, "enumerate_pages must be >= 1")
+        _require(bool(self.mutate_kinds), "'mutate.kinds' must not be empty")
+        unknown = sorted(set(self.mutate_kinds) - set(CHURN_KINDS))
+        _require(
+            not unknown,
+            f"unknown churn kind(s) {unknown}; known: {list(CHURN_KINDS)}",
+        )
         _require(self.clients >= 1, "clients must be >= 1")
 
     # ------------------------------------------------------------------
@@ -453,8 +524,8 @@ class LoadSpec:
             data,
             (
                 "name", "tenants", "arrival", "profile", "terminals",
-                "batch_size", "enumerate", "clients", "seed", "verify",
-                "budgets", "soak",
+                "objective", "side", "batch_size", "enumerate", "mutate",
+                "clients", "seed", "verify", "budgets", "soak",
             ),
             "load spec",
         )
@@ -476,12 +547,18 @@ class LoadSpec:
             )
             params = schema.get("params", {})
             _require(isinstance(params, dict), "'schema.params' must be an object")
+            for key in ("config", "limits"):
+                _require(
+                    isinstance(entry.get(key) or {}, dict),
+                    f"'tenant.{key}' must be an object",
+                )
             tenants.append(
                 TenantSpec(
-                    name=str(entry.get("name", "")),
-                    generator=schema["generator"],
+                    name=_field(entry, "name", "", "a string", "tenant."),
+                    generator=_field(schema, "generator", None, "a string", "schema."),
                     params=tuple(sorted(params.items())),
-                    token=entry.get("token"),
+                    token=_field(entry, "token", None, "a string", "tenant.",
+                                 optional=True),
                     config=tuple(sorted((entry.get("config") or {}).items())),
                     limits=tuple(sorted((entry.get("limits") or {}).items())),
                 )
@@ -492,16 +569,25 @@ class LoadSpec:
             arrival_data, ("schedule", "rate", "requests", "seed"), "arrival"
         )
         arrival = ArrivalSpec(
-            schedule=arrival_data.get("schedule", "fixed"),
-            rate=float(arrival_data.get("rate", 100.0)),
-            requests=int(arrival_data.get("requests", 100)),
-            seed=arrival_data.get("seed"),
+            schedule=_field(arrival_data, "schedule", "fixed", "a string", "arrival."),
+            rate=_field(arrival_data, "rate", 100.0, "a number", "arrival."),
+            requests=_field(arrival_data, "requests", 100, "an integer", "arrival."),
+            seed=_field(arrival_data, "seed", None, "an integer", "arrival.",
+                        optional=True),
         )
         profile_data = data.get("profile", {"connect": 1})
         _require(isinstance(profile_data, dict), "'profile' must be an object")
         enum_data = data.get("enumerate", {})
         _require(isinstance(enum_data, dict), "'enumerate' must be an object")
         _check_unknown(enum_data, ("budget", "pages", "reconnect"), "enumerate")
+        mutate_data = data.get("mutate", {})
+        _require(isinstance(mutate_data, dict), "'mutate' must be an object")
+        _check_unknown(mutate_data, ("kinds",), "mutate")
+        kinds = mutate_data.get("kinds", list(CHURN_KINDS))
+        _require(
+            isinstance(kinds, list) and all(isinstance(k, str) for k in kinds),
+            "'mutate.kinds' must be a list of churn kind names",
+        )
         soak_data = data.get("soak")
         soak: Optional[SoakSpec] = None
         if soak_data is not None:
@@ -519,33 +605,45 @@ class LoadSpec:
             _require(
                 isinstance(growth, dict), "'soak.allowed_growth' must be an object"
             )
+            defaults = SoakSpec()
             soak = SoakSpec(
-                cycles=int(soak_data.get("cycles", 4)),
-                queries_per_cycle=int(soak_data.get("queries_per_cycle", 6)),
-                edits_per_cycle=int(soak_data.get("edits_per_cycle", 1)),
-                enumerate_budget=int(soak_data.get("enumerate_budget", 2)),
-                terminals=int(soak_data.get("terminals", 3)),
-                warmup=int(soak_data.get("warmup", 1)),
+                **{
+                    key: _field(soak_data, key, getattr(defaults, key),
+                                "an integer", "soak.")
+                    for key in (
+                        "cycles", "queries_per_cycle", "edits_per_cycle",
+                        "enumerate_budget", "terminals", "warmup",
+                    )
+                },
                 allowed_growth=tuple(
-                    (probe, float(value)) for probe, value in sorted(growth.items())
+                    (probe, _field(growth, probe, None, "a number",
+                                   "soak.allowed_growth."))
+                    for probe in sorted(growth)
                 ),
-                seed=soak_data.get("seed"),
+                seed=_field(soak_data, "seed", None, "an integer", "soak.",
+                            optional=True),
             )
         budgets_data = data.get("budgets", {})
         _require(isinstance(budgets_data, dict), "'budgets' must be an object")
         return cls(
-            name=str(data.get("name", "load")),
+            name=_field(data, "name", "load", "a string"),
             tenants=tuple(tenants),
             arrival=arrival,
-            profile=tuple(sorted((op, int(w)) for op, w in profile_data.items())),
-            terminals=int(data.get("terminals", 3)),
-            batch_size=int(data.get("batch_size", 4)),
-            enumerate_budget=int(enum_data.get("budget", 2)),
-            enumerate_pages=int(enum_data.get("pages", 3)),
-            reconnect=bool(enum_data.get("reconnect", True)),
-            clients=int(data.get("clients", 4)),
-            seed=int(data.get("seed", 0)),
-            verify=bool(data.get("verify", True)),
+            profile=tuple(
+                (op, _field(profile_data, op, None, "an integer", "profile."))
+                for op in sorted(profile_data)
+            ),
+            terminals=_field(data, "terminals", 3, "an integer"),
+            objective=_field(data, "objective", "steiner", "a string"),
+            side=_field(data, "side", None, "an integer", optional=True),
+            batch_size=_field(data, "batch_size", 4, "an integer"),
+            enumerate_budget=_field(enum_data, "budget", 2, "an integer", "enumerate."),
+            enumerate_pages=_field(enum_data, "pages", 3, "an integer", "enumerate."),
+            reconnect=_field(enum_data, "reconnect", True, "a boolean", "enumerate."),
+            mutate_kinds=tuple(kinds),
+            clients=_field(data, "clients", 4, "an integer"),
+            seed=_field(data, "seed", 0, "an integer"),
+            verify=_field(data, "verify", True, "a boolean"),
             budgets=Budgets.from_dict(budgets_data),
             soak=soak,
         )
@@ -576,12 +674,15 @@ class LoadSpec:
             },
             "profile": dict(self.profile),
             "terminals": self.terminals,
+            "objective": self.objective,
+            "side": self.side,
             "batch_size": self.batch_size,
             "enumerate": {
                 "budget": self.enumerate_budget,
                 "pages": self.enumerate_pages,
                 "reconnect": self.reconnect,
             },
+            "mutate": {"kinds": list(self.mutate_kinds)},
             "clients": self.clients,
             "seed": self.seed,
             "verify": self.verify,

@@ -1,35 +1,31 @@
-"""Command-line entry point: ``python -m repro run <spec.json>``.
-
-The CLI executes a :class:`~repro.runtime.workload.WorkloadSpec` through
-the full phase matrix -- serial cold, serial warm, (with
-``--cache-dir``) disk-populate and disk-warm, and (with a ``churn`` mix
-in the spec) the schema-evolution phases churn-incremental and
-churn-oracle -- prints a human-readable summary, and optionally writes
-the complete :class:`~repro.runtime.workload.WorkloadReport` as JSON.
-The process exits non-zero when any phase disagrees with its checksum
-group on the canonical answers, so the CLI doubles as a deterministic
-end-to-end check (including "incremental churn answers == fresh-context
-oracle answers").
+"""Command-line entry point: ``python -m repro``.
 
 Subcommands::
 
-    python -m repro run spec.json --cache-dir .repro-cache
-    python -m repro spec-template          # print a starter spec
-    python -m repro serve --port 7463      # multi-tenant connection server
+    python -m repro run spec.json --cache-dir .repro-cache  # serial phases
     python -m repro load --smoke           # open-loop load & soak harness
-    python -m repro load spec-template     # print a starter load spec
+    python -m repro load spec-template     # print a starter spec
+    python -m repro serve --port 7463      # multi-tenant connection server
+
+``run`` and ``load`` read the same :class:`~repro.load.spec.LoadSpec`
+and compile it to the same plan.  ``run`` is the serial preset
+(:func:`~repro.load.runner.run_phases`): it replays the plan in process
+on one client as phases -- ``serial-cold``, ``serial-warm`` when the
+plan has no mutations, and with ``--cache-dir`` ``disk-populate`` and
+``disk-warm`` -- and compares each phase with the serial oracle, which
+rebuilds every mutated tenant from scratch after each edit.  ``load``
+executes the plan open-loop (see ``docs/load.md``): by default it
+spawns a ``serve`` subprocess and drives it over the wire;
+``--connect HOST:PORT`` targets a server you already run, and
+``--in-process`` skips sockets entirely.  Both exit 0 when every budget
+held and every checksum matched the oracle, 1 otherwise, and 2 for an
+invalid spec (a pre-5.0 ``repro run`` spec included; see
+``docs/migration.md``).
 
 ``serve`` starts the :class:`~repro.server.app.ReproServer` (see
 ``docs/server.md``) and drains gracefully on SIGTERM/SIGINT: it stops
 accepting, finishes in-flight requests, flushes the disk cache, then
 exits 0.
-
-``load`` executes a :class:`~repro.load.spec.LoadSpec` (see
-``docs/load.md``): by default it spawns a ``serve`` subprocess and
-drives it over the wire; ``--connect HOST:PORT`` targets a server you
-already run, and ``--in-process`` skips sockets entirely.  The exit
-code follows the report verdict -- 0 when every budget held and the
-verify checksum matched, 1 otherwise, 2 for an invalid spec.
 
 See ``docs/runtime.md`` for the caching guide.
 """
@@ -42,23 +38,6 @@ import sys
 from typing import List, Optional
 
 from repro.exceptions import ValidationError
-from repro.runtime.workload import WorkloadReport, WorkloadSpec, run_workload
-
-#: The starter spec printed by ``spec-template``: the 515-vertex
-#: (6,2)-chordal acceptance workload, including a schema-churn phase
-#: (``verify`` is off because the fresh-context oracle would re-run the
-#: full Theorem 1 recognition after every edit at this schema size; the
-#: CI smoke spec runs a smaller schema with the oracle on).
-TEMPLATE = {
-    "name": "chordal-515",
-    "schema": {"generator": "random_62_chordal_graph",
-               "params": {"blocks": 170, "rng": 1985}},
-    "queries": [{"count": 2000, "terminals": 3, "objective": "steiner", "seed": 7}],
-    "batch_size": None,
-    "seed": 0,
-    "churn": {"edits": 25, "queries_per_edit": 8, "terminals": 3,
-              "seed": 11, "verify": False},
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,23 +45,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
-            "Run declarative minimal-connection workloads "
-            "(cold vs warm, optionally disk-cached)."
+            "Run minimal-connection workloads: serial phases (cold vs warm, "
+            "optionally disk-cached), open-loop load, or the server."
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser(
-        "run", help="execute a workload spec and report phase timings"
+        "run", help="replay a load spec serially as phases against the oracle"
     )
-    run.add_argument("spec", help="path to a workload spec JSON file ('-' = stdin)")
+    run.add_argument("spec", help="path to a load spec JSON file ('-' = stdin)")
     run.add_argument(
         "--cache-dir", default=None,
         help="enable the persistent result cache and run the disk phases",
-    )
-    run.add_argument(
-        "--no-cold", action="store_true",
-        help="skip the serial-cold phase (classification + first solves)",
     )
     run.add_argument(
         "--json", dest="json_path", default=None,
@@ -94,10 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "write the run's metrics in Prometheus text exposition format "
             "to this path (e.g. metrics.prom)"
         ),
-    )
-
-    commands.add_parser(
-        "spec-template", help="print a starter workload spec to stdout"
     )
 
     serve = commands.add_parser(
@@ -134,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "spec", nargs="?", default=None,
         help=(
             "path to a load spec JSON file ('-' = stdin, "
-            "'spec-template' = print a starter load spec)"
+            "'spec-template' = print a starter spec for `load` and `run`)"
         ),
     )
     load.add_argument(
@@ -180,83 +151,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(path: str) -> WorkloadSpec:
-    """Read and validate the spec file (``-`` reads stdin)."""
+def _read_spec(path: str):
+    """Read and validate a load spec file (``-`` reads stdin)."""
+    from repro.load import LoadSpec
+
     if path == "-":
-        text = sys.stdin.read()
+        return LoadSpec.from_json(sys.stdin.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as error:
+        raise ValidationError(f"cannot read spec {path!r}: {error}") from error
+    return LoadSpec.from_json(text)
+
+
+def _emit(report, json_path: Optional[str]) -> int:
+    """Print (and optionally write) a report; return its exit code."""
+    if json_path == "-":
+        print(report.to_json())
     else:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as error:
-            raise ValidationError(f"cannot read spec {path!r}: {error}") from error
-    return WorkloadSpec.from_json(text)
+        print(report.render_text())
+        if json_path:
+            with open(json_path, "w", encoding="utf-8") as handle:
+                handle.write(report.to_json())
+                handle.write("\n")
+            print(f"report: {json_path}")
+    return 0 if report.ok() else 1
 
 
-def _print_summary(report: WorkloadReport) -> None:
-    """Print the human-readable phase table and headline ratios."""
-    print(f"workload  : {report.spec['name']}")
-    print(
-        f"schema    : {report.vertices} vertices / {report.edges} edges "
-        f"({report.spec['schema']['generator']})"
-    )
-    print(f"queries   : {report.queries}")
-    print()
-    print(f"{'phase':<18} {'seconds':>10} {'q/s':>10}")
-    for phase in report.phases:
-        rate = phase.queries / phase.seconds if phase.seconds > 0 else float("inf")
-        print(f"{phase.name:<18} {phase.seconds:>10.3f} {rate:>10.1f}")
-    print()
-    if report.disk_warm_ratio is not None:
-        print(f"disk-warm / serial-warm ratio       : {report.disk_warm_ratio:.2f}")
-    if report.churn_speedup is not None:
-        print(f"churn speedup (oracle / incremental): {report.churn_speedup:.2f}x")
-    solvers = ", ".join(f"{name}={count}" for name, count in report.solver_histogram)
-    guarantees = ", ".join(
-        f"{name}={count}" for name, count in report.guarantee_histogram
-    )
-    print(f"solvers   : {solvers}")
-    print(f"guarantees: {guarantees}")
-    oracle = report.cache_stats.get("distance_oracle")
-    if oracle:
-        print(
-            "oracle    : "
-            f"hits={oracle.get('hits', 0)} misses={oracle.get('misses', 0)} "
-            f"evictions={oracle.get('evictions', 0)} "
-            f"invalidated={oracle.get('invalidated', 0)}"
+def _run_cmd(args: argparse.Namespace) -> int:
+    """Run the ``run`` subcommand (serial phases); returns the exit code."""
+    from repro.load import run_phases
+    from repro.metrics import MetricsRegistry
+
+    metrics = MetricsRegistry()
+    try:
+        report = run_phases(
+            _read_spec(args.spec), cache_dir=args.cache_dir, metrics=metrics
         )
-    _print_metrics(report.metrics_summary)
-    status = "CONSISTENT" if report.checksums_consistent else "MISMATCH"
-    print(f"answers   : {status} (checksum {report.checksum[:16]}...)")
-
-
-def _print_metrics(summary: dict) -> None:
-    """Print the metrics roll-up section (omitted for a NullRegistry run)."""
-    if not summary:
-        return
-    print()
-    print("metrics")
-    line = f"  queries observed : {summary.get('queries_observed', 0)}"
-    if "latency_p50_ms" in summary:
-        line += (
-            f"  (p50 {summary['latency_p50_ms']:.3f} ms, "
-            f"p99 {summary['latency_p99_ms']:.3f} ms)"
-        )
-    print(line)
-    for key, label in (
-        ("schema_cache_hit_rate", "schema-cache hit rate"),
-        ("oracle_hit_rate", "oracle hit rate"),
-    ):
-        if key in summary:
-            print(f"  {label:<17}: {summary[key]:.1%}")
-    if "rebinds" in summary:
-        outcomes = ", ".join(
-            f"{outcome}={int(count)}"
-            for outcome, count in sorted(summary["rebinds"].items())
-        )
-        print(f"  rebinds          : {outcomes}")
-    if "disk_replays" in summary:
-        print(f"  disk replays     : {int(summary['disk_replays'])}")
+    except ValidationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    code = _emit(report, args.json_path)
+    if args.metrics_path:
+        with open(args.metrics_path, "w", encoding="utf-8") as handle:
+            handle.write(metrics.render_text())
+        if args.json_path != "-":
+            print(f"metrics: {args.metrics_path}")
+    return code
 
 
 def _serve(args: argparse.Namespace) -> int:
@@ -297,13 +239,12 @@ def _serve(args: argparse.Namespace) -> int:
 
 def _load_cmd(args: argparse.Namespace) -> int:
     """Run the ``load`` subcommand; returns the process exit code."""
-    from repro.load import LoadSpec, run_load
-    from repro.load.runner import TEMPLATE as LOAD_TEMPLATE
-    from repro.load.runner import smoke_spec, spawn_server, stop_server
+    from repro.load import run_load
+    from repro.load.runner import TEMPLATE, smoke_spec, spawn_server, stop_server
 
     if args.spec == "spec-template":
         try:
-            print(json.dumps(LOAD_TEMPLATE, indent=2))
+            print(json.dumps(TEMPLATE, indent=2))
         except BrokenPipeError:
             pass
         return 0
@@ -316,16 +257,8 @@ def _load_cmd(args: argparse.Namespace) -> int:
                 spec = chaos_spec()
             else:
                 spec = smoke_spec()
-        elif args.spec == "-":
-            spec = LoadSpec.from_json(sys.stdin.read())
         elif args.spec is not None:
-            try:
-                with open(args.spec, "r", encoding="utf-8") as handle:
-                    spec = LoadSpec.from_json(handle.read())
-            except OSError as error:
-                raise ValidationError(
-                    f"cannot read load spec {args.spec!r}: {error}"
-                ) from error
+            spec = _read_spec(args.spec)
         else:
             raise ValidationError(
                 "provide a load spec path, '-', 'spec-template', or --smoke"
@@ -374,61 +307,14 @@ def _load_cmd(args: argparse.Namespace) -> int:
     except ValidationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-    if args.json_path == "-":
-        print(report.to_json())
-    else:
-        print(report.render_text())
-        if args.json_path:
-            with open(args.json_path, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-                handle.write("\n")
-            print(f"report: {args.json_path}")
-    return 0 if report.ok() else 1
+    return _emit(report, args.json_path)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+    args = _build_parser().parse_args(argv)
     if args.command == "serve":
         return _serve(args)
-
     if args.command == "load":
         return _load_cmd(args)
-
-    if args.command == "spec-template":
-        try:
-            print(json.dumps(TEMPLATE, indent=2))
-        except BrokenPipeError:  # `python -m repro spec-template | head`
-            pass
-        return 0
-
-    try:
-        spec = _load_spec(args.spec)
-        report = run_workload(
-            spec,
-            cache_dir=args.cache_dir,
-            include_cold=not args.no_cold,
-        )
-    except ValidationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    if args.json_path == "-":
-        print(report.to_json())
-    else:
-        _print_summary(report)
-        if args.json_path:
-            with open(args.json_path, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-                handle.write("\n")
-            print(f"report    : {args.json_path}")
-    if args.metrics_path:
-        with open(args.metrics_path, "w", encoding="utf-8") as handle:
-            handle.write(report.metrics_text)
-        if args.json_path != "-":
-            print(f"metrics   : {args.metrics_path}")
-
-    return 0 if report.checksums_consistent else 1
+    return _run_cmd(args)

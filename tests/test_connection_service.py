@@ -525,7 +525,7 @@ class TestPackaging:
     def test_version_and_exports(self):
         import repro
 
-        assert repro.__version__ == "4.0.0"
+        assert repro.__version__ == "5.0.0"
         for name in (
             "BlockClassifier",
             "ConnectionRequest",
@@ -545,25 +545,30 @@ class TestPackaging:
             "SchemaDelta",
             "SchemaEditor",
             "ServiceConfig",
-            "WorkloadSpec",
             "run_load",
-            "run_workload",
+            "run_phases",
         ):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
 
     def test_removed_surfaces_are_gone(self):
-        """2.0.0 keeps one front door, 3.0.0 one lane, 4.0.0 one answer digest."""
+        """2.0.0 keeps one front door, 3.0.0 one lane, 4.0.0 one answer
+        digest, 5.0.0 one workload model."""
+        import importlib
+
         import repro
         import repro.core
         import repro.engine
         import repro.kernels
+        import repro.load
         import repro.load.clients
+        import repro.load.schedule
         import repro.runtime
         from repro.engine import InterpretationEngine
         from repro.faults import FaultPlan
         from repro.kernels import DistanceOracle
-        from repro.runtime import WorkloadSpec
+        from repro.load import LoadSpec
+        from repro.runtime.cli import main
         from repro.steiner import kou_markowsky_berman
 
         removed = {
@@ -573,6 +578,9 @@ class TestPackaging:
                 "ParallelExecutor",
                 "grouped_bfs_levels",
                 "grouped_bfs_parents",
+                "WorkloadSpec",
+                "WorkloadReport",
+                "run_workload",
             ),
             repro.core: ("MinimalConnectionFinder",),
             repro.engine: ("batch_interpret", "default_engine"),
@@ -581,8 +589,18 @@ class TestPackaging:
                 "grouped_bfs_parents",
                 "available_backends",
             ),
-            repro.runtime: ("ParallelExecutor",),
+            repro.runtime: (
+                "ParallelExecutor",
+                "WorkloadSpec",
+                "WorkloadReport",
+                "PhaseResult",
+                "QueryMix",
+                "GENERATORS",
+                "canonical_checksum",
+                "run_workload",
+            ),
             repro.load.clients: ("result_digest",),
+            repro.load.schedule: ("LEAF_PREFIX",),
         }
         for module, names in removed.items():
             for name in names:
@@ -613,14 +631,23 @@ class TestPackaging:
                 solver="s", instance_class="c", plan="p", cache_hit=False,
                 backend="array",
             )
-        with pytest.raises(ValidationError, match="workers"):
-            WorkloadSpec.from_dict(
+        # 5.0.0: one workload model -- the 4.x `repro run` module, its spec
+        # shape, the --no-cold flag and the separate run template are gone
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.runtime.workload")
+        with pytest.raises(ValidationError, match="unknown load spec"):
+            LoadSpec.from_dict(
                 {
                     "schema": {"generator": "random_62_chordal_graph"},
                     "queries": {"count": 1},
-                    "workers": 2,
+                    "churn": {"edits": 1},
                 }
             )
+        for argv in (["run", "spec.json", "--no-cold"], ["spec-template"]):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+        assert not hasattr(repro.load.clients.InProcessTransport, "run_serial")
 
     def test_py_typed_marker_ships(self):
         import repro

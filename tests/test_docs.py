@@ -83,9 +83,22 @@ def test_required_coverage_is_present():
     assert len(examples) == 6
     for name in examples:
         assert name in corpus["scenarios.md"], f"scenarios.md misses {name}"
-    # runtime guide: the persistent layer plus the CLI
-    for needle in ("DiskCache", "python -m repro", "cache_dir"):
-        assert needle in corpus["runtime.md"]
+    # runtime guide: the persistent layer plus the serial preset of the
+    # load runner (one workload model since 5.0.0)
+    for needle in (
+        "DiskCache",
+        "python -m repro run",
+        "cache_dir",
+        "LoadSpec",
+        "serial-cold",
+        "disk-warm",
+        "serial oracle",
+    ):
+        assert needle in corpus["runtime.md"], f"runtime.md misses {needle}"
+    # the 4.x workload model survives only in the migration tables
+    for page in ("runtime.md", "dynamic.md", "observability.md", "architecture.md"):
+        for gone in ("WorkloadSpec", "run_workload"):
+            assert gone not in corpus[page], f"{page} still documents {gone}"
     # performance guide: kernel layer, oracle, trajectory file
     for needle in (
         "repro.kernels",
@@ -101,6 +114,7 @@ def test_required_coverage_is_present():
         "render_text",
         "BENCH_history.json",
         "--metrics-out",
+        "repro_phase_seconds",
         "tolerance",
     ):
         assert needle in corpus["observability.md"], (
@@ -156,8 +170,16 @@ def test_required_coverage_is_present():
         "serial oracle",
         "allowed_growth",
         "verdict: PASS",
+        "python -m repro run",
+        "mutate.kinds",
+        "churn_edits",
+        "plan order",
+        "incremental=False",
     ):
         assert needle in corpus["load.md"], f"load.md misses {needle}"
+    # the dynamic guide's churn workloads are LoadSpec mutate traffic
+    for needle in ("churn_edits", "mutate", "LoadSpec"):
+        assert needle in corpus["dynamic.md"], f"dynamic.md misses {needle}"
     # the load guide is reachable from the server and observability guides
     for page in ("server.md", "observability.md"):
         assert "load.md" in corpus[page], f"{page} misses the load cross-link"
@@ -180,8 +202,18 @@ def test_required_coverage_is_present():
         assert "resilience.md" in corpus[page], (
             f"{page} misses the resilience cross-link"
         )
-    # migration note and enumeration contract
+    # migration note (every major's removals) and enumeration contract
     assert "MinimalConnectionFinder" in corpus["migration.md"]
+    for needle in (
+        "Removed in 5.0.0",
+        "WorkloadSpec",
+        "run_workload",
+        "--no-cold",
+        "queries[].count",
+        "churn.kinds",
+        "run_phases",
+    ):
+        assert needle in corpus["migration.md"], f"migration.md misses {needle}"
     assert "extend_budget" in corpus["enumeration.md"]
 
 

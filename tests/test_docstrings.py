@@ -64,5 +64,5 @@ def test_public_surface_is_documented(path):
 
 def test_target_list_is_nonempty():
     # api (7) + dynamic (4) + faults (2) + kernels (4) + load (8)
-    # + metrics (3) + runtime (5) + server (7) + engine/batch = 41
+    # + metrics (3) + runtime (4) + server (7) + engine/batch = 40
     assert len(TARGETS) >= 40

@@ -19,7 +19,9 @@ from strategies import COMMON_SETTINGS, common_settings
 from repro.api import ConnectionService, ServiceConfig
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
 from repro.dynamic import SchemaEditor
-from repro.runtime.workload import CHURN_KINDS, _churn_step, canonical_checksum
+from repro.load.clients import canonical_checksum
+from repro.load.schedule import churn_edits
+from repro.load.spec import CHURN_KINDS
 
 
 def churn_history(seed, blocks, edits, queries_per_edit=3, terminals=3):
@@ -35,7 +37,7 @@ def churn_history(seed, blocks, edits, queries_per_edit=3, terminals=3):
     fresh = itertools.count(1)
     steps = []
     for _ in range(edits):
-        _churn_step(graph, rng, CHURN_KINDS, fresh)
+        churn_edits(graph, rng, CHURN_KINDS, fresh)
         snapshot = graph.copy()
         queries = [
             random_terminals(graph, terminals, rng=rng)
@@ -81,7 +83,7 @@ def test_serial_incremental_service_matches_fresh_oracle(seed, blocks, edits):
     results = []
     oracle = []
     for _ in range(edits):
-        _churn_step(graph, rng, CHURN_KINDS, fresh)
+        churn_edits(graph, rng, CHURN_KINDS, fresh)
         queries = [random_terminals(graph, 3, rng=rng) for _ in range(3)]
         results.extend(service.batch(queries))
         fresh_service = ConnectionService(
@@ -104,7 +106,7 @@ def test_incremental_flag_off_still_matches(seed):
     rng = random.Random(seed)
     fresh = itertools.count(1)
     for _ in range(2):
-        _churn_step(graph, rng, CHURN_KINDS, fresh)
+        churn_edits(graph, rng, CHURN_KINDS, fresh)
         queries = [random_terminals(graph, 3, rng=rng) for _ in range(2)]
         got = service.batch(queries)
         expected = ConnectionService(schema=graph.copy()).batch(queries)
@@ -127,7 +129,7 @@ def test_disk_backed_service_never_replays_a_stale_entry(seed, tmp_path_factory)
     results = []
     oracle = []
     for _ in range(3):
-        _churn_step(graph, rng, CHURN_KINDS, fresh)
+        churn_edits(graph, rng, CHURN_KINDS, fresh)
         queries = [random_terminals(graph, 3, rng=rng) for _ in range(3)]
         # ask twice: the second batch replays this step's digest from disk
         results.extend(service.batch(queries))

@@ -40,7 +40,7 @@ from repro.kernels import (
     bfs_levels_row,
     bfs_parents_row,
 )
-from repro.runtime.workload import canonical_checksum
+from repro.load.clients import canonical_checksum
 
 
 # ----------------------------------------------------------------------

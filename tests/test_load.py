@@ -2,17 +2,18 @@
 
 Five layers, matching the package:
 
-* **spec**: JSON validation (typed rejections, unknown-key refusal, the
-  churn/query tenant-partition rule) and round-tripping;
+* **spec**: JSON validation (typed rejections -- a wrong JSON type is
+  never coerced --, unknown-key refusal) and round-tripping;
 * **schedule**: :func:`build_plan` as a pure function of the spec --
-  identical plans across calls, seeded Poisson arrivals, per-tenant
-  write sequencing, disjoint churn/query tenant pools;
+  identical plans across calls, seeded Poisson arrivals, plan-order
+  sequencing of every op on a mutated tenant;
 * **report**: nearest-rank quantiles, budget evaluation (latency,
   unexpected-error rates, achieved-rate floor), render/serialise;
 * **determinism** (the harness's core claim): the same spec seed yields
   the same request sequence and the same verify-mode checksum across
   repeat runs, across worker counts, and across transports -- all equal
-  to the single-threaded serial oracle (property-tested over seeds);
+  to the single-threaded serial oracle (property-tested over seeds),
+  also when queries and four-kind churn share one tenant;
 * **soak**: the leak monitor's verdict rule (plateau passes, growth
   fails, warmup and allowances respected) and the detector-of-the-
   detector regression: a deliberately leaky probe must be flagged.
@@ -21,6 +22,7 @@ Five layers, matching the package:
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -36,7 +38,7 @@ from repro.load import (
     run_soak,
     serial_oracle_checksum,
 )
-from repro.load.clients import InProcessTransport, samples_checksum
+from repro.load.clients import InProcessTransport, run_plan, samples_checksum
 from repro.load.report import OpSample, build_report, evaluate_budgets, quantile
 from repro.load.runner import SMOKE_SPEC, TEMPLATE, build_graphs, build_registry
 from repro.load.schedule import arrival_offsets
@@ -115,6 +117,13 @@ class TestLoadSpec:
             ({"soak": {"cycles": 1}}, "cycles"),
             ({"soak": {"cycles": 3, "warmup": 3}}, "warmup"),
             ({"soak": {"allowed_growth": {"phlogiston": 1}}}, "probe"),
+            # JSON types are checked, never coerced
+            ({"clients": "four"}, "'clients' must be an integer"),
+            ({"terminals": None}, "'terminals' must be an integer"),
+            ({"profile": {"connect": 2.7}}, "'profile.connect' must be an integer"),
+            ({"enumerate": {"reconnect": "false"}},
+             "'enumerate.reconnect' must be a boolean"),
+            ({"clients": True}, "'clients' must be an integer"),
         ],
     )
     def test_rejections_are_typed(self, mutation, match):
@@ -128,18 +137,6 @@ class TestLoadSpec:
         data["tenants"] = [data["tenants"][0]]  # token-free only
         with pytest.raises(ValidationError, match="token"):
             LoadSpec.from_dict(data)
-
-    def test_mixing_mutation_and_queries_needs_a_token_free_tenant(self):
-        """The churn/query partition rule: answers on a schema under
-        concurrent mutation are not checksum-stable, so query traffic
-        must have somewhere unmutated to live."""
-        data = tiny_spec().to_dict()
-        data["tenants"] = [data["tenants"][1]]  # tokened only
-        with pytest.raises(ValidationError, match="token-free"):
-            LoadSpec.from_dict(data)
-        # mutation-only traffic on tokened tenants alone is fine
-        data["profile"] = {"mutate": 1}
-        assert LoadSpec.from_dict(data).tokened_tenants()
 
     def test_invalid_json_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="not valid JSON"):
@@ -170,28 +167,19 @@ class TestSchedule:
         assert plan_a == plan_b
         assert len(plan_a) == spec.arrival.requests
 
-    def test_churn_and_query_populations_are_disjoint(self):
-        spec = tiny_spec(arrival={"schedule": "fixed", "rate": 500.0,
-                                  "requests": 200})
-        plan = build_plan(spec, build_graphs(spec))
-        churn_ops = {op.tenant for op in plan if op.op in ("mutate", "bad_auth")}
-        query_ops = {
-            op.tenant
-            for op in plan
-            if op.op in ("connect", "batch", "interpret", "enumerate")
-        }
-        assert churn_ops == {"churn"}
-        assert query_ops == {"t0"}
-
     def test_mutations_carry_a_per_tenant_write_sequence(self):
+        """Every op on a mutated tenant -- queries included -- carries its
+        plan-order position there; ops on unmutated tenants carry none."""
         spec = tiny_spec(arrival={"schedule": "fixed", "rate": 500.0,
                                   "requests": 120})
-        plan = build_plan(spec, build_graphs(spec))
-        seqs = [op.write_seq for op in plan if op.op == "mutate"]
-        assert seqs == list(range(len(seqs)))  # single churn tenant: 0,1,2...
-        assert all(
-            op.write_seq is None for op in plan if op.op != "mutate"
-        )
+        graphs = build_graphs(spec)
+        plan = build_plan(spec, graphs)
+        churn = [op for op in plan if op.tenant == "churn"]
+        assert [op.write_seq for op in churn] == list(range(len(churn)))
+        assert {"mutate", "connect"} <= {op.op for op in churn}
+        assert all(op.write_seq is None for op in plan if op.tenant == "t0")
+        # planning evolves private copies: the caller's schemas are untouched
+        assert graphs == build_graphs(spec)
 
     @settings(
         max_examples=20,
@@ -313,6 +301,34 @@ class TestDeterminism:
             assert report.checksum == oracle, f"clients={clients}"
             assert report.ok()
 
+    def test_queries_and_mutations_on_one_tenant_match_the_oracle(self):
+        """One tokened tenant takes both queries and four-kind churn: every
+        op runs in plan order there, so any client count reproduces the
+        serial oracle, which rebuilds the context after every edit."""
+        spec = tiny_spec(
+            tenants=[tiny_spec().to_dict()["tenants"][1]],
+            arrival={"schedule": "fixed", "rate": 500.0, "requests": 40},
+            profile={"connect": 3, "batch": 1, "interpret": 1,
+                     "enumerate": 1, "mutate": 2},
+        )
+        plan = build_plan(spec, build_graphs(spec))
+        assert {op.op for op in plan} >= {"connect", "mutate", "enumerate"}
+        assert all(op.tenant == "churn" for op in plan)
+        oracle = serial_oracle_checksum(spec, plan)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the client threads finely
+        try:
+            for clients in (1, 2, 4, 8):
+                report = run_load(
+                    spec, mode="in-process", clients=clients, pace=False,
+                    soak=False,
+                )
+                assert report.checksum == oracle, f"clients={clients}"
+                assert report.unexpected_errors == 0
+                assert report.ok()
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_repeat_runs_are_identical(self):
         spec = tiny_spec()
         first = run_load(spec, mode="in-process", pace=False)
@@ -345,7 +361,7 @@ class TestDeterminism:
         spec = tiny_spec()
         plan = build_plan(spec, build_graphs(spec))
         transport = InProcessTransport(build_registry(spec), spec)
-        samples = transport.run_serial(plan)
+        samples, _ = run_plan(plan, transport, clients=1, pace=False)
         by_op = {s.op: s for s in samples}
         assert by_op["bad_auth"].digest == "error:auth"
         assert by_op["over_quota"].digest == "error:quota"
@@ -465,6 +481,22 @@ class TestRunnerAndCli:
         assert report.checksum == report.oracle_checksum
         assert report.ok(), report.budget_violations
 
+    def test_side_objective_traffic_in_process_and_over_the_wire(self):
+        from test_server import running_server
+
+        spec = tiny_spec(objective="side", side=2)
+        report = run_load(spec, mode="in-process", pace=False, soak=False)
+        assert report.ok() and report.checksum == report.oracle_checksum
+        with running_server() as server:
+            wire = run_load(
+                spec, mode="wire", host="127.0.0.1", port=server.port,
+                soak=False,
+            )
+        assert wire.ok(), wire.budget_violations
+        assert wire.checksum == report.checksum == wire.oracle_checksum
+        # the objective reached the service: Steiner traffic digests apart
+        assert report.checksum != serial_oracle_checksum(tiny_spec())
+
     def test_wire_mode_rejects_missing_port(self):
         with pytest.raises(ValidationError, match="port"):
             run_load(tiny_spec(), mode="wire")
@@ -502,6 +534,13 @@ class TestRunnerAndCli:
         assert main(["load", "--in-process"]) == 2
         assert main(["load", str(bad), "--in-process", "--connect", "x:1"]) == 2
         assert "error:" in capsys.readouterr().err
+        mistyped = tmp_path / "mistyped.json"
+        mistyped.write_text(
+            json.dumps({**tiny_spec().to_dict(), "clients": "four"}),
+            encoding="utf-8",
+        )
+        assert main(["load", str(mistyped), "--in-process"]) == 2
+        assert "'clients' must be an integer" in capsys.readouterr().err
 
     def test_cli_budget_violation_exits_one(self, tmp_path, capsys):
         from repro.runtime.cli import main

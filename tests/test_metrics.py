@@ -8,8 +8,8 @@ trusted to test itself) -- plus the registry contracts (get-or-create,
 redefinition errors, weakly-held snapshot collectors, the no-op
 :class:`~repro.metrics.NullRegistry`) and the end-to-end wiring:
 instrumented :class:`~repro.api.ConnectionService` queries, the
-``run_workload`` roll-up, and the ``python -m repro run`` metrics
-section with ``--metrics-out``.
+metrics a ``python -m repro run`` phase run collects, and its
+``--metrics-out`` exposition file.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.metrics import (
     escape_label_value,
     format_value,
 )
-from repro.runtime.workload import WorkloadSpec, run_workload
+from repro.load import LoadSpec, run_phases
 
 SETTINGS = common_settings()
 
@@ -383,7 +383,7 @@ def test_default_metrics_is_a_process_wide_singleton():
 
 
 # ----------------------------------------------------------------------
-# wiring: instrumented service, workload roll-up, CLI
+# wiring: instrumented service, phase runs, CLI
 # ----------------------------------------------------------------------
 def _instrumented_service():
     graph = random_62_chordal_graph(4, rng=11)
@@ -436,43 +436,49 @@ def test_service_render_exports_cache_and_oracle_snapshots():
 
 TINY_SPEC = {
     "name": "tiny-metrics",
-    "schema": {"generator": "random_62_chordal_graph",
-               "params": {"blocks": 4, "rng": 11}},
-    "queries": [{"count": 6, "terminals": 3, "seed": 1}],
-    "churn": {"edits": 4, "queries_per_edit": 2, "seed": 5, "verify": True},
+    "tenants": [
+        {
+            "name": "t0",
+            "schema": {"generator": "random_62_chordal_graph",
+                       "params": {"blocks": 4, "rng": 11}},
+            "token": "tk",
+        }
+    ],
+    "arrival": {"requests": 16},
+    "profile": {"connect": 3, "mutate": 1},
+    "seed": 5,
 }
 
 
 def test_run_workload_rolls_metrics_into_the_report():
-    report = run_workload(WorkloadSpec.from_dict(TINY_SPEC))
-    summary = report.metrics_summary
-    assert summary["queries_observed"] > 0
-    assert summary["latency_p50_ms"] <= summary["latency_p99_ms"]
-    assert 0.0 <= summary["schema_cache_hit_rate"] <= 1.0
-    assert "shards_dispatched" not in summary  # no process pool since 3.0.0
-    assert "incremental" in summary["rebinds"] or "full" in summary["rebinds"]
-    # the exposition text parses and covers the query path
-    metadata, samples = parse_exposition(report.metrics_text)
+    registry = MetricsRegistry()
+    report = run_phases(LoadSpec.from_dict(TINY_SPEC), metrics=registry)
+    assert report.ok()
+    connects = dict((stats.op, stats.count) for stats in report.op_stats)["connect"]
+    # the exposition text parses and covers the query path and the phases
+    metadata, samples = parse_exposition(registry.render_text())
     assert metadata["repro_query_latency_seconds"]["type"] == "histogram"
     assert metadata["repro_phase_seconds"]["type"] == "gauge"
+    assert samples[("repro_phase_seconds", (("phase", "serial-cold"),))] > 0
     counts = [
         value for (name, _), value in samples.items()
         if name == "repro_query_latency_seconds_count"
     ]
-    assert sum(counts) == summary["queries_observed"] > 0
-    # the roll-up rides along in the JSON report (text stays out of it)
-    assert json.loads(report.to_json())["metrics"] == summary
+    assert sum(counts) == connects > 0
+    # the mutations rebound the tenant's context
+    rebinds = {
+        labels: value for (name, labels), value in samples.items()
+        if name == "repro_rebind_total"
+    }
+    assert sum(rebinds.values()) > 0
 
 
 def test_run_workload_honours_an_injected_null_registry():
-    report = run_workload(
-        WorkloadSpec.from_dict(TINY_SPEC),
-        include_cold=False,
-        base_config=ServiceConfig(metrics=NullRegistry()),
-    )
-    assert report.metrics_summary == {}
-    assert report.metrics_text == ""
-    assert report.checksums_consistent
+    registry = NullRegistry()
+    report = run_phases(LoadSpec.from_dict(TINY_SPEC), metrics=registry)
+    assert registry.render_text() == ""
+    assert report.ok()
+    assert report.checksum == report.oracle_checksum
 
 
 def run_cli(*args, cwd=None):
@@ -492,11 +498,9 @@ def test_cli_prints_metrics_section_and_writes_exposition(tmp_path):
 
     proc = run_cli("run", str(spec_path), "--metrics-out", str(metrics_path))
     assert proc.returncode == 0, proc.stderr
-    assert "metrics" in proc.stdout
-    assert "queries observed" in proc.stdout
-    assert "p50" in proc.stdout and "p99" in proc.stdout
-    assert "CONSISTENT" in proc.stdout
-    assert str(metrics_path) in proc.stdout
+    assert "p50ms" in proc.stdout and "p99ms" in proc.stdout
+    assert "verify: MATCH" in proc.stdout
+    assert f"metrics: {metrics_path}" in proc.stdout
 
     metadata, samples = parse_exposition(metrics_path.read_text())
     assert metadata["repro_query_latency_seconds"]["type"] == "histogram"

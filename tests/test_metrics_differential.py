@@ -25,7 +25,8 @@ from strategies import (
 
 from repro.api import ConnectionService, ServiceConfig
 from repro.metrics import MetricsRegistry, NullRegistry
-from repro.runtime.workload import WorkloadSpec, canonical_checksum, run_workload
+from repro.load import LoadSpec, run_phases
+from repro.load.clients import canonical_checksum
 
 SETTINGS = common_settings(max_examples=20)
 
@@ -99,30 +100,40 @@ def test_oracle_warm_batch_path_is_unperturbed(graph, data):
 
 SPEC = {
     "name": "diff-metrics",
-    "schema": {"generator": "random_62_chordal_graph",
-               "params": {"blocks": 4, "rng": 11}},
-    "queries": [{"count": 6, "terminals": 3, "seed": 1}],
-    "churn": {"edits": 4, "queries_per_edit": 2, "seed": 5, "verify": True},
+    "tenants": [
+        {
+            "name": "t0",
+            "schema": {"generator": "random_62_chordal_graph",
+                       "params": {"blocks": 4, "rng": 11}},
+            "token": "tk",
+        },
+        {
+            "name": "t1",
+            "schema": {"generator": "random_62_chordal_graph",
+                       "params": {"blocks": 3, "rng": 2}},
+        },
+    ],
+    "arrival": {"requests": 24},
+    "profile": {"connect": 3, "batch": 1, "mutate": 1},
+    "seed": 5,
 }
 
 
 def test_workload_checksums_match_with_and_without_metrics(tmp_path):
-    spec = WorkloadSpec.from_dict(SPEC)
-    instrumented = run_workload(spec, cache_dir=str(tmp_path / "a"))
-    silent = run_workload(
-        spec,
-        cache_dir=str(tmp_path / "b"),
-        base_config=ServiceConfig(metrics=NullRegistry()),
+    spec = LoadSpec.from_dict(SPEC)
+    registry = MetricsRegistry()
+    instrumented = run_phases(spec, cache_dir=str(tmp_path / "a"), metrics=registry)
+    silent = run_phases(
+        spec, cache_dir=str(tmp_path / "b"), metrics=NullRegistry()
     )
-    assert instrumented.checksum == silent.checksum
-    assert instrumented.checksums_consistent and silent.checksums_consistent
-    assert [p.checksum for p in instrumented.phases] == [
-        p.checksum for p in silent.phases
+    assert instrumented.checksum == silent.checksum == silent.oracle_checksum
+    assert instrumented.ok() and silent.ok()
+    # the same phases ran on both sides, with the same answers
+    assert [(name, checksum) for name, _, checksum in instrumented.phases] == [
+        (name, checksum) for name, _, checksum in silent.phases
     ]
-    # the full phase matrix ran on both sides
-    assert [p.name for p in instrumented.phases] == [
-        p.name for p in silent.phases
+    assert [name for name, _, _ in silent.phases] == [
+        "serial-cold", "disk-populate", "disk-warm",
     ]
-    # and only the instrumented run carries a metrics payload
-    assert instrumented.metrics_summary and instrumented.metrics_text
-    assert silent.metrics_summary == {} and silent.metrics_text == ""
+    # and only the instrumented run collected anything
+    assert "repro_phase_seconds" in registry.render_text()

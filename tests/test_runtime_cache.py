@@ -22,7 +22,7 @@ from repro.exceptions import ValidationError
 from repro.graphs import BipartiteGraph
 from repro.runtime.codec import encode_result, request_key
 from repro.runtime.diskcache import FORMAT_VERSION, DiskCache
-from repro.runtime.workload import canonical_checksum
+from repro.load.clients import canonical_checksum
 
 
 def small_schema() -> BipartiteGraph:

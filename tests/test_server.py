@@ -768,10 +768,13 @@ class TestClientFailureModes:
             conn.recv(4096)
 
         with misbehaving_server(echo_nothing) as port:
-            client = ReproClient("127.0.0.1", port, timeout=5.0, hello=False)
-            with pytest.raises(RemoteError) as excinfo:
-                client.call("connect", blob="x" * (MAX_FRAME_BYTES + 1))
-            assert excinfo.value.kind == "protocol"
+            # the refusal leaves the connection usable, so the test owns
+            # closing it
+            with ReproClient("127.0.0.1", port, timeout=5.0, hello=False) as client:
+                with pytest.raises(RemoteError) as excinfo:
+                    client.call("connect", blob="x" * (MAX_FRAME_BYTES + 1))
+                assert excinfo.value.kind == "protocol"
+            assert client._sock.fileno() == -1, "socket leaked"
 
     def test_silent_server_times_out_not_hangs(self):
         def never_reply(conn):
