@@ -27,8 +27,26 @@ parent rows, the tree built on ids) against the label-space
 on the same 60-relation schema.  Every tree must be identical to the
 reference's, and in full mode the registry path must be >= 6x faster.
 
+EX3 -- Algorithm 1 confined to the terminals' blocks: the registered
+``solve_algorithm1_indexed`` on a warm context (Step 2 scans only the
+blocks on the block-cut-tree paths between the terminals, then adds back
+the neighbours of the surviving ``V_2`` vertices) against the
+whole-component scan it replaced and against the label-space
+``pseudo_steiner_algorithm1``, at k = 6 on a 300-relation alpha schema
+(829 vertices).  Covers and trees must be identical to both, and in full
+mode the registry path must be >= 3x faster than the whole-component scan.
+
+EX4 -- the seed-local chordal elimination: ``solve_chordal_elimination``
+on a warm context of a (6,2)-chordal schema of 11,931 vertices, whose
+Step 2 works on masks of the seed's size, against the same answer with
+Step 2 done by ``indexed_elimination_cover(restrict=seed)`` (arrays of
+the schema's size per call).  Covers and trees must be identical, the
+global bitset rows must stay unbuilt, and in full mode the registry path
+must be >= 2.5x faster.
+
 Set ``REPRO_BENCH_SMOKE=1`` for the scaled-down CI variant: same code
-paths, a 20-relation schema, correctness assertions only.
+paths, a 20-relation schema (EX3 too) and a 100-block chordal schema
+(EX4), correctness assertions only.
 """
 
 import importlib.util
@@ -42,10 +60,21 @@ import pytest
 
 from conftest import record
 
-from repro.datasets.generators import random_alpha_schema_graph, random_terminals
+from repro.datasets.generators import (
+    random_62_chordal_graph,
+    random_alpha_schema_graph,
+    random_terminals,
+)
 from repro.engine.cache import SchemaContext
-from repro.engine.registry import solve_dreyfus_wagner, solve_kmb
-from repro.steiner import steiner_tree_dreyfus_wagner
+from repro.engine.registry import (
+    _cover_tree,
+    solve_algorithm1_indexed,
+    solve_chordal_elimination,
+    solve_dreyfus_wagner,
+    solve_kmb,
+)
+from repro.graphs.indexed import indexed_elimination_cover
+from repro.steiner import pseudo_steiner_algorithm1, steiner_tree_dreyfus_wagner
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -58,6 +87,15 @@ MIN_SPEEDUP_K5 = 5.0
 #: Full-mode EX2 bar for KMB on a warm context, against the label-space
 #: reference (18-19x measured on a 2-core VM).
 MIN_SPEEDUP_KMB = 6.0
+
+#: Full-mode EX3 bar for the region scan against the whole-component
+#: scan at 829 vertices (7.2-10.3x measured on a 2-core VM).
+MIN_SPEEDUP_REGION = 3.0
+
+#: Full-mode EX4 bar for the seed-local elimination against
+#: ``indexed_elimination_cover(restrict=seed)`` at 11,931 vertices
+#: (4.9-5.2x measured on a 2-core VM).
+MIN_SPEEDUP_SEED_LOCAL = 2.5
 
 
 def _load_reference():
@@ -177,4 +215,119 @@ def test_kmb_on_ids(benchmark, k):
         assert speedup >= MIN_SPEEDUP_KMB, (
             f"KMB on a warm context must be >= {MIN_SPEEDUP_KMB}x faster than "
             f"the label-space reference at k = {k}, got {speedup:.1f}x"
+        )
+
+
+def _whole_component_scan(context, terminals):
+    """Algorithm 1's Step 2 over the whole component: ``(cover, tree)`` labels."""
+    ids = sorted(context.index.encode(terminals))
+    plan = context.side_plan(2, ids[0])
+    cover = indexed_elimination_cover(
+        context.indexed,
+        ids,
+        ordering=plan.ordering,
+        removal_batches=True,
+        restrict=plan.component,
+    )
+    tree = _cover_tree(context, cover, ids)
+    return context.index.decode_set(cover), (tree.vertices(), tree.edge_set())
+
+
+def test_algorithm1_region_scan(benchmark):
+    """EX3: Step 2 on the terminals' blocks against the whole-component scan."""
+    graph = random_alpha_schema_graph(20 if SMOKE else 300, rng=7)
+    rng = random.Random(3006)
+    queries = [random_terminals(graph, 6, rng=rng) for _ in range(QUERIES)]
+    context = SchemaContext(graph)
+    for terminals in queries:  # build the side plan once
+        solve_algorithm1_indexed(context, terminals)
+
+    registry_seconds, served = _timed(
+        lambda terminals: solve_algorithm1_indexed(context, terminals), queries
+    )
+    whole_seconds, whole = _timed(
+        lambda terminals: _whole_component_scan(context, terminals), queries
+    )
+    reference_seconds, expected = _timed(
+        lambda terminals: pseudo_steiner_algorithm1(graph, terminals, applicable=True),
+        queries,
+    )
+    for engine, (cover, tree), reference in zip(served, whole, expected):
+        assert engine.metadata["cover"] == cover == reference.metadata["cover"]
+        assert _tree(engine) == tree == _tree(reference)
+
+    benchmark(lambda: solve_algorithm1_indexed(context, queries[0]))
+
+    speedup = whole_seconds / registry_seconds if registry_seconds > 0 else 0.0
+    record(
+        benchmark,
+        experiment="EX3",
+        k=6,
+        vertices=graph.number_of_vertices(),
+        edges=graph.number_of_edges(),
+        registry_seconds=round(registry_seconds, 5),
+        whole_component_seconds=round(whole_seconds, 5),
+        reference_seconds=round(reference_seconds, 4),
+        speedup=round(speedup, 1),
+        smoke=SMOKE,
+    )
+    if not SMOKE:
+        assert speedup >= MIN_SPEEDUP_REGION, (
+            f"Algorithm 1 on the terminals' blocks must be >= {MIN_SPEEDUP_REGION}x "
+            f"faster than the whole-component scan, got {speedup:.1f}x"
+        )
+
+
+def _restricted_elimination_answer(context, terminals):
+    """The chordal answer with Step 2 by ``indexed_elimination_cover(restrict=seed)``."""
+    ids = sorted(context.index.encode(terminals))
+    parents = context.distance_oracle.parents(ids[0])
+    seed = set(ids)
+    for terminal in ids:
+        while terminal != ids[0]:
+            terminal = parents[terminal]
+            seed.add(terminal)
+    cover = indexed_elimination_cover(context.indexed, ids, restrict=seed)
+    tree = _cover_tree(context, cover, ids)
+    return context.index.decode_set(cover), (tree.vertices(), tree.edge_set())
+
+
+def test_chordal_elimination_seed_local(benchmark):
+    """EX4: a warm chordal answer on seed-local masks against the restricted scan."""
+    graph = random_62_chordal_graph(100 if SMOKE else 4000, rng=7)
+    rng = random.Random(4004)
+    queries = [random_terminals(graph, 4, rng=rng) for _ in range(QUERIES)]
+    context = SchemaContext(graph)
+    for terminals in queries:  # warm the oracle's parent rows
+        solve_chordal_elimination(context, terminals)
+
+    registry_seconds, served = _timed(
+        lambda terminals: solve_chordal_elimination(context, terminals), queries
+    )
+    reference_seconds, expected = _timed(
+        lambda terminals: _restricted_elimination_answer(context, terminals), queries
+    )
+    for engine, (cover, tree) in zip(served, expected):
+        assert engine.metadata["cover"] == cover
+        assert _tree(engine) == tree
+    assert context.indexed._bits is None
+
+    benchmark(lambda: solve_chordal_elimination(context, queries[0]))
+
+    speedup = reference_seconds / registry_seconds if registry_seconds > 0 else 0.0
+    record(
+        benchmark,
+        experiment="EX4",
+        k=4,
+        vertices=graph.number_of_vertices(),
+        edges=graph.number_of_edges(),
+        registry_seconds=round(registry_seconds, 6),
+        reference_seconds=round(reference_seconds, 5),
+        speedup=round(speedup, 1),
+        smoke=SMOKE,
+    )
+    if not SMOKE:
+        assert speedup >= MIN_SPEEDUP_SEED_LOCAL, (
+            f"the seed-local chordal elimination must be >= {MIN_SPEEDUP_SEED_LOCAL}x "
+            f"faster than indexed_elimination_cover(restrict=seed), got {speedup:.1f}x"
         )

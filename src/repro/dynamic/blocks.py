@@ -30,9 +30,10 @@ of 413 edges in under 10 ms (experiment CL1 in
 
 from __future__ import annotations
 
+import heapq
 import sys
 from dataclasses import fields
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.classification import ChordalityReport, classify_bipartite_graph
 from repro.engine.cache import LRUCache, tokens_for
@@ -105,6 +106,73 @@ def biconnected_edge_blocks(graph: Graph) -> List[List[Edge]]:
                             break
                     blocks.append(block)
     return blocks
+
+
+class BlockCutTree:
+    """The block-cut tree of one connected graph on ids, rooted at its first block.
+
+    Built from the id vertex sets of the graph's blocks.  A cut vertex (in
+    two or more blocks) gets a node of its own; every other vertex belongs
+    to the node of its only block.  Every simple path between two vertices
+    stays inside the blocks on the tree path between their nodes, which is
+    what :meth:`span` returns.
+    """
+
+    __slots__ = ("node_of", "parent", "depth", "members")
+
+    def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
+        members: List[Tuple[int, ...]] = [tuple(sorted(set(b))) for b in blocks]
+        blocks_of: Dict[int, List[int]] = {}
+        for node, vertices in enumerate(members):
+            for vertex in vertices:
+                blocks_of.setdefault(vertex, []).append(node)
+        adjacency: List[List[int]] = [[] for _ in members]
+        #: Vertex id -> its cut node, or the node of its only block.
+        self.node_of: Dict[int, int] = {}
+        for vertex, nodes in blocks_of.items():
+            if len(nodes) == 1:
+                self.node_of[vertex] = nodes[0]
+                continue
+            cut = self.node_of[vertex] = len(members)
+            members.append(())
+            adjacency.append(nodes)
+            for node in nodes:
+                adjacency[node].append(cut)
+        #: Node -> the ids of its block (empty for a cut node).
+        self.members = tuple(members)
+        #: Node -> its parent node (the root block is its own parent).
+        self.parent = [-1] * len(members)
+        self.depth = [0] * len(members)
+        order = [0] if members else []
+        if members:
+            self.parent[0] = 0
+        for node in order:  # breadth first from the root block
+            for child in adjacency[node]:
+                if self.parent[child] < 0:
+                    self.parent[child] = node
+                    self.depth[child] = self.depth[node] + 1
+                    order.append(child)
+
+    def span(self, vertices: Iterable[int]) -> Set[int]:
+        """Return the ids of the blocks on the tree paths between ``vertices``.
+
+        Walks up from each vertex's node, deepest first, until the walks
+        meet, so it costs time in proportion to the subtree it spans.
+        """
+        parent, depth = self.parent, self.depth
+        pending = {self.node_of[vertex] for vertex in vertices}
+        spanned = set(pending)
+        heap = [(-depth[node], node) for node in pending]
+        heapq.heapify(heap)
+        while len(pending) > 1:
+            node = heapq.heappop(heap)[1]
+            pending.discard(node)
+            above = parent[node]
+            spanned.add(above)
+            if above not in pending:
+                pending.add(above)
+                heapq.heappush(heap, (-depth[above], above))
+        return {vertex for node in spanned for vertex in self.members[node]}
 
 
 def block_subgraph(graph: Graph, edges: Sequence[Edge]) -> Graph:

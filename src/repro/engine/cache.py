@@ -37,7 +37,7 @@ import itertools
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 # classify_bipartite_graph stays bound here although contexts classify
 # blockwise: the per-layer tracing of perfbench/tracing.py patches this name
@@ -46,6 +46,9 @@ from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.indexed import GraphIndex, IndexedGraph, to_indexed
 from repro.kernels.oracle import DistanceOracle, OracleStats
+
+if TYPE_CHECKING:  # repro.dynamic.blocks imports this module
+    from repro.dynamic.blocks import BlockCutTree
 
 
 class LRUCache:
@@ -275,14 +278,31 @@ class SidePlan:
     """Cached Algorithm 1 precomputation for one connected component.
 
     ``component`` holds the ids of the component, ``applicable`` the
-    Lemma 1 precondition verdict (``V_side``-chordal and conformal), and
+    Lemma 1 precondition verdict (``V_side``-chordal and conformal),
     ``ordering`` the encoded Lemma 1 elimination ordering (``None`` when no
-    running-intersection ordering exists).
+    running-intersection ordering exists), and ``blocks`` the component's
+    rooted :class:`~repro.dynamic.blocks.BlockCutTree` on ids, which
+    :meth:`region` reads.
     """
 
     component: FrozenSet[int]
     applicable: bool
     ordering: Optional[Tuple[int, ...]]
+    blocks: BlockCutTree
+
+    def region(self, terminal_ids: List[int]) -> Iterable[int]:
+        """Return the ids Step 2 of Algorithm 1 must scan for ``terminal_ids``.
+
+        The vertices of the blocks on the block-cut-tree paths between the
+        terminals: every simple path between two terminals stays inside
+        them.  With fewer than two terminals it is the whole component: no
+        path confines the scan then, and the batch rule keeps a vertex
+        whose only alive neighbour is the lone terminal, so the cover
+        depends on the order in which the whole component is scanned.
+        """
+        if len(terminal_ids) < 2:
+            return self.component
+        return self.blocks.span(terminal_ids)
 
 
 def _new_block_classifier(memory_budget_bytes: Optional[int] = None):
@@ -466,7 +486,9 @@ class SchemaContext:
         traffic.  Solvers read distances only through the oracle, so no
         uncounted row store exists; the remaining memos (side plans,
         components) hold one entry per connected component and side, and
-        are bounded by the schema rather than by the traffic.
+        are bounded by the schema rather than by the traffic.  That holds
+        for a side plan's block decomposition too: its block-cut tree
+        stores each block's ids once, linear in the component.
         """
         total = self.indexed.nbytes() + self._blocks.bytes_held()
         if self._oracle is not None:
@@ -503,10 +525,14 @@ class SchemaContext:
     def side_plan(self, side: int, vertex_id: int) -> SidePlan:
         """Return the cached Algorithm 1 plan for the component of ``vertex_id``.
 
-        Computes (once per component and side) the structural precondition
-        and the Lemma 1 ordering on the induced component subgraph.
+        Computes (once per component and side) the structural precondition,
+        the Lemma 1 ordering and the rooted block-cut tree on the induced
+        component subgraph; the blocks come from classification's
+        Hopcroft--Tarjan routine,
+        :func:`~repro.dynamic.blocks.biconnected_edge_blocks`.
         """
         from repro.chordality.side_chordal import is_side_chordal_and_conformal
+        from repro.dynamic.blocks import BlockCutTree, biconnected_edge_blocks
         from repro.steiner.algorithm1 import lemma1_ordering
 
         component = self.component_ids(vertex_id)
@@ -522,7 +548,14 @@ class SchemaContext:
                 if ordering_labels is not None
                 else None
             )
-            plan = SidePlan(component=component, applicable=applicable, ordering=ordering)
+            ids = self.index.ids
+            blocks = BlockCutTree(
+                [ids[vertex] for edge in block for vertex in edge]
+                for block in biconnected_edge_blocks(subgraph)
+            )
+            plan = SidePlan(
+                component=component, applicable=applicable, ordering=ordering, blocks=blocks
+            )
             self._side_plans[key] = plan
         return plan
 

@@ -148,7 +148,7 @@ def solve_chordal_elimination(context: SchemaContext, terminals: Iterable[Vertex
 
     # 3. spanning tree of the cover, built on ids, decoded once
     solution = SteinerSolution(
-        tree=_cover_tree(context, cover, terminal_ids),
+        tree=indexed_pruned_tree(cover, terminal_ids, context.index.labels),
         instance=instance,
         method="engine-chordal-elimination",
         optimal=context.report.steiner_tractable(),
@@ -164,54 +164,49 @@ def _cover_tree(context: SchemaContext, cover: Set[int], terminal_ids: Sequence[
     return indexed_pruned_tree(adjacency, terminal_ids, context.index.labels)
 
 
-def _eliminate_within(indexed, seed: Set[int], terminal_ids: Sequence[int]) -> Set[int]:
-    """Drop redundant seed vertices; return the terminals' component (ids).
+def _eliminate_within(indexed, seed: Set[int], terminal_ids: Sequence[int]) -> Dict[int, List[int]]:
+    """Drop redundant seed vertices; return the cover: each id with its cover neighbours.
 
-    One ascending-id pass suffices for nonredundancy: a vertex whose
-    removal disconnects the terminals at scan time stays essential as the
-    set only shrinks afterwards.
+    The seed is renumbered ``0 .. s - 1`` in ascending id order, so every
+    vertex set is an ``s``-bit mask: work and memory scale with the seed,
+    not the schema.  One ascending pass suffices for nonredundancy: a
+    vertex whose removal disconnects the terminals at scan time stays
+    essential as the set only shrinks, and one with at most one alive
+    neighbour never disconnects the rest.
     """
-    bits = indexed.bits
-    terminal_set = set(terminal_ids)
-    root = terminal_ids[0]
-    needed = len(terminal_set)
-    alive_mask = 0
-    for vertex in seed:
-        alive_mask |= 1 << vertex
-    for vertex in sorted(seed):
-        if vertex in terminal_set:
+    order = sorted(seed)
+    local = {vertex: i for i, vertex in enumerate(order)}
+    row = indexed.row
+    masks = [sum(1 << local[u] for u in row(vertex) if u in local) for vertex in order]
+    terminals = sum(1 << local[terminal] for terminal in terminal_ids)
+    root = local[terminal_ids[0]]
+    alive = (1 << len(order)) - 1
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        if terminals & bit:
             continue
-        candidate_mask = alive_mask & ~(1 << vertex)
-        if _mask_terminals_connected(bits, candidate_mask, root, terminal_set, needed):
-            alive_mask = candidate_mask
-    # terminals' component of the surviving set
-    component = _mask_component(bits, alive_mask, root)
-    return component
+        neighbours = mask & alive
+        if not neighbours & (neighbours - 1) or (
+            _reached(masks, alive ^ bit, root) & terminals == terminals
+        ):
+            alive ^= bit
+    cover = _reached(masks, alive, root)
+    return {
+        order[i]: [order[j] for j in iter_bits(masks[i] & cover)]
+        for i in iter_bits(cover)
+    }
 
 
-def _mask_terminals_connected(
-    bits: List[int], alive_mask: int, root: int, terminal_set: Set[int], needed: int
-) -> bool:
-    reached = _mask_component_mask(bits, alive_mask, root)
-    found = sum(1 for t in terminal_set if reached >> t & 1)
-    return found == needed
-
-
-def _mask_component_mask(bits: List[int], alive_mask: int, root: int) -> int:
-    """Return the bitmask of the alive vertices reachable from ``root``."""
-    reached = 1 << root
-    frontier = reached
+def _reached(masks: List[int], alive: int, root: int) -> int:
+    """Return the mask of the ``alive`` local vertices reachable from ``root``."""
+    reached = frontier = 1 << root
     while frontier:
-        neighbors = 0
+        neighbours = 0
         for vertex in iter_bits(frontier):
-            neighbors |= bits[vertex]
-        frontier = neighbors & alive_mask & ~reached
+            neighbours |= masks[vertex]
+        frontier = neighbours & alive & ~reached
         reached |= frontier
     return reached
-
-
-def _mask_component(bits: List[int], alive_mask: int, root: int) -> Set[int]:
-    return set(iter_bits(_mask_component_mask(bits, alive_mask, root)))
 
 
 def solve_algorithm1_indexed(
@@ -219,12 +214,20 @@ def solve_algorithm1_indexed(
 ) -> SteinerSolution:
     """Algorithm 1 on the indexed backend with cached Lemma 1 orderings.
 
-    The component restriction, the structural precondition and the Lemma 1
-    elimination ordering are all read from the schema context (computed
-    once per component); only the Step 2 elimination runs per query, on the
-    array fast lane.  Produces the same cover as
-    :func:`~repro.steiner.algorithm1.pseudo_steiner_algorithm1` because the
-    ordering and the elimination semantics are identical.
+    The component restriction, the structural precondition, the Lemma 1
+    elimination ordering and the block-cut tree are all read from the
+    schema context (computed once per component); only the Step 2
+    elimination runs per query, on the array fast lane, and only inside
+    the plan's :meth:`~repro.engine.cache.SidePlan.region`: the blocks on
+    the block-cut-tree paths between the terminals.
+
+    Every simple path between two terminals stays inside those blocks, so
+    each removal there matches the whole-component scan's decision, and
+    that scan removes every ``V_side`` vertex outside them.  It visits only
+    ``V_side`` vertices, though, so it keeps every neighbour of a surviving
+    one; adding those back (a no-op when the region is the component)
+    gives the same cover as
+    :func:`~repro.steiner.algorithm1.pseudo_steiner_algorithm1`.
     """
     instance = SteinerInstance(context.graph, terminals)
     terminal_ids = sorted(context.index.encode(instance.terminals))
@@ -243,13 +246,16 @@ def solve_algorithm1_indexed(
             "no running-intersection ordering exists; the associated "
             "hypergraph is not alpha-acyclic"
         )
+    indexed = context.indexed
     cover_ids = indexed_elimination_cover(
-        context.indexed,
+        indexed,
         terminal_ids,
         ordering=plan.ordering,
         removal_batches=True,
-        restrict=plan.component,
+        restrict=plan.region(terminal_ids),
     )
+    sides, row = indexed.sides, indexed.row
+    cover_ids.update([u for v in cover_ids if sides[v] == side for u in row(v)])
     solution = SteinerSolution(
         tree=_cover_tree(context, cover_ids, terminal_ids),
         instance=instance,

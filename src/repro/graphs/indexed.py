@@ -18,12 +18,12 @@ per-vertex row cache are **lazily derived**.  Big-int bitset rows cost
 O(n^2 / 16) bytes in the worst case, so only the graphs that call a
 bitset primitive (``has_edge``, ``is_clique``, ``bits`` ...) pay for
 them; the first such call materialises ``bits`` once, and the first
-Python-loop traversal materialises ``_rows`` once.  The serving path
-does pay: every chordal-elimination answer reads ``indexed.bits``
-(``_eliminate_within`` in :mod:`repro.engine.registry`), so a served
-schema holds its rows from the first such answer on -- outside
-:meth:`IndexedGraph.nbytes` and therefore outside every memory budget,
-until ROADMAP item 4 step 1 (seed-local bitsets) lands.
+Python-loop traversal materialises ``_rows`` once.  No engine solver
+calls one: the chordal elimination builds masks of its seed's size from
+the CSR rows (``_eliminate_within`` in :mod:`repro.engine.registry`), so
+a served schema never holds the bitset rows; beyond
+:meth:`IndexedGraph.nbytes` it holds only the row cache, linear in the
+CSR.
 
 The class implements the read-only part of the :class:`~repro.graphs.graph.Graph`
 API (``neighbors``, ``vertices``, ``has_edge``, ``subgraph`` ...), so every
@@ -398,9 +398,9 @@ class IndexedGraph:
         Counts only the arrays -- the lazily derived bitset rows and row
         cache are excluded, matching what a pickle ships.  The memory
         budget of :class:`~repro.engine.cache.SchemaCache` reads this
-        figure, so it does not bound the bitset rows that every
-        chordal-elimination answer materialises (see the module
-        docstring and ROADMAP item 4 step 1).
+        figure; no engine solver materialises the bitset rows (see the
+        module docstring), so they are outside it only for direct
+        callers of the bitset primitives.
         """
         return sum(
             len(buf) * buf.itemsize

@@ -236,7 +236,7 @@ def test_engine_matches_finder_and_oracle_side(data, graph):
 @given(st.data(), alpha_schema_graphs())
 def test_engine_algorithm1_cover_identical_to_generic(data, graph):
     """On applicable schemas the service replays Algorithm 1 exactly."""
-    terminals = draw_terminals(data.draw, graph, max_terminals=3)
+    terminals = draw_terminals(data.draw, graph, max_terminals=6)
     if not terminals or not vertices_in_same_component(graph, terminals):
         return
     try:

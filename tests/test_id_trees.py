@@ -14,7 +14,10 @@ suite pins that:
   context, equal ``reference_kou_markowsky_berman``;
 * a single terminal, an adjacent pair, and disconnected or unknown
   terminals keep their exception types;
-* a warm solve runs no label-space graph code at all.
+* a warm solve runs no label-space graph code at all;
+* the chordal elimination's seed-local cover equals
+  ``indexed_elimination_cover`` restricted to the seed, and no plan kind
+  materialises the global bitset rows.
 
 The families are (6,2)-chordal block trees, V2-alpha schema graphs and
 unrestricted bipartite graphs.
@@ -35,7 +38,7 @@ from strategies import (
 
 from repro.datasets.generators import random_alpha_schema_graph, random_terminals
 from repro.engine.cache import SchemaContext
-from repro.engine.registry import default_registry, solve_kmb
+from repro.engine.registry import _eliminate_within, default_registry, solve_kmb
 from repro.exceptions import (
     DisconnectedTerminalsError,
     GraphError,
@@ -43,7 +46,12 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.graphs import BipartiteGraph, Graph, random_graph
-from repro.graphs.indexed import edge_adjacency, indexed_pruned_tree, parent_path_edges
+from repro.graphs.indexed import (
+    edge_adjacency,
+    indexed_elimination_cover,
+    indexed_pruned_tree,
+    parent_path_edges,
+)
 from repro.graphs.spanning import spanning_tree
 from repro.steiner import kou_markowsky_berman, steiner_tree_dreyfus_wagner
 from repro.steiner.problem import prune_non_terminal_leaves
@@ -280,3 +288,47 @@ def test_warm_solves_run_no_label_space_graph_code(monkeypatch):
     monkeypatch.setattr("repro.steiner.heuristics.bfs_distances", forbidden)
     for (name, ts, kw), tree in zip(calls, expected):
         assert shape(registry.get(name)(context, ts, **kw)) == tree
+
+
+# ----------------------------------------------------------------------
+# seed-local elimination: no global bitset rows
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@SETTINGS
+@given(data=st.data())
+def test_seed_local_cover_equals_the_restricted_elimination(family, data):
+    graph, terminal_sets, context = draw_instance(data, family)
+    indexed = context.indexed
+    for terminals in terminal_sets:
+        if not terminals:
+            continue
+        ids = sorted(context.index.encode(terminals))
+        parents = context.distance_oracle.parents(ids[0])
+        seed = set(ids)
+        for terminal in ids:
+            while terminal != ids[0]:
+                terminal = parents[terminal]
+                seed.add(terminal)
+        rows = _eliminate_within(indexed, seed, ids)
+        assert set(rows) == indexed_elimination_cover(indexed, ids, restrict=seed)
+        assert rows == {v: [u for u in indexed.row(v) if u in rows] for v in rows}
+    assert indexed._bits is None
+
+
+def test_warm_answers_of_every_plan_kind_leave_the_bitset_rows_unset():
+    schema = random_alpha_schema_graph(4, rng=5)  # 14 vertices: brute force is cheap
+    context = SchemaContext(schema)
+    registry = default_registry()
+    terminals = random_terminals(schema, 3, rng=random.Random(4))
+    calls = [
+        ("chordal-elimination", {}),
+        ("dreyfus-wagner", {}),
+        ("kmb", {}),
+        ("algorithm1-indexed", {"side": 2}),
+        ("bruteforce", {}),
+        ("pseudo-bruteforce", {"side": 2}),
+    ]
+    for _ in range(2):  # cold, then warm
+        for name, kwargs in calls:
+            registry.get(name)(context, terminals, **kwargs)
+    assert context.indexed._bits is None
