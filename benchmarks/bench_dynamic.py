@@ -1,20 +1,25 @@
 """Dynamic-schema benchmarks: incremental context updates vs full rebuilds.
 
 Acceptance numbers for the `repro.dynamic` subsystem on the 515-vertex
-(6,2)-chordal acceptance schema (293 biconnected blocks):
+(6,2)-chordal acceptance schema (293 biconnected blocks), and on an
+11,931-vertex one:
 
 * `SchemaContext.apply_delta` answers a single-edge edit faster than
-  rebuilding the context from scratch.  Both sides classify blockwise:
-  the edit reuses the block memo its cold build seeded and classifies
-  only the blocks the edit created, while the rebuild classifies all 293
-  blocks cold with the near-linear hierarchy walk.  What is left to save
-  is those per-block classifications; the block decomposition, memo keys,
-  graph copy and CSR work are paid by both sides;
+  rebuilding the context from scratch.  The edit works in proportion to
+  what it touches: the net delta lists only the rows that differ, the
+  context's block records re-split only the blocks that lost an edge and
+  merge only the blocks on an added edge's block-cut path, and only the
+  blocks the edit created are looked up in the block memo; the
+  fingerprint is patched from the parent's.  The rebuild runs Hopcroft--
+  Tarjan, keys and classifies all 293 blocks and fingerprints the whole
+  schema.  Both sides still copy the label graph (one set copy per row)
+  and build or patch the CSR arrays, which stay O(|V| + |A|);
 * the patched context is *observably equal* to the rebuilt one: same
   graph, same CSR backend, same classification (asserted in every mode);
 * at the service level, a churn loop (edit, then answer queries) on an
   incremental service produces answers checksum-identical to a
-  fresh-context oracle, and stays ahead of rebuilding per edit.
+  fresh-context oracle, and stays ahead of rebuilding per edit -- also
+  at 11,931 vertices (DY3), where a rebuild costs about a second.
 
 Set ``REPRO_BENCH_SMOKE=1`` for the scaled-down CI variant: same code
 paths, tiny schema, correctness assertions only.
@@ -29,7 +34,7 @@ from conftest import record
 
 from repro.api import ConnectionService, ServiceConfig
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
-from repro.dynamic import SchemaDelta, SchemaEditor
+from repro.dynamic import SchemaDelta, SchemaEditor, biconnected_edge_blocks
 from repro.engine.cache import SchemaContext
 from repro.load.clients import canonical_checksum
 
@@ -37,9 +42,12 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 #: Full-mode bars, set from ten full-mode runs of this module alone on a
 #: shared 2-core VM (medians and quartiles in the test docstrings), below
-#: the lowest sample of either case (1.33x).
-DY1_MIN_SPEEDUP = 1.1
-DY2_MIN_SPEEDUP = 1.1
+#: the lowest sample of each case (DY1 6.93x, DY2 3.00x, DY3 4.47x).
+DY1_MIN_SPEEDUP = 5.5
+DY2_MIN_SPEEDUP = 2.5
+DY3_MIN_SPEEDUP = 3.0
+#: DY3's schema is ``random_62_chordal_graph(DY3_BLOCKS, rng=7)``: 11,931 vertices.
+DY3_BLOCKS = 4000
 
 
 def _schema():
@@ -89,12 +97,13 @@ def test_memo_warm_edit_beats_cold_rebuild(benchmark):
     """DY1: a memo-warm edit vs a cold blockwise rebuild, single-edge edits.
 
     The rebuild side is a fresh ``SchemaContext`` and its cold report,
-    which classifies every block.  The incremental side diffs the graphs
-    and applies the delta to the cached context, whose block memo already
-    holds every surviving block.  Equality of the resulting contexts is
-    asserted edit by edit.  The bar (``DY1_MIN_SPEEDUP``) is asserted in
-    full mode and recorded in smoke mode; ten full-mode runs measured a
-    median of 1.39x (quartiles 1.38x-1.43x).
+    which splits, keys and classifies every block.  The incremental side
+    diffs the graphs and applies the delta to the cached context, whose
+    block records re-split or merge only the blocks the edit touched and
+    look up only the blocks it created.  Equality of the resulting
+    contexts is asserted edit by edit.  The bar (``DY1_MIN_SPEEDUP``) is
+    asserted in full mode and recorded in smoke mode; ten full-mode runs
+    measured a median of 7.64x (quartiles 7.36x-7.89x).
     """
     graph = _schema()
     rng = random.Random(7)
@@ -163,9 +172,9 @@ def test_lockstep_churn_matches_rebuild_oracle(benchmark):
     so a burst of host noise hits both sides alike.  Answers must be
     checksum-identical in every mode; the bar (``DY2_MIN_SPEEDUP``) is
     asserted in full mode.  Both sides pay the same distance-oracle refill
-    after each edit (the schema is one connected component), so the bar
-    guards a modest margin; ten full-mode runs measured a median of 1.35x
-    (quartiles 1.33x-1.35x).
+    after each edit (the schema is one connected component), which caps
+    the ratio; ten full-mode runs measured a median of 3.05x (quartiles
+    3.01x-3.12x).
     """
     base = _schema()
     edits = 4 if SMOKE else 24
@@ -236,4 +245,98 @@ def test_lockstep_churn_matches_rebuild_oracle(benchmark):
         assert speedup >= DY2_MIN_SPEEDUP, (
             f"the incremental service must keep up with churn at least "
             f"{DY2_MIN_SPEEDUP}x as fast as full rebuilds, got {speedup:.2f}x"
+        )
+
+
+def _cycle_edit(graph, step, anchor, leaf, u, v):
+    """Apply edit ``step % 4`` of the DY3 cycle to ``graph``.
+
+    Grow a leaf on ``anchor``, drop the edge ``uv`` inside its block, prune
+    the leaf, add ``uv`` back: the cycle returns to the base schema.
+    """
+    with SchemaEditor(graph) as tx:
+        if step % 4 == 0:
+            tx.add_vertex(leaf, side=3 - graph.side_of(anchor))
+            tx.add_edge(leaf, anchor)
+        elif step % 4 == 1:
+            tx.remove_edge(u, v)
+        elif step % 4 == 2:
+            tx.remove_vertex(leaf)
+        else:
+            tx.add_edge(u, v)
+
+
+def test_post_edit_connect_at_scale(benchmark):
+    """DY3: a post-edit ``connect`` at 11,931 vertices, incremental vs rebuild.
+
+    An incremental ``ConnectionService`` and an ``incremental=False`` one
+    with a one-entry schema cache (which rebuilds the context after every
+    edit) run the same edit cycle in lockstep on
+    ``random_62_chordal_graph(4000, rng=7)``: grow a leaf, drop an edge
+    inside a block, prune the leaf, add the edge back.  Each edit is
+    followed by one timed ``connect``; answers must be checksum-identical.  The incremental side's first edit also builds
+    the context's block records from its cold pass.  Full mode asserts
+    ``DY3_MIN_SPEEDUP``; smoke mode runs the small schema and checks
+    correctness only.  Ten full-mode runs measured a median of 4.62x
+    (quartiles 4.54x-4.66x): 181 ms per post-edit ``connect`` against
+    865 ms, both sides refilling the distance-oracle rows of new
+    terminals.
+    """
+    base = _schema() if SMOKE else random_62_chordal_graph(DY3_BLOCKS, rng=7)
+    anchor = sorted(base.right(), key=repr)[0]
+    leaf = ("dy3-leaf", 1)
+    cyclic = sorted(
+        (sorted(edges, key=repr) for edges in biconnected_edge_blocks(base) if len(edges) >= 4),
+        key=repr,
+    )
+    u, v = cyclic[0][0]
+    edits = 8
+    terminal_rng = random.Random(5)
+    queries = [random_terminals(base, 4, rng=terminal_rng) for _ in range(edits)]
+
+    lanes = []
+    # the rebuild side keeps one context: the cycle revisits schemas, and
+    # an LRU hit would stand in for the rebuild being timed
+    for config in (ServiceConfig(), ServiceConfig(incremental=False, cache_size=1)):
+        graph = base.copy()
+        service = ConnectionService(schema=graph, config=config)
+        service.connect(queries[0])  # cold build and first answer, off-clock
+        lanes.append({"service": service, "graph": graph, "results": [], "seconds": 0.0})
+    for step in range(edits):
+        for lane in lanes:
+            _cycle_edit(lane["graph"], step, anchor, leaf, u, v)
+            start = perf_counter()
+            lane["results"].append(lane["service"].connect(queries[step]))
+            lane["seconds"] += perf_counter() - start
+    incremental_lane, oracle_lane = lanes
+    assert canonical_checksum(incremental_lane["results"]) == canonical_checksum(
+        oracle_lane["results"]
+    )
+    assert incremental_lane["service"].cache_stats()["rebind_fallbacks"] == 0
+
+    def one_post_edit_connect():
+        _cycle_edit(incremental_lane["graph"], edits, anchor, leaf, u, v)
+        return incremental_lane["service"].connect(queries[0])
+
+    benchmark.pedantic(one_post_edit_connect, rounds=1, iterations=1)
+
+    incremental_seconds = incremental_lane["seconds"]
+    oracle_seconds = oracle_lane["seconds"]
+    speedup = oracle_seconds / incremental_seconds if incremental_seconds > 0 else 0.0
+    record(
+        benchmark,
+        experiment="DY3",
+        vertices=base.number_of_vertices(),
+        edits=edits,
+        incremental_seconds=round(incremental_seconds, 4),
+        oracle_seconds=round(oracle_seconds, 4),
+        incremental_ms_per_edit=round(1000.0 * incremental_seconds / edits, 1),
+        oracle_ms_per_edit=round(1000.0 * oracle_seconds / edits, 1),
+        speedup=round(speedup, 2),
+        smoke=SMOKE,
+    )
+    if not SMOKE:
+        assert speedup >= DY3_MIN_SPEEDUP, (
+            f"a post-edit connect at {base.number_of_vertices()} vertices must "
+            f"beat a rebuild >= {DY3_MIN_SPEEDUP}x, got {speedup:.2f}x"
         )

@@ -33,7 +33,8 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import fields
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.classification import ChordalityReport, classify_bipartite_graph
 from repro.engine.cache import LRUCache, tokens_for
@@ -247,32 +248,43 @@ class BlockClassifier:
         #: Optional byte bound on the memo (``None`` = bounded by count only).
         self.memory_budget_bytes: Optional[int] = None
 
-    def classify(self, graph: BipartiteGraph) -> ChordalityReport:
+    def classify(
+        self, graph: BipartiteGraph, blocks: Optional[list] = None
+    ) -> ChordalityReport:
         """Return the whole-graph :class:`ChordalityReport`, blockwise-memoised.
 
         Equal (by construction of the block decomposition) to
         :func:`~repro.core.classification.classify_bipartite_graph` on the
         same graph; only blocks not seen before are actually classified.
+        ``blocks``, when given, receives one ``(edges, report)`` pair per
+        block: what a context builds its :class:`BlockRecords` from.
         """
-        blocks = biconnected_edge_blocks(graph)
-        self._memo.maxsize = max(self._memo.maxsize, 2 * len(blocks))
-        reports = []
-        for edges in blocks:
-            key = _block_key(graph, edges)
-            if key is None:
-                self._unkeyed += 1
-                self._classified += 1
-                reports.append(classify_bipartite_graph(block_subgraph(graph, edges)))
-                continue
-            report = self._memo.get(key)
-            if report is None:
-                report = classify_bipartite_graph(block_subgraph(graph, edges))
-                # at most 2**7 distinct reports exist: entries share them
-                report = _REPORTS.setdefault(report, report)
-                self._store(key, report)
-                self._classified += 1
-            reports.append(report)
+        edge_blocks = biconnected_edge_blocks(graph)
+        self._memo.maxsize = max(self._memo.maxsize, 2 * len(edge_blocks))
+        reports = [self.block_report(graph, edges) for edges in edge_blocks]
+        if blocks is not None:
+            blocks.extend(zip(edge_blocks, reports))
         return combine_reports(reports)
+
+    def block_report(self, graph: Graph, edges: Sequence[Edge]) -> ChordalityReport:
+        """Return one block's report: a memo lookup, and a classification on a miss.
+
+        The per-block routine of :meth:`classify` and of
+        :meth:`BlockRecords.patched`.
+        """
+        key = _block_key(graph, edges)
+        if key is None:
+            self._unkeyed += 1
+            self._classified += 1
+            return classify_bipartite_graph(block_subgraph(graph, edges))
+        report = self._memo.get(key)
+        if report is None:
+            report = classify_bipartite_graph(block_subgraph(graph, edges))
+            # at most 2**7 distinct reports exist: entries share them
+            report = _REPORTS.setdefault(report, report)
+            self._store(key, report)
+            self._classified += 1
+        return report
 
     def _store(self, key: Tuple, report: ChordalityReport) -> None:
         """Memoise one block, evicting LRU blocks by count and by bytes."""
@@ -303,6 +315,140 @@ class BlockClassifier:
             "blocks_classified": self._classified,
             "unkeyed_blocks": self._unkeyed,
         }
+
+
+#: A block's edges, vertex set and report (``None`` until looked up).
+BlockRecord = Tuple[Tuple[Edge, ...], FrozenSet[Vertex], Optional[ChordalityReport]]
+
+
+class BlockRecords:
+    """The biconnected blocks of one schema graph in label space, kept under edits.
+
+    One :data:`BlockRecord` per block, each vertex's block ids, and a count
+    per distinct report, so :meth:`report` ANDs a handful of reports.
+    Labels, not ids, because a vertex edit re-keys every id.
+    :meth:`patched` follows an edit by two exact rules: removing edges
+    inside a block leaves every other block as it is, so only a block that
+    lost an edge is re-split; an added edge ``uv`` merges exactly the
+    blocks on the block-cut-tree path between ``u`` and ``v`` (a bridge
+    block of its own when no path joins them).  See ``docs/dynamic.md``.
+    """
+
+    __slots__ = ("records", "blocks_of", "reports", "_next_id")
+
+    def __init__(
+        self, blocks: Iterable[Tuple[Sequence[Edge], ChordalityReport]] = ()
+    ) -> None:
+        self.records: Dict[int, BlockRecord] = {}
+        #: Vertex -> the ids of its blocks (a vertex without edges is absent).
+        self.blocks_of: Dict[Vertex, Tuple[int, ...]] = {}
+        #: Distinct report -> the number of records that carry it.
+        self.reports: Dict[ChordalityReport, int] = {}
+        self._next_id = 0
+        for edges, report in blocks:
+            self._add(edges, report)
+
+    def report(self) -> ChordalityReport:
+        """Return the whole-graph report: the AND of the distinct block reports."""
+        return combine_reports(self.reports)
+
+    def patched(self, graph: Graph, delta, classifier: "BlockClassifier") -> "BlockRecords":
+        """Return the records of ``graph``: this graph edited by ``delta``.
+
+        Only the blocks the edit created are looked up, through
+        ``classifier``'s :meth:`~BlockClassifier.block_report`; these
+        records are left as they are.
+        """
+        child = BlockRecords()
+        child.records = dict(self.records)
+        child.blocks_of = dict(self.blocks_of)
+        child.reports = dict(self.reports)
+        child._next_id = self._next_id
+        created: Set[int] = set()
+        blocks_of = child.blocks_of
+        gone = {vertex for vertex, _ in delta.removed_vertices}
+        cut = {frozenset(edge) for edge in delta.removed_edges}
+        lost = {block for vertex in gone for block in blocks_of.get(vertex, ())}
+        for u, v in delta.removed_edges:
+            lost.update(set(blocks_of.get(u, ())).intersection(blocks_of.get(v, ())))
+        for block in lost:
+            kept = [
+                (u, v)
+                for u, v in child._drop(block)
+                if u not in gone and v not in gone and frozenset((u, v)) not in cut
+            ]
+            if kept:
+                for piece in biconnected_edge_blocks(Graph(edges=kept)):
+                    created.add(child._add(piece, None))
+        for u, v in delta.added_edges:
+            merged = [(u, v)]
+            for block in child._path(u, v):
+                merged.extend(child._drop(block))
+                created.discard(block)
+            created.add(child._add(merged, None))
+        for block in created:
+            edges, vertices, _ = child.records[block]
+            report = classifier.block_report(graph, edges)
+            child.records[block] = (edges, vertices, report)
+            child.reports[report] = child.reports.get(report, 0) + 1
+        return child
+
+    def _add(self, edges: Sequence[Edge], report: Optional[ChordalityReport]) -> int:
+        """Record one block and return its id."""
+        block = self._next_id
+        self._next_id += 1
+        vertices = frozenset(chain.from_iterable(edges))
+        self.records[block] = (tuple(edges), vertices, report)
+        blocks_of = self.blocks_of
+        for vertex in vertices:
+            blocks_of[vertex] = blocks_of.get(vertex, ()) + (block,)
+        if report is not None:
+            self.reports[report] = self.reports.get(report, 0) + 1
+        return block
+
+    def _drop(self, block: int) -> Tuple[Edge, ...]:
+        """Forget one block and return its edges."""
+        edges, vertices, report = self.records.pop(block)
+        blocks_of = self.blocks_of
+        for vertex in vertices:
+            others = tuple(other for other in blocks_of[vertex] if other != block)
+            if others:
+                blocks_of[vertex] = others
+            else:
+                del blocks_of[vertex]
+        if report is not None:
+            count = self.reports[report] - 1
+            if count:
+                self.reports[report] = count
+            else:
+                del self.reports[report]
+        return edges
+
+    def _path(self, u: Vertex, v: Vertex) -> List[int]:
+        """Return the ids of the blocks on the block-cut-tree path from ``u`` to ``v``.
+
+        Empty when no path joins them.  Breadth first over blocks (adjacent
+        when they share a cut vertex), whose shortest path from ``u``'s
+        blocks to ``v``'s is the tree path.
+        """
+        blocks_of = self.blocks_of
+        targets = set(blocks_of.get(v, ()))
+        if not targets:
+            return []
+        parent: Dict[int, Optional[int]] = dict.fromkeys(blocks_of.get(u, ()))
+        frontier = list(parent)
+        for block in frontier:  # grows while it is read: breadth first
+            if block in targets:
+                path = [block]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path
+            for vertex in self.records[block][1]:
+                for other in blocks_of[vertex]:
+                    if other not in parent:
+                        parent[other] = block
+                        frontier.append(other)
+        return []
 
 
 def _block_key(graph: Graph, edges: Sequence[Edge]) -> Optional[Tuple]:

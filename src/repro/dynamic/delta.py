@@ -147,9 +147,14 @@ class SchemaDelta:
         bipartition sides are treated as removed-then-added, so applying
         the delta reproduces ``new`` exactly.  The two graphs must be of
         compatible kinds (both bipartite or both plain).
+
+        Costs one C-level neighbour-set comparison per vertex, plus time
+        in proportion to the rows that differ: edges are listed only for
+        those, and sides are compared per vertex only when the side maps
+        differ.
         """
-        old_sides = _side_map(old)
-        new_sides = _side_map(new)
+        old_sides = _sides(old)
+        new_sides = _sides(new)
         old_vertices = old.vertices()
         new_vertices = new.vertices()
         added = []
@@ -158,18 +163,29 @@ class SchemaDelta:
             added.append((vertex, new_sides.get(vertex)))
         for vertex in sorted(old_vertices - new_vertices, key=repr):
             removed.append((vertex, old_sides.get(vertex)))
-        for vertex in sorted(old_vertices & new_vertices, key=repr):
-            if old_sides.get(vertex) != new_sides.get(vertex):
+        old_rows, new_rows = old._adjacency, new._adjacency
+        if old_sides != new_sides:
+            flipped = {
+                vertex
+                for vertex, _ in old_sides.items() ^ new_sides.items()
+                if vertex in old_rows
+                and vertex in new_rows
+                and old_sides.get(vertex) != new_sides.get(vertex)
+            }
+            for vertex in sorted(flipped, key=repr):
                 removed.append((vertex, old_sides.get(vertex)))
                 added.append((vertex, new_sides.get(vertex)))
-        old_edges = {_edge_key(edge): edge for edge in old.edges()}
-        new_edges = {_edge_key(edge): edge for edge in new.edges()}
-        added_edge_map = {
-            key: new_edges[key] for key in new_edges.keys() - old_edges.keys()
-        }
-        removed_edges = tuple(
-            old_edges[key]
-            for key in sorted(old_edges.keys() - new_edges.keys(), key=repr)
+        # each list keeps its graph's row order, so an edge is oriented
+        # as that graph's edges() orients it
+        added_edge_map = _edges_missing_from(
+            [v for v, row in new_rows.items() if old_rows.get(v) != row],
+            new_rows,
+            old_rows,
+        )
+        removed_edge_map = _edges_missing_from(
+            [v for v, row in old_rows.items() if new_rows.get(v) != row],
+            old_rows,
+            new_rows,
         )
         restore_readded_incident_edges(new, added, removed, added_edge_map)
         return cls(
@@ -179,7 +195,10 @@ class SchemaDelta:
                 added_edge_map[key]
                 for key in sorted(added_edge_map.keys(), key=repr)
             ),
-            removed_edges=removed_edges,
+            removed_edges=tuple(
+                removed_edge_map[key]
+                for key in sorted(removed_edge_map.keys(), key=repr)
+            ),
             version_before=getattr(old, "mutation_version", None),
             version_after=getattr(new, "mutation_version", None),
         )
@@ -237,11 +256,30 @@ def restore_readded_incident_edges(
             added_edge_map.setdefault(key, (vertex, neighbor))
 
 
-def _side_map(graph: Graph) -> dict:
-    """Return ``{vertex: side}`` for bipartite graphs, ``{}`` otherwise."""
+def _sides(graph: Graph) -> dict:
+    """Return the live ``{vertex: side}`` map of a bipartite graph, ``{}`` otherwise."""
     if isinstance(graph, BipartiteGraph):
-        return {vertex: graph.side_of(vertex) for vertex in graph.vertices()}
+        return graph._side
     return {}
+
+
+def _edges_missing_from(vertices, rows: dict, other_rows: dict) -> dict:
+    """Return ``{edge key: edge}`` for the edges of ``rows`` that ``other_rows`` lacks.
+
+    ``vertices`` lists, in ``rows``' order, every vertex whose row differs,
+    so both ends of each such edge; an edge is oriented from the end
+    listed first, as ``Graph.edges()`` orients it.
+    """
+    missing: dict = {}
+    listed: set = set()
+    empty: frozenset = frozenset()
+    for vertex in vertices:
+        for neighbor in rows[vertex] - other_rows.get(vertex, empty):
+            if neighbor not in listed:
+                edge = (vertex, neighbor)
+                missing[_edge_key(edge)] = edge
+        listed.add(vertex)
+    return missing
 
 
 def _add_vertex(graph: Graph, vertex: Vertex, side: Optional[int]) -> None:

@@ -48,7 +48,7 @@ from repro.graphs.indexed import GraphIndex, IndexedGraph, to_indexed
 from repro.kernels.oracle import DistanceOracle, OracleStats
 
 if TYPE_CHECKING:  # repro.dynamic.blocks imports this module
-    from repro.dynamic.blocks import BlockCutTree
+    from repro.dynamic.blocks import BlockCutTree, BlockRecords
 
 
 class LRUCache:
@@ -214,6 +214,46 @@ def schema_fingerprint(graph: Graph) -> Tuple:
     )
 
 
+def _patched_fingerprint(key: Tuple, delta, graph: Graph) -> Optional[Tuple]:
+    """Return ``schema_fingerprint(graph)`` derived from the pre-edit ``key``.
+
+    ``graph`` is ``key``'s graph edited by ``delta``: frozenset differences
+    and unions over the delta's vertex, edge and side tokens.  ``None``
+    (fingerprint from scratch) when the tokens do not add up: a removed
+    token was not there, or the counts miss the graph's -- which is how an
+    added token that collides with a remaining one (an ambiguous graph)
+    shows.
+    """
+    _, _, vertex_part, edge_part, side_part = key
+    token = vertex_token
+    removed = {(token(v), side) for v, side in delta.removed_vertices}
+    added = {(token(v), side) for v, side in delta.added_vertices}
+    gone = {t for t, _ in removed}
+    cut = {frozenset((token(u), token(v))) for u, v in delta.removed_edges}
+    kept = vertex_part.difference(gone)
+    remaining = edge_part.difference(cut)
+    if len(kept) + len(gone) != len(vertex_part) or len(remaining) + len(cut) != len(
+        edge_part
+    ):
+        return None
+    joined = {frozenset((token(u), token(v))) for u, v in delta.added_edges}
+    vertices = kept.union(t for t, _ in added)
+    edges = remaining.union(joined)
+    if (
+        len(vertices) != graph.number_of_vertices()
+        or len(edges) != graph.number_of_edges()
+        or not vertices.issuperset(itertools.chain.from_iterable(joined))
+    ):
+        return None
+    sides = side_part
+    if sides is not None:
+        sides = sides.difference(removed)
+        if len(sides) + len(removed) != len(side_part):
+            return None
+        sides = sides.union(added)
+    return (len(vertices), len(edges), vertices, edges, sides)
+
+
 def schema_digest(graph: Graph) -> str:
     """Return a stable hex digest of a schema graph's structure.
 
@@ -344,6 +384,11 @@ class SchemaContext:
         # here, so surviving blocks never pay Theorem 1 recognition again;
         # its memo is bounded by the same byte budget as the oracle
         self._blocks = _new_block_classifier(memory_budget_bytes)
+        # the cold pass's (edges, report) pairs, until the first edit
+        # turns them into block records (see _block_records)
+        self._cold_blocks: Optional[list] = None
+        self._records: Optional[BlockRecords] = None
+        self._fingerprint: Optional[Tuple] = None
         # the cross-query distance oracle is lazy (first BFS builds it);
         # the counters are shared with the owning SchemaCache when there
         # is one, so they survive eviction and apply_delta re-derivation
@@ -364,8 +409,40 @@ class SchemaContext:
         cold build seeds the memo its ``apply_delta`` chain reuses.
         """
         if self._report is None:
-            self._report = self._blocks.classify(self.graph)
+            blocks: list = []
+            self._report = self._blocks.classify(self.graph, blocks)
+            self._cold_blocks = blocks
         return self._report
+
+    @property
+    def fingerprint(self) -> Tuple:
+        """:func:`schema_fingerprint` of the context's graph (its LRU key).
+
+        Set by :meth:`SchemaCache.lookup`, derived from the parent's by
+        :meth:`apply_delta`, and computed on first use otherwise.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = schema_fingerprint(self.graph)
+        return self._fingerprint
+
+    def _block_records(self) -> "BlockRecords":
+        """Return the block records, built on the first edit (not in the cold pass).
+
+        From the cold pass's blocks; a context whose report came from disk
+        runs the cold pass here.
+        """
+        from repro.dynamic.blocks import BlockRecords
+
+        if self._records is None:
+            blocks = self._cold_blocks
+            if blocks is None:
+                blocks = []
+                report = self._blocks.classify(self.graph, blocks)
+                if self._report is None:
+                    self._report = report
+            self._records = BlockRecords(blocks)
+            self._cold_blocks = None
+        return self._records
 
     # ------------------------------------------------------------------
     # incremental evolution (repro.dynamic)
@@ -377,17 +454,21 @@ class SchemaContext:
         edits relative to this context's snapshot graph).  The returned
         context is observably equivalent to
         ``SchemaContext(edited_graph)`` -- same graph, same indexed
-        backend, same classification -- but derived incrementally:
+        backend, same classification, same fingerprint -- but derived
+        incrementally:
 
-        * the snapshot graph is patched in place of being re-supplied;
-        * the CSR/bitset backend is patched from the old arrays plus the
-          delta's edge changes (the label index is reused verbatim when
-          the vertex set did not change; vertex churn re-derives it);
-        * the Theorem 1 classification is maintained blockwise through
-          the shared :class:`~repro.dynamic.blocks.BlockClassifier` --
-          cut vertices act as local separators, so only blocks the edit
-          touched (or merged) are reclassified, and the full recognition
-          is only ever paid *inside* a new block;
+        * the snapshot graph is copied (one set copy per row) and patched;
+        * the CSR backend is patched from the old arrays plus the delta's
+          edge changes (the label index is reused verbatim when the vertex
+          set did not change; vertex churn re-derives it);
+        * the Theorem 1 classification is kept on the context's
+          :class:`~repro.dynamic.blocks.BlockRecords`: blocks that lost
+          an edge are re-split, the blocks on each added edge's
+          block-cut path are merged, and only the blocks the edit created
+          are looked up in the shared
+          :class:`~repro.dynamic.blocks.BlockClassifier` memo;
+        * the fingerprint is the parent's, patched with the delta's
+          tokens (recomputed when an added token collides);
         * the distance oracle keeps only the rows outside the touched
           component (all of them are dropped on vertex churn), and the
           side plans and components start empty: a structural edit can
@@ -398,6 +479,7 @@ class SchemaContext:
         as the engine LRU may still be holding it); the block memo is
         shared by reference, which only ever *adds* cached verdicts.
         """
+        records = self._block_records()
         new_graph = self.graph.copy()
         delta.apply_to(new_graph)
         context = SchemaContext.__new__(SchemaContext)
@@ -428,7 +510,15 @@ class SchemaContext:
                 ]
                 context._oracle = self._oracle.inherit(context.indexed, touched)
         context._blocks = self._blocks
-        context._report = self._blocks.classify(new_graph)
+        context._records = records.patched(new_graph, delta, self._blocks)
+        context._cold_blocks = None
+        context._report = context._records.report()
+        key = self._fingerprint
+        context._fingerprint = (
+            _patched_fingerprint(key, delta, new_graph)
+            if key is not None and not fingerprint_is_ambiguous(key)
+            else None
+        )
         context._side_plans = {}
         context._components = None
         return context
@@ -488,7 +578,8 @@ class SchemaContext:
         components) hold one entry per connected component and side, and
         are bounded by the schema rather than by the traffic.  That holds
         for a side plan's block decomposition too: its block-cut tree
-        stores each block's ids once, linear in the component.
+        stores each block's ids once, linear in the component.  So do the
+        context's block records, which hold each block once.
         """
         total = self.indexed.nbytes() + self._blocks.bytes_held()
         if self._oracle is not None:
@@ -631,6 +722,7 @@ class SchemaCache:
                 oracle_stats=self.oracle_stats,
                 memory_budget_bytes=self.memory_budget_bytes,
             )
+            context._fingerprint = key
             if not fingerprint_is_ambiguous(key):
                 # an ambiguous key can never be looked up again; caching
                 # under it would only evict contexts that can
@@ -649,9 +741,10 @@ class SchemaCache:
         :meth:`SchemaContext.apply_delta` derived, so later lookups of the
         edited structure hit it.  Contexts of ambiguous graphs are not
         insertable (their fingerprints never repeat) and are silently
-        skipped.
+        skipped.  The key is :attr:`SchemaContext.fingerprint`, which an
+        ``apply_delta`` child derives from its parent's.
         """
-        key = schema_fingerprint(context.graph)
+        key = context.fingerprint
         if not fingerprint_is_ambiguous(key):
             context.adopt_oracle_stats(self.oracle_stats)
             context.adopt_kernel_policy(self.memory_budget_bytes)

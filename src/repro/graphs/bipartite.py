@@ -80,7 +80,7 @@ class BipartiteGraph(Graph):
 
     # ``copy()`` is inherited: the base :meth:`Graph.copy` carries the
     # ``_side`` mapping over through the ``_copy_subclass_state_into`` hook
-    # before replaying the structure, so bipartite clones round-trip their
+    # and copies the adjacency rows, so bipartite clones round-trip their
     # bipartition without a bespoke override (tests pin this).
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ Edge = Tuple[Vertex, Vertex]
 
 #: Instance attributes owned by :class:`Graph` itself.  The generic
 #: subclass-state copy hook (:meth:`Graph._copy_subclass_state_into`) skips
-#: these: structure is rebuilt through the mutation API and version
+#: these: :meth:`Graph.copy` copies the adjacency rows itself and version
 #: bookkeeping starts fresh on every clone.
 _GRAPH_BASE_ATTRS = frozenset(
     {"_adjacency", "_mutation_version", "_version_hold", "_version_hold_touched"}
@@ -98,16 +98,22 @@ class Graph:
 
         The clone is built in three steps: fresh base state, then the
         :meth:`_copy_subclass_state_into` hook (which by default carries
-        over *every* attribute :class:`Graph` itself does not own), then
-        the structure via the public mutation API.  Subclasses therefore
-        round-trip through the base ``copy`` without overriding it; a
-        subclass whose extra state needs more than a per-attribute shallow
-        copy overrides the hook, not ``copy`` itself.
+        over *every* attribute :class:`Graph` itself does not own), then a
+        copy of every adjacency row.  Subclasses therefore round-trip
+        through the base ``copy`` without overriding it; a subclass whose
+        extra state needs more than a per-attribute shallow copy overrides
+        the hook, not ``copy`` itself.
+
+        Costs one C-level set copy per row rather than a replay through
+        :meth:`add_vertex`/:meth:`add_edge`, so the clone's
+        :attr:`mutation_version` starts at 0.
         """
         clone = type(self).__new__(type(self))
         Graph.__init__(clone)
         self._copy_subclass_state_into(clone)
-        self._copy_structure_into(clone)
+        clone._adjacency = {
+            vertex: row.copy() for vertex, row in self._adjacency.items()
+        }
         return clone
 
     def _copy_subclass_state_into(self, other: "Graph") -> None:
@@ -116,21 +122,11 @@ class Graph:
         The default implementation shallow-copies (``copy.copy``) every
         instance attribute not owned by :class:`Graph` itself, so a
         subclass that adds e.g. a side mapping or display names is cloned
-        correctly even when it never heard of ``copy()``.  Runs *before*
-        :meth:`_copy_structure_into`, because subclass mutation methods
-        (e.g. :meth:`~repro.graphs.bipartite.BipartiteGraph.add_vertex`)
-        may consult that state while the structure is replayed.
+        correctly even when it never heard of ``copy()``.
         """
         for name, value in self.__dict__.items():
             if name not in _GRAPH_BASE_ATTRS:
                 other.__dict__[name] = _copy.copy(value)
-
-    def _copy_structure_into(self, other: "Graph") -> None:
-        """Copy vertices and edges into ``other`` (used by subclasses)."""
-        for vertex in self._adjacency:
-            other.add_vertex(vertex)
-        for u, v in self.edges():
-            other.add_edge(u, v)
 
     # ------------------------------------------------------------------
     # mutation
@@ -242,14 +238,17 @@ class Graph:
         return set(self._adjacency)
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over edges, each reported once as a ``(u, v)`` tuple."""
-        seen: Set[FrozenSet[Vertex]] = set()
+        """Iterate over edges, each reported once as a ``(u, v)`` tuple.
+
+        ``u`` is the endpoint whose row comes first: an edge to a vertex
+        whose row is finished was reported with that row.
+        """
+        finished: Set[Vertex] = set()
         for u, neighbors in self._adjacency.items():
             for v in neighbors:
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
+                if v not in finished:
                     yield (u, v)
+            finished.add(u)
 
     def edge_set(self) -> Set[FrozenSet[Vertex]]:
         """Return the edge set as frozensets (order-independent)."""
@@ -313,7 +312,7 @@ class Graph:
 
     def number_of_edges(self) -> int:
         """Return ``|A|``."""
-        return sum(len(neighbors) for neighbors in self._adjacency.values()) // 2
+        return sum(map(len, self._adjacency.values())) // 2
 
     # ------------------------------------------------------------------
     # derived graphs

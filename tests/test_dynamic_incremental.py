@@ -200,19 +200,32 @@ def test_apply_delta_shares_the_block_memo_down_the_chain():
     assert cold["size"] == len(biconnected_edge_blocks(graph))
     fresh = itertools.count(1)
     rng = random.Random(1)
+
+    def block_set(g):
+        return {frozenset(map(frozenset, edges)) for edges in biconnected_edge_blocks(g)}
+
+    created_records = 0
     for _ in range(3):
+        blocks_before = block_set(graph)
         random_edit(graph, rng, fresh)
         created = set()
         for edges in biconnected_edge_blocks(graph):
             key = _block_key(graph, edges)
             if key not in classifier._memo:
                 created.add(key)
-        before = classifier.stats()["blocks_classified"]
+        before = classifier.stats()
         context = context.apply_delta(SchemaDelta.between(context.graph, graph))
+        after = classifier.stats()
         # each edit classifies exactly the blocks it created
         assert context._blocks is classifier
-        assert classifier.stats()["blocks_classified"] - before == len(created)
-    assert classifier.stats()["hits"] > 0
+        assert after["blocks_classified"] - before["blocks_classified"] == len(created)
+        # and looks up nothing else: one memo lookup per block record the
+        # edit created, none for the blocks it left alone
+        records = block_set(graph) - blocks_before
+        lookups = (after["hits"] + after["misses"]) - (before["hits"] + before["misses"])
+        assert lookups == len(records)
+        created_records += len(records)
+    assert created_records > 0
 
 
 def test_apply_delta_does_not_disturb_the_source_context():

@@ -1,6 +1,8 @@
 """Unit tests for the basic Graph data structure."""
 
 import pytest
+from hypothesis import given, strategies as st
+from strategies import common_settings
 
 from repro.exceptions import GraphError
 from repro.graphs import Graph
@@ -180,3 +182,45 @@ class TestSubclassCopy:
         clone.add_edge("a", "c")  # both endpoints exist: exactly one bump
         assert clone.mutation_version == v + 1
         assert not graph.has_edge("a", "c")
+
+
+def reference_edges(graph):
+    """``Graph.edges`` as it was: one frozenset per edge to skip repeats."""
+    seen = set()
+    for u, neighbors in graph._adjacency.items():
+        for v in neighbors:
+            key = frozenset((u, v))
+            if key not in seen:
+                seen.add(key)
+                yield (u, v)
+
+
+@common_settings(max_examples=60)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40),
+    removed_vertices=st.lists(st.integers(0, 12), max_size=4),
+    removed_edges=st.integers(0, 6),
+)
+def test_edges_match_the_frozenset_reference(pairs, removed_vertices, removed_edges):
+    graph = Graph(edges=[(u, v) for u, v in pairs if u != v])
+    assert list(graph.edges()) == list(reference_edges(graph))
+    for vertex in removed_vertices:
+        if graph.has_vertex(vertex):
+            graph.remove_vertex(vertex)
+    for u, v in list(graph.edges())[:removed_edges]:
+        graph.remove_edge(u, v)
+    # same edges, same order, same orientation -- also on a copy, whose
+    # rows may iterate in another order after removals
+    assert list(graph.edges()) == list(reference_edges(graph))
+    clone = graph.copy()
+    assert list(clone.edges()) == list(reference_edges(clone))
+    assert clone.edge_set() == graph.edge_set()
+
+
+def test_copy_copies_rows_without_replaying_mutations():
+    graph = Graph(vertices=["x"], edges=[("a", "b"), ("b", "c")])
+    clone = graph.copy()
+    assert clone == graph and list(clone) == list(graph)
+    assert clone.mutation_version == 0
+    clone.add_edge("a", "c")
+    assert not graph.has_edge("a", "c")
