@@ -9,16 +9,23 @@ build plus the blockwise hierarchy walk), on three shapes:
 * one giant (6,1)-chordal block (the largest block of an interval schema
   with 200 relations over 100 attributes): the case where the cubic
   gamma-pattern scan and Gilmore's conformality test dominate a
-  field-by-field classification.
+  field-by-field classification;
+* a V2-alpha schema of 6,863 vertices (``random_alpha_schema_graph(2400,
+  rng=7)``) whose 31 beta-cyclic blocks -- the largest of 719 edges --
+  reach step 4 of the walk: one restricted maximum cardinality search
+  per side (``running_intersection_order``), where the walk used to run
+  MCS chordality and Gilmore's test (a 4.2 s cold report at this size,
+  0.15-0.23 s now, on a 2-core VM).
 
 Each report is checked against the field-by-field reference of the
 test-suite (``tests/classification_reference.py``): the classification
 as it was before the hierarchy walk, every field tested on its own, with
 the rescanning nest-point loop for (6,1), the cubic gamma-pattern scan
-plus that loop for (6,2), and Gilmore's criterion for the side
-conformalities, applied per block (the blockwise decomposition itself is
-property-tested in the test-suite).  In full mode the giant block must
-classify >= 20x faster than that reference.
+plus that loop for (6,2), and MCS chordality plus Gilmore's criterion
+for each side's alpha field, applied per block (the blockwise
+decomposition itself is property-tested in the test-suite).  In full
+mode the giant block must classify >= 20x faster than that reference,
+and the 6,863-vertex alpha schema within ``MAX_ALPHA_COLD_SECONDS``.
 
 Set ``REPRO_BENCH_SMOKE=1`` for the scaled-down CI variant: same code
 paths, smaller schemas, correctness assertions only.
@@ -34,7 +41,7 @@ import pytest
 
 from conftest import record
 
-from repro.datasets.generators import random_beta_schema_graph
+from repro.datasets.generators import random_alpha_schema_graph, random_beta_schema_graph
 from repro.dynamic import biconnected_edge_blocks, block_subgraph, combine_reports
 from repro.engine.cache import SchemaContext
 from repro.graphs.generators import large_block_chain
@@ -47,6 +54,9 @@ REPEATS = 3 if SMOKE else 5
 
 #: Full-mode bar for the giant block, against the field-by-field reference.
 MIN_GIANT_SPEEDUP = 20.0
+
+#: Full-mode bar for the cold report of the 6,863-vertex alpha schema.
+MAX_ALPHA_COLD_SECONDS = 0.5
 
 
 def _load_reference():
@@ -80,6 +90,10 @@ CASES = {
     "chain-1e3": (lambda: _chain(100 if SMOKE else 1_000), "(6,2)-chordal"),
     "chain-1e4": (lambda: _chain(1_000 if SMOKE else 10_000), "(6,2)-chordal"),
     "giant-beta-block": (_giant_block, "(6,1)-chordal"),
+    "alpha-6.9k": (
+        lambda: random_alpha_schema_graph(60 if SMOKE else 2400, rng=7),
+        "V2-alpha",
+    ),
 }
 
 
@@ -116,7 +130,7 @@ def test_cold_classification(benchmark, case):
         reference_seconds=round(reference_seconds, 4),
         smoke=SMOKE,
     )
-    if case == "giant-beta-block":
+    if case in ("giant-beta-block", "alpha-6.9k"):
         info["speedup"] = round(speedup, 1)
     record(benchmark, **info)
     if case == "giant-beta-block" and not SMOKE:
@@ -124,4 +138,9 @@ def test_cold_classification(benchmark, case):
             f"the hierarchy walk must classify one giant (6,1)-chordal block "
             f">= {MIN_GIANT_SPEEDUP}x faster than the field-by-field reference, "
             f"got {speedup:.1f}x"
+        )
+    if case == "alpha-6.9k" and not SMOKE:
+        assert cold_seconds <= MAX_ALPHA_COLD_SECONDS, (
+            f"a cold report of the 6,863-vertex alpha schema must take "
+            f"<= {MAX_ALPHA_COLD_SECONDS} s, got {cold_seconds:.2f} s"
         )

@@ -44,9 +44,20 @@ the schema's size per call).  Covers and trees must be identical, the
 global bitset rows must stay unbuilt, and in full mode the registry path
 must be >= 2.5x faster.
 
+EX5 -- the first side answer at scale: a cold ``ConnectionService``'s
+first ``objective="side"`` answer at k = 6 on alpha schemas of 1,712 and
+6,863 vertices (``random_alpha_schema_graph(600/2400, rng=7)``).  It pays
+the context build, the blockwise classification and the side plan: one
+restricted maximum cardinality search on ids over the component, where
+the GYO reduction alone used to take 22 s at 1,712 vertices and more than
+600 s at 6,863.  The answer must be a valid tree, and at 1,712 vertices
+its ``V_2`` count must equal the label-space
+``pseudo_steiner_algorithm1``'s; in full mode it must take at most 0.5 s
+and 2 s.
+
 Set ``REPRO_BENCH_SMOKE=1`` for the scaled-down CI variant: same code
-paths, a 20-relation schema (EX3 too) and a 100-block chordal schema
-(EX4), correctness assertions only.
+paths, a 20-relation schema (EX3 too), a 100-block chordal schema (EX4)
+and 20- and 60-relation schemas (EX5), correctness assertions only.
 """
 
 import importlib.util
@@ -65,6 +76,7 @@ from repro.datasets.generators import (
     random_alpha_schema_graph,
     random_terminals,
 )
+from repro.api import ConnectionService
 from repro.engine.cache import SchemaContext
 from repro.engine.registry import (
     _cover_tree,
@@ -96,6 +108,13 @@ MIN_SPEEDUP_REGION = 3.0
 #: ``indexed_elimination_cover(restrict=seed)`` at 11,931 vertices
 #: (4.9-5.2x measured on a 2-core VM).
 MIN_SPEEDUP_SEED_LOCAL = 2.5
+
+#: EX5 cases: relations of the alpha schema -> full-mode bar on the cold
+#: first side answer, in seconds (1,712 and 6,863 vertices).
+FIRST_SIDE_CASES = {20: None, 60: None} if SMOKE else {600: 0.5, 2400: 2.0}
+
+#: Relation counts at which EX5 also runs the label-space Algorithm 1.
+FIRST_SIDE_REFERENCE = (20, 60, 600)
 
 
 def _load_reference():
@@ -330,4 +349,44 @@ def test_chordal_elimination_seed_local(benchmark):
         assert speedup >= MIN_SPEEDUP_SEED_LOCAL, (
             f"the seed-local chordal elimination must be >= {MIN_SPEEDUP_SEED_LOCAL}x "
             f"faster than indexed_elimination_cover(restrict=seed), got {speedup:.1f}x"
+        )
+
+
+@pytest.mark.parametrize("relations", sorted(FIRST_SIDE_CASES))
+def test_first_side_answer_at_scale(benchmark, relations):
+    """EX5: a cold service's first ``objective="side"`` answer."""
+    graph = random_alpha_schema_graph(relations, rng=7)
+    terminals = random_terminals(graph, 6, rng=random.Random(1))
+
+    def first_answer():
+        return ConnectionService(schema=graph).connect(terminals, objective="side", side=2)
+
+    cold_seconds, answers = _timed(lambda _: first_answer(), range(1 if SMOKE else 3))
+    answer = answers[0]
+    assert answer.provenance.solver == "algorithm1-indexed"
+    answer.solution.validate()
+    info = dict(
+        experiment="EX5",
+        k=6,
+        vertices=graph.number_of_vertices(),
+        edges=graph.number_of_edges(),
+        first_answer_seconds=round(cold_seconds, 4),
+        smoke=SMOKE,
+    )
+    if relations in FIRST_SIDE_REFERENCE:
+        reference_seconds, (reference,) = _timed(
+            lambda _: pseudo_steiner_algorithm1(graph, terminals, side=2, applicable=True),
+            [None],
+        )
+        assert answer.solution.side_count(2) == reference.side_count(2)
+        info["reference_seconds"] = round(reference_seconds, 4)
+
+    benchmark.pedantic(first_answer, rounds=1, iterations=1)
+
+    record(benchmark, **info)
+    bar = FIRST_SIDE_CASES[relations]
+    if bar is not None:
+        assert cold_seconds <= bar, (
+            f"the first side answer at {graph.number_of_vertices()} vertices must "
+            f"take <= {bar} s, got {cold_seconds:.2f} s"
         )

@@ -205,8 +205,7 @@ class ConnectionService:
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 disk_gauge.labels(stat=stat).set(value)
         # memory-budget observability: what the engine currently HOLDS
-        # (CSR arrays + oracle rows + block memos) against what it is
-        # ALLOWED to hold
+        # (CSR arrays + oracle rows) against what it is ALLOWED to hold
         memory_gauge = self._metrics.gauge(
             "repro_memory_held_bytes",
             "Bytes currently held by the engine, by component.",
@@ -217,9 +216,6 @@ class ConnectionService:
         )
         memory_gauge.labels(component="distance_oracle").set(
             stats.get("oracle_bytes", 0) or 0
-        )
-        memory_gauge.labels(component="block_memo").set(
-            stats.get("block_memo_bytes", 0) or 0
         )
         budget_gauge = self._metrics.gauge(
             "repro_memory_budget_bytes",

@@ -139,8 +139,10 @@ def is_side_chordal_and_conformal(
 
     By Theorem 1(v)/(vi) this is equivalent to alpha-acyclicity of
     ``H_side(G)``; with ``method="alpha"`` the test is routed through the
-    GYO reduction on that hypergraph, which is the fastest path and is the
-    precondition check used by Algorithm 1.
+    GYO reduction on that hypergraph.  Every method here is a label-space
+    reference: the serving path (classification and Algorithm 1 plans)
+    decides the same fact on ids with one restricted maximum cardinality
+    search, :func:`~repro.hypergraphs.reduction.running_intersection_order`.
     """
     _check_side(side)
     if method == "alpha":

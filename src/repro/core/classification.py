@@ -24,18 +24,19 @@ algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
-from repro.chordality.side_chordal import (
-    is_side_chordal,
-    is_side_conformal,
-)
 from repro.exceptions import BipartitenessError
 from repro.graphs.bipartite import BipartiteGraph, is_bipartite
 from repro.graphs.cycles import is_forest
 from repro.graphs.graph import Graph
 from repro.hypergraphs.acyclicity import acyclicity_degree
 from repro.hypergraphs.conversions import hypergraph_of_side
-from repro.hypergraphs.reduction import gamma_reduces, nest_point_order
+from repro.hypergraphs.reduction import (
+    gamma_reduces,
+    nest_point_order,
+    running_intersection_order,
+)
 
 
 @dataclass(frozen=True)
@@ -45,20 +46,10 @@ class ChordalityReport:
     chordal_41: bool
     chordal_61: bool
     chordal_62: bool
-    v1_chordal: bool
-    v1_conformal: bool
-    v2_chordal: bool
-    v2_conformal: bool
-
-    @property
-    def v1_alpha(self) -> bool:
-        """``V_1``-chordal and ``V_1``-conformal (``H_1`` alpha-acyclic)."""
-        return self.v1_chordal and self.v1_conformal
-
-    @property
-    def v2_alpha(self) -> bool:
-        """``V_2``-chordal and ``V_2``-conformal (``H_2`` alpha-acyclic)."""
-        return self.v2_chordal and self.v2_conformal
+    #: ``V_1``-chordal and ``V_1``-conformal: ``H_1`` alpha-acyclic.
+    v1_alpha: bool
+    #: ``V_2``-chordal and ``V_2``-conformal: ``H_2`` alpha-acyclic.
+    v2_alpha: bool
 
     @property
     def strongest_class(self) -> str:
@@ -95,10 +86,8 @@ FOREST_REPORT = ChordalityReport(
     chordal_41=True,
     chordal_61=True,
     chordal_62=True,
-    v1_chordal=True,
-    v1_conformal=True,
-    v2_chordal=True,
-    v2_conformal=True,
+    v1_alpha=True,
+    v2_alpha=True,
 )
 
 #: The report of a (6,2)-chordal graph that is not a forest.
@@ -106,10 +95,8 @@ GAMMA_REPORT = ChordalityReport(
     chordal_41=False,
     chordal_61=True,
     chordal_62=True,
-    v1_chordal=True,
-    v1_conformal=True,
-    v2_chordal=True,
-    v2_conformal=True,
+    v1_alpha=True,
+    v2_alpha=True,
 )
 
 #: The report of a (6,1)-chordal graph that is not (6,2)-chordal.
@@ -117,10 +104,8 @@ BETA_REPORT = ChordalityReport(
     chordal_41=False,
     chordal_61=True,
     chordal_62=False,
-    v1_chordal=True,
-    v1_conformal=True,
-    v2_chordal=True,
-    v2_conformal=True,
+    v1_alpha=True,
+    v2_alpha=True,
 )
 
 
@@ -138,16 +123,18 @@ def classify_bipartite_graph(graph: Graph) -> ChordalityReport:
     2. else, when Fagin's reduction empties ``H_2`` (gamma-acyclic, i.e.
        (6,2)-chordal), every class but (4,1) holds;
     3. else, when nest-point elimination removes every node of ``H_2``
-       (beta-acyclic, i.e. (6,1)-chordal), the (6,1)-chordality and the
-       four side fields hold;
-    4. only a beta-cyclic graph runs the side tests: MCS chordality of the
-       distance-two graph and Gilmore conformality, per side.
+       (beta-acyclic, i.e. (6,1)-chordal), the (6,1)-chordality and both
+       side fields hold;
+    4. only a beta-cyclic graph runs the side tests: one restricted
+       maximum cardinality search per side
+       (:func:`~repro.hypergraphs.reduction.running_intersection_order`),
+       on ``H_2`` and on its dual ``H_1``.
 
     Steps 2 and 3 rest on Berge ⊂ gamma ⊂ beta ⊂ alpha and on
     beta-acyclicity being self-dual: ``H_1`` is the dual of ``H_2``, so it
-    is beta-acyclic, hence alpha-acyclic, too, and Theorem 1(v)/(vi) turn
-    alpha-acyclicity of ``H_i`` into ``V_i``-chordality and
-    ``V_i``-conformality.
+    is beta-acyclic, hence alpha-acyclic, too.  Theorem 1(v)/(vi) make
+    alpha-acyclicity of ``H_i`` the one fact behind ``V_i``-chordality
+    plus ``V_i``-conformality, which is what step 4 decides.
     """
     if isinstance(graph, BipartiteGraph):
         bipartite = graph
@@ -169,14 +156,16 @@ def classify_bipartite_graph(graph: Graph) -> ChordalityReport:
         return GAMMA_REPORT
     if nest_point_order(len(nodes), edges) is not None:
         return BETA_REPORT
+    dual: List[List[int]] = [[] for _ in nodes]
+    for hub, members in enumerate(edges):
+        for node in members:
+            dual[node].append(hub)
     return ChordalityReport(
         chordal_41=False,
         chordal_61=False,
         chordal_62=False,
-        v1_chordal=is_side_chordal(bipartite, 1),
-        v1_conformal=is_side_conformal(bipartite, 1),
-        v2_chordal=is_side_chordal(bipartite, 2),
-        v2_conformal=is_side_conformal(bipartite, 2),
+        v1_alpha=running_intersection_order(len(edges), dual) is not None,
+        v2_alpha=running_intersection_order(len(nodes), edges) is not None,
     )
 
 

@@ -37,18 +37,17 @@ import itertools
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 # classify_bipartite_graph stays bound here although contexts classify
 # blockwise: the per-layer tracing of perfbench/tracing.py patches this name
 from repro.core.classification import ChordalityReport, classify_bipartite_graph  # noqa: F401
+from repro.dynamic.blocks import BlockClassifier, BlockCutTree, BlockRecords
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.indexed import GraphIndex, IndexedGraph, to_indexed
+from repro.hypergraphs.reduction import running_intersection_order
 from repro.kernels.oracle import DistanceOracle, OracleStats
-
-if TYPE_CHECKING:  # repro.dynamic.blocks imports this module
-    from repro.dynamic.blocks import BlockCutTree, BlockRecords
 
 
 class LRUCache:
@@ -86,20 +85,10 @@ class LRUCache:
         The memory-budget enforcement of :class:`SchemaCache` uses this to
         shed contexts by *bytes* rather than by count.
         """
-        item = self.pop_oldest_item()
-        return None if item is None else item[1]
-
-    def pop_oldest_item(self):
-        """Evict and return the least-recently-used ``(key, value)`` pair.
-
-        ``None`` when empty.  Callers that account bytes per entry (the
-        block memo sizes an entry from its key) need the key back.
-        """
         if not self._data:
             return None
-        item = self._data.popitem(last=False)
         self.evictions += 1
-        return item
+        return self._data.popitem(last=False)[1]
 
     def __len__(self) -> int:
         return len(self._data)
@@ -124,32 +113,23 @@ def vertex_token(vertex: Vertex) -> Tuple[str, str]:
     return (f"{cls.__module__}.{cls.__qualname__}", repr(vertex))
 
 
-def tokens_for(vertices) -> Optional[Dict[Vertex, Tuple[str, str]]]:
-    """Return ``{vertex: token}`` for an iterable, or ``None`` on collisions.
+def vertex_tokens(graph: Graph) -> Optional[Dict[Vertex, Tuple[str, str]]]:
+    """Return ``{vertex: token}`` for a graph's vertex set, or ``None`` on collisions.
 
     ``None`` means the vertices cannot be told apart structurally (two
     distinct vertex objects share a ``(type, repr)`` token), so no
-    repr-based key -- fingerprint, digest, block key -- is trustworthy
-    for them; callers must fall back to identity keying or skip caching.
-    Duplicate *objects* in the iterable are fine (deduplicated by
-    identity/equality); only distinct objects colliding on a token count.
+    repr-based key -- fingerprint or digest -- is trustworthy for them;
+    callers must fall back to identity keying or skip caching.
     """
     tokens: Dict[Vertex, Tuple[str, str]] = {}
     seen = set()
-    for vertex in vertices:
-        if vertex in tokens:
-            continue
+    for vertex in graph.vertices():
         token = vertex_token(vertex)
         if token in seen:
             return None
         seen.add(token)
         tokens[vertex] = token
     return tokens
-
-
-def vertex_tokens(graph: Graph) -> Optional[Dict[Vertex, Tuple[str, str]]]:
-    """Return ``{vertex: token}`` for a graph's vertex set (see :func:`tokens_for`)."""
-    return tokens_for(graph.vertices())
 
 
 #: Monotonic source of never-repeating identity keys for ambiguous schemas
@@ -317,16 +297,15 @@ def schema_digest(graph: Graph) -> str:
 class SidePlan:
     """Cached Algorithm 1 precomputation for one connected component.
 
-    ``component`` holds the ids of the component, ``applicable`` the
-    Lemma 1 precondition verdict (``V_side``-chordal and conformal),
-    ``ordering`` the encoded Lemma 1 elimination ordering (``None`` when no
-    running-intersection ordering exists), and ``blocks`` the component's
-    rooted :class:`~repro.dynamic.blocks.BlockCutTree` on ids, which
+    ``component`` holds the ids of the component, ``ordering`` the Lemma 1
+    elimination ordering on ids -- ``None`` when ``H_side`` of the
+    component is alpha-cyclic, i.e. not ``V_side``-chordal and conformal,
+    so Algorithm 1 does not apply -- and ``blocks`` the component's rooted
+    :class:`~repro.dynamic.blocks.BlockCutTree` on ids, which
     :meth:`region` reads.
     """
 
     component: FrozenSet[int]
-    applicable: bool
     ordering: Optional[Tuple[int, ...]]
     blocks: BlockCutTree
 
@@ -343,19 +322,6 @@ class SidePlan:
         if len(terminal_ids) < 2:
             return self.component
         return self.blocks.span(terminal_ids)
-
-
-def _new_block_classifier(memory_budget_bytes: Optional[int] = None):
-    """Return a fresh blockwise classifier (function-level import by layering).
-
-    ``repro.dynamic.blocks`` imports this module for its LRU and token
-    helpers, so the reverse import must stay out of module scope.
-    """
-    from repro.dynamic.blocks import BlockClassifier
-
-    classifier = BlockClassifier()
-    classifier.memory_budget_bytes = memory_budget_bytes
-    return classifier
 
 
 class SchemaContext:
@@ -381,11 +347,10 @@ class SchemaContext:
         self._components: Optional[List[FrozenSet[int]]] = None
         # blockwise classifier: the cold report classifies through it, and
         # it is shared (by reference) along every apply_delta chain rooted
-        # here, so surviving blocks never pay Theorem 1 recognition again;
-        # its memo is bounded by the same byte budget as the oracle
-        self._blocks = _new_block_classifier(memory_budget_bytes)
-        # the cold pass's (edges, report) pairs, until the first edit
-        # turns them into block records (see _block_records)
+        # here, so its counter covers the whole lineage
+        self._blocks = BlockClassifier()
+        # the cold pass's (edges, report) pairs, until the first edit or
+        # side plan turns them into block records (see _block_records)
         self._cold_blocks: Optional[list] = None
         self._records: Optional[BlockRecords] = None
         self._fingerprint: Optional[Tuple] = None
@@ -405,8 +370,8 @@ class SchemaContext:
     def report(self) -> ChordalityReport:
         """The (lazily computed, cached) chordality classification.
 
-        Computed blockwise through the context's own block memo, so the
-        cold build seeds the memo its ``apply_delta`` chain reuses.
+        Computed blockwise; the cold pass keeps its per-block reports for
+        the block records an ``apply_delta`` chain or a side plan reads.
         """
         if self._report is None:
             blocks: list = []
@@ -425,14 +390,13 @@ class SchemaContext:
             self._fingerprint = schema_fingerprint(self.graph)
         return self._fingerprint
 
-    def _block_records(self) -> "BlockRecords":
-        """Return the block records, built on the first edit (not in the cold pass).
+    def _block_records(self) -> BlockRecords:
+        """Return the block records, built on first use (not in the cold pass).
 
         From the cold pass's blocks; a context whose report came from disk
-        runs the cold pass here.
+        runs the cold pass here.  The first edit and the first side plan
+        read them.
         """
-        from repro.dynamic.blocks import BlockRecords
-
         if self._records is None:
             blocks = self._cold_blocks
             if blocks is None:
@@ -465,8 +429,8 @@ class SchemaContext:
           :class:`~repro.dynamic.blocks.BlockRecords`: blocks that lost
           an edge are re-split, the blocks on each added edge's
           block-cut path are merged, and only the blocks the edit created
-          are looked up in the shared
-          :class:`~repro.dynamic.blocks.BlockClassifier` memo;
+          are classified, through the lineage's shared
+          :class:`~repro.dynamic.blocks.BlockClassifier`;
         * the fingerprint is the parent's, patched with the delta's
           tokens (recomputed when an added token collides);
         * the distance oracle keeps only the rows outside the touched
@@ -476,8 +440,8 @@ class SchemaContext:
           across the next queries.
 
         The original context is not modified (version-keyed callers such
-        as the engine LRU may still be holding it); the block memo is
-        shared by reference, which only ever *adds* cached verdicts.
+        as the engine LRU may still be holding it); the block classifier
+        is shared by reference, which only ever adds to its counter.
         """
         records = self._block_records()
         new_graph = self.graph.copy()
@@ -561,27 +525,26 @@ class SchemaContext:
         """Adopt a cache's byte budget.
 
         Called by :meth:`SchemaCache.adopt`.  The budget bounds the oracle
-        and the block memo from their next insert on.
+        from its next insert on.
         """
         self._memory_budget = memory_budget_bytes
-        self._blocks.memory_budget_bytes = memory_budget_bytes
         if self._oracle is not None:
             self._oracle.memory_budget_bytes = memory_budget_bytes
 
     def memory_bytes(self) -> int:
         """Return the budget-relevant bytes held by this context.
 
-        Counts the canonical CSR storage, the oracle's cached rows and
-        the block memo -- the stores that scale with schema size and
-        traffic.  Solvers read distances only through the oracle, so no
-        uncounted row store exists; the remaining memos (side plans,
-        components) hold one entry per connected component and side, and
-        are bounded by the schema rather than by the traffic.  That holds
-        for a side plan's block decomposition too: its block-cut tree
-        stores each block's ids once, linear in the component.  So do the
-        context's block records, which hold each block once.
+        Counts the canonical CSR storage and the oracle's cached rows --
+        the stores that scale with traffic.  Solvers read distances only
+        through the oracle, so no uncounted row store exists; the
+        remaining memos (side plans, components) hold one entry per
+        connected component and side, and are bounded by the schema rather
+        than by the traffic.  That holds for a side plan's block
+        decomposition too: its block-cut tree stores each block's ids
+        once, linear in the component.  So do the context's block records,
+        which hold each block once.
         """
-        total = self.indexed.nbytes() + self._blocks.bytes_held()
+        total = self.indexed.nbytes()
         if self._oracle is not None:
             total += self._oracle.bytes_held()
         return total
@@ -616,37 +579,41 @@ class SchemaContext:
     def side_plan(self, side: int, vertex_id: int) -> SidePlan:
         """Return the cached Algorithm 1 plan for the component of ``vertex_id``.
 
-        Computes (once per component and side) the structural precondition,
-        the Lemma 1 ordering and the rooted block-cut tree on the induced
-        component subgraph; the blocks come from classification's
-        Hopcroft--Tarjan routine,
-        :func:`~repro.dynamic.blocks.biconnected_edge_blocks`.
+        Computes once per component and side, on ids.  The Lemma 1
+        ordering is the reversed
+        :func:`~repro.hypergraphs.reduction.running_intersection_order` of
+        ``H_side``: one edge per ``V_side`` vertex of the component, in
+        ascending id (repr) order, which is the order
+        :func:`~repro.steiner.algorithm1.lemma1_ordering` returns.  Its
+        ``None`` is Theorem 1(v)/(vi)'s verdict that the component is not
+        ``V_side``-chordal and conformal.  The rooted block-cut tree comes
+        from the context's block records.
         """
-        from repro.chordality.side_chordal import is_side_chordal_and_conformal
-        from repro.dynamic.blocks import BlockCutTree, biconnected_edge_blocks
-        from repro.steiner.algorithm1 import lemma1_ordering
-
         component = self.component_ids(vertex_id)
         key = (side, min(component))
         plan = self._side_plans.get(key)
         if plan is None:
-            labels = self.index.decode(sorted(component))
-            subgraph = self.graph.subgraph(labels)
-            applicable = is_side_chordal_and_conformal(subgraph, side, method="alpha")
-            ordering_labels = lemma1_ordering(subgraph, side)
-            ordering = (
-                tuple(self.index.encode(ordering_labels))
-                if ordering_labels is not None
-                else None
+            members = sorted(component)
+            sides, row = self.indexed.sides, self.indexed.row
+            hubs = [vertex for vertex in members if sides[vertex] == side]
+            nodes = {
+                vertex: node
+                for node, vertex in enumerate(v for v in members if sides[v] != side)
+            }
+            order = running_intersection_order(
+                len(nodes), [[nodes[u] for u in row(hub)] for hub in hubs]
             )
+            ordering = None if order is None else tuple(hubs[e] for e in reversed(order))
+            records = self._block_records()
+            labels = self.index.decode(members)
             ids = self.index.ids
             blocks = BlockCutTree(
-                [ids[vertex] for edge in block for vertex in edge]
-                for block in biconnected_edge_blocks(subgraph)
+                [ids[vertex] for vertex in records.records[block][1]]
+                for block in sorted(
+                    {block for label in labels for block in records.blocks_of.get(label, ())}
+                )
             )
-            plan = SidePlan(
-                component=component, applicable=applicable, ordering=ordering, blocks=blocks
-            )
+            plan = SidePlan(component=component, ordering=ordering, blocks=blocks)
             self._side_plans[key] = plan
         return plan
 
@@ -680,12 +647,12 @@ class SchemaCache:
         Entry-count bound of the LRU.
     memory_budget_bytes:
         Optional byte bound over the cached contexts (CSR storage +
-        oracle rows + block memo, see :meth:`SchemaContext.memory_bytes`):
-        when an insert pushes :meth:`memory_bytes` past the budget,
+        oracle rows, see :meth:`SchemaContext.memory_bytes`): when an
+        insert pushes :meth:`memory_bytes` past the budget,
         least-recently-used contexts are evicted until the cache fits
         (the newest context always survives).  The same budget is handed
-        to each context's oracle and block memo, so a single big schema
-        also degrades by eviction instead of growing unbounded.
+        to each context's oracle, so a single big schema also degrades by
+        eviction instead of growing unbounded.
     """
 
     def __init__(
@@ -784,13 +751,13 @@ class SchemaCache:
     def memory_bytes(self) -> int:
         """Return the budget-relevant bytes of every cached context.
 
-        CSR storage plus oracle rows plus block memos; oracles and memos
-        shared along ``apply_delta`` chains are counted once.  This is the
-        number the ``repro_memory_held_bytes{component="schema_cache"}``
-        gauge exports and :meth:`enforce_memory_budget` bounds.
+        CSR storage plus oracle rows; oracles shared along ``apply_delta``
+        chains are counted once.  This is the number the
+        ``repro_memory_held_bytes{component="schema_cache"}`` gauge exports
+        and :meth:`enforce_memory_budget` bounds.
         """
         total = sum(context.indexed.nbytes() for context in self._contexts.values())
-        return total + self.oracle_bytes() + self.block_memo_bytes()
+        return total + self.oracle_bytes()
 
     def enforce_memory_budget(self) -> None:
         """Evict coldest contexts until :meth:`memory_bytes` fits the budget.
@@ -819,7 +786,6 @@ class SchemaCache:
             "memory_bytes": self.memory_bytes(),
             "memory_budget_bytes": self.memory_budget_bytes,
             "oracle_bytes": self.oracle_bytes(),
-            "block_memo_bytes": self.block_memo_bytes(),
             "distance_oracle": self.oracle_stats.as_dict(),
         }
 
@@ -830,27 +796,7 @@ class SchemaCache:
         counted once.  Exported as
         ``repro_memory_held_bytes{component="distance_oracle"}``.
         """
-        return self._distinct_bytes("_oracle")
-
-    def block_memo_bytes(self) -> int:
-        """Total bytes held by the cached contexts' block memos.
-
-        The classification slice of :meth:`memory_bytes`; a memo shared
-        along an ``apply_delta`` chain is counted once.  Exported as
-        ``repro_memory_held_bytes{component="block_memo"}``.
-        """
-        return self._distinct_bytes("_blocks")
-
-    def _distinct_bytes(self, attribute: str) -> int:
-        """Sum ``bytes_held()`` over the distinct stores named ``attribute``."""
-        seen: set = set()
-        total = 0
-        for context in self._contexts.values():
-            store = getattr(context, attribute, None)
-            if store is not None and id(store) not in seen:
-                seen.add(id(store))
-                total += store.bytes_held()
-        return total
+        return sum(oracle.bytes_held() for oracle in self._oracles())
 
     def oracle_rows(self) -> int:
         """Total BFS rows held by the cached contexts' distance oracles.
@@ -860,14 +806,16 @@ class SchemaCache:
         Contexts whose oracle was never forced stay at zero rows; shared
         oracles (``apply_delta`` chains) are counted once.
         """
-        seen: set = set()
-        rows = 0
+        return sum(oracle.rows_cached() for oracle in self._oracles())
+
+    def _oracles(self) -> List[DistanceOracle]:
+        """Return the cached contexts' distinct forced oracles."""
+        distinct: Dict[int, DistanceOracle] = {}
         for context in self._contexts.values():
-            oracle = getattr(context, "_oracle", None)
-            if oracle is not None and id(oracle) not in seen:
-                seen.add(id(oracle))
-                rows += oracle.rows_cached()
-        return rows
+            oracle = context._oracle
+            if oracle is not None:
+                distinct.setdefault(id(oracle), oracle)
+        return list(distinct.values())
 
     def __len__(self) -> int:
         return len(self._contexts)

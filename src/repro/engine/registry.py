@@ -214,12 +214,13 @@ def solve_algorithm1_indexed(
 ) -> SteinerSolution:
     """Algorithm 1 on the indexed backend with cached Lemma 1 orderings.
 
-    The component restriction, the structural precondition, the Lemma 1
-    elimination ordering and the block-cut tree are all read from the
-    schema context (computed once per component); only the Step 2
-    elimination runs per query, on the array fast lane, and only inside
-    the plan's :meth:`~repro.engine.cache.SidePlan.region`: the blocks on
-    the block-cut-tree paths between the terminals.
+    The component restriction, the Lemma 1 elimination ordering (whose
+    absence is the structural precondition's failure) and the block-cut
+    tree are all read from the schema context (computed once per
+    component); only the Step 2 elimination runs per query, on the array
+    fast lane, and only inside the plan's
+    :meth:`~repro.engine.cache.SidePlan.region`: the blocks on the
+    block-cut-tree paths between the terminals.
 
     Every simple path between two terminals stays inside those blocks, so
     each removal there matches the whole-component scan's decision, and
@@ -236,15 +237,10 @@ def solve_algorithm1_indexed(
         raise DisconnectedTerminalsError(
             "the terminals do not lie in a single connected component"
         )
-    if not plan.applicable:
+    if plan.ordering is None:
         raise NotApplicableError(
             f"the component containing the terminals is not V{side}-chordal "
             f"and V{side}-conformal; Algorithm 1 does not apply"
-        )
-    if plan.ordering is None:
-        raise NotApplicableError(
-            "no running-intersection ordering exists; the associated "
-            "hypergraph is not alpha-acyclic"
         )
     indexed = context.indexed
     cover_ids = indexed_elimination_cover(

@@ -1,11 +1,12 @@
-"""Near-linear beta- and gamma-acyclicity recognition on integer ids.
+"""Near-linear alpha-, beta- and gamma-acyclicity recognition on integer ids.
 
-Both recognisers take a hypergraph in its most compact form -- nodes
+The recognisers take a hypergraph in its most compact form -- nodes
 ``0 .. node_count - 1`` and a sequence of edges, each an iterable of node
 ids (duplicate edges allowed) -- so the Theorem 1 classifier
-(:func:`repro.core.classification.classify_bipartite_graph`) can run them
-straight off a bipartite graph's adjacency, without building a labelled
-:class:`~repro.hypergraphs.hypergraph.Hypergraph` first.
+(:func:`repro.core.classification.classify_bipartite_graph`) and the
+Algorithm 1 plans (:meth:`repro.engine.cache.SchemaContext.side_plan`) can
+run them straight off a bipartite graph's adjacency, without building a
+labelled :class:`~repro.hypergraphs.hypergraph.Hypergraph` first.
 
 * :func:`gamma_reduces` -- **Fagin's reduction** for gamma-acyclicity
   (Fagin, "Degrees of acyclicity for hypergraphs and relational database
@@ -26,6 +27,14 @@ straight off a bipartite graph's adjacency, without building a labelled
   beta-acyclic iff repeatedly deleting nest points deletes every node.
   Deleting a node only changes the edges that contained it, so only the
   nodes that shared one of those edges are re-tested.
+* :func:`running_intersection_order` -- the **restricted maximum
+  cardinality search** of Tarjan & Yannakakis (SIAM J. Comput. 13(3),
+  1984) for alpha-acyclicity: the MCS edge order has the running
+  intersection property iff the hypergraph is alpha-acyclic, and checking
+  it against each edge's parent edge takes linear time.  The label-space
+  GYO reduction and the quadratic MCS of
+  :mod:`repro.hypergraphs.tarjan_yannakakis` are its references; no
+  serving path runs them.
 
 The reduction treats nodes and edges symmetrically (rules 1/2 and 3/4 are
 each other's duals).  Twins and duplicates are found through Zobrist
@@ -194,3 +203,69 @@ def nest_point_order(
                 queued[other] = True
                 heapq.heappush(available, other)
     return order if len(order) == node_count else None
+
+
+def running_intersection_order(
+    node_count: int, edges: Sequence[Iterable[int]]
+) -> Optional[List[int]]:
+    """Return the restricted-MCS order of the edges, or ``None`` when alpha-cyclic.
+
+    The order starts with edge 0; each next edge is one with the most
+    marked nodes (a node is marked once an edge containing it is in the
+    order), ties going to the larger edge and then to the smaller index --
+    the order :func:`~repro.hypergraphs.tarjan_yannakakis.mcs_edge_ordering`
+    produces when edge labels sort like their indices.  A heap with lazy
+    deletion keeps the candidates.
+
+    The running intersection property is checked by the parent-edge rule:
+    an edge's already-marked nodes must all lie in the edge that marked
+    the latest of them.  By Tarjan & Yannakakis the hypergraph is
+    alpha-acyclic iff every edge passes, so ``None`` is a verdict, not a
+    failed heuristic.  Empty edges are allowed and come last.  Time
+    ``O((|E| + sum |e|) log |E|)``.
+
+    Examples
+    --------
+    >>> running_intersection_order(4, [{0, 1}, {2, 3}, {1, 2}])
+    [0, 2, 1]
+    >>> running_intersection_order(3, [{0, 1}, {1, 2}, {0, 2}]) is None  # a triangle
+    True
+    """
+    members = [frozenset(edge) for edge in edges]
+    if not members:
+        return []
+    incident: List[List[int]] = [[] for _ in range(node_count)]
+    for index, edge in enumerate(members):
+        for node in edge:
+            incident[node].append(index)
+    sizes = [len(edge) for edge in members]
+    count = [0] * len(members)
+    done = [False] * len(members)
+    marked_at = [-1] * node_count  # the order position of the edge that marked it
+    heap = [(0, -size, index) for index, size in enumerate(sizes)]
+    heapq.heapify(heap)
+    order: List[int] = []
+    pick = 0
+    while True:
+        done[pick] = True
+        position = len(order)
+        order.append(pick)
+        edge = members[pick]
+        seen = [node for node in edge if marked_at[node] >= 0]
+        if seen:
+            parent = members[order[max(marked_at[node] for node in seen)]]
+            if not parent.issuperset(seen):
+                return None
+        for node in edge:
+            if marked_at[node] < 0:
+                marked_at[node] = position
+                for other in incident[node]:
+                    if not done[other]:
+                        count[other] += 1
+                        heapq.heappush(heap, (-count[other], -sizes[other], other))
+        while heap:
+            negated, _, pick = heapq.heappop(heap)
+            if not done[pick] and -negated == count[pick]:
+                break
+        else:
+            return order

@@ -68,9 +68,13 @@ def mcs_edge_ordering(
 
 
 def _reverse_repr(label: EdgeLabel) -> Tuple[int, ...]:
-    """Key that makes *smaller* reprs win inside a max() comparison."""
-    text = repr(label)
-    return tuple(-ord(ch) for ch in text)
+    """Key that makes *smaller* reprs win inside a max() comparison.
+
+    The sentinel ``1`` lies above every negated code point, so a repr wins
+    over every longer repr it is a prefix of (``1`` over ``10``), exactly
+    as in string order.
+    """
+    return tuple(-ord(ch) for ch in repr(label)) + (1,)
 
 
 def satisfies_running_intersection(

@@ -57,8 +57,10 @@ from repro.faults.plan import ACTIVE as _FAULTS
 
 #: On-disk format version.  Bumping it retires every existing entry at
 #: once (old files live under a ``v<old>/`` directory that is simply never
-#: read again) -- the safe way to change the payload schema.
-FORMAT_VERSION = 1
+#: read again) -- the safe way to change the payload schema.  Version 2
+#: (6.0.0): :class:`~repro.core.classification.ChordalityReport` has five
+#: fields; a version-1 report would unpickle into it without ``v1_alpha``.
+FORMAT_VERSION = 2
 
 
 class DiskCache:
@@ -68,7 +70,7 @@ class DiskCache:
     ----------
     cache_dir:
         Root directory; created on first write.  Entries live under a
-        version subdirectory (``v1/`` for this format), so caches written
+        version subdirectory (``v2/`` for this format), so caches written
         by incompatible library versions coexist without interference.
 
     Notes

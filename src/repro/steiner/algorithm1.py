@@ -104,7 +104,7 @@ def pseudo_steiner_algorithm1(
     -------
     SteinerSolution
         With ``side`` set and ``optimal=True`` exactly when the
-        precondition was verified.
+        precondition holds and a Lemma 1 ordering was found.
     """
     if side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {side!r}")
@@ -128,6 +128,9 @@ def pseudo_steiner_algorithm1(
         )
 
     ordering = lemma1_ordering(component, side)
+    # Theorem 3 needs a Lemma 1 ordering: without one the answer is only
+    # nonredundant, whatever ``applicable`` claimed
+    optimal = precondition_holds and ordering is not None
     if ordering is None:
         if check:
             raise NotApplicableError(
@@ -145,7 +148,7 @@ def pseudo_steiner_algorithm1(
         instance=instance,
         method="algorithm1",
         side=side,
-        optimal=precondition_holds,
+        optimal=optimal,
     )
     solution.metadata["cover"] = set(cover_vertices)
     solution.metadata["ordering"] = list(ordering)

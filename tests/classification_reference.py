@@ -4,7 +4,9 @@ This is how ``classify_bipartite_graph`` worked before the hierarchy
 walk: every report field tested on its own, (6,1) by the nest-point
 elimination loop that rescans every node after each removal, and (6,2)
 by the cubic gamma-pattern scan ``find_gamma_triple`` followed by that
-same loop.  No production path runs it.  ``tests/test_classification_walk.py``
+same loop; each side's alpha field by MCS chordality of the distance-two
+graph plus Gilmore conformality (the two halves of Theorem 1(v)/(vi)).
+No production path runs it.  ``tests/test_classification_walk.py``
 pins the walk against it, and experiment CL1
 (``benchmarks/bench_classification.py``) times the walk against it, so
 both compare with one and the same reference.
@@ -52,8 +54,6 @@ def field_by_field_report(graph):
         chordal_41=is_forest(graph),
         chordal_61=_is_61_chordal(graph),
         chordal_62=_is_62_chordal(graph),
-        v1_chordal=is_side_chordal(graph, 1),
-        v1_conformal=is_side_conformal(graph, 1),
-        v2_chordal=is_side_chordal(graph, 2),
-        v2_conformal=is_side_conformal(graph, 2),
+        v1_alpha=is_side_chordal(graph, 1) and is_side_conformal(graph, 1),
+        v2_alpha=is_side_chordal(graph, 2) and is_side_conformal(graph, 2),
     )

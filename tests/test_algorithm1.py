@@ -12,7 +12,7 @@ from repro.datasets.generators import (
     random_terminals,
 )
 from repro.exceptions import NotApplicableError, ValidationError
-from repro.graphs import even_cycle_bipartite
+from repro.graphs import BipartiteGraph, even_cycle_bipartite
 from repro.hypergraphs import hypergraph_of_side, satisfies_suffix_running_intersection
 from repro.steiner import (
     lemma1_ordering,
@@ -97,6 +97,22 @@ class TestAlgorithm1Preconditions:
         solution = pseudo_steiner_algorithm1(cycle, [0, 4], side=1, check=False)
         solution.validate()
         assert not solution.optimal
+
+    def test_claimed_applicability_without_an_ordering_is_not_optimal(self):
+        # H_2 is a triangle: no Lemma 1 ordering, so the sorted fallback
+        # ordering gives a nonredundant cover, not a V_2-minimum one
+        graph = BipartiteGraph(
+            left=["a", "b", "c"],
+            right=["R", "S", "T"],
+            edges=[("a", "R"), ("b", "R"), ("b", "S"), ("c", "S"), ("c", "T"), ("a", "T")],
+        )
+        assert lemma1_ordering(graph, 2) is None
+        claimed = pseudo_steiner_algorithm1(
+            graph, ["a", "b", "c"], side=2, check=False, applicable=True
+        )
+        assert claimed.metadata["ordering"] == ["R", "S", "T"]
+        assert not claimed.optimal
+        assert not pseudo_steiner_algorithm1(graph, ["a", "b", "c"], side=2, check=False).optimal
 
     def test_requires_bipartite_graph(self):
         from repro.graphs import Graph

@@ -2,8 +2,8 @@
 
 ``classify_bipartite_graph`` walks down the Theorem 1 hierarchy on
 integer ids (forest -> Fagin's gamma reduction -> worklist nest-point
-elimination -> side tests) and ``BlockClassifier`` runs it per biconnected
-block.  This suite pins each piece against an independent reference (the
+elimination -> one restricted MCS per side) and ``BlockClassifier`` runs
+it per biconnected block.  This suite pins each piece against an independent reference (the
 rescanning loop and the field-by-field report live in
 ``classification_reference.py``, which experiment CL1 times as well):
 
@@ -17,9 +17,9 @@ rescanning loop and the field-by-field report live in
   pins the implications the walk relies on: Berge < gamma < beta < alpha,
   and ``H_1`` beta-acyclic iff its dual ``H_2`` is;
 * ``BlockClassifier`` against both;
-* no production path reaching the cubic recognisers on beta-acyclic
-  schemas, and a block memo that survives schemas with more blocks than
-  its initial size.
+* no production path reaching the cubic or label-space recognisers:
+  not on beta-acyclic schemas, and not on a V2-alpha schema with
+  beta-cyclic blocks, classified and answered on the side objective.
 """
 
 import doctest
@@ -41,11 +41,15 @@ from strategies import (
 
 from repro.api import ConnectionService
 from repro.core.classification import classify_bipartite_graph
-from repro.datasets.generators import random_62_chordal_graph, random_beta_schema_graph
-from repro.dynamic import BlockClassifier, biconnected_edge_blocks
+from repro.chordality.side_chordal import distance_two_graph
+from repro.datasets.generators import (
+    random_62_chordal_graph,
+    random_alpha_schema_graph,
+    random_beta_schema_graph,
+    random_terminals,
+)
+from repro.dynamic import BlockClassifier
 from repro.engine.cache import SchemaContext
-from repro.graphs.generators import large_block_chain
-from repro.graphs.indexed import GraphIndex, from_indexed
 from repro.hypergraphs import (
     find_beta_cycle,
     find_gamma_cycle,
@@ -57,6 +61,8 @@ from repro.hypergraphs import (
     nest_point_elimination_order,
 )
 from repro.hypergraphs import reduction
+from repro.hypergraphs.acyclicity import is_alpha_acyclic_gyo
+from repro.hypergraphs.tarjan_yannakakis import mcs_edge_ordering
 
 
 # ----------------------------------------------------------------------
@@ -147,25 +153,26 @@ def _forbid(monkeypatch, *functions):
 
 
 def test_beta_acyclic_schemas_never_reach_the_cubic_recognisers(monkeypatch):
-    _forbid(monkeypatch, find_gamma_triple, is_conformal_gilmore)
+    _forbid(
+        monkeypatch,
+        find_gamma_triple,
+        is_conformal_gilmore,
+        is_alpha_acyclic_gyo,
+        mcs_edge_ordering,
+        distance_two_graph,
+    )
     schemas = {
         "(6,2)-chordal": random_62_chordal_graph(20, rng=3),
         "(6,1)-chordal": random_beta_schema_graph(40, attributes=20, rng=3),
+        # two beta-cyclic blocks: step 4 of the walk decides both sides
+        "V2-alpha": random_alpha_schema_graph(40, rng=1),
     }
     for expected, graph in schemas.items():
         assert SchemaContext(graph).report.strongest_class == expected
-        assert ConnectionService(schema=graph).classification().strongest_class == expected
+        service = ConnectionService(schema=graph)
+        assert service.classification().strongest_class == expected
         assert classify_bipartite_graph(graph).strongest_class == expected
-
-
-def test_block_memo_outgrows_its_initial_size():
-    blocks = 4200  # more than the memo's initial 4096 entries
-    indexed = large_block_chain(blocks)
-    graph = from_indexed(indexed, GraphIndex(range(indexed.n)))
-    classifier = BlockClassifier()
-    classifier.classify(graph)
-    assert classifier.stats()["blocks_classified"] == blocks
-    # a second pass over the unchanged graph reclassifies nothing
-    classifier.classify(graph)
-    assert classifier.stats()["blocks_classified"] == blocks
-    assert classifier.stats()["size"] == len(biconnected_edge_blocks(graph))
+        for seed in range(4):
+            terminals = random_terminals(graph, 4, rng=seed)
+            answer = service.connect(terminals, objective="side", side=2)
+            assert answer.provenance.solver == "algorithm1-indexed"

@@ -525,7 +525,7 @@ class TestPackaging:
     def test_version_and_exports(self):
         import repro
 
-        assert repro.__version__ == "5.0.0"
+        assert repro.__version__ == "6.0.0"
         for name in (
             "BlockClassifier",
             "ConnectionRequest",
@@ -553,7 +553,7 @@ class TestPackaging:
 
     def test_removed_surfaces_are_gone(self):
         """2.0.0 keeps one front door, 3.0.0 one lane, 4.0.0 one answer
-        digest, 5.0.0 one workload model."""
+        digest, 5.0.0 one workload model, 6.0.0 one alpha-acyclicity test."""
         import importlib
 
         import repro
@@ -648,6 +648,38 @@ class TestPackaging:
                 main(argv)
             assert exited.value.code == 2
         assert not hasattr(repro.load.clients.InProcessTransport, "run_serial")
+        # 6.0.0: a five-class report, no block memo, no SidePlan.applicable
+        from dataclasses import fields
+
+        from repro.engine.cache import SchemaCache, SidePlan
+
+        assert [f.name for f in fields(repro.ChordalityReport)] == [
+            "chordal_41", "chordal_61", "chordal_62", "v1_alpha", "v2_alpha",
+        ]
+        assert "applicable" not in [f.name for f in fields(SidePlan)]
+        with pytest.raises(TypeError):
+            repro.BlockClassifier(maxsize=16)
+        classifier = repro.BlockClassifier()
+        assert classifier.stats() == {"blocks_classified": 0}
+        for name in ("memory_budget_bytes", "bytes_held"):
+            assert not hasattr(classifier, name), name
+        assert not hasattr(SchemaCache, "block_memo_bytes")
+        assert "block_memo_bytes" not in SchemaCache().stats()
+        # the dynamic layer sits below the engine: no import reaches up
+        import ast
+
+        import repro.dynamic
+
+        for path in Path(repro.dynamic.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    assert not name.startswith(("repro.engine", "repro.api")), (path, name)
 
     def test_py_typed_marker_ships(self):
         import repro

@@ -4,7 +4,8 @@ The dynamic subsystem's load-bearing claim is that every field of
 ``ChordalityReport`` decomposes over biconnected blocks; this suite pins
 it property-based on arbitrary bipartite graphs, pins the context-level
 equivalence of ``SchemaContext.apply_delta`` against fresh rebuilds along
-random edit histories, and covers the block/memoisation mechanics.
+random edit histories, and covers the block mechanics: an edit
+classifies exactly the blocks it created.
 """
 
 import itertools
@@ -23,7 +24,6 @@ from repro.dynamic import (
     block_subgraph,
     combine_reports,
 )
-from repro.dynamic.blocks import _block_key
 from repro.engine.cache import SchemaContext
 from repro.graphs import BipartiteGraph
 
@@ -88,16 +88,19 @@ def test_combine_reports_of_nothing_is_all_true():
 
 def test_block_memo_skips_surviving_blocks():
     graph = chordal_fixture()
-    classifier = BlockClassifier()
-    classifier.classify(graph)
+    context = SchemaContext(graph)
+    context.report
+    classifier = context._blocks
     cold = classifier.stats()["blocks_classified"]
     assert cold == len(biconnected_edge_blocks(graph))
-    # a pendant edit adds one new (bridge) block; everything else is memoised
+    # a pendant edit adds one new (bridge) block; the block records keep
+    # every other block's report
     with SchemaEditor(graph) as tx:
         tx.add_vertex(("churn", 1), side=1)
         tx.add_edge(("churn", 1), sorted(graph.right(), key=repr)[0])
-    classifier.classify(graph)
+    patched = context.apply_delta(SchemaDelta.between(context.graph, graph))
     assert classifier.stats()["blocks_classified"] == cold + 1
+    assert patched.report == classify_bipartite_graph(graph)
 
 
 def test_ambiguous_blocks_are_classified_but_never_memoised():
@@ -114,9 +117,6 @@ def test_ambiguous_blocks_are_classified_but_never_memoised():
     first = classifier.classify(graph)
     second = classifier.classify(graph)
     assert first == second == classify_bipartite_graph(graph)
-    stats = classifier.stats()
-    assert stats["unkeyed_blocks"] == 2  # classified twice, never cached
-    assert stats["size"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -189,15 +189,13 @@ def test_apply_delta_reuses_index_for_edge_only_deltas():
     assert patched.indexed == SchemaContext(graph).indexed
 
 
-def test_apply_delta_shares_the_block_memo_down_the_chain():
+def test_apply_delta_classifies_only_created_blocks_down_the_chain():
     graph = chordal_fixture()
     context = SchemaContext(graph)
     context.report
     classifier = context._blocks
-    # the cold report already classified every block into the shared memo
-    cold = classifier.stats()
-    assert cold["blocks_classified"] == cold["size"]
-    assert cold["size"] == len(biconnected_edge_blocks(graph))
+    # the cold report classified every block once
+    assert classifier.stats()["blocks_classified"] == len(biconnected_edge_blocks(graph))
     fresh = itertools.count(1)
     rng = random.Random(1)
 
@@ -208,22 +206,14 @@ def test_apply_delta_shares_the_block_memo_down_the_chain():
     for _ in range(3):
         blocks_before = block_set(graph)
         random_edit(graph, rng, fresh)
-        created = set()
-        for edges in biconnected_edge_blocks(graph):
-            key = _block_key(graph, edges)
-            if key not in classifier._memo:
-                created.add(key)
-        before = classifier.stats()
+        before = classifier.stats()["blocks_classified"]
         context = context.apply_delta(SchemaDelta.between(context.graph, graph))
-        after = classifier.stats()
-        # each edit classifies exactly the blocks it created
+        after = classifier.stats()["blocks_classified"]
+        # the classifier travels down the chain, and each edit classifies
+        # one block per block record it created, none it left alone
         assert context._blocks is classifier
-        assert after["blocks_classified"] - before["blocks_classified"] == len(created)
-        # and looks up nothing else: one memo lookup per block record the
-        # edit created, none for the blocks it left alone
         records = block_set(graph) - blocks_before
-        lookups = (after["hits"] + after["misses"]) - (before["hits"] + before["misses"])
-        assert lookups == len(records)
+        assert after - before == len(records)
         created_records += len(records)
     assert created_records > 0
 

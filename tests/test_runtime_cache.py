@@ -15,8 +15,12 @@ import pickle
 import pytest
 
 from repro.api import ConnectionService, ServiceConfig
-from repro.core.classification import classify_bipartite_graph
-from repro.datasets.generators import random_62_chordal_graph, random_terminals
+from repro.core.classification import ChordalityReport, classify_bipartite_graph
+from repro.datasets.generators import (
+    random_62_chordal_graph,
+    random_alpha_schema_graph,
+    random_terminals,
+)
 from repro.engine.cache import schema_digest
 from repro.exceptions import ValidationError
 from repro.graphs import BipartiteGraph
@@ -181,6 +185,43 @@ def test_old_format_version_is_ignored(tmp_path):
     fresh = caching_service(graph, tmp_path)
     assert fresh.connect(query).provenance.result_cache is None
     assert fresh._disk_cache().invalid >= 1
+
+
+def test_a_5x_report_under_v1_is_never_served(tmp_path):
+    """Format 2 retires the seven-field reports of 5.x.
+
+    A 5.x report pickle unpickles into the five-field report: the
+    ``isinstance`` check passes, but ``v1_alpha`` is missing.  Files
+    under ``v1/`` are never read, so a service over such a directory
+    answers like a fresh one.
+    """
+    graph = random_alpha_schema_graph(12, rng=2)  # V2-alpha, one beta-cyclic block
+    digest = schema_digest(graph)
+    stale = ChordalityReport.__new__(ChordalityReport)
+    stale.__dict__.update(
+        chordal_41=False, chordal_61=True, chordal_62=True, v1_chordal=True,
+        v1_conformal=True, v2_chordal=True, v2_conformal=True,
+    )
+    old = tmp_path / "cache" / "v1" / digest / "report.pkl"
+    old.parent.mkdir(parents=True)
+    with open(old, "wb") as handle:
+        pickle.dump({"format": 1, "kind": "report", "data": stale}, handle)
+    with open(old, "rb") as handle:
+        loaded = pickle.load(handle)["data"]
+    assert isinstance(loaded, ChordalityReport) and not hasattr(loaded, "v1_alpha")
+
+    assert FORMAT_VERSION == 2
+    assert DiskCache(tmp_path / "cache").load_report(digest) is None
+    cached = caching_service(graph, tmp_path)
+    fresh = ConnectionService(schema=graph.copy())
+    assert cached.classification() == fresh.classification()
+    assert cached.classification() == classify_bipartite_graph(graph)
+    queries = [random_terminals(graph, 4, rng=seed) for seed in range(4)]
+    for options in ({}, {"objective": "side", "side": 2}):
+        served = [cached.connect(query, **options) for query in queries]
+        expected = [fresh.connect(query, **options) for query in queries]
+        assert canonical_checksum(served) == canonical_checksum(expected)
+    assert cached._disk_cache().stats()["invalid"] == 0
 
 
 def test_semantically_broken_payload_is_ignored(tmp_path):
