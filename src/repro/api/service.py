@@ -36,8 +36,8 @@ from repro.api.stream import EnumerationStream
 from repro.core.classification import ChordalityReport
 from repro.engine.batch import InterpretationEngine
 from repro.engine.cache import SchemaContext
-from repro.engine.planner import QueryPlan, plan_query
-from repro.engine.registry import SolverRegistry
+from repro.engine.planner import QueryPlan, plan_query, plans_chordal_elimination
+from repro.engine.registry import SolverRegistry, chordal_elimination_work
 from repro.exceptions import NotApplicableError, ValidationError
 from repro.metrics import MetricsRegistry, default_metrics
 from repro.steiner.problem import SteinerSolution
@@ -168,6 +168,54 @@ class ConnectionService:
     def metrics(self) -> MetricsRegistry:
         """The registry this service's instruments collect into."""
         return self._metrics
+
+    @property
+    def bound_context_current(self) -> bool:
+        """True when the bound schema's memoised context answers the next call.
+
+        The context is built, the schema's ``mutation_version`` has not
+        moved since, and no :class:`~repro.dynamic.editor.SchemaEditor`
+        transaction is open on it -- so a call on the bound schema does
+        no context build and no rebind.  :meth:`_context` takes its memo
+        hit from this property.
+        """
+        schema = self._schema
+        return (
+            self._bound_context is not None
+            and not getattr(schema, "_version_hold", False)
+            and getattr(schema, "mutation_version", None) == self._bound_version
+        )
+
+    def warm_within(self, request: RequestLike, work_limit: int, **kwargs) -> bool:
+        """True when ``connect(request, **kwargs)`` is a short answer from warm state.
+
+        All of these hold: the service has no disk cache (no reads or
+        writes); the request is on the bound schema and its context is
+        current (:attr:`bound_context_current`); the planner picks
+        ``chordal-elimination``, Lemma 5's polynomial elimination, and the
+        request forces no other solver; and
+        :func:`~repro.engine.registry.chordal_elimination_work` bounds the
+        answer's steps by ``work_limit`` from cached rows alone.  A
+        request ``connect`` would reject answers ``False``.  Reads only:
+        no context, oracle row or counter is touched.
+        """
+        try:
+            req = self._materialise(request, **kwargs)
+        except ValidationError:
+            return False  # connect raises it
+        if (
+            self._config.cache_dir is not None
+            or (req.schema is not None and req.schema is not self._schema)
+            or req.solver not in (None, "chordal-elimination")
+            or not self.bound_context_current
+        ):
+            return False
+        context = self._bound_context
+        # the bound goes first: it is None on a context not classified
+        # yet, whose report the planner would compute
+        return chordal_elimination_work(
+            context, req.terminals, work_limit
+        ) is not None and plans_chordal_elimination(context.report, req.objective)
 
     def _collect_cache_metrics(self) -> None:
         """Export :meth:`cache_stats` counters as gauges (snapshot collector).
@@ -398,20 +446,14 @@ class ConnectionService:
             # re-derived against the live (uncommitted) structure --
             # otherwise a bind taken after one in-transaction edit would
             # keep answering past the next one
-            version = getattr(chosen, "mutation_version", None)
-            held = getattr(chosen, "_version_hold", False)
-            if (
-                not held
-                and self._bound_context is not None
-                and version == self._bound_version
-            ):
+            if self.bound_context_current:
                 # keep cache_stats() consistent with the cache_hit flag
                 self._engine.cache.count_external_hit()
                 return self._bound_context, True
             context, hit = self._rebind_context(chosen, digest)
-            if not held:
+            if not getattr(chosen, "_version_hold", False):
                 self._bound_context = context
-                self._bound_version = version
+                self._bound_version = getattr(chosen, "mutation_version", None)
             return context, hit
         return self._build_context(chosen, digest)
 

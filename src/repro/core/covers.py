@@ -195,7 +195,10 @@ def greedy_elimination_cover(
     A vertex is considered redundant when the *terminals* remain connected
     without it (see :func:`connects_terminals`); the returned vertex set is
     the terminals' component of the final graph, which is always a
-    nonredundant cover in the sense of Definition 10.
+    nonredundant cover in the sense of Definition 10.  The surviving graph
+    is the subgraph induced by an ``alive`` set: a step marks its
+    removals dead and searches from one terminal inside that set, so no
+    step copies a subgraph.
 
     An :class:`~repro.graphs.indexed.IndexedGraph` input (vertices are
     integer ids) is routed to the array-based fast lane, which avoids the
@@ -216,22 +219,46 @@ def greedy_elimination_cover(
         raise ValidationError("the terminal set must be non-empty")
     if not vertices_in_same_component(graph, terminal_set):
         raise DisconnectedTerminalsError("the terminals cannot be covered")
-    component = component_containing(graph, next(iter(terminal_set)))
-    current = graph.subgraph(component)
+    component = graph.subgraph(component_containing(graph, next(iter(terminal_set))))
     if ordering is None:
-        ordering = current.sorted_vertices()
+        ordering = component.sorted_vertices()
+    adjacency = {vertex: component.neighbors(vertex) for vertex in component.vertices()}
+    alive = set(adjacency)
     for vertex in ordering:
-        if vertex not in current or vertex in terminal_set:
+        if vertex not in alive or vertex in terminal_set:
             continue
         removal = {vertex}
         if removal_batches:
-            removal |= current.private_neighbors(vertex)
+            # Adj*(v) in the surviving graph: alive neighbours whose only
+            # alive neighbour is v
+            removal.update(
+                u
+                for u in adjacency[vertex]
+                if u in alive
+                and all(w == vertex or w not in alive for w in adjacency[u])
+            )
             if removal & terminal_set:
                 continue
-        candidate_vertices = current.vertices() - removal
-        if connects_terminals(graph, candidate_vertices, terminal_set):
-            current = current.subgraph(candidate_vertices)
-    return terminal_component(graph, current.vertices(), terminal_set)
+        alive -= removal
+        if not _terminals_connected(adjacency, alive, terminal_set):
+            alive |= removal
+    return terminal_component(graph, alive, terminal_set)
+
+
+def _terminals_connected(adjacency, alive: Set[Vertex], terminals: Set[Vertex]) -> bool:
+    """True when the terminals lie in one component of the subgraph induced by ``alive``."""
+    start = next(iter(terminals))
+    seen = {start}
+    stack = [start]
+    missing = len(terminals) - 1
+    while stack and missing:
+        for u in adjacency[stack.pop()]:
+            if u in alive and u not in seen:
+                seen.add(u)
+                stack.append(u)
+                if u in terminals:
+                    missing -= 1
+    return not missing
 
 
 def nonredundant_covers(

@@ -37,7 +37,7 @@ import itertools
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 # classify_bipartite_graph stays bound here although contexts classify
 # blockwise: the per-layer tracing of perfbench/tracing.py patches this name
@@ -619,23 +619,36 @@ class SchemaContext:
 
 
 def _patch_indexed(indexed: IndexedGraph, index: GraphIndex, delta) -> IndexedGraph:
-    """Rebuild the CSR backend from the old arrays plus an edge-only delta.
+    """Patch the CSR backend for an edge-only delta, rebuilding touched rows only.
 
-    Only valid when the delta touches no vertices: ids and labels stay
-    put, so the new :class:`IndexedGraph` is assembled from the old CSR
-    edge stream minus the removed edges plus the added ones -- an
-    O(|V| + |A|) array pass that skips the repr-sorted label ordering and
-    dictionary building of a full :func:`to_indexed` conversion.
+    Only valid when the delta touches no vertices: ids, labels and sides
+    stay put, so the new :class:`IndexedGraph` shares every untouched row
+    with the old one (both are immutable) and re-sorts only the rows of
+    the delta's endpoints -- no pass over every edge and no re-sort of
+    every row, unlike a full :func:`to_indexed` or ``IndexedGraph``
+    construction.
     """
     ids = index.ids
-    removed = {
-        frozenset((ids[u], ids[v])) for u, v in delta.removed_edges
-    }
-    edges: List[Tuple[int, int]] = [
-        edge for edge in indexed.edges() if frozenset(edge) not in removed
-    ]
-    edges.extend((ids[u], ids[v]) for u, v in delta.added_edges)
-    return IndexedGraph(indexed.n, edges=edges, sides=indexed.sides)
+    rows = list(indexed._rows)
+    touched: Dict[int, Set[int]] = {}
+
+    def row_of(vertex: int) -> Set[int]:
+        row = touched.get(vertex)
+        if row is None:
+            row = touched[vertex] = set(rows[vertex])
+        return row
+
+    for u, v in delta.removed_edges:
+        a, b = ids[u], ids[v]
+        row_of(a).discard(b)
+        row_of(b).discard(a)
+    for u, v in delta.added_edges:
+        a, b = ids[u], ids[v]
+        row_of(a).add(b)
+        row_of(b).add(a)
+    for vertex, row in touched.items():
+        rows[vertex] = sorted(row)
+    return IndexedGraph._from_rows(rows, indexed.sides)
 
 
 class SchemaCache:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.core.classification import ChordalityReport
 from repro.engine.cache import SchemaContext
 from repro.engine.registry import InstanceClass
 
@@ -35,6 +36,15 @@ class QueryPlan:
     reason: str
 
 
+def plans_chordal_elimination(report: ChordalityReport, objective: str) -> bool:
+    """True when :func:`plan_query` picks ``chordal-elimination`` (Lemma 5).
+
+    That choice depends on the schema's class and the objective only,
+    never on the terminals or the exact-solver limits.
+    """
+    return objective == "steiner" and report.steiner_tractable()
+
+
 def plan_query(
     context: SchemaContext,
     terminals: Iterable,
@@ -53,16 +63,16 @@ def plan_query(
     """
     report = context.report
     terminal_list = sorted(set(terminals), key=repr)
+    if plans_chordal_elimination(report, objective):
+        return QueryPlan(
+            solver="chordal-elimination",
+            fallbacks=(),
+            instance_class=InstanceClass.CHORDAL,
+            objective=objective,
+            exact=True,
+            reason="(6,2)-chordal schema: every nonredundant cover is minimum (Lemma 5)",
+        )
     if objective == "steiner":
-        if report.steiner_tractable():
-            return QueryPlan(
-                solver="chordal-elimination",
-                fallbacks=(),
-                instance_class=InstanceClass.CHORDAL,
-                objective=objective,
-                exact=True,
-                reason="(6,2)-chordal schema: every nonredundant cover is minimum (Lemma 5)",
-            )
         if len(terminal_list) <= exact_terminal_limit:
             return QueryPlan(
                 solver="dreyfus-wagner",

@@ -26,6 +26,7 @@ planner.
 from __future__ import annotations
 
 from enum import Enum
+from math import isqrt
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.engine.cache import SchemaContext
@@ -136,12 +137,7 @@ def solve_chordal_elimination(context: SchemaContext, terminals: Iterable[Vertex
         )
 
     # 1. seed cover: union of BFS shortest paths root -> terminal
-    seed: Set[int] = set(terminal_ids)
-    for terminal in terminal_ids:
-        current = terminal
-        while current != root:
-            current = parents[current]
-            seed.add(current)
+    seed = _seed_cover(parents, terminal_ids)
 
     # 2. nonredundant elimination inside the seed (ascending id order)
     cover = _eliminate_within(indexed, seed, terminal_ids)
@@ -155,6 +151,65 @@ def solve_chordal_elimination(context: SchemaContext, terminals: Iterable[Vertex
     )
     solution.metadata["cover"] = context.index.decode_set(cover)
     return solution
+
+
+def chordal_elimination_work(
+    context: SchemaContext, terminals: Iterable[Vertex], limit: int
+) -> Optional[int]:
+    """Bound the steps of a warm :func:`solve_chordal_elimination`, without running it.
+
+    With the root's BFS parent row already cached, the answer reads each
+    seed vertex's row once and runs at most one seed-local search per
+    seed vertex, each over at most the seed; so ``s * s`` plus the seed's
+    degree sum, for a seed of ``s`` vertices, bounds its Python-level
+    steps within a small constant factor.  Returns that bound, or
+    ``None`` when it passes ``limit`` or is not known without work: a
+    context not classified yet, a terminal the schema lacks, no cached
+    parent row for the root (the answer would first run a BFS over the
+    whole component), or terminals in different components.  Reads only,
+    and stops walking the seed once it passes ``isqrt(limit)`` vertices.
+    """
+    ids = context.index.ids
+    oracle = context._oracle
+    if (
+        context._report is None
+        or oracle is None
+        or any(t not in ids for t in terminals)
+    ):
+        return None
+    terminal_ids = sorted(ids[t] for t in terminals)
+    if not terminal_ids:
+        return None
+    parents = oracle.cached_parents(terminal_ids[0])
+    if parents is None or any(parents[t] < 0 for t in terminal_ids):
+        return None
+    seed = _seed_cover(parents, terminal_ids, isqrt(limit))
+    if seed is None:
+        return None
+    indptr = context.indexed.indptr
+    work = len(seed) ** 2 + sum(indptr[v + 1] - indptr[v] for v in seed)
+    return work if work <= limit else None
+
+
+def _seed_cover(
+    parents, terminal_ids: Sequence[int], limit: Optional[int] = None
+) -> Optional[Set[int]]:
+    """The union of the BFS-tree paths from each terminal to the root ``terminal_ids[0]``.
+
+    A walk stops at the first vertex already in the seed, whose path to
+    the root is in it too, so the seed costs its own size to build;
+    ``None`` as soon as it would hold more than ``limit`` vertices.
+    """
+    cap = len(parents) if limit is None else limit
+    seed = {terminal_ids[0]}
+    for terminal in terminal_ids:
+        current = terminal
+        while current not in seed:
+            if len(seed) >= cap:
+                return None
+            seed.add(current)
+            current = parents[current]
+    return seed
 
 
 def _cover_tree(context: SchemaContext, cover: Set[int], terminal_ids: Sequence[int]):
@@ -187,7 +242,7 @@ def _eliminate_within(indexed, seed: Set[int], terminal_ids: Sequence[int]) -> D
             continue
         neighbours = mask & alive
         if not neighbours & (neighbours - 1) or (
-            _reached(masks, alive ^ bit, root) & terminals == terminals
+            _reached(masks, alive ^ bit, root, terminals) & terminals == terminals
         ):
             alive ^= bit
     cover = _reached(masks, alive, root)
@@ -197,13 +252,19 @@ def _eliminate_within(indexed, seed: Set[int], terminal_ids: Sequence[int]) -> D
     }
 
 
-def _reached(masks: List[int], alive: int, root: int) -> int:
-    """Return the mask of the ``alive`` local vertices reachable from ``root``."""
+def _reached(masks: List[int], alive: int, root: int, goal: int = -1) -> int:
+    """Return the mask of the ``alive`` local vertices reachable from ``root``.
+
+    The walk stops early once every bit of ``goal`` is reached (the
+    default ``-1`` has every bit set, so it walks the whole reach).
+    """
     reached = frontier = 1 << root
-    while frontier:
+    while frontier and reached & goal != goal:
         neighbours = 0
-        for vertex in iter_bits(frontier):
-            neighbours |= masks[vertex]
+        while frontier:
+            low = frontier & -frontier
+            neighbours |= masks[low.bit_length() - 1]
+            frontier ^= low
         frontier = neighbours & alive & ~reached
         reached |= frontier
     return reached

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from itertools import accumulate, chain
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
@@ -143,22 +144,10 @@ class IndexedGraph:
                 raise GraphError(f"edge ({u}, {v}) is out of range for n={n}")
             rows[u].append(v)
             rows[v].append(u)
-        edge_count = 0
         for i, row in enumerate(rows):
             if row:
-                deduped = sorted(set(row))
-                rows[i] = deduped
-                edge_count += len(deduped)
-        self._rows_cache = rows
-        self._edge_count = edge_count // 2
-        self._bits = None
-        indptr = array("l", [0] * (n + 1))
-        total = 0
-        for i, row in enumerate(rows):
-            total += len(row)
-            indptr[i + 1] = total
-        self.indptr = indptr
-        self.indices = array("l", [u for row in rows for u in row])
+                rows[i] = sorted(set(row))
+        self._adopt_rows(rows)
         if sides is not None:
             sides = array("b", sides)
             if len(sides) != n:
@@ -166,6 +155,33 @@ class IndexedGraph:
             if any(s not in (1, 2) for s in sides):
                 raise GraphError("sides must be 1 or 2")
         self.sides = sides
+
+    @classmethod
+    def _from_rows(
+        cls, rows: List[List[int]], sides: Optional[array]
+    ) -> "IndexedGraph":
+        """Assemble a graph from canonical rows, skipping ``__init__``'s checks.
+
+        ``rows[v]`` must be ``v``'s neighbours, ascending and duplicate-free,
+        with every edge in both endpoints' rows; ``sides`` is an
+        ``array('b')`` already validated (or ``None``).  The list and its
+        rows become the graph's row cache, so the caller must not mutate
+        them afterwards -- rows shared with another graph are fine, since
+        both are immutable.
+        """
+        graph = cls.__new__(cls)
+        graph.n = len(rows)
+        graph._adopt_rows(rows)
+        graph.sides = sides
+        return graph
+
+    def _adopt_rows(self, rows: List[List[int]]) -> None:
+        """Set the row cache and derive the CSR arrays and edge count from it."""
+        self._rows_cache = rows
+        self._bits = None
+        self.indptr = array("l", accumulate(map(len, rows), initial=0))
+        self.indices = array("l", chain.from_iterable(rows))
+        self._edge_count = len(self.indices) // 2
 
     # ------------------------------------------------------------------
     # lazily derived structures

@@ -189,6 +189,14 @@ class DistanceOracle:
             self.stats.hits += 1
         return entry[1]
 
+    def cached_parents(self, source: int) -> Optional[array]:
+        """Return ``source``'s parent row if cached, else ``None``; no BFS.
+
+        A pure read: neither the LRU order nor the hit/miss counters move.
+        """
+        entry = self._rows.get(source)
+        return entry[1] if entry is not None else None
+
     def bytes_held(self) -> int:
         """Return the bytes currently held by cached rows (both kinds)."""
         return self._bytes

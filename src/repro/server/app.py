@@ -12,11 +12,18 @@ One process, two listeners:
   labels included) and ``GET /healthz``.
 
 Concurrency model: all registry and stream bookkeeping is confined to
-the event-loop thread; only the solve itself runs in a worker thread
-(:func:`asyncio.to_thread`), serialized **per tenant** by an
-:class:`asyncio.Lock` -- a :class:`~repro.api.service.ConnectionService`
-is single-threaded by contract, but different tenants' services solve
-concurrently.  Each RPC runs inside a
+the event-loop thread, and every service call is serialized **per
+tenant** by an :class:`asyncio.Lock` -- a
+:class:`~repro.api.service.ConnectionService` is single-threaded by
+contract.  One kind of call solves inline on the event loop: a
+``connect`` whose answer is a Lemma 5 elimination on warm state with a
+work bound of at most :data:`LOOP_WORK_LIMIT` (no deadline, no disk
+cache).  Every other call -- batches, mutations, enumeration pages,
+exact or heuristic plans, anything that builds a context, a side plan
+or an oracle row -- runs in a worker thread (:func:`asyncio.to_thread`),
+where different tenants' services solve concurrently.  See
+:meth:`ReproServer._solve` for the rule and its trade-off.  Each RPC
+runs inside a
 :func:`~repro.api.context.request_scope` (which ``to_thread`` propagates
 via ``contextvars``), so every answer's provenance carries the
 server-assigned request id, the tenant, and the wall-clock phase
@@ -73,6 +80,15 @@ DEFAULT_ENUMERATION_PAGE = 8
 #: Paused streams kept live for fast resume; older ones fall back to the
 #: stateless continuation-token path.
 MAX_LIVE_STREAMS = 128
+
+#: Largest work bound (seed vertices squared plus their degrees, see
+#: :func:`~repro.engine.registry.chordal_elimination_work`) of a
+#: ``connect`` that may solve on the event loop.  On a 2-core VM the
+#: slowest seed shape within it, a 63-vertex path, solves in ~0.9 ms,
+#: well under the 5 ms GIL switch interval at which a worker thread
+#: lets the loop in anyway; perfbench's warm-connect pools bound at
+#: most ~1,500.
+LOOP_WORK_LIMIT = 4096
 
 
 class _Connection:
@@ -162,6 +178,13 @@ class ReproServer:
             "Requests abandoned past their tenant's deadline_ms budget.",
             ("tenant",),
         )
+        solves = self._metrics.counter(
+            "repro_server_solves_total",
+            "Service calls run, by where they ran (event loop or worker thread).",
+            ("path",),
+        )
+        self._solves_on_loop = solves.labels(path="loop")
+        self._solves_on_worker = solves.labels(path="worker")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -335,17 +358,31 @@ class ReproServer:
             self._tenant_locks[tenant] = lock
         return lock
 
-    async def _solve(self, tenant: str, token: Optional[str], fn):
-        """Run one service call for a tenant: auth, admit, lock, scope, thread.
+    async def _solve(self, tenant: str, token: Optional[str], fn, *, inline_if=None):
+        """Run one service call for a tenant: auth, admit, lock, scope, run.
 
-        ``fn`` receives the tenant's service and runs in a worker thread
-        under the tenant's lock, inside a
-        :func:`~repro.api.context.request_scope` whose identity lands on
-        the returned provenance.
+        ``fn`` receives the tenant's service and runs under the tenant's
+        lock, inside a :func:`~repro.api.context.request_scope` whose
+        identity lands on the returned provenance.
 
-        With ``TenantLimits.deadline_ms`` set, the whole admitted span
-        (lock wait included) runs as a task awaited with that timeout; on
-        expiry the caller gets a typed ``deadline`` envelope at once and
+        ``fn`` runs in a worker thread (:func:`asyncio.to_thread`) unless
+        the caller passes ``inline_if``, a read-only test of the service
+        that bounds the call's work, and it holds: then ``fn`` runs inline
+        on the event loop.  The test runs under the lock, with no await
+        between it and the call, and never for a tenant with
+        ``deadline_ms``.  Only ``connect`` passes one
+        (:meth:`~repro.api.service.ConnectionService.warm_within`).
+        Under the GIL a CPU-bound solve in a worker never ran beside the
+        loop anyway: it let the loop in only at the 5 ms switch interval.
+        For a call bounded well below that (:data:`LOOP_WORK_LIMIT`), the
+        hop buys only a round trip between threads; inline, the call
+        holds the loop for its own duration instead.
+        ``repro_server_solves_total{path}`` counts both paths.
+
+        With ``TenantLimits.deadline_ms`` set, the call always takes the
+        worker path, and the whole admitted span (lock wait included)
+        runs as a task awaited with that timeout; on expiry the caller
+        gets a typed ``deadline`` envelope at once and
         ``repro_deadline_exceeded_total`` is incremented.  A request
         still waiting for the lock is cancelled.  One whose solve already
         runs is *abandoned*: its thread finishes in the background, and
@@ -370,6 +407,7 @@ class ReproServer:
                 )
             service = self._registry.service(tenant)
             solving = False
+            inline = inline_if if deadline_ms is None else None
 
             async def admitted():
                 nonlocal solving
@@ -379,6 +417,10 @@ class ReproServer:
                         request_id=f"req-{next(self._request_seq)}",
                         tenant=tenant,
                     ):
+                        if inline is not None and inline(service):
+                            self._solves_on_loop.inc()
+                            return fn(service)
+                        self._solves_on_worker.inc()
                         return await asyncio.to_thread(fn, service)
 
             if deadline_ms is None:
@@ -496,6 +538,9 @@ class ReproServer:
             tenant,
             params["token"],
             lambda service: service.connect(terminals, **kwargs),
+            inline_if=lambda service: service.warm_within(
+                terminals, LOOP_WORK_LIMIT, **kwargs
+            ),
         )
         return {"result": encode_wire_result(result)}
 

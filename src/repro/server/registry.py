@@ -28,7 +28,10 @@ the single owner of that state:
   ``drop_schema``); tenants created without one are open.
 
 The registry itself is not thread-safe: the server confines it to the
-event-loop thread and only the GIL-released solve runs elsewhere.
+event-loop thread.  Only service calls leave that thread: all but short
+warm connects run in a worker thread (see
+:meth:`~repro.server.app.ReproServer._solve`), and a service call never
+calls into the registry.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Set
 
-from repro.chordality.side_chordal import is_side_chordal_and_conformal
+from repro.core.covers import greedy_elimination_cover
 from repro.exceptions import NotApplicableError, ValidationError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.graph import Vertex
@@ -93,12 +93,14 @@ def pseudo_steiner_algorithm1(
         nonredundant cover) but optimality is no longer guaranteed and the
         returned solution is flagged accordingly.
     applicable:
-        Optional precomputed answer to the structural precondition.  A
-        whole-graph "``V_side``-chordal and ``V_side``-conformal" verdict is
-        sound here because alpha-acyclicity is preserved by restriction to
-        connected components; callers holding a cached
-        :class:`~repro.core.classification.ChordalityReport` pass it to
-        skip the per-query recognition pass.
+        Optional precomputed answer to the structural precondition.  When
+        omitted, the Lemma 1 ordering decides it: by Theorem 1(v)/(vi) the
+        component is ``V_side``-chordal and ``V_side``-conformal exactly
+        when ``H_side`` is alpha-acyclic, that is, exactly when the
+        ordering exists.  A whole-graph verdict is sound here because
+        alpha-acyclicity is preserved by restriction to connected
+        components; callers holding a cached
+        :class:`~repro.core.classification.ChordalityReport` may pass it.
 
     Returns
     -------
@@ -117,17 +119,16 @@ def pseudo_steiner_algorithm1(
     component_vertices = component_containing(graph, next(iter(terminal_set)))
     component = graph.subgraph(component_vertices)
 
-    if applicable is None:
-        precondition_holds = is_side_chordal_and_conformal(component, side, method="alpha")
-    else:
-        precondition_holds = applicable
+    # by Theorem 1(v)/(vi) the ordering exists exactly when the
+    # precondition holds, so it decides it unless the caller knows it
+    ordering = lemma1_ordering(component, side)
+    precondition_holds = ordering is not None if applicable is None else applicable
     if check and not precondition_holds:
         raise NotApplicableError(
             f"the component containing the terminals is not V{side}-chordal "
             f"and V{side}-conformal; Algorithm 1 does not apply"
         )
 
-    ordering = lemma1_ordering(component, side)
     # Theorem 3 needs a Lemma 1 ordering: without one the answer is only
     # nonredundant, whatever ``applicable`` claimed
     optimal = precondition_holds and ordering is not None
@@ -139,7 +140,11 @@ def pseudo_steiner_algorithm1(
             )
         ordering = sorted(component.side(side), key=repr)
 
-    cover_vertices = _eliminate(component, terminal_set, ordering)
+    # Step 2: scan the ordering, dropping v and Adj*(v) while the
+    # terminals stay connected
+    cover_vertices = greedy_elimination_cover(
+        component, terminal_set, ordering=ordering, removal_batches=True
+    )
     cover = component.subgraph(cover_vertices)
     tree = spanning_tree(cover)
     tree = prune_non_terminal_leaves(tree, terminal_set)
@@ -164,29 +169,3 @@ def algorithm1_cover(
     """Return the ``V_side``-minimum cover computed by Algorithm 1 (Step 2 output)."""
     solution = pseudo_steiner_algorithm1(graph, terminals, side=side, check=check)
     return set(solution.metadata["cover"])
-
-
-def _eliminate(
-    component: BipartiteGraph, terminals: Set[Vertex], ordering: List[Vertex]
-) -> Set[Vertex]:
-    """Step 2 of Algorithm 1: scan the ordering, drop ``v`` and ``Adj*(v)`` if possible.
-
-    A vertex is dropped when the terminals remain connected without it (and
-    its private neighbours); the returned vertex set is the terminals'
-    component of the surviving graph, which is a connected cover.
-    """
-    from repro.core.covers import connects_terminals, terminal_component
-
-    current = component.copy()
-    for vertex in ordering:
-        if vertex not in current:
-            continue
-        removal = {vertex} | current.private_neighbors(vertex)
-        if removal & terminals:
-            continue
-        remaining = current.vertices() - removal
-        if not remaining:
-            continue
-        if connects_terminals(component, remaining, terminals):
-            current = current.subgraph(remaining)
-    return terminal_component(component, current.vertices(), terminals)

@@ -22,6 +22,8 @@ import contextlib
 import json
 import struct
 import threading
+import time
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +31,9 @@ from hypothesis import given, strategies as st
 from strategies import chordal_bipartite_graphs, common_settings, draw_terminals
 
 from repro.api import ConnectionService, ServiceConfig
+from repro.dynamic.editor import SchemaEditor
+from repro.engine import registry as engine_registry
+from repro.engine.registry import chordal_elimination_work
 from repro.exceptions import ValidationError
 from repro.graphs import BipartiteGraph
 from repro.metrics import MetricsRegistry
@@ -45,6 +50,7 @@ from repro.server import (
     UnknownTenantError,
     fetch_metrics,
 )
+from repro.server.app import LOOP_WORK_LIMIT
 from repro.server.codec import (
     decode_continuation,
     decode_schema,
@@ -634,6 +640,258 @@ class TestEnumerationOverTheWire:
                 # stateless path resumes against the evolved schema
                 resumed = client.enumerate("t", continuation=token)
                 assert resumed["count"] >= 1
+
+
+def solves(metrics):
+    """``repro_server_solves_total`` by path, as ``{"loop": n, "worker": n}``."""
+    family = metrics.get("repro_server_solves_total")
+    return {path: family.labels(path=path).value for path in ("loop", "worker")}
+
+
+def six_cycle() -> BipartiteGraph:
+    """A chordless 6-cycle: not (6,2)-chordal, so connects plan an exact DP."""
+    return BipartiteGraph(
+        left=["A", "B", "C"],
+        right=[1, 2, 3],
+        edges=[("A", 1), ("B", 1), ("B", 2), ("C", 2), ("C", 3), ("A", 3)],
+    )
+
+
+def path_graph(length: int) -> BipartiteGraph:
+    """A path ``a0 - 1 - a2 - 3 - ...``: even positions are strings, odd ints."""
+    names = [f"a{i}" if i % 2 == 0 else i for i in range(length)]
+    return BipartiteGraph(
+        left=names[0::2],
+        right=names[1::2],
+        edges=[
+            (names[i], names[i + 1]) if i % 2 == 0 else (names[i + 1], names[i])
+            for i in range(length - 1)
+        ],
+    )
+
+
+class TestWarmWithin:
+    """``ConnectionService.warm_within``: the server's test for the loop."""
+
+    def test_true_only_for_a_short_warm_lemma5_answer(self):
+        graph = small_graph()
+        service = ConnectionService(schema=graph)
+        assert not service.warm_within(["A", 3], LOOP_WORK_LIMIT)  # cold
+        service.connect(["A", 3])
+        context, _ = service._context(None)
+        stats = service.cache_stats()
+        assert service.warm_within(["A", 3], LOOP_WORK_LIMIT)
+        assert service.warm_within(["A", 2], LOOP_WORK_LIMIT)  # same root
+        assert not service.warm_within([2, 3], LOOP_WORK_LIMIT)  # no BFS row
+        for kwargs in ({"objective": "side", "side": 2}, {"solver": "kmb"}):
+            assert not service.warm_within(["A", 3], LOOP_WORK_LIMIT, **kwargs)
+        for terminals in (["A", "Z"], []):
+            assert not service.warm_within(terminals, LOOP_WORK_LIMIT)
+        # connect raises for these; the test leaves that to it
+        assert not service.warm_within(["A", 3], LOOP_WORK_LIMIT, objective="x")
+        assert not service.warm_within(["A", 3], LOOP_WORK_LIMIT, budget=1)
+        # the path A..3 is the whole seed: 6 vertices, degree sum 10
+        assert chordal_elimination_work(context, ["A", 3], LOOP_WORK_LIMIT) == 46
+        assert not service.warm_within(["A", 3], 45)
+        assert service.warm_within(["A", 3], 46)
+        # reads only: no counter moved, no row was built
+        assert service.cache_stats() == stats
+        with SchemaEditor(graph) as transaction:
+            transaction.add_vertex("D", side=1)
+            assert not service.warm_within(["A", 3], LOOP_WORK_LIMIT)
+        assert not service.warm_within(["A", 3], LOOP_WORK_LIMIT)  # rebind due
+
+    def test_false_for_other_plans_and_disk_services(self, tmp_path):
+        service = ConnectionService(
+            schema=six_cycle(),
+            config=ServiceConfig(exact_terminal_limit=0, exact_vertex_limit=0),
+        )
+        service.connect(["A", "C"])  # KMB fills the parent rows
+        context, _ = service._context(None)
+        assert chordal_elimination_work(context, ["A", "C"], LOOP_WORK_LIMIT)
+        assert not service.warm_within(["A", "C"], LOOP_WORK_LIMIT)
+        disk = ConnectionService(
+            schema=small_graph(), config=ServiceConfig(cache_dir=str(tmp_path))
+        )
+        disk.connect(["A", 3])
+        assert not disk.warm_within(["A", 3], LOOP_WORK_LIMIT)
+
+
+class TestSolvePlacement:
+    """Where a service call runs: on the event loop only when short and warm."""
+
+    def test_warm_connects_run_on_the_loop_until_an_edit(self):
+        metrics = MetricsRegistry()
+        with running_server(metrics=metrics) as server:
+            with ReproClient(port=server.port) as client:
+                client.create_schema("t", small_graph(), token="s3")
+                client.connect("t", ["A", 3])  # builds the context
+                assert solves(metrics) == {"loop": 0, "worker": 1}
+                client.connect("t", ["A", 2])  # the root's BFS row is cached
+                assert solves(metrics) == {"loop": 1, "worker": 1}
+                client.connect("t", [2, 3])  # a new root runs its BFS first
+                client.connect("t", [2, 3])
+                assert solves(metrics) == {"loop": 2, "worker": 2}
+                client.mutate(
+                    "t",
+                    [{"op": "add_vertex", "vertex": "D", "side": 1},
+                     {"op": "add_edge", "u": "D", "v": 3}],
+                    token="s3",
+                )
+                assert solves(metrics) == {"loop": 2, "worker": 3}
+                client.connect("t", ["A", "D"])  # rebinds after the edit
+                assert solves(metrics) == {"loop": 2, "worker": 4}
+                client.connect("t", ["A", "D"])
+                assert solves(metrics) == {"loop": 3, "worker": 4}
+
+    def test_batches_and_other_plans_run_on_a_worker(self):
+        metrics = MetricsRegistry()
+        with running_server(metrics=metrics) as server:
+            with ReproClient(port=server.port) as client:
+                client.create_schema("t", small_graph())
+                client.create_schema("c", six_cycle())
+                for _ in range(2):
+                    client.connect("t", ["A", 3])
+                    client.connect("c", ["A", "C"])  # Dreyfus-Wagner
+                assert solves(metrics) == {"loop": 1, "worker": 3}
+                client.batch("t", [{"terminals": ["A", 3]}])
+                client.interpret("t", [["A", 3]])
+                client.connect("t", ["A", 3], objective="side", side=2)
+                client.connect("t", ["A", 3], solver="kmb")
+                assert solves(metrics) == {"loop": 1, "worker": 7}
+
+    def test_a_connect_past_the_work_limit_runs_on_a_worker(self):
+        metrics = MetricsRegistry()
+        length = isqrt(LOOP_WORK_LIMIT) + 2  # seed squared alone passes it
+        ends = ["a0", length - 1 if length % 2 == 0 else f"a{length - 1}"]
+        with running_server(metrics=metrics) as server:
+            with ReproClient(port=server.port) as client:
+                client.create_schema("p", path_graph(length))
+                client.connect("p", ends)
+                client.connect("p", ends)
+                assert solves(metrics) == {"loop": 0, "worker": 2}
+                client.connect("p", ["a0", 1])  # same root, a short seed
+                assert solves(metrics) == {"loop": 1, "worker": 2}
+
+    def test_enumeration_pages_run_on_a_worker(self):
+        metrics = MetricsRegistry()
+        with running_server(metrics=metrics) as server:
+            with ReproClient(port=server.port) as client:
+                client.create_schema("t", small_graph())
+                client.connect("t", ["A", 2])
+                client.connect("t", ["A", 2])
+                assert solves(metrics) == {"loop": 1, "worker": 1}
+                page = client.enumerate("t", ["A", 2], budget=1, max_extra=4)
+                client.enumerate(
+                    "t", continuation=page["continuation"], budget=1
+                )
+                assert solves(metrics) == {"loop": 1, "worker": 3}
+
+    def test_deadline_tenants_always_run_on_a_worker(self):
+        metrics = MetricsRegistry()
+        with running_server(metrics=metrics) as server:
+            with ReproClient(port=server.port) as client:
+                client.create_schema(
+                    "t", small_graph(), limits={"deadline_ms": 60000}
+                )
+                for _ in range(3):
+                    client.connect("t", ["A", 3])
+                client.batch("t", [{"terminals": ["A", "B"]}])
+                assert solves(metrics) == {"loop": 0, "worker": 4}
+
+    def test_disk_cache_servers_always_run_on_a_worker(self, tmp_path):
+        metrics = MetricsRegistry()
+        with running_server(cache_dir=str(tmp_path), metrics=metrics) as server:
+            with ReproClient(port=server.port) as client:
+                client.create_schema("t", small_graph())
+                for terminals in (["A", 3], ["A", 2], ["A", 3]):
+                    client.connect("t", terminals)
+                assert solves(metrics) == {"loop": 0, "worker": 3}
+
+
+def slowed(monkeypatch, owner, name):
+    """Make ``owner.name`` sleep 0.3 s first; return the event it sets then."""
+    started = threading.Event()
+    original = getattr(owner, name)
+
+    def slow(*args, **kwargs):
+        started.set()
+        time.sleep(0.3)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, slow)
+    return started
+
+
+class TestLoopIsolation:
+    """While tenant A's call runs 0.3 s, tenant B's warm connect and a
+    ping are each answered in under 100 ms."""
+
+    def _assert_loop_stays_free(self, server, client, started, slow_call):
+        expected = client.connect("b", ["A", 3])["cost"]
+        client.connect("b", ["A", 3])
+        outcome = {}
+
+        def call_a():
+            with ReproClient(port=server.port) as other:
+                outcome["a"] = slow_call(other)
+
+        caller = threading.Thread(target=call_a)
+        caller.start()
+        assert started.wait(5)
+        began = time.perf_counter()
+        assert client.connect("b", ["A", 3])["cost"] == expected
+        warm_seconds = time.perf_counter() - began
+        began = time.perf_counter()
+        assert client.ping()["pong"]
+        ping_seconds = time.perf_counter() - began
+        caller.join(10)
+        assert not caller.is_alive()
+        assert "a" in outcome
+        assert warm_seconds < 0.1, warm_seconds
+        assert ping_seconds < 0.1, ping_seconds
+
+    def test_a_cold_build(self, monkeypatch):
+        with running_server() as server:
+            with ReproClient(port=server.port) as client:
+                client.create_schema("a", small_graph())
+                client.create_schema("b", small_graph())
+                client.connect("b", ["A", 3])
+                started = slowed(monkeypatch, ConnectionService, "_build_context")
+                self._assert_loop_stays_free(
+                    server, client, started,
+                    lambda other: other.connect("a", ["A", 3]),
+                )
+
+    def test_a_warm_exact_connect_with_a_raised_terminal_limit(self, monkeypatch):
+        terminals = ["A", "B", "C", 1, 2, 3]
+        with running_server() as server:
+            with ReproClient(port=server.port) as client:
+                client.create_schema(
+                    "a", six_cycle(), config={"exact_terminal_limit": 12}
+                )
+                client.create_schema("b", small_graph())
+                client.connect("a", terminals)
+                started = slowed(
+                    monkeypatch, engine_registry, "steiner_tree_dreyfus_wagner"
+                )
+                self._assert_loop_stays_free(
+                    server, client, started,
+                    lambda other: other.connect("a", terminals),
+                )
+
+    def test_a_large_warm_batch(self, monkeypatch):
+        requests = [{"terminals": ["A", 3]}] * 1024
+        with running_server() as server:
+            with ReproClient(port=server.port) as client:
+                client.create_schema("a", small_graph())
+                client.create_schema("b", small_graph())
+                client.batch("a", requests)
+                started = slowed(monkeypatch, ConnectionService, "batch")
+                self._assert_loop_stays_free(
+                    server, client, started,
+                    lambda other: other.batch("a", requests),
+                )
 
 
 def tuple_or_id(value):
