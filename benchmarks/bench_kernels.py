@@ -1,4 +1,4 @@
-"""Kernel-layer benchmarks: the distance oracle and the hot-loop audit.
+"""Kernel-layer benchmarks: the distance oracle and its memory budget.
 
 Acceptance numbers for the ``repro.kernels`` subsystem on the 515-vertex
 (6,2)-chordal acceptance schema (same generator seed as
@@ -16,11 +16,6 @@ Acceptance numbers for the ``repro.kernels`` subsystem on the 515-vertex
   terminals is >= 2x faster than the PR 4 warm path (replicated verbatim
   below: per-query ``bfs_parents`` plus the full-edge-scan cover
   induction), with identical trees.
-* **KN4 -- hot-loop audit**: the ``row()``/dense-level fast lanes that
-  replaced fresh-``set``-allocating ``neighbors()`` calls in the
-  steiner/chordality inner loops are measurably faster (the audit also
-  *rejected* a bitset Lex-BFS refinement that measured slower; the
-  losing variant is kept in ``tests/test_kernels.py`` as a reference).
 * **KN6 -- budgeted oracle**: a byte-budgeted oracle streamed far more
   sources than it can hold stays under its budget by evicting.
 
@@ -30,18 +25,15 @@ paths, tiny workload, correctness assertions only.
 
 import os
 import random
-from collections import deque
 from time import perf_counter
 
 from conftest import record
 
 from repro.api import ConnectionService
-from repro.chordality.peo import is_simplicial
 from repro.datasets.generators import random_62_chordal_graph, random_terminals
 from repro.engine.registry import _eliminate_within
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.spanning import spanning_tree
-from repro.graphs.traversal import vertices_in_same_component
 from repro.steiner.problem import SteinerInstance, prune_non_terminal_leaves
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -204,82 +196,6 @@ def test_warm_service_batch_beats_pr4_warm_path(benchmark):
         assert speedup >= 2.0, (
             f"warm ConnectionService.batch must be >= 2x the PR 4 warm path, "
             f"got {speedup:.2f}x"
-        )
-
-
-# ----------------------------------------------------------------------
-# KN4: hot-loop audit -- row()/dense-level lanes vs neighbors() sets
-# ----------------------------------------------------------------------
-def _feasibility_reference(graph, vertices):
-    """The pre-audit feasibility check: repr-sorting neighbour-set BFS."""
-    targets = list(vertices)
-    visited = {targets[0]}
-    queue = deque([targets[0]])
-    while queue:
-        current = queue.popleft()
-        for neighbor in sorted(graph.neighbors(current), key=repr):
-            if neighbor not in visited:
-                visited.add(neighbor)
-                queue.append(neighbor)
-    return all(v in visited for v in targets)
-
-
-def test_hot_loop_audit_row_lanes_beat_neighbor_sets(benchmark):
-    """The audit's ``row()``/dense-level lanes vs the old set-allocating loops."""
-    blocks = 12 if SMOKE else 170
-    _, _, context = _scenario(blocks)
-    indexed = context.indexed
-    rng = random.Random(5)
-    triples = [rng.sample(range(indexed.n), 3) for _ in range(20 if SMOKE else 50)]
-
-    for triple in triples:
-        assert vertices_in_same_component(indexed, triple) == _feasibility_reference(
-            indexed, triple
-        )
-        for vertex in triple:
-            assert is_simplicial(indexed, vertex) == indexed.is_clique(
-                indexed.neighbors(vertex)
-            )
-
-    repeats = 2 if SMOKE else 5
-    feasibility_fast = _best_of(
-        repeats,
-        lambda: [vertices_in_same_component(indexed, t) for t in triples],
-    )
-    feasibility_slow = _best_of(
-        repeats, lambda: [_feasibility_reference(indexed, t) for t in triples]
-    )
-    simplicial_fast = _best_of(
-        repeats, lambda: [is_simplicial(indexed, v) for v in range(indexed.n)]
-    )
-    simplicial_slow = _best_of(
-        repeats,
-        lambda: [
-            indexed.is_clique(indexed.neighbors(v)) for v in range(indexed.n)
-        ],
-    )
-    benchmark(lambda: [vertices_in_same_component(indexed, t) for t in triples])
-
-    feasibility_speedup = feasibility_slow / feasibility_fast
-    simplicial_speedup = simplicial_slow / simplicial_fast
-    record(
-        benchmark,
-        experiment="KN4",
-        vertices=indexed.n,
-        wall_seconds=feasibility_fast,
-        feasibility_speedup=round(feasibility_speedup, 2),
-        simplicial_speedup=round(simplicial_speedup, 2),
-        speedup=round(feasibility_speedup, 2),
-        smoke=SMOKE,
-    )
-    if not SMOKE:
-        assert feasibility_speedup >= 3.0, (
-            f"dense-level feasibility must be >= 3x the repr-sorting walk, "
-            f"got {feasibility_speedup:.2f}x"
-        )
-        assert simplicial_speedup >= 1.1, (
-            f"row()-based is_simplicial must beat the neighbour-set variant, "
-            f"got {simplicial_speedup:.2f}x"
         )
 
 

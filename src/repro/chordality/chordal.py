@@ -23,22 +23,16 @@ from repro.chordality.peo import (
     is_perfect_elimination_ordering,
 )
 from repro.graphs.cycles import find_cycle_with_few_chords
-from repro.graphs.backend import is_indexed
 from repro.graphs.graph import Graph, Vertex
 
 
 def is_chordal(graph: Graph, method: str = "mcs") -> bool:
     """Return ``True`` when ``graph`` is chordal ((4,1)-chordal).
 
-    See the module docstring for the available ``method`` values.  Both
-    graph backends are accepted; the mutation-based methods ("greedy",
-    "cycles") materialise a :class:`Graph` copy of an indexed input, while
-    "mcs" and "lexbfs" run on the indexed fast lanes directly.
+    See the module docstring for the available ``method`` values.
     """
     if graph.number_of_vertices() == 0:
         return True
-    if is_indexed(graph) and method in ("greedy", "cycles"):
-        graph = graph.to_graph()
     if method == "mcs":
         ordering = mcs_elimination_ordering(graph)
         return is_perfect_elimination_ordering(graph, ordering)
@@ -58,8 +52,6 @@ def perfect_elimination_ordering(
     """Return a perfect elimination ordering, or ``None`` for non-chordal graphs."""
     if graph.number_of_vertices() == 0:
         return []
-    if is_indexed(graph) and method == "greedy":
-        graph = graph.to_graph()
     if method == "mcs":
         ordering = mcs_elimination_ordering(graph)
     elif method == "lexbfs":

@@ -11,33 +11,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.graphs.backend import is_indexed
 from repro.graphs.graph import Graph, Vertex
-from repro.graphs.indexed import IndexedGraph
 
 
 def lexicographic_bfs(graph: Graph, start: Optional[Vertex] = None) -> List[Vertex]:
     """Return the Lex-BFS visit order of the vertices.
 
-    The hashable-vertex implementation keeps, for every unvisited vertex,
-    its label as a list of visit positions of its already-visited
-    neighbours (larger is lexicographically greater); this is the
-    straightforward ``O(n^2)``-ish version, which is ample for figure-sized
-    instances.  The :class:`~repro.graphs.indexed.IndexedGraph` backend
-    uses partition refinement instead (ascending-id tie-breaks): still
-    ``O(n^2)`` membership tests in the worst case, but each test is an
-    O(1) set lookup with no per-vertex label allocations, which keeps
-    schema-sized graphs cheap.  As with MCS, tie-breaks may differ from
-    the hashable lane on prefix-repr label pairs; only order-insensitive
-    facts are comparable across backends.
+    Every unvisited vertex keeps its label as a list of visit positions of
+    its already-visited neighbours (larger is lexicographically greater);
+    this is the straightforward ``O(n^2)``-ish version, which is ample for
+    figure-sized instances.
     """
     vertices = graph.sorted_vertices()
     if not vertices:
         return []
     if start is not None and start not in graph:
         raise ValueError(f"start vertex {start!r} is not in the graph")
-    if is_indexed(graph):
-        return _lexbfs_indexed(graph, start)
     labels: Dict[Vertex, List[int]] = {v: [] for v in vertices}
     visited: Dict[Vertex, bool] = {v: False for v in vertices}
     order: List[Vertex] = []
@@ -68,46 +57,3 @@ def lexbfs_elimination_ordering(
 def _repr_key(vertex: Vertex) -> Tuple[int, ...]:
     text = repr(vertex)
     return tuple(-ord(ch) for ch in text)
-
-
-def _lexbfs_indexed(graph: IndexedGraph, start: Optional[int]) -> List[int]:
-    """Partition-refinement Lex-BFS over CSR rows (the indexed fast lane).
-
-    Classes are kept as id-ordered lists; the visited vertex splits every
-    class into (neighbours, non-neighbours), neighbours first, which is the
-    classical refinement realisation of the lexicographic rule.  The next
-    vertex is always the smallest id of the first non-empty class.
-    """
-    n = graph.n
-    if n == 0:
-        return []
-    if start is not None:
-        first = [start] + [v for v in range(n) if v != start]
-    else:
-        first = list(range(n))
-    classes: List[List[int]] = [first]
-    order: List[int] = []
-    while classes:
-        head = classes[0]
-        chosen = head.pop(0)
-        order.append(chosen)
-        if not head:
-            classes.pop(0)
-        # note from the hot-loop audit: the set here is deliberate -- a
-        # bitset membership test (`bits[chosen] >> v & 1`) allocates an
-        # O(n/64)-word integer per test and measured ~1.7x SLOWER across
-        # the O(n^2) refinement tests, while this set is built once per
-        # visited vertex from the cached row
-        adjacency = set(graph.row(chosen))
-        refined: List[List[int]] = []
-        for group in classes:
-            inside = [v for v in group if v in adjacency]
-            if not inside:
-                refined.append(group)
-                continue
-            outside = [v for v in group if v not in adjacency]
-            refined.append(inside)
-            if outside:
-                refined.append(outside)
-        classes = refined
-    return order

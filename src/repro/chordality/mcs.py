@@ -9,12 +9,9 @@ and is the graph analogue of the hyperedge MCS used by Algorithm 1.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
-from repro.graphs.backend import is_indexed
 from repro.graphs.graph import Graph, Vertex
-from repro.graphs.indexed import IndexedGraph
 
 
 def maximum_cardinality_search(
@@ -26,23 +23,12 @@ def maximum_cardinality_search(
     handled by restarting from an unvisited vertex with the usual rule
     (weight comparison), which simply picks an arbitrary vertex of a new
     component when all remaining weights are zero.
-
-    On the :class:`~repro.graphs.indexed.IndexedGraph` backend the search
-    runs in ``O(|A| log |V|)`` with a lazy max-heap over integer weights
-    (ascending ids break ties) instead of the quadratic scan.  Both lanes
-    return valid MCS orders, but the *tie-breaks* can differ when one
-    vertex repr is a prefix of another (``_repr_key``'s max-rule prefers
-    the longer repr, ascending ids the repr-sorted shorter one), so only
-    order-insensitive facts (PEO-ness, chordality verdicts, cover sizes)
-    are comparable across backends.
     """
     vertices = graph.sorted_vertices()
     if not vertices:
         return []
     if start is not None and start not in graph:
         raise ValueError(f"start vertex {start!r} is not in the graph")
-    if is_indexed(graph):
-        return _mcs_indexed(graph, start)
     weights: Dict[Vertex, int] = {v: 0 for v in vertices}
     visited: Dict[Vertex, bool] = {v: False for v in vertices}
     order: List[Vertex] = []
@@ -71,30 +57,3 @@ def _repr_key(vertex: Vertex):
     """Tie-break key: lexicographically smaller repr wins inside ``max``."""
     text = repr(vertex)
     return tuple(-ord(ch) for ch in text)
-
-
-def _mcs_indexed(graph: IndexedGraph, start: Optional[int]) -> List[int]:
-    """Heap-based MCS over CSR rows (the indexed fast lane)."""
-    n = graph.n
-    weights = [0] * n
-    visited = [False] * n
-    order: List[int] = []
-    # lazy heap entries (-weight, id); stale entries are skipped on pop
-    heap: List = [(0, v) for v in range(n)]
-    rows = graph._rows
-    for step in range(n):
-        if step == 0 and start is not None:
-            chosen = start
-        else:
-            while True:
-                weight, candidate = heappop(heap)
-                if not visited[candidate] and -weight == weights[candidate]:
-                    chosen = candidate
-                    break
-        visited[chosen] = True
-        order.append(chosen)
-        for neighbor in rows[chosen]:
-            if not visited[neighbor]:
-                weights[neighbor] += 1
-                heappush(heap, (-weights[neighbor], neighbor))
-    return order

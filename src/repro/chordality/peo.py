@@ -13,21 +13,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.exceptions import GraphError
-from repro.graphs.backend import is_indexed
 from repro.graphs.graph import Graph, Vertex
-from repro.graphs.indexed import IndexedGraph, iter_bits
 from repro.utils.ordering import is_permutation_of
 
 
 def is_simplicial(graph: Graph, vertex: Vertex) -> bool:
     """Return ``True`` when the neighbourhood of ``vertex`` is a clique."""
-    if is_indexed(graph):
-        # the cached CSR row spares the fresh neighbour-set allocation
-        # (is_clique only iterates its argument)
-        if not graph.has_vertex(vertex):
-            raise GraphError(f"vertex {vertex!r} is not in the graph")
-        return graph.is_clique(graph.row(vertex))
     return graph.is_clique(graph.neighbors(vertex))
 
 
@@ -35,16 +26,11 @@ def is_perfect_elimination_ordering(graph: Graph, ordering: Sequence[Vertex]) ->
     """Check whether ``ordering`` is a perfect elimination ordering.
 
     The check runs in ``O(sum of deg^2)`` using the standard "later
-    neighbours must be adjacent to the next later neighbour" criterion; on
-    the :class:`~repro.graphs.indexed.IndexedGraph` backend the "all later
-    neighbours adjacent to the pivot" test collapses to two big-int bitset
-    operations per vertex.
+    neighbours must be adjacent to the next later neighbour" criterion.
     """
     ordering = list(ordering)
     if not is_permutation_of(ordering, graph.vertices()):
         raise ValueError("ordering must list every vertex exactly once")
-    if is_indexed(graph):
-        return _is_peo_indexed(graph, ordering)
     position: Dict[Vertex, int] = {v: i for i, v in enumerate(ordering)}
     for vertex in ordering:
         later = [u for u in graph.neighbors(vertex) if position[u] > position[vertex]]
@@ -56,25 +42,6 @@ def is_perfect_elimination_ordering(graph: Graph, ordering: Sequence[Vertex]) ->
                 continue
             if not graph.has_edge(pivot, other):
                 return False
-    return True
-
-
-def _is_peo_indexed(graph: IndexedGraph, ordering: Sequence[int]) -> bool:
-    """Bitset PEO verification: later neighbours must lie in the pivot's row."""
-    position = [0] * graph.n
-    for index, vertex in enumerate(ordering):
-        position[vertex] = index
-    bits = graph.bits
-    later_mask = (1 << graph.n) - 1
-    for vertex in ordering:
-        later_mask ^= 1 << vertex  # strictly-later vertices only
-        later = bits[vertex] & later_mask
-        if not later:
-            continue
-        pivot = min(iter_bits(later), key=lambda u: position[u])
-        rest = later & ~(1 << pivot)
-        if rest & ~bits[pivot]:
-            return False
     return True
 
 

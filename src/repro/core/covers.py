@@ -22,9 +22,7 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.exceptions import DisconnectedTerminalsError, ValidationError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.backend import is_indexed
 from repro.graphs.graph import Graph, Vertex
-from repro.graphs.indexed import indexed_elimination_cover
 from repro.graphs.traversal import (
     component_containing,
     is_connected,
@@ -200,20 +198,12 @@ def greedy_elimination_cover(
     removals dead and searches from one terminal inside that set, so no
     step copies a subgraph.
 
-    An :class:`~repro.graphs.indexed.IndexedGraph` input (vertices are
-    integer ids) is routed to the array-based fast lane, which avoids the
-    per-step subgraph objects.  Its default elimination order is ascending
-    ids; for graphs converted through :func:`~repro.graphs.indexed.to_indexed`
-    (ids assigned in repr-sorted label order) that coincides with this
-    function's repr-sorted default, so the two backends return the
-    identical cover.  For hand-built id assignments the default orders may
-    differ and the lanes can return different -- equally nonredundant --
-    covers; pass ``ordering`` explicitly to pin one.
+    This is the label-space reference of the engine's id lane,
+    :func:`~repro.graphs.indexed.indexed_elimination_cover`: on ids
+    numbered by :func:`~repro.graphs.indexed.to_indexed` (repr-sorted
+    label order) its ascending-id default matches this function's
+    repr-sorted default, and the two return the same cover.
     """
-    if is_indexed(graph):
-        return indexed_elimination_cover(
-            graph, terminals, ordering=ordering, removal_batches=removal_batches
-        )
     terminal_set = set(terminals)
     if not terminal_set:
         raise ValidationError("the terminal set must be non-empty")

@@ -14,8 +14,7 @@ storage, comfortable up to ~10^4 vertices.  The ``large_*`` family
 targets the 10^5 - 10^6-vertex schemas of the kernel benchmarks: it
 emits :class:`~repro.graphs.indexed.IndexedGraph` objects over integer
 ids directly, so nothing on the path ever touches per-vertex Python
-objects or the O(n^2 / 16) bitset rows (which the indexed backend now
-derives lazily).
+objects.
 """
 
 from __future__ import annotations

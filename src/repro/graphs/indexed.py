@@ -1,4 +1,4 @@
-"""Fast integer-indexed graph backend.
+"""Integer-indexed CSR graphs: the store of the engine and the kernels.
 
 :class:`IndexedGraph` is a read-optimised, immutable representation of a
 finite simple undirected graph over the contiguous vertex ids
@@ -6,31 +6,17 @@ finite simple undirected graph over the contiguous vertex ids
 
 * **CSR adjacency**: a flat ``indices`` array plus an ``indptr`` offset
   array (the classical compressed-sparse-row layout), with a derived
-  per-vertex row cache for cheap Python iteration;
-* **bitset rows**: ``bits[v]`` is a Python integer whose ``u``-th bit is
-  set exactly when ``{u, v}`` is an edge, which makes adjacency tests,
-  clique checks and PEO verification branch-free big-int operations;
+  per-vertex row cache for cheap Python iteration (:meth:`IndexedGraph.row`);
 * an optional ``sides`` array carrying the bipartition labels of a
   :class:`~repro.graphs.bipartite.BipartiteGraph`.
 
-The CSR arrays are the *canonical* storage; the bitset rows and the
-per-vertex row cache are **lazily derived**.  Big-int bitset rows cost
-O(n^2 / 16) bytes in the worst case, so only the graphs that call a
-bitset primitive (``has_edge``, ``is_clique``, ``bits`` ...) pay for
-them; the first such call materialises ``bits`` once, and the first
-Python-loop traversal materialises ``_rows`` once.  No engine solver
-calls one: the chordal elimination builds masks of its seed's size from
-the CSR rows (``_eliminate_within`` in :mod:`repro.engine.registry`), so
-a served schema never holds the bitset rows; beyond
-:meth:`IndexedGraph.nbytes` it holds only the row cache, linear in the
-CSR.
-
-The class implements the read-only part of the :class:`~repro.graphs.graph.Graph`
-API (``neighbors``, ``vertices``, ``has_edge``, ``subgraph`` ...), so every
-algorithm in the library that does not mutate its input runs unchanged on
-either backend; the hot paths (LexBFS, MCS, PEO verification, BFS, greedy
-elimination) additionally special-case :class:`IndexedGraph` with
-integer-array inner loops.
+The CSR arrays are the *canonical* storage and the only thing a pickle
+ships; the row cache is derived from them on first use, linear in the
+CSR.  The class is not a :class:`~repro.graphs.graph.Graph`: the
+label-space algorithms (chordality tests, covers, traversals, the
+Steiner references) take a ``Graph`` or ``BipartiteGraph`` only, and
+the id solvers of the engine read the CSR rows directly.  To run a label
+algorithm on an indexed graph, decode it with :func:`from_indexed`.
 
 The mapping layer is lossless: :func:`to_indexed` converts any
 hashable-vertex :class:`Graph` (or :class:`BipartiteGraph`) into an
@@ -59,7 +45,7 @@ class GraphIndex:
     ``labels[i]`` is the original vertex carried by id ``i`` and
     ``ids[label]`` inverts it.  Instances are produced by :func:`to_indexed`
     and consumed by :func:`from_indexed` and by the engine layer when it
-    translates terminal sets and covers between the two backends.
+    translates terminal sets and covers between labels and ids.
     """
 
     __slots__ = ("labels", "ids")
@@ -115,13 +101,13 @@ class IndexedGraph:
     Examples
     --------
     >>> g = IndexedGraph(3, edges=[(0, 1), (1, 2)])
-    >>> sorted(g.neighbors(1))
+    >>> g.row(1)
     [0, 2]
-    >>> g.has_edge(0, 2)
-    False
+    >>> list(g.edges())
+    [(0, 1), (1, 2)]
     """
 
-    __slots__ = ("n", "indptr", "indices", "sides", "_bits", "_rows_cache", "_edge_count")
+    __slots__ = ("n", "indptr", "indices", "sides", "_rows_cache")
 
     def __init__(
         self,
@@ -132,10 +118,7 @@ class IndexedGraph:
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         self.n = n
-        # adjacency-list build: O(|E|) time and memory.  The previous
-        # bits-first build was O(n^2 / 16) memory in the worst case
-        # (big-int rows), which capped schemas near 10^3 vertices; the
-        # bitset rows are now derived lazily (see the `bits` property).
+        # adjacency-list build: O(|E|) time and memory
         rows: List[List[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
@@ -176,40 +159,21 @@ class IndexedGraph:
         return graph
 
     def _adopt_rows(self, rows: List[List[int]]) -> None:
-        """Set the row cache and derive the CSR arrays and edge count from it."""
+        """Set the row cache and derive the CSR arrays from it."""
         self._rows_cache = rows
-        self._bits = None
         self.indptr = array("l", accumulate(map(len, rows), initial=0))
         self.indices = array("l", chain.from_iterable(rows))
-        self._edge_count = len(self.indices) // 2
 
     # ------------------------------------------------------------------
-    # lazily derived structures
+    # id primitives
     # ------------------------------------------------------------------
-    @property
-    def bits(self) -> List[int]:
-        """The big-int bitset rows, materialised on first use.
-
-        ``bits[v]`` has bit ``u`` set exactly when ``{u, v}`` is an edge.
-        Worst-case O(n^2 / 16) bytes, so large CSR-only consumers (the
-        BFS kernels) must not touch this property.
-        """
-        if self._bits is None:
-            bits = [0] * self.n
-            for u, row in enumerate(self._rows):
-                mask = 0
-                for v in row:
-                    mask |= 1 << v
-                bits[u] = mask
-            self._bits = bits
-        return self._bits
-
     @property
     def _rows(self) -> List[List[int]]:
         """The per-vertex adjacency-list cache, materialised on first use.
 
         Derived from the canonical CSR arrays; the Python-loop hot paths
-        (array-lane BFS, elimination, LexBFS/MCS) iterate these lists.
+        (the BFS kernels, the elimination, the id solvers) iterate these
+        lists.
         """
         rows = self._rows_cache
         if rows is None:
@@ -220,9 +184,6 @@ class IndexedGraph:
             self._rows_cache = rows
         return rows
 
-    # ------------------------------------------------------------------
-    # fast primitives (id-based)
-    # ------------------------------------------------------------------
     def row(self, vertex: int) -> List[int]:
         """Return the CSR adjacency row of ``vertex`` (ascending ids, shared list)."""
         return self._rows[vertex]
@@ -275,23 +236,6 @@ class IndexedGraph:
         dist = self.bfs_levels(vertex, alive=alive)
         return [i for i, d in enumerate(dist) if d >= 0]
 
-    def side_of_id(self, vertex: int) -> int:
-        """Return the bipartition side (1 or 2) of an id; raises on plain graphs."""
-        if self.sides is None:
-            raise GraphError("this IndexedGraph carries no bipartition")
-        return self.sides[vertex]
-
-    # ------------------------------------------------------------------
-    # Graph read protocol (hashable-vertex compatible, ids are the labels)
-    # ------------------------------------------------------------------
-    def vertices(self) -> Set[int]:
-        """Return the vertex set ``{0, ..., n - 1}`` (fresh set)."""
-        return set(range(self.n))
-
-    def sorted_vertices(self) -> List[int]:
-        """Return ids in ascending order (the deterministic scan order)."""
-        return list(range(self.n))
-
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges, each reported once with ``u < v``.
 
@@ -305,118 +249,12 @@ class IndexedGraph:
                 if v > u:
                     yield (u, v)
 
-    def edge_set(self) -> Set[frozenset]:
-        """Return the edge set as frozensets (order-independent)."""
-        return {frozenset(edge) for edge in self.edges()}
-
-    def neighbors(self, vertex: int) -> Set[int]:
-        """Return the neighbour set of ``vertex`` (fresh set, safe to mutate)."""
-        self._check(vertex)
-        return set(self._rows[vertex])
-
-    def adjacency(self, vertex: int) -> Set[int]:
-        """Alias of :meth:`neighbors` matching the paper's ``Adj`` notation."""
-        return self.neighbors(vertex)
-
-    def neighborhood_of_set(self, vertices: Iterable[int]) -> Set[int]:
-        """Return ``Adj(W)``: vertices adjacent to at least one member of ``W``."""
-        mask = 0
-        for vertex in vertices:
-            self._check(vertex)
-            mask |= self.bits[vertex]
-        return set(bit_members(mask))
-
-    def private_neighbors(self, vertex: int) -> Set[int]:
-        """Return ``Adj*(v)``: the vertices adjacent *only* to ``vertex``."""
-        self._check(vertex)
-        only = 1 << vertex
-        return {u for u in self._rows[vertex] if self.bits[u] == only}
-
-    def has_vertex(self, vertex) -> bool:
-        """Return ``True`` when ``vertex`` is a valid id of this graph."""
-        return isinstance(vertex, int) and 0 <= vertex < self.n
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Return ``True`` when ``{u, v}`` is an edge (O(1) bitset test)."""
-        return (
-            isinstance(u, int)
-            and isinstance(v, int)
-            and 0 <= u < self.n
-            and 0 <= v < self.n
-            and bool(self.bits[u] >> v & 1)
-        )
-
-    def degree(self, vertex: int) -> int:
-        """Return the number of neighbours of ``vertex``."""
-        self._check(vertex)
-        return self.indptr[vertex + 1] - self.indptr[vertex]
-
-    def number_of_vertices(self) -> int:
-        """Return ``|V|``."""
-        return self.n
-
-    def number_of_edges(self) -> int:
-        """Return ``|A|``."""
-        return self._edge_count
-
-    def is_clique(self, vertices: Iterable[int]) -> bool:
-        """Return ``True`` when ``vertices`` are pairwise adjacent (bitset test)."""
-        members = list(vertices)
-        mask = 0
-        for vertex in members:
-            mask |= 1 << vertex
-        for vertex in members:
-            required = mask & ~(1 << vertex)
-            if self.bits[vertex] & required != required:
-                return False
-        return True
-
-    def subgraph(self, vertices: Iterable[int]):
-        """Return the induced subgraph as a mutable :class:`Graph` over the same ids.
-
-        Vertex identity is preserved (no re-indexing), so covers and trees
-        computed on the subgraph can be mapped back through the same
-        :class:`GraphIndex`.  Unknown ids are ignored, mirroring
-        :meth:`Graph.subgraph`.
-        """
-        from repro.graphs.graph import Graph
-
-        keep = {v for v in vertices if isinstance(v, int) and 0 <= v < self.n}
-        induced = Graph(vertices=keep)
-        for u in keep:
-            for v in self._rows[u]:
-                if v > u and v in keep:
-                    induced.add_edge(u, v)
-        return induced
-
-    def without_vertices(self, vertices: Iterable[int]):
-        """Return the induced subgraph on the complement of ``vertices`` (a :class:`Graph`)."""
-        removed = set(vertices)
-        return self.subgraph(v for v in range(self.n) if v not in removed)
-
-    def without_vertex(self, vertex: int):
-        """Return the induced subgraph on ``V - {vertex}`` (a :class:`Graph`)."""
-        return self.without_vertices([vertex])
-
-    def to_graph(self):
-        """Return a mutable :class:`Graph` copy using the ids as vertex labels."""
-        from repro.graphs.graph import Graph
-
-        return Graph(vertices=range(self.n), edges=self.edges())
-
-    def copy(self) -> "IndexedGraph":
-        """Return ``self`` -- :class:`IndexedGraph` is immutable."""
-        return self
-
     def nbytes(self) -> int:
         """Return the canonical (CSR + sides) storage footprint in bytes.
 
-        Counts only the arrays -- the lazily derived bitset rows and row
-        cache are excluded, matching what a pickle ships.  The memory
-        budget of :class:`~repro.engine.cache.SchemaCache` reads this
-        figure; no engine solver materialises the bitset rows (see the
-        module docstring), so they are outside it only for direct
-        callers of the bitset primitives.
+        Counts only the arrays -- the lazily derived row cache is
+        excluded, matching what a pickle ships.  The memory budget of
+        :class:`~repro.engine.cache.SchemaCache` reads this figure.
         """
         return sum(
             len(buf) * buf.itemsize
@@ -429,9 +267,8 @@ class IndexedGraph:
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         # ship only the canonical CSR arrays (compact, array-typed); the
-        # bitset rows and the per-vertex row cache are derived structures
-        # whose pickled size would dwarf the CSR payload, and rebuilding
-        # them from CSR is linear
+        # per-vertex row cache is a derived structure, and rebuilding it
+        # from CSR is linear
         return {
             "n": self.n,
             "indptr": self.indptr,
@@ -444,30 +281,17 @@ class IndexedGraph:
         self.indptr = state["indptr"]
         self.indices = state["indices"]
         self.sides = state["sides"]
-        # symmetric adjacency stores each edge twice, so the edge count
-        # needs no scan; the bitset rows and the row cache stay
-        # unmaterialised until a consumer asks
-        self._bits = None
+        # the row cache stays unmaterialised until a consumer asks
         self._rows_cache = None
-        self._edge_count = len(self.indices) // 2
 
     # ------------------------------------------------------------------
-    # dunder protocol
+    # comparison
     # ------------------------------------------------------------------
-    def __contains__(self, vertex) -> bool:
-        return self.has_vertex(vertex)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.n))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndexedGraph):
             return NotImplemented
         # the CSR arrays are canonical (ascending rows), so comparing them
-        # avoids materialising the lazy bitset rows on large graphs
+        # compares the graphs
         return (
             self.n == other.n
             and list(self.indptr) == list(other.indptr)
@@ -479,7 +303,7 @@ class IndexedGraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "bipartite " if self.sides is not None else ""
         return (
-            f"IndexedGraph({kind}|V|={self.n}, |A|={self._edge_count})"
+            f"IndexedGraph({kind}|V|={self.n}, |A|={len(self.indices) // 2})"
         )
 
     # ------------------------------------------------------------------
@@ -543,12 +367,13 @@ def indexed_elimination_cover(
     removal_batches: bool = False,
     restrict: Optional[Iterable[int]] = None,
 ) -> Set[int]:
-    """Greedy elimination of redundant vertices on the indexed backend.
+    """Greedy elimination of redundant vertices on ids.
 
-    Semantically identical to
-    :func:`repro.core.covers.greedy_elimination_cover` (and, with
-    ``removal_batches=True``, to Step 2 of Algorithm 1): starting from the
-    connected component containing the terminals, scan ``ordering`` and
+    The engine's lane of Algorithms 1 and 2, semantically identical to its
+    label-space reference :func:`repro.core.covers.greedy_elimination_cover`
+    (and, with ``removal_batches=True``, to Step 2 of Algorithm 1):
+    starting from the connected component containing the terminals, scan
+    ``ordering`` and
     drop each vertex (plus its private neighbours in batch mode) whenever
     the terminals remain connected without it; return the terminals'
     component of the surviving graph.
@@ -562,7 +387,7 @@ def indexed_elimination_cover(
     ----------
     ordering:
         Elimination order over ids; defaults to ascending id order, which
-        matches the hashable backend's repr-sorted default through the
+        matches the label-space repr-sorted default through the
         :func:`to_indexed` id assignment.
     restrict:
         Optional vertex subset to operate in (the caller's precomputed
@@ -773,15 +598,10 @@ def indexed_pruned_tree(
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask`` in ascending order.
 
-    The shared lowest-set-bit loop behind every bitset row in the indexed
-    backend (adjacency rows, PEO pivots, mask components).
+    The lowest-set-bit loop behind the seed-local masks of the
+    chordal-elimination solver (:mod:`repro.engine.registry`).
     """
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def bit_members(mask: int) -> List[int]:
-    """Return the indices of the set bits of ``mask`` as an ascending list."""
-    return list(iter_bits(mask))

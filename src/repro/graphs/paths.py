@@ -15,7 +15,6 @@ from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.exceptions import GraphError
-from repro.graphs.backend import is_indexed
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.traversal import bfs_distances
 
@@ -23,27 +22,12 @@ from repro.graphs.traversal import bfs_distances
 def shortest_path(graph: Graph, source: Vertex, target: Vertex) -> Optional[List[Vertex]]:
     """Return one shortest path from ``source`` to ``target`` or ``None``.
 
-    Ties are broken deterministically (lexicographically by ``repr`` on the
-    hashable backend, by ascending id on the indexed backend).
+    Ties are broken deterministically (lexicographically by ``repr``).
     """
     if source not in graph or target not in graph:
         raise GraphError("both endpoints must belong to the graph")
     if source == target:
         return [source]
-    if is_indexed(graph):
-        # the kernel row is value-identical to IndexedGraph.bfs_parents
-        # (same discovery-order tie-breaks); routed through repro.kernels
-        # so every indexed parent BFS shares one implementation
-        from repro.kernels.bfs import bfs_parents_row
-
-        parents = bfs_parents_row(graph, source)
-        if parents[target] < 0:
-            return None
-        walk = [target]
-        while walk[-1] != source:
-            walk.append(parents[walk[-1]])
-        walk.reverse()
-        return walk
     parents: Dict[Vertex, Vertex] = {}
     visited = {source}
     queue = deque([source])

@@ -15,7 +15,6 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.exceptions import GraphError
-from repro.graphs.backend import is_indexed
 from repro.graphs.graph import Graph, Vertex
 
 
@@ -40,16 +39,9 @@ def bfs_distances(graph: Graph, source: Vertex) -> Dict[Vertex, int]:
     """Return the shortest-path distance (number of edges) from ``source``.
 
     Unreachable vertices are absent from the result.
-
-    On the :class:`~repro.graphs.indexed.IndexedGraph` backend the search
-    runs on a dense distance array over CSR rows (the fast lane used by the
-    batched engine); the returned mapping is identical either way.
     """
     if source not in graph:
         raise GraphError(f"source vertex {source!r} is not in the graph")
-    if is_indexed(graph):
-        levels = graph.bfs_levels(source)
-        return {v: d for v, d in enumerate(levels) if d >= 0}
     distances = {source: 0}
     queue = deque([source])
     while queue:
@@ -114,17 +106,11 @@ def connected_components(graph: Graph) -> List[Set[Vertex]]:
 
 def component_containing(graph: Graph, vertex: Vertex) -> Set[Vertex]:
     """Return the vertex set of the component containing ``vertex``."""
-    if is_indexed(graph):
-        if not graph.has_vertex(vertex):
-            raise GraphError(f"source vertex {vertex!r} is not in the graph")
-        return set(graph.component_of(vertex))
     return set(bfs_order(graph, vertex))
 
 
 def is_connected(graph: Graph) -> bool:
     """Return ``True`` when the graph has at most one connected component."""
-    if is_indexed(graph):
-        return graph.n <= 1 or len(graph.component_of(0)) == graph.n
     vertices = graph.vertices()
     if len(vertices) <= 1:
         return True
@@ -138,18 +124,13 @@ def vertices_in_same_component(graph: Graph, vertices: Iterable[Vertex]) -> bool
     This is the notion the paper calls "``P`` is connected in ``C``": the
     terminal set need not induce a connected subgraph, it only needs to be
     connectable inside the host graph.  Vertices missing from the graph make
-    the answer ``False``.  On the indexed backend (the feasibility check
-    of every solver) the test runs on a dense level array instead of the
-    repr-sorting set walk.
+    the answer ``False``.
     """
     targets = list(vertices)
     if not targets:
         return True
     if any(v not in graph for v in targets):
         return False
-    if is_indexed(graph):
-        levels = graph.bfs_levels(targets[0])
-        return all(levels[v] >= 0 for v in targets)
     reachable = set(bfs_order(graph, targets[0]))
     return all(v in reachable for v in targets)
 

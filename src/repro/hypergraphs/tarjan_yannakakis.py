@@ -50,6 +50,8 @@ def mcs_edge_ordering(
     ordering = [start]
     chosen = {start}
     marked: Set[Node] = set(hypergraph.edge(start))
+    # the lexicographic tie-break depends on the label alone: one key each
+    reverse_reprs = {label: _reverse_repr(label) for label in labels}
     while len(ordering) < len(labels):
         best_label = None
         best_key = None
@@ -57,7 +59,7 @@ def mcs_edge_ordering(
             if label in chosen:
                 continue
             members = hypergraph.edge(label)
-            key = (len(members & marked), len(members), _reverse_repr(label))
+            key = (len(members & marked), len(members), reverse_reprs[label])
             if best_key is None or key > best_key:
                 best_key = key
                 best_label = label

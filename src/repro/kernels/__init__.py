@@ -23,7 +23,6 @@ from repro.kernels.bfs import (
     KernelScratch,
     bfs_levels_row,
     bfs_parents_row,
-    levels_to_dict,
 )
 from repro.kernels.oracle import DistanceOracle, OracleStats
 
@@ -32,7 +31,6 @@ __all__ = [
     "KernelScratch",
     "bfs_levels_row",
     "bfs_parents_row",
-    "levels_to_dict",
     "resolve_backend",
     "DistanceOracle",
     "OracleStats",

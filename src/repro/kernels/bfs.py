@@ -4,7 +4,9 @@ The engine's per-query cost on warm schemas is dominated by breadth-first
 searches: the metric closure of the KMB heuristic, the shortest-path seed
 of the chordal-elimination solver and every feasibility check all start
 from a single-source BFS.  This module is the one place those searches
-are implemented for the indexed backend:
+are implemented on ids; the label-space traversals of
+:mod:`repro.graphs.traversal` stay the readable references and never
+dispatch here:
 
 * :func:`bfs_levels_row` / :func:`bfs_parents_row` -- single-source
   kernels producing flat ``array('i')`` rows, with **exactly** the same
@@ -31,7 +33,7 @@ The benchmarks in ``benchmarks/bench_kernels.py`` quantify both.
 from __future__ import annotations
 
 from array import array
-from typing import List, Sequence
+from typing import List
 
 from repro.graphs.indexed import IndexedGraph
 
@@ -119,14 +121,3 @@ def bfs_parents_row(
                     push(neighbor)
         frontier = nxt
     return parents
-
-
-def levels_to_dict(row: Sequence[int], labels: Sequence) -> dict:
-    """Decode a distance row into the ``{label: distance}`` mapping.
-
-    Used by the indexed lane of
-    :func:`~repro.steiner.heuristics.shortest_path_heuristic`; unreachable
-    vertices (``-1``) are absent, mirroring
-    :func:`~repro.graphs.traversal.bfs_distances`.
-    """
-    return {labels[i]: d for i, d in enumerate(row) if d >= 0}

@@ -95,7 +95,7 @@ class DistanceOracle:
     Parameters
     ----------
     indexed:
-        The CSR/bitset backend the rows are computed on.
+        The CSR graph the rows are computed on.
     stats:
         A shared :class:`OracleStats`; a private one is created when the
         oracle is used standalone.

@@ -23,11 +23,9 @@ from typing import Iterable, Optional, Sequence
 from repro.chordality.mn_chordal import is_62_chordal_bipartite
 from repro.core.covers import greedy_elimination_cover
 from repro.exceptions import NotApplicableError
-from repro.graphs.backend import is_indexed
 from repro.graphs.bipartite import BipartiteGraph, is_bipartite
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.spanning import spanning_tree
-from repro.graphs.traversal import component_containing
 from repro.steiner.problem import (
     SteinerInstance,
     SteinerSolution,
@@ -79,19 +77,13 @@ def steiner_algorithm2(
             "Algorithm 2 requires a (6,2)-chordal bipartite graph"
         )
 
-    cover_vertices = greedy_elimination_cover(
-        graph, terminal_set, ordering=ordering, removal_batches=False
-    )
-    if is_indexed(graph):
-        # the indexed elimination kernel already returns the terminals'
-        # component of the surviving graph; re-deriving it would walk the
-        # cover a second time for nothing
-        cover = graph.subgraph(cover_vertices)
-    else:
-        component = component_containing(
-            graph.subgraph(cover_vertices), next(iter(terminal_set))
+    # the elimination returns the terminals' component of the surviving
+    # graph, so the cover needs no second walk
+    cover = graph.subgraph(
+        greedy_elimination_cover(
+            graph, terminal_set, ordering=ordering, removal_batches=False
         )
-        cover = graph.subgraph(component)
+    )
     tree = spanning_tree(cover)
     tree = prune_non_terminal_leaves(tree, terminal_set)
     solution = SteinerSolution(

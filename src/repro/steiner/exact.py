@@ -22,7 +22,6 @@ from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import DisconnectedTerminalsError
-from repro.graphs.backend import is_indexed
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.indexed import (
     GraphIndex,
@@ -128,9 +127,8 @@ def steiner_tree_dreyfus_wagner(
     ----------
     indexed, index:
         An indexed view of ``graph``, as
-        :func:`~repro.graphs.indexed.to_indexed` returns it.  Built on the
-        fly when omitted; an :class:`~repro.graphs.indexed.IndexedGraph`
-        ``graph`` is its own view.
+        :func:`~repro.graphs.indexed.to_indexed` returns it.  Pass both or
+        neither; built on the fly when omitted.
     oracle:
         A :class:`~repro.kernels.oracle.DistanceOracle` over ``indexed``
         supplying the terminals' distance rows (cached across calls).
@@ -139,13 +137,12 @@ def steiner_tree_dreyfus_wagner(
     instance = SteinerInstance(graph, terminals)
     terminal_list: List[Vertex] = instance.terminal_list()
     if indexed is None:
-        if is_indexed(graph):
-            indexed = graph
-        else:
-            indexed, index = to_indexed(graph)
+        indexed, index = to_indexed(graph)
+    elif index is None:
+        raise TypeError("indexed= needs its index=: pass both or neither")
     if oracle is None:
         oracle = DistanceOracle(indexed)
-    ids = index.encode(terminal_list) if index is not None else list(terminal_list)
+    ids = index.encode(terminal_list)
     root = ids[-1]
     unreachable = 2 * indexed.n + 2  # above every finite merge cost
     # one plain list per non-root terminal, converted once: the DP sums
@@ -221,8 +218,7 @@ def steiner_tree_dreyfus_wagner(
     # terminals, and a spanning tree of it achieves the DP cost (with unit
     # weights any cycle would contradict minimality, but pruning keeps us
     # safe); built on ids and decoded once
-    labels = index.labels if index is not None else range(indexed.n)
-    tree = indexed_pruned_tree(edge_adjacency(edges), ids, labels)
+    tree = indexed_pruned_tree(edge_adjacency(edges), ids, index.labels)
     solution = SteinerSolution(
         tree=tree, instance=instance, method="dreyfus-wagner", optimal=True
     )

@@ -19,10 +19,9 @@ graphs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.exceptions import DisconnectedTerminalsError
-from repro.graphs.backend import is_indexed
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.indexed import (
     GraphIndex,
@@ -43,34 +42,12 @@ from repro.steiner.problem import (
 )
 
 
-def _terminal_distance_rows(graph: Graph, terminal_list) -> Dict[Vertex, Dict[Vertex, int]]:
-    """Return ``{terminal: {vertex: distance}}``.
-
-    On an :class:`~repro.graphs.indexed.IndexedGraph` each row comes from
-    :func:`repro.kernels.bfs.bfs_levels_row`, all of them sharing one
-    scratch buffer; the mappings are value-identical to per-terminal
-    :func:`bfs_distances` calls either way.
-    """
-    if is_indexed(graph):
-        from repro.kernels.bfs import KernelScratch, bfs_levels_row, levels_to_dict
-
-        scratch = KernelScratch(graph.n)
-        vertex_ids = range(graph.n)
-        return {
-            terminal: levels_to_dict(bfs_levels_row(graph, terminal, scratch), vertex_ids)
-            for terminal in terminal_list
-        }
-    return {t: bfs_distances(graph, t) for t in terminal_list}
-
-
 def shortest_path_heuristic(graph: Graph, terminals: Iterable[Vertex]) -> SteinerSolution:
     """Takahashi-Matsuyama shortest-path heuristic (unit weights).
 
-    Accepts either graph backend: the terminal distance rows are computed
-    once up front (through the BFS kernel when ``graph`` is an
-    :class:`~repro.graphs.indexed.IndexedGraph`; terminals are then ids)
-    instead of once per attachment round -- the rows only depend on the
-    host graph, so the produced tree is unchanged.
+    The terminal distance rows are computed once up front instead of once
+    per attachment round -- the rows only depend on the host graph, so the
+    produced tree is unchanged.
     """
     instance = SteinerInstance(graph, terminals)
     instance.require_feasible()
@@ -78,7 +55,7 @@ def shortest_path_heuristic(graph: Graph, terminals: Iterable[Vertex]) -> Steine
     tree_vertices = {terminal_list[0]}
     tree = Graph(vertices=[terminal_list[0]])
     remaining = [t for t in terminal_list[1:]]
-    rows = _terminal_distance_rows(graph, remaining) if remaining else {}
+    rows = {t: bfs_distances(graph, t) for t in remaining}
     while remaining:
         # distances from the current tree to every vertex: one cached BFS
         # row per remaining terminal, pick the terminal closest to the tree.
@@ -119,8 +96,7 @@ def kou_markowsky_berman(
 ) -> SteinerSolution:
     """Kou-Markowsky-Berman distance-network heuristic (unit weights).
 
-    Accepts either graph backend and runs on integer ids: the terminals'
-    metric closure, its minimum spanning tree (Prim), the expansion of
+    Runs on integer ids: the terminals' metric closure, its minimum spanning tree (Prim), the expansion of
     every closure edge ``(u, v)`` into the shortest path the parent row of
     ``u`` holds, and a spanning tree of that expansion pruned to the
     terminals.  Ties break by ascending id -- ``repr`` order on a label
@@ -135,9 +111,8 @@ def kou_markowsky_berman(
     ----------
     indexed, index:
         An indexed view of ``graph``, as
-        :func:`~repro.graphs.indexed.to_indexed` returns it.  Built on the
-        fly when omitted; an :class:`~repro.graphs.indexed.IndexedGraph`
-        ``graph`` is its own view.
+        :func:`~repro.graphs.indexed.to_indexed` returns it.  Pass both or
+        neither; built on the fly when omitted.
     oracle:
         A :class:`~repro.kernels.oracle.DistanceOracle` over ``indexed``
         supplying the terminals' level rows and the closure edges' parent
@@ -154,14 +129,12 @@ def kou_markowsky_berman(
             optimal=False,
         )
     if indexed is None:
-        if is_indexed(graph):
-            indexed = graph
-        else:
-            indexed, index = to_indexed(graph)
+        indexed, index = to_indexed(graph)
+    elif index is None:
+        raise TypeError("indexed= needs its index=: pass both or neither")
     if oracle is None:
         oracle = DistanceOracle(indexed)
-    labels = index.labels if index is not None else range(indexed.n)
-    ids = sorted(index.encode(terminal_list) if index is not None else terminal_list)
+    ids = sorted(index.encode(terminal_list))
     rows = [oracle.levels(ids[0])]
     if any(rows[0][t] < 0 for t in ids):
         raise DisconnectedTerminalsError(
@@ -187,5 +160,5 @@ def kou_markowsky_berman(
     for u, v in closure_edges:
         path_edges.extend(parent_path_edges(oracle.parents(u), u, v))
     # 4. spanning tree of the expansion, pruned to the terminals
-    tree = indexed_pruned_tree(edge_adjacency(path_edges), ids, labels)
+    tree = indexed_pruned_tree(edge_adjacency(path_edges), ids, index.labels)
     return SteinerSolution(tree=tree, instance=instance, method="kmb", optimal=False)

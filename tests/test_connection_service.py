@@ -525,7 +525,7 @@ class TestPackaging:
     def test_version_and_exports(self):
         import repro
 
-        assert repro.__version__ == "6.0.0"
+        assert repro.__version__ == "7.0.0"
         for name in (
             "BlockClassifier",
             "ConnectionRequest",
@@ -553,12 +553,14 @@ class TestPackaging:
 
     def test_removed_surfaces_are_gone(self):
         """2.0.0 keeps one front door, 3.0.0 one lane, 4.0.0 one answer
-        digest, 5.0.0 one workload model, 6.0.0 one alpha-acyclicity test."""
+        digest, 5.0.0 one workload model, 6.0.0 one alpha-acyclicity test,
+        7.0.0 one representation per layer."""
         import importlib
 
         import repro
         import repro.core
         import repro.engine
+        import repro.graphs.indexed
         import repro.kernels
         import repro.load
         import repro.load.clients
@@ -569,7 +571,7 @@ class TestPackaging:
         from repro.kernels import DistanceOracle
         from repro.load import LoadSpec
         from repro.runtime.cli import main
-        from repro.steiner import kou_markowsky_berman
+        from repro.steiner import kou_markowsky_berman, steiner_tree_dreyfus_wagner
 
         removed = {
             repro: (
@@ -584,10 +586,12 @@ class TestPackaging:
             ),
             repro.core: ("MinimalConnectionFinder",),
             repro.engine: ("batch_interpret", "default_engine"),
+            repro.graphs: ("GraphReadProtocol", "is_indexed", "ensure_indexed"),
             repro.kernels: (
                 "grouped_bfs_levels",
                 "grouped_bfs_parents",
                 "available_backends",
+                "levels_to_dict",
             ),
             repro.runtime: (
                 "ParallelExecutor",
@@ -680,6 +684,23 @@ class TestPackaging:
                     continue
                 for name in names:
                     assert not name.startswith(("repro.engine", "repro.api")), (path, name)
+        # 7.0.0: label functions take a Graph; IndexedGraph is the CSR store
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.graphs.backend")
+        for name in (
+            "vertices", "sorted_vertices", "edge_set", "neighbors", "adjacency",
+            "neighborhood_of_set", "private_neighbors", "has_vertex", "has_edge",
+            "degree", "number_of_vertices", "number_of_edges", "is_clique",
+            "subgraph", "without_vertices", "without_vertex", "to_graph", "copy",
+            "side_of_id", "__contains__", "__len__", "__iter__", "bits",
+        ):
+            assert not hasattr(repro.IndexedGraph, name), name
+        assert not hasattr(repro.graphs.indexed, "bit_members")
+        # the id solvers' indexed=/index= keywords go together
+        indexed, _ = repro.graphs.indexed.to_indexed(graph)
+        for solver in (kou_markowsky_berman, steiner_tree_dreyfus_wagner):
+            with pytest.raises(TypeError, match="pass both or neither"):
+                solver(graph, ["A", "B"], indexed=indexed)
 
     def test_py_typed_marker_ships(self):
         import repro

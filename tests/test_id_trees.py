@@ -16,8 +16,7 @@ suite pins that:
   terminals keep their exception types;
 * a warm solve runs no label-space graph code at all;
 * the chordal elimination's seed-local cover equals
-  ``indexed_elimination_cover`` restricted to the seed, and no plan kind
-  materialises the global bitset rows.
+  ``indexed_elimination_cover`` restricted to the seed.
 
 The families are (6,2)-chordal block trees, V2-alpha schema graphs and
 unrestricted bipartite graphs.
@@ -291,7 +290,7 @@ def test_warm_solves_run_no_label_space_graph_code(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# seed-local elimination: no global bitset rows
+# seed-local elimination
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @SETTINGS
@@ -312,23 +311,3 @@ def test_seed_local_cover_equals_the_restricted_elimination(family, data):
         rows = _eliminate_within(indexed, seed, ids)
         assert set(rows) == indexed_elimination_cover(indexed, ids, restrict=seed)
         assert rows == {v: [u for u in indexed.row(v) if u in rows] for v in rows}
-    assert indexed._bits is None
-
-
-def test_warm_answers_of_every_plan_kind_leave_the_bitset_rows_unset():
-    schema = random_alpha_schema_graph(4, rng=5)  # 14 vertices: brute force is cheap
-    context = SchemaContext(schema)
-    registry = default_registry()
-    terminals = random_terminals(schema, 3, rng=random.Random(4))
-    calls = [
-        ("chordal-elimination", {}),
-        ("dreyfus-wagner", {}),
-        ("kmb", {}),
-        ("algorithm1-indexed", {"side": 2}),
-        ("bruteforce", {}),
-        ("pseudo-bruteforce", {"side": 2}),
-    ]
-    for _ in range(2):  # cold, then warm
-        for name, kwargs in calls:
-            registry.get(name)(context, terminals, **kwargs)
-    assert context.indexed._bits is None

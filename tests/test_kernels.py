@@ -89,45 +89,6 @@ def test_oracle_lru_counts_evictions():
     assert oracle.rows_cached() == 2
 
 
-def test_lexbfs_rejected_bitset_variant_stays_equivalent():
-    """Reference for the hot-loop audit's *rejected* Lex-BFS rewrite.
-
-    The bitset membership variant measured slower (an O(n/64)-word
-    integer is allocated per test across the O(n^2) refinement tests),
-    so production kept the per-visit set; this pins that both variants
-    order identically, so the audit note stays verifiable.
-    """
-    from repro.chordality.lexbfs import _lexbfs_indexed
-
-    graph = random_62_chordal_graph(6, rng=11)
-    indexed, _ = to_indexed(graph)
-
-    def lexbfs_bitset(graph):
-        classes = [list(range(graph.n))]
-        order = []
-        while classes:
-            head = classes[0]
-            chosen = head.pop(0)
-            order.append(chosen)
-            if not head:
-                classes.pop(0)
-            adjacency = graph.bits[chosen]
-            refined = []
-            for group in classes:
-                inside = [v for v in group if adjacency >> v & 1]
-                if not inside:
-                    refined.append(group)
-                    continue
-                outside = [v for v in group if not adjacency >> v & 1]
-                refined.append(inside)
-                if outside:
-                    refined.append(outside)
-            classes = refined
-        return order
-
-    assert lexbfs_bitset(indexed) == _lexbfs_indexed(indexed, None)
-
-
 # ----------------------------------------------------------------------
 # oracle invalidation
 # ----------------------------------------------------------------------
@@ -242,11 +203,9 @@ def test_indexed_graph_pickle_round_trip(data):
     indexed, index = to_indexed(graph)
     clone = pickle.loads(pickle.dumps(indexed))
     assert clone == indexed
-    assert clone.number_of_edges() == indexed.number_of_edges()
-    assert clone.edge_set() == indexed.edge_set()
+    assert list(clone.edges()) == list(indexed.edges())
     for v in range(indexed.n):
-        assert clone.neighbors(v) == indexed.neighbors(v)
-        assert clone.degree(v) == indexed.degree(v)
+        assert clone.row(v) == indexed.row(v)
     index_clone = pickle.loads(pickle.dumps(index))
     assert index_clone.labels == index.labels
     assert index_clone.ids == index.ids
@@ -254,24 +213,11 @@ def test_indexed_graph_pickle_round_trip(data):
 
 
 def test_indexed_pickle_is_compact():
-    from repro.datasets.generators import random_62_chordal_graph
-
+    """A pickle ships the CSR arrays only, never the derived row cache."""
     graph = random_62_chordal_graph(40, rng=5)
-    indexed, index = to_indexed(graph)
-    payload = pickle.dumps(indexed, protocol=pickle.HIGHEST_PROTOCOL)
-    # the custom __getstate__ ships the CSR arrays only; the derived
-    # structures a default slot-state pickle would also carry (bitset rows
-    # plus the per-vertex row cache) must stay out of the payload
-    naive_state = pickle.dumps(
-        {
-            "n": indexed.n,
-            "indptr": indexed.indptr,
-            "indices": indexed.indices,
-            "sides": indexed.sides,
-            "bits": indexed.bits,
-            "_rows": indexed._rows,
-            "_edge_count": indexed._edge_count,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    assert len(payload) < 0.7 * len(naive_state)
+    indexed, _ = to_indexed(graph)
+    assert indexed._rows_cache is not None  # built with the graph
+    assert set(indexed.__getstate__()) == {"n", "indptr", "indices", "sides"}
+    clone = pickle.loads(pickle.dumps(indexed, protocol=pickle.HIGHEST_PROTOCOL))
+    assert clone._rows_cache is None
+    assert clone == indexed

@@ -6,10 +6,10 @@ Its tie-break rules are chosen so that it returns the *same tree* as the
 classical formulation kept in ``steiner_reference.py``.  This suite pins
 that, and the engine wiring around it:
 
-* hypothesis differentials on three graph families, for ``Graph`` and
-  ``IndexedGraph`` inputs, comparing tree vertices, tree edges and the DP
-  cost, and the exception type on invalid or split terminal sets, plus a
-  seeded sweep of dense random graphs where the extension tie-break shows;
+* hypothesis differentials on three label-graph families, comparing
+  tree vertices, tree edges and the DP cost, and the exception type on
+  invalid or split terminal sets, plus a seeded sweep of int-labelled
+  dense random graphs where the extension tie-break shows;
 * deterministic cases on a 60-relation alpha-acyclic schema (the size the
   engine serves), against the reference and, where the optimum uses at
   most two Steiner vertices, against exhaustive search;
@@ -35,7 +35,6 @@ from repro.engine.cache import SchemaContext
 from repro.engine.registry import default_registry
 from repro.exceptions import DisconnectedTerminalsError, ValidationError
 from repro.graphs import BipartiteGraph, random_graph
-from repro.graphs.indexed import to_indexed
 from repro.graphs.traversal import bfs_distances
 from repro.steiner import steiner_tree_bruteforce, steiner_tree_dreyfus_wagner
 
@@ -82,10 +81,6 @@ def test_same_tree_as_reference(family, data):
         terminals.append("missing")  # not a vertex: ValidationError on both sides
     assert_matches_reference(graph, terminals)
 
-    indexed, index = to_indexed(graph)
-    ids = [index.ids.get(t, indexed.n) for t in terminals]
-    assert_matches_reference(indexed, ids)
-
 
 def test_same_tree_as_reference_on_dense_random_graphs():
     """Dense graphs of 10-14 vertices, where the extension tie-break shows.
@@ -94,7 +89,7 @@ def test_same_tree_as_reference_on_dense_random_graphs():
     several shortest paths tie in a specific way.  The small hypothesis
     families almost never produce that; this sweep does, for both halves
     of the rule (an ancestor below ``v``, else the smallest merge-cost
-    ancestor), on both input kinds.
+    ancestor).
     """
     for seed in range(600):
         rng = random.Random(seed)
@@ -102,8 +97,6 @@ def test_same_tree_as_reference_on_dense_random_graphs():
         graph = random_graph(n, rng.uniform(0.25, 0.5), rng=rng)
         terminals = rng.sample(range(n), rng.randint(3, 6))
         assert_matches_reference(graph, terminals)
-        indexed, index = to_indexed(graph)
-        assert_matches_reference(indexed, index.encode(terminals))
 
 
 def test_split_terminals_raise_on_both_paths():
@@ -130,16 +123,11 @@ def alpha_schema():
 def test_same_tree_as_reference_on_alpha_schema(alpha_schema, k):
     context = SchemaContext(alpha_schema)
     solve = default_registry().get("dreyfus-wagner")
-    indexed, index = to_indexed(alpha_schema)
     rng = random.Random(k)
     for _ in range(2):
         terminals = random_terminals(alpha_schema, k, rng=rng)
         expected = assert_matches_reference(alpha_schema, terminals)
         assert outcome(solve, context, terminals) == expected
-        # ids order terminals and tree scans by repr of the ints, so the
-        # indexed input has trees of its own; they match its reference
-        indexed_expected = assert_matches_reference(indexed, index.encode(terminals))
-        assert indexed_expected[2] == expected[2]
 
 
 def _ball(graph, center, radius):
