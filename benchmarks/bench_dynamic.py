@@ -9,10 +9,11 @@ Acceptance numbers for the `repro.dynamic` subsystem on the 515-vertex
   what it touches: the net delta lists only the rows that differ, the
   context's block records re-split only the blocks that lost an edge and
   merge only the blocks on an added edge's block-cut path, and only the
-  blocks the edit created are classified; the fingerprint is patched
-  from the parent's.  The rebuild runs Hopcroft--Tarjan, classifies all
-  293 blocks and fingerprints the whole schema.  Both sides still copy the label graph (one set copy per row)
-  and build or patch the CSR arrays, which stay O(|V| + |A|);
+  blocks the edit created are classified; the canonical key reuses the
+  parent's vertex tokens.  The rebuild runs Hopcroft--Tarjan, classifies
+  all 293 blocks and encodes every vertex's token.  Both sides still copy
+  the label graph (one set copy per row), build or patch the CSR arrays
+  and join the key's bytes, which stay O(|V| + |A|);
 * the patched context is *observably equal* to the rebuilt one: same
   graph, same CSR backend, same classification (asserted in every mode);
 * at the service level, a churn loop (edit, then answer queries) on an

@@ -35,7 +35,7 @@ from repro.api.result import ConnectionResult, Guarantee, Provenance
 from repro.api.stream import EnumerationStream
 from repro.core.classification import ChordalityReport
 from repro.engine.batch import InterpretationEngine
-from repro.engine.cache import SchemaContext
+from repro.engine.cache import SchemaContext, digest_is_ambiguous
 from repro.engine.planner import QueryPlan, plan_query, plans_chordal_elimination
 from repro.engine.registry import SolverRegistry, chordal_elimination_work
 from repro.exceptions import NotApplicableError, ValidationError
@@ -96,13 +96,8 @@ class ConnectionService:
         # see _context for the caching contract
         self._bound_context = None
         self._bound_version = None
-        # persistent-layer state: the DiskCache handle (lazy; None when
-        # config.cache_dir is unset) and the bound schema's structural
-        # digest, memoised on the same mutation_version contract as the
-        # bound context
+        # the DiskCache handle (lazy; None when config.cache_dir is unset)
         self._disk = None
-        self._bound_digest = None
-        self._bound_digest_version = None
         # observability: instruments live in the configured registry (the
         # process-wide default when config.metrics is None); cache counters
         # are exported lazily by a snapshot collector at render time, so
@@ -301,7 +296,7 @@ class ConnectionService:
         contexts = {id(ctx): ctx for ctx in cache._contexts.values()}
         bound = self._bound_context
         if bound is not None:
-            # the bound-schema memo bypasses the fingerprint LRU, so its
+            # the bound-schema memo bypasses the keyed LRU, so its
             # context (and oracle) may not be in the cache at all
             contexts.setdefault(id(bound), bound)
         seen_oracles: set = set()
@@ -333,67 +328,32 @@ class ConnectionService:
             self._disk = DiskCache(self._config.cache_dir)
         return self._disk
 
-    def _persistent_layer(self, schema: Any):
-        """Return ``(disk, digest)`` for a request, or ``(None, None)``.
+    def _persistent_layer(self, context: SchemaContext):
+        """Return the DiskCache for requests answered on ``context``, or ``None``.
 
         The single gate every disk-touching path goes through: ``None``
-        when no cache directory is configured, and also when the schema's
-        digest is *ambiguous* (repr-colliding vertices, see
-        :func:`~repro.engine.cache.schema_digest`) -- such digests are
-        unique per call, so nothing stored under one could ever be
-        replayed, and the append-only store must not fill with
-        write-only entries.
+        when no cache directory is configured, and also when the context's
+        digest is *ambiguous* (repr-colliding vertices): it never repeats,
+        so the append-only store must not fill with entries under it.
+        Everything read or stored goes under ``context.digest``, the
+        structure it is computed on.
         """
-        from repro.engine.cache import digest_is_ambiguous
-
         disk = self._disk_cache()
-        if disk is None:
-            return None, None
-        digest = self._digest_of(schema)
-        if digest_is_ambiguous(digest):
-            return None, None
-        return disk, digest
+        if disk is None or digest_is_ambiguous(context.digest):
+            return None
+        return disk
 
-    def _digest_of(self, schema: Any) -> str:
-        """Return the structural digest of a schema handle (memoised when bound)."""
-        from repro.engine.cache import schema_digest
-
-        chosen = schema if schema is not None else self._schema
-        if chosen is self._schema and chosen is not None:
-            # same held-version rule as _context: an open editor
-            # transaction freezes the version, so the memo is bypassed
-            # and left untouched until the transaction ends
-            version = getattr(chosen, "mutation_version", None)
-            held = getattr(chosen, "_version_hold", False)
-            if (
-                not held
-                and self._bound_digest is not None
-                and version == self._bound_digest_version
-            ):
-                return self._bound_digest
-            digest = schema_digest(self._engine.resolve_schema(chosen))
-            if not held:
-                self._bound_digest = digest
-                self._bound_digest_version = version
-            return digest
-        return schema_digest(self._engine.resolve_schema(chosen))
-
-    def _disk_lookup(self, disk, request: ConnectionRequest, digest: str):
+    def _disk_lookup(self, disk, request: ConnectionRequest, context: SchemaContext):
         """Return the replayed :class:`ConnectionResult` for a disk hit, else ``None``."""
         from repro.runtime.codec import decode_result, request_key
 
         key = request_key(request, self._config)
-        payload = disk.load_result(digest, key)
+        payload = disk.load_result(context.digest, key)
         if payload is None:
             return None
         try:
             replay = decode_result(
-                payload,
-                graph=self._engine.resolve_schema(
-                    request.schema if request.schema is not None else self._schema
-                ),
-                request=request,
-                result_cache="disk",
+                payload, graph=context.graph, request=request, result_cache="disk"
             )
         except Exception:
             # a structurally valid cache file with a semantically broken
@@ -405,11 +365,11 @@ class ConnectionService:
         self._disk_replays.inc()
         return replay
 
-    def _disk_store(self, disk, request: ConnectionRequest, digest: str, result) -> None:
+    def _disk_store(self, disk, request: ConnectionRequest, context: SchemaContext, result) -> None:
         """Persist one freshly computed result (best-effort, never raises)."""
         from repro.runtime.codec import encode_result, request_key
 
-        disk.store_result(digest, request_key(request, self._config), encode_result(result))
+        disk.store_result(context.digest, request_key(request, self._config), encode_result(result))
 
     # ------------------------------------------------------------------
     # request plumbing
@@ -423,7 +383,7 @@ class ConnectionService:
             return request
         return ConnectionRequest.of(request, **kwargs)
 
-    def _context(self, schema: Any, digest: Optional[str] = None):
+    def _context(self, schema: Any):
         chosen = schema if schema is not None else self._schema
         if chosen is None:
             raise ValidationError(
@@ -434,11 +394,11 @@ class ConnectionService:
             # the bound schema's context is memoised and gated on the
             # graph's mutation_version (Relational/ER handles expose no
             # mutators and report None): repeat connect() calls skip the
-            # graph rebuild AND the O(|V|+|A|) structural fingerprint,
+            # graph rebuild AND the O(|V|+|A|) canonical key,
             # while any structural mutation bumps the version and either
             # patches the previous context incrementally
             # (config.incremental, see _rebind_context) or falls back to
-            # the fingerprinted LRU lookup -- mutation safety without a
+            # the keyed LRU lookup -- mutation safety without a
             # per-query scan.
             # While a SchemaEditor transaction is OPEN the version is
             # held, so it cannot gate anything: the memo is neither
@@ -450,14 +410,14 @@ class ConnectionService:
                 # keep cache_stats() consistent with the cache_hit flag
                 self._engine.cache.count_external_hit()
                 return self._bound_context, True
-            context, hit = self._rebind_context(chosen, digest)
+            context, hit = self._rebind_context(chosen)
             if not getattr(chosen, "_version_hold", False):
                 self._bound_context = context
                 self._bound_version = getattr(chosen, "mutation_version", None)
             return context, hit
-        return self._build_context(chosen, digest)
+        return self._build_context(chosen)
 
-    def _rebind_context(self, schema: Any, digest: Optional[str] = None):
+    def _rebind_context(self, schema: Any):
         """Return ``(context, hit)`` for a bound schema whose version moved.
 
         With :attr:`~repro.api.config.ServiceConfig.incremental` enabled
@@ -466,8 +426,8 @@ class ConnectionService:
         structural diff between the previous snapshot and the live graph:
         only the biconnected blocks the edits touched are reclassified,
         instead of paying the full Theorem 1 recognition.  The patched
-        context is adopted into the engine's LRU (under its new
-        fingerprint), so batch lookups and later services see it
+        context is adopted into the engine's LRU (under its new key),
+        so batch lookups and later services see it
         too.  A structurally no-op version bump keeps the previous
         context; anything unexpected falls back to the full
         :meth:`_build_context` path -- incremental rebinding is an
@@ -476,7 +436,7 @@ class ConnectionService:
         previous = self._bound_context
         if previous is None or not self._config.incremental:
             self._rebind_outcomes.labels(outcome="full").inc()
-            return self._build_context(schema, digest)
+            return self._build_context(schema)
         from repro.dynamic.delta import SchemaDelta
 
         try:
@@ -497,7 +457,7 @@ class ConnectionService:
             # cache_stats()["rebind_fallbacks"] counts these
             self._engine.cache.count_rebind_fallback()
             self._rebind_outcomes.labels(outcome="fallback").inc()
-            return self._build_context(schema, digest)
+            return self._build_context(schema)
         self._rebind_outcomes.labels(outcome="incremental").inc()
         self._rebind_patch_latency.observe(perf_counter() - patch_started)
         self._rebind_delta_size.observe(delta.size())
@@ -508,25 +468,18 @@ class ConnectionService:
         self._engine.cache.count_external_miss()
         return context, False
 
-    def _build_context(self, schema: Any, digest: Optional[str] = None):
+    def _build_context(self, schema: Any):
         """LRU lookup with a disk-seeded classification on cold misses.
 
-        When the persistent cache holds the schema's classification report
-        (stored by any earlier process), a cold context rebuild skips the
-        Theorem 1 recognition entirely.  The report file is only read on
-        an actual LRU miss, and a caller that already computed the schema
-        ``digest`` passes it in to avoid a second fingerprint pass.
+        When the persistent cache holds a classification report under the
+        new context's digest (stored by any earlier process), the cold
+        context skips the Theorem 1 recognition entirely.  The report file
+        is only read on an actual LRU miss.
         """
-        resolved = self._engine.resolve_schema(schema)
-        if digest is not None:
-            disk = self._disk_cache()
-        else:
-            disk, digest = self._persistent_layer(schema)
-        if disk is None:
-            return self._engine.cache.lookup(resolved)
-        chosen_digest = digest
+        disk = self._disk_cache()
         return self._engine.cache.lookup(
-            resolved, report_factory=lambda: disk.load_report(chosen_digest)
+            self._engine.resolve_schema(schema),
+            report_factory=disk.load_report if disk is not None else None,
         )
 
     def _plan(self, context: SchemaContext, request: ConnectionRequest, side: int) -> QueryPlan:
@@ -659,13 +612,13 @@ class ConnectionService:
         """
         req = self._materialise(request, **kwargs)
         started = perf_counter()
-        disk, digest = self._persistent_layer(req.schema)
+        with phase("context"):
+            context, cache_hit = self._context(req.schema)
+        disk = self._persistent_layer(context)
         if disk is not None:
-            replay = self._disk_lookup(disk, req, digest)
+            replay = self._disk_lookup(disk, req, context)
             if replay is not None:
                 return replay
-        with phase("context"):
-            context, cache_hit = self._context(req.schema, digest)
         side = self._side_of(req)
         with phase("plan"):
             plan = self._plan(context, req, side)
@@ -675,8 +628,8 @@ class ConnectionService:
             )
         result = self._finish(req, plan, solution, cache_hit, started)
         if disk is not None:
-            disk.store_report(digest, context.report)
-            self._disk_store(disk, req, digest, result)
+            disk.store_report(context.digest, context.report)
+            self._disk_store(disk, req, context, result)
         return result
 
     # ------------------------------------------------------------------
@@ -708,24 +661,21 @@ class ConnectionService:
             requests, objective=objective, side=side, policy=policy
         )
         batch_schema = self._batch_schema(materialised, schema)
-        disk, digest = self._persistent_layer(batch_schema)
+        with phase("context"):
+            context, cache_hit = self._context(batch_schema)
+        disk = self._persistent_layer(context)
         # replay every stored answer first; only the rest is computed
         replayed = {}
         if disk is not None:
             for position, request in enumerate(materialised):
-                replay = self._disk_lookup(disk, request, digest)
+                replay = self._disk_lookup(disk, request, context)
                 if replay is not None:
                     replayed[position] = replay
-        context = None
-        cache_hit = False
         results: List[ConnectionResult] = []
         for position, request in enumerate(materialised):
             if position in replayed:
                 results.append(replayed[position])
                 continue
-            if context is None:
-                with phase("context"):
-                    context, cache_hit = self._context(batch_schema, digest)
             query_started = perf_counter()
             request_side = self._side_of(request)
             with phase("plan"):
@@ -737,11 +687,11 @@ class ConnectionService:
             result = self._finish(request, plan, solution, cache_hit, query_started)
             results.append(result)
             if disk is not None:
-                self._disk_store(disk, request, digest, result)
+                self._disk_store(disk, request, context, result)
             # every query after the first reuses the context by construction
             cache_hit = True
-        if disk is not None and context is not None:
-            disk.store_report(digest, context.report)
+        if disk is not None and len(replayed) < len(materialised):
+            disk.store_report(context.digest, context.report)
         return results
 
     def _materialise_batch(

@@ -6,21 +6,25 @@ chordality classification (Theorem 1 recognition), the conversion to the
 indexed backend, BFS distance rows, and the Lemma 1 elimination orderings.
 :class:`SchemaContext` bundles those precomputations for one schema and
 computes each lazily exactly once; :class:`SchemaCache` is a small LRU of
-contexts keyed by a structural fingerprint of the schema graph, so
+contexts keyed by the canonical bytes of the schema graph, so
 repeated :class:`~repro.api.service.ConnectionService` requests on the
 same schema (even through different ``BipartiteGraph`` instances with
 equal structure) reuse everything.
 
 Cache keys
 ----------
-``schema_fingerprint`` is ``(|V|, |A|, vertex tokens, edge tokens, side
-labels)``, where a vertex token pairs the vertex's *type* with its
-``repr``.  It is *structural*: two equal graphs share a context, and
-mutating a graph between calls changes its fingerprint, which simply makes
-the engine rebuild (stale contexts age out of the LRU).  Each context
-snapshots a private copy of its graph at build time, so a cached entry
-stays valid even when the originally supplied graph object is mutated
-later.  The cache is in-memory only and never persisted.
+Every context owns one canonical byte key, :attr:`SchemaContext.fingerprint`:
+a token per vertex (its type and ``repr``) in id order, then the CSR and
+the bipartition (layout in :func:`_key`).  Ids follow
+:func:`~repro.graphs.indexed.id_order`, a function of the vertex set, so
+the key is *structural*: two graphs share a context exactly when their
+bytes are equal -- the bytes are the LRU key, so no hash collision can
+merge two schemas -- and a mutation changes the key, which makes the
+engine rebuild (stale contexts age out of the LRU).  The key's SHA-256,
+:attr:`SchemaContext.digest`, addresses the persistent layer and is
+stable across processes and platforms.  Each context snapshots a private
+copy of its graph, so a cached entry stays valid when the supplied graph
+object is mutated later.
 
 Because ``repr`` is not injective, a graph whose distinct vertices
 collide on their tokens (e.g. two instances of a class with a constant
@@ -33,10 +37,12 @@ entry) with a different schema that merely prints the same.
 from __future__ import annotations
 
 import hashlib
-import itertools
+import sys
 import uuid
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 # classify_bipartite_graph stays bound here although contexts classify
@@ -45,7 +51,13 @@ from repro.core.classification import ChordalityReport, classify_bipartite_graph
 from repro.dynamic.blocks import BlockClassifier, BlockCutTree, BlockRecords
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.graph import Graph, Vertex
-from repro.graphs.indexed import GraphIndex, IndexedGraph, to_indexed
+from repro.graphs.indexed import (
+    GraphIndex,
+    IndexedGraph,
+    id_order,
+    indexed_in_order,
+    type_name,
+)
 from repro.hypergraphs.reduction import running_intersection_order
 from repro.kernels.oracle import DistanceOracle, OracleStats
 
@@ -101,196 +113,135 @@ class LRUCache:
         return list(self._data.values())
 
 
-def vertex_token(vertex: Vertex) -> Tuple[str, str]:
-    """Return the ``(type, repr)`` token structural keys identify a vertex by.
-
-    Pairing the repr with the vertex's fully qualified type separates
-    values of different types that happen to print identically; it cannot
-    separate two instances of the *same* type with identical reprs, which
-    is what :func:`vertex_tokens` detects.
-    """
-    cls = type(vertex)
-    return (f"{cls.__module__}.{cls.__qualname__}", repr(vertex))
+#: Prefix of the never-repeating keys and digests of ambiguous schemas.  A
+#: canonical key starts with the 8-byte length of its token section, which
+#: could only spell ``ambiguou`` for a section of some 8 * 10**18 bytes.
+AMBIGUOUS_PREFIX = "ambiguous-"
 
 
-def vertex_tokens(graph: Graph) -> Optional[Dict[Vertex, Tuple[str, str]]]:
-    """Return ``{vertex: token}`` for a graph's vertex set, or ``None`` on collisions.
-
-    ``None`` means the vertices cannot be told apart structurally (two
-    distinct vertex objects share a ``(type, repr)`` token), so no
-    repr-based key -- fingerprint or digest -- is trustworthy for them;
-    callers must fall back to identity keying or skip caching.
-    """
-    tokens: Dict[Vertex, Tuple[str, str]] = {}
-    seen = set()
-    for vertex in graph.vertices():
-        token = vertex_token(vertex)
-        if token in seen:
-            return None
-        seen.add(token)
-        tokens[vertex] = token
-    return tokens
-
-
-#: Monotonic source of never-repeating identity keys for ambiguous schemas
-#: (see :func:`schema_fingerprint`); never reset, so no two lookups of
-#: ambiguous graphs can ever collide within a process.
-_AMBIGUOUS_KEYS = itertools.count()
-
-#: First element of every ambiguous fingerprint tuple.
-_AMBIGUOUS_FINGERPRINT_TAG = "ambiguous-schema"
-
-
-def fingerprint_is_ambiguous(key: Tuple) -> bool:
-    """Return ``True`` when ``key`` is a never-repeating identity fingerprint.
+def fingerprint_is_ambiguous(key: bytes) -> bool:
+    """Return ``True`` when ``key`` is a never-repeating identity key.
 
     Such keys can never be looked up again, so caching anything under one
     only evicts useful entries -- :class:`SchemaCache` skips insertion.
     """
-    return bool(key) and key[0] == _AMBIGUOUS_FINGERPRINT_TAG
-
-#: Prefix marking the never-repeating digests of ambiguous schemas.
-AMBIGUOUS_DIGEST_PREFIX = "ambiguous-"
+    return key.startswith(AMBIGUOUS_PREFIX.encode("ascii"))
 
 
 def digest_is_ambiguous(digest: str) -> bool:
     """Return ``True`` when ``digest`` addresses an ambiguous schema.
 
-    Such digests are unique per call (see :func:`schema_digest`):
+    Such digests are unique per context (see :attr:`SchemaContext.digest`):
     correct to key in-memory transports on, useless to persist under.
     """
-    return digest.startswith(AMBIGUOUS_DIGEST_PREFIX)
+    return digest.startswith(AMBIGUOUS_PREFIX)
 
 
-def schema_fingerprint(graph: Graph) -> Tuple:
-    """Return a structural cache key for a schema graph.
+def _blob(text: str) -> bytes:
+    """Return ``text`` in UTF-8, length-prefixed so no ``repr`` can forge a boundary.
+
+    Surrogates pass through unreplaced, so distinct strings never encode alike.
+    """
+    data = text.encode("utf-8", "surrogatepass")
+    return len(data).to_bytes(8, "little") + data
+
+
+def _tokens(labels: List[Vertex], reprs: List[str], parent=None) -> List[bytes]:
+    """Return the vertex tokens of ``labels``, whose reprs are ``reprs``.
+
+    A token is the blob of the vertex's :func:`type_name` followed by the
+    blob of its ``repr``.  With a ``parent`` context, a vertex that is the
+    very object the parent holds keeps the parent's token -- identity, not
+    equality: ``1 == 1.0`` -- and only the others are encoded.
+    """
+    kinds: Dict[type, bytes] = {}
+
+    def encode(vertex: Vertex, text: str) -> bytes:
+        kind = kinds.get(type(vertex))
+        if kind is None:
+            kind = kinds[type(vertex)] = _blob(type_name(vertex))
+        return kind + _blob(text)
+
+    if parent is None:
+        return list(map(encode, labels, reprs))
+    ids, known, tokens = parent.index.ids, parent.index.labels, parent._tokens
+    return [
+        tokens[at] if (at := ids.get(vertex)) is not None and known[at] is vertex
+        else encode(vertex, text)
+        for vertex, text in zip(labels, reprs)
+    ]
+
+
+def _le64(values: array) -> bytes:
+    """Return ``values`` as 8-byte little-endian integers."""
+    if values.itemsize != 8 or sys.byteorder != "little":
+        values = array("q", values)
+        if sys.byteorder != "little":
+            values.byteswap()
+    return values.tobytes()
+
+
+def _key(tokens: List[bytes], indexed: IndexedGraph, ambiguous: bool) -> bytes:
+    """Return the canonical key of a schema: its tokens in id order, then its CSR.
+
+    The layout is the byte length of the token section, the tokens,
+    ``indptr`` and ``indices`` as 8-byte little-endian integers, then
+    ``b"\\x01"`` and one byte per side for a bipartite graph (``b"\\x00"``
+    otherwise).  Every part is self-delimiting, so equal keys mean equal
+    tokens, CSR and sides.  An ``ambiguous`` schema (two vertices share a
+    token) gets a fresh identity key instead.
+    """
+    if ambiguous:
+        return f"{AMBIGUOUS_PREFIX}{uuid.uuid4().hex}".encode("ascii")
+    section = b"".join(tokens)
+    head = len(section).to_bytes(8, "little")
+    sides = b"\x00" if indexed.sides is None else b"\x01" + indexed.sides.tobytes()
+    return b"".join((head, section, _le64(indexed.indptr), _le64(indexed.indices), sides))
+
+
+def _digest(key: bytes) -> str:
+    """Return the SHA-256 hex of a key; an ambiguous key's own text."""
+    if fingerprint_is_ambiguous(key):
+        return key.decode("ascii")
+    return hashlib.sha256(key).hexdigest()
+
+
+def _canonical_form(graph: Graph, parent=None) -> Tuple:
+    """Return ``(indexed, index, tokens, key)`` for a schema graph.
+
+    The vertices are ordered and their reprs taken once; ``parent`` (a
+    context) lends its tokens as :func:`_tokens` describes.
+    """
+    labels, reprs = id_order(graph)
+    indexed, index = indexed_in_order(graph, labels)
+    tokens = _tokens(labels, reprs, parent)
+    return indexed, index, tokens, _key(tokens, indexed, len(set(tokens)) < len(tokens))
+
+
+def schema_fingerprint(graph: Graph) -> bytes:
+    """Return the canonical key of a schema graph (:attr:`SchemaContext.fingerprint`).
 
     Equal graphs (same vertices by ``(type, repr)`` token, same edges,
-    same bipartition) map to the same key within one process.  A graph
-    whose distinct vertices *collide* on their tokens is ambiguous -- no
+    same bipartition) get equal keys, in any process.  A graph whose
+    distinct vertices *collide* on their tokens is ambiguous -- no
     repr-based key can distinguish it from a structurally different
     schema that prints the same -- so it gets a fresh identity key on
     every call: such schemas never share a cached context with anything
     (including themselves), trading cache hits for correctness.
     """
-    tokens = vertex_tokens(graph)
-    if tokens is None:
-        return (_AMBIGUOUS_FINGERPRINT_TAG, next(_AMBIGUOUS_KEYS))
-    edge_tokens = frozenset(
-        frozenset((tokens[u], tokens[v])) for u, v in graph.edges()
-    )
-    sides: Optional[FrozenSet] = None
-    if isinstance(graph, BipartiteGraph):
-        sides = frozenset((tokens[v], graph.side_of(v)) for v in graph.vertices())
-    # the structures themselves are the key (hashable); collapsing them
-    # through hash() would let two distinct schemas silently share a
-    # cached context
-    return (
-        graph.number_of_vertices(),
-        graph.number_of_edges(),
-        frozenset(tokens.values()),
-        edge_tokens,
-        sides,
-    )
-
-
-def _patched_fingerprint(key: Tuple, delta, graph: Graph) -> Optional[Tuple]:
-    """Return ``schema_fingerprint(graph)`` derived from the pre-edit ``key``.
-
-    ``graph`` is ``key``'s graph edited by ``delta``: frozenset differences
-    and unions over the delta's vertex, edge and side tokens.  ``None``
-    (fingerprint from scratch) when the tokens do not add up: a removed
-    token was not there, or the counts miss the graph's -- which is how an
-    added token that collides with a remaining one (an ambiguous graph)
-    shows.
-    """
-    _, _, vertex_part, edge_part, side_part = key
-    token = vertex_token
-    removed = {(token(v), side) for v, side in delta.removed_vertices}
-    added = {(token(v), side) for v, side in delta.added_vertices}
-    gone = {t for t, _ in removed}
-    cut = {frozenset((token(u), token(v))) for u, v in delta.removed_edges}
-    kept = vertex_part.difference(gone)
-    remaining = edge_part.difference(cut)
-    if len(kept) + len(gone) != len(vertex_part) or len(remaining) + len(cut) != len(
-        edge_part
-    ):
-        return None
-    joined = {frozenset((token(u), token(v))) for u, v in delta.added_edges}
-    vertices = kept.union(t for t, _ in added)
-    edges = remaining.union(joined)
-    if (
-        len(vertices) != graph.number_of_vertices()
-        or len(edges) != graph.number_of_edges()
-        or not vertices.issuperset(itertools.chain.from_iterable(joined))
-    ):
-        return None
-    sides = side_part
-    if sides is not None:
-        sides = sides.difference(removed)
-        if len(sides) + len(removed) != len(side_part):
-            return None
-        sides = sides.union(added)
-    return (len(vertices), len(edges), vertices, edges, sides)
+    return _canonical_form(graph)[3]
 
 
 def schema_digest(graph: Graph) -> str:
-    """Return a stable hex digest of a schema graph's structure.
+    """Return the disk digest of a schema graph (:attr:`SchemaContext.digest`).
 
-    The digest hashes the same structural facts as :func:`schema_fingerprint`
-    (vertex tokens, edge tokens, bipartition labels) but canonically ordered
-    and serialised, so it is stable across processes and interpreter runs --
-    which the in-process fingerprint tuples (built on ``frozenset``) are
-    not.  The persistent layer (:class:`repro.runtime.diskcache.DiskCache`)
-    keys everything on it: mutating a graph changes its digest, which
-    safely invalidates every derived artifact.
-
-    An *ambiguous* graph (distinct vertices sharing a ``(type, repr)``
-    token, see :func:`vertex_tokens`) has no trustworthy structural
-    address; it gets a process-unique random digest per call, marked by
-    :data:`AMBIGUOUS_DIGEST_PREFIX`, so nothing keyed on it can ever be
-    served to a different schema that merely prints the same.  Callers
-    that *store* by digest check :func:`digest_is_ambiguous` first and
-    skip persistence entirely (a never-replayable entry would be pure
-    write-only garbage in an append-only store).
+    The SHA-256 of :func:`schema_fingerprint`: mutating a graph changes it,
+    which invalidates everything the persistent layer stored under it.  An
+    ambiguous graph gets a random digest per call, marked by
+    :data:`AMBIGUOUS_PREFIX`; callers that *store* by digest check
+    :func:`digest_is_ambiguous` first and skip persistence.
     """
-    tokens = vertex_tokens(graph)
-    if tokens is None:
-        return f"{AMBIGUOUS_DIGEST_PREFIX}{uuid.uuid4().hex}"
-
-    def encoded(token: Tuple[str, str]) -> bytes:
-        # length-prefix every component: a repr can contain ANY bytes
-        # (including whatever separator or section marker we might pick),
-        # so only self-delimiting blobs make the hashed stream injective
-        # -- without this, a crafted __repr__ could forge vertex/edge
-        # boundaries and collide two structurally different schemas
-        parts = []
-        for component in token:
-            blob = component.encode("utf-8", "backslashreplace")
-            parts.append(len(blob).to_bytes(8, "big"))
-            parts.append(blob)
-        return b"".join(parts)
-
-    hasher = hashlib.sha256()
-    hasher.update(graph.number_of_vertices().to_bytes(8, "big"))
-    hasher.update(graph.number_of_edges().to_bytes(8, "big"))
-    for vertex_blob in sorted(encoded(token) for token in tokens.values()):
-        hasher.update(b"v")
-        hasher.update(vertex_blob)
-    for edge_blob in sorted(
-        b"".join(sorted((encoded(tokens[u]), encoded(tokens[v]))))
-        for u, v in graph.edges()
-    ):
-        hasher.update(b"e")
-        hasher.update(edge_blob)
-    if isinstance(graph, BipartiteGraph):
-        for side_blob in sorted(
-            str(graph.side_of(v)).encode("ascii") + encoded(tokens[v])
-            for v in graph.vertices()
-        ):
-            hasher.update(b"s")
-            hasher.update(side_blob)
-    return hasher.hexdigest()
+    return _digest(_canonical_form(graph)[3])
 
 
 @dataclass(frozen=True)
@@ -325,7 +276,12 @@ class SidePlan:
 
 
 class SchemaContext:
-    """All schema-level precomputations the engine reuses across queries."""
+    """All schema-level precomputations the engine reuses across queries.
+
+    :attr:`fingerprint` is the context's canonical key (``bytes``, see the
+    module notes) and :attr:`digest` its SHA-256, the disk address of
+    whatever is computed on this context.
+    """
 
     def __init__(
         self,
@@ -339,9 +295,13 @@ class SchemaContext:
         # otherwise a later structurally-equal lookup would get answers
         # computed on the mutated aliased object
         self.graph = graph.copy()
-        indexed, index = to_indexed(self.graph)
-        self.indexed: IndexedGraph = indexed
-        self.index: GraphIndex = index
+        # a cold SchemaCache.lookup hands over the form it keyed on, so the
+        # vertices are ordered and encoded once (see lookup)
+        form = self.__dict__.pop("_form", None) or _canonical_form(self.graph)
+        self.indexed: IndexedGraph = form[0]
+        self.index: GraphIndex = form[1]
+        self._tokens: List[bytes] = form[2]
+        self.fingerprint: bytes = form[3]
         self._report = report
         self._side_plans: Dict[Tuple[int, int], SidePlan] = {}
         self._components: Optional[List[FrozenSet[int]]] = None
@@ -353,7 +313,6 @@ class SchemaContext:
         # side plan turns them into block records (see _block_records)
         self._cold_blocks: Optional[list] = None
         self._records: Optional[BlockRecords] = None
-        self._fingerprint: Optional[Tuple] = None
         # the cross-query distance oracle is lazy (first BFS builds it);
         # the counters are shared with the owning SchemaCache when there
         # is one, so they survive eviction and apply_delta re-derivation
@@ -379,16 +338,16 @@ class SchemaContext:
             self._cold_blocks = blocks
         return self._report
 
-    @property
-    def fingerprint(self) -> Tuple:
-        """:func:`schema_fingerprint` of the context's graph (its LRU key).
+    @cached_property
+    def digest(self) -> str:
+        """The SHA-256 hex of :attr:`fingerprint` (computed once).
 
-        Set by :meth:`SchemaCache.lookup`, derived from the parent's by
-        :meth:`apply_delta`, and computed on first use otherwise.
+        Everything the persistent layer stores for this context goes under
+        it, so a report or result is addressed by the structure it was
+        computed on.  An ambiguous context's digest is its identity key's
+        text (see :func:`digest_is_ambiguous`).
         """
-        if self._fingerprint is None:
-            self._fingerprint = schema_fingerprint(self.graph)
-        return self._fingerprint
+        return _digest(self.fingerprint)
 
     def _block_records(self) -> BlockRecords:
         """Return the block records, built on first use (not in the cold pass).
@@ -418,7 +377,7 @@ class SchemaContext:
         edits relative to this context's snapshot graph).  The returned
         context is observably equivalent to
         ``SchemaContext(edited_graph)`` -- same graph, same indexed
-        backend, same classification, same fingerprint -- but derived
+        backend, same classification, same key -- but derived
         incrementally:
 
         * the snapshot graph is copied (one set copy per row) and patched;
@@ -431,8 +390,9 @@ class SchemaContext:
           block-cut path are merged, and only the blocks the edit created
           are classified, through the lineage's shared
           :class:`~repro.dynamic.blocks.BlockClassifier`;
-        * the fingerprint is the parent's, patched with the delta's
-          tokens (recomputed when an added token collides);
+        * the vertex tokens are the parent's, and a vertex the edit added
+          is the only one encoded; the key is rebuilt from the tokens and
+          the patched CSR;
         * the distance oracle keeps only the rows outside the touched
           component (all of them are dropped on vertex churn), and the
           side plans and components start empty: a structural edit can
@@ -452,7 +412,8 @@ class SchemaContext:
         context._oracle = None
         context._memory_budget = self._memory_budget
         if delta.added_vertices or delta.removed_vertices:
-            context.indexed, context.index = to_indexed(new_graph)
+            form = _canonical_form(new_graph, self)
+            context.indexed, context.index, context._tokens, context.fingerprint = form
             # vertex churn re-keys every id: nothing the old oracle holds
             # is addressable any more, so the whole row set is lost
             if self._oracle is not None:
@@ -460,6 +421,10 @@ class SchemaContext:
         else:
             context.index = self.index
             context.indexed = _patch_indexed(self.indexed, self.index, delta)
+            context._tokens = self._tokens
+            context.fingerprint = _key(
+                self._tokens, context.indexed, fingerprint_is_ambiguous(self.fingerprint)
+            )
             if self._oracle is not None:
                 # component-granular invalidation: an edge edit lives in
                 # one biconnected block, so only rows rooted in that
@@ -477,12 +442,6 @@ class SchemaContext:
         context._records = records.patched(new_graph, delta, self._blocks)
         context._cold_blocks = None
         context._report = context._records.report()
-        key = self._fingerprint
-        context._fingerprint = (
-            _patched_fingerprint(key, delta, new_graph)
-            if key is not None and not fingerprint_is_ambiguous(key)
-            else None
-        )
         context._side_plans = {}
         context._components = None
         return context
@@ -652,7 +611,7 @@ def _patch_indexed(indexed: IndexedGraph, index: GraphIndex, delta) -> IndexedGr
 
 
 class SchemaCache:
-    """LRU of :class:`SchemaContext` objects keyed by schema fingerprint.
+    """LRU of :class:`SchemaContext` objects keyed by their canonical bytes.
 
     Parameters
     ----------
@@ -688,41 +647,48 @@ class SchemaCache:
 
         The boolean feeds result provenance: ``True`` means the context was
         served from the LRU, ``False`` that it was (re)built for this call.
-        ``report_factory`` is a zero-argument callable consulted only on a
-        miss -- it lets callers with an *expensive* report source (e.g. a
-        disk read) avoid paying it on the hit path.
+        ``report_factory`` takes the new context's :attr:`~SchemaContext.digest`
+        and returns its classification report or ``None``; it is consulted
+        only on a miss, and never for an ambiguous schema (nothing can be
+        stored under a digest that never repeats) -- so callers with an
+        *expensive* report source (e.g. a disk read) avoid paying it on the
+        hit path.
         """
-        key = schema_fingerprint(graph)
+        form = _canonical_form(graph)
+        key = form[3]
         context = self._contexts.get(key)
-        hit = context is not None
-        if context is None:
-            context = SchemaContext(
-                graph,
-                report=report_factory() if report_factory is not None else None,
-                oracle_stats=self.oracle_stats,
-                memory_budget_bytes=self.memory_budget_bytes,
-            )
-            context._fingerprint = key
-            if not fingerprint_is_ambiguous(key):
-                # an ambiguous key can never be looked up again; caching
-                # under it would only evict contexts that can
-                self._contexts.put(key, context)
-                self.enforce_memory_budget()
-        return context, hit
+        if context is not None:
+            return context, True
+        # the new context adopts the form its key came from
+        context = SchemaContext.__new__(SchemaContext)
+        context._form = form
+        context.__init__(
+            graph,
+            oracle_stats=self.oracle_stats,
+            memory_budget_bytes=self.memory_budget_bytes,
+        )
+        if not fingerprint_is_ambiguous(key):
+            if report_factory is not None:
+                context._report = report_factory(context.digest)
+            # an ambiguous key can never be looked up again; caching under
+            # it would only evict contexts that can
+            self._contexts.put(key, context)
+            self.enforce_memory_budget()
+        return context, False
 
     def get_or_build(self, graph: BipartiteGraph) -> SchemaContext:
         """Return the cached context for ``graph``, building it on first use."""
         return self.lookup(graph)[0]
 
     def adopt(self, context: SchemaContext) -> None:
-        """Insert a prebuilt context under its own graph's fingerprint.
+        """Insert a prebuilt context under its own key.
 
         The service's incremental rebind path adopts the context
         :meth:`SchemaContext.apply_delta` derived, so later lookups of the
         edited structure hit it.  Contexts of ambiguous graphs are not
-        insertable (their fingerprints never repeat) and are silently
-        skipped.  The key is :attr:`SchemaContext.fingerprint`, which an
-        ``apply_delta`` child derives from its parent's.
+        insertable (their keys never repeat) and are silently skipped.
+        The key is :attr:`SchemaContext.fingerprint`, which an
+        ``apply_delta`` child builds from its parent's tokens.
         """
         key = context.fingerprint
         if not fingerprint_is_ambiguous(key):
@@ -735,7 +701,7 @@ class SchemaCache:
         """Record a context served from a caller-side memo above this cache.
 
         The :class:`~repro.api.service.ConnectionService` memoises the
-        context of an immutable bound schema and skips the fingerprint
+        context of an immutable bound schema and skips the key
         lookup entirely; counting those serves here keeps
         :meth:`stats` consistent with the ``cache_hit`` provenance flag.
         """
@@ -745,7 +711,7 @@ class SchemaCache:
         """Record a context (re)built above this cache without a lookup.
 
         The service's incremental rebind path derives a patched context
-        directly from the previous one (no fingerprint lookup happens);
+        directly from the previous one (no key lookup happens);
         counting it as a miss keeps :meth:`stats` consistent with the
         ``cache_hit=False`` provenance those answers carry.
         """

@@ -22,16 +22,17 @@ The mapping layer is lossless: :func:`to_indexed` converts any
 hashable-vertex :class:`Graph` (or :class:`BipartiteGraph`) into an
 ``(IndexedGraph, GraphIndex)`` pair, and :func:`from_indexed` reconstructs
 an equal graph, including the bipartition when present.  Vertex ids are
-assigned in ``repr``-sorted label order, so "ascending id order" on the
-indexed side coincides with the library's deterministic
-``sorted_vertices()`` order on the hashable side.
+assigned in ``repr``-sorted label order (:func:`id_order`), so "ascending
+id order" on the indexed side coincides with the library's deterministic
+``sorted_vertices()`` order on the hashable side, except among vertices
+of different types that print alike.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
@@ -317,24 +318,61 @@ class IndexedGraph:
 # ----------------------------------------------------------------------
 # mapping layer
 # ----------------------------------------------------------------------
+def type_name(vertex) -> str:
+    """Return the qualified name (``module.qualname``) of a vertex's type."""
+    cls = type(vertex)
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+def id_order(vertices: Iterable) -> Tuple[List, List[str]]:
+    """Return ``(labels, reprs)``: ``vertices`` in id order and their reprs.
+
+    The order is ``repr`` order, one ``repr`` per vertex; only where two
+    reprs are equal does :func:`type_name` order the vertices.  So the order
+    is a function of the vertex set unless two vertices share both.
+    """
+    vertices = list(vertices)
+    texts = list(map(repr, vertices))
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    labels = list(map(vertices.__getitem__, order))
+    reprs = list(map(texts.__getitem__, order))
+    if any(map(str.__eq__, reprs, islice(reprs, 1, None))):
+        start = 0
+        for end in range(1, len(reprs) + 1):
+            if end == len(reprs) or reprs[end] != reprs[start]:
+                labels[start:end] = sorted(labels[start:end], key=type_name)
+                start = end
+    return labels, reprs
+
+
 def to_indexed(graph) -> Tuple[IndexedGraph, GraphIndex]:
     """Convert a hashable-vertex :class:`Graph` into ``(IndexedGraph, GraphIndex)``.
 
-    Ids follow the graph's deterministic ``sorted_vertices()`` order, so the
-    ascending-id scan on the indexed side visits the same vertices in the
-    same order as the repr-sorted scans used throughout the library.  The
-    bipartition of a :class:`~repro.graphs.bipartite.BipartiteGraph` is
-    preserved in :attr:`IndexedGraph.sides`.
+    Ids follow :func:`id_order`, so the ascending-id scan on the indexed
+    side visits the vertices in the order of the repr-sorted scans used
+    throughout the library (``sorted_vertices()``).  The two differ only
+    where vertices of different types print alike: ids order those by type
+    name, ``sorted_vertices()`` by insertion.  The bipartition of a
+    :class:`~repro.graphs.bipartite.BipartiteGraph` is preserved in
+    :attr:`IndexedGraph.sides`.
+    """
+    return indexed_in_order(graph, id_order(graph)[0])
+
+
+def indexed_in_order(graph, labels: Sequence) -> Tuple[IndexedGraph, GraphIndex]:
+    """Return :func:`to_indexed` of ``graph`` with ids in the order of ``labels``.
+
+    ``labels`` lists every vertex once; rows come from the adjacency sets.
     """
     from repro.graphs.bipartite import BipartiteGraph
 
-    index = GraphIndex(graph.sorted_vertices())
-    ids = index.ids
-    edges = [(ids[u], ids[v]) for u, v in graph.edges()]
+    index = GraphIndex(labels)
+    ids, adjacency = index.ids, graph._adjacency
+    rows = [sorted(map(ids.__getitem__, adjacency[label])) for label in index.labels]
     sides = None
     if isinstance(graph, BipartiteGraph):
-        sides = [graph.side_of(label) for label in index.labels]
-    return IndexedGraph(len(index), edges=edges, sides=sides), index
+        sides = array("b", map(graph._side.__getitem__, index.labels))
+    return IndexedGraph._from_rows(rows, sides), index
 
 
 def from_indexed(indexed: IndexedGraph, index: GraphIndex):

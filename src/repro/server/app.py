@@ -43,6 +43,7 @@ cache, and only then lets ``serve_forever`` return.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 from typing import Dict, Optional, Set
 
@@ -534,13 +535,14 @@ class ReproServer:
             kwargs["solver"] = params["solver"]
         if params["tags"] is not None:
             kwargs["tags"] = decode_value(params["tags"])
+        # one request for both calls, built in the first of them, so
+        # authentication, admission and quota errors still come first
+        request = functools.cache(lambda: ConnectionRequest.of(terminals, **kwargs))
         result = await self._solve(
             tenant,
             params["token"],
-            lambda service: service.connect(terminals, **kwargs),
-            inline_if=lambda service: service.warm_within(
-                terminals, LOOP_WORK_LIMIT, **kwargs
-            ),
+            lambda service: service.connect(request()),
+            inline_if=lambda service: service.warm_within(request(), LOOP_WORK_LIMIT),
         )
         return {"result": encode_wire_result(result)}
 

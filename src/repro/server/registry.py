@@ -410,7 +410,9 @@ class SchemaRegistry:
         classification report of the currently bound context is the one
         piece of derived state worth flushing at drain time, so a
         restarted server rebinds large schemas without re-running the
-        Theorem 1 recognition.  Returns how many reports were stored;
+        Theorem 1 recognition.  The report goes under that context's own
+        digest: a ``mutate`` since its last request has edited the live
+        graph, not the context.  Returns how many reports were stored;
         best-effort (a tenant without disk or context contributes 0).
         """
         flushed = 0
@@ -419,11 +421,11 @@ class SchemaRegistry:
             if service is None:
                 continue
             try:
-                disk, digest = service._persistent_layer(None)
                 context = service._bound_context
-                if disk is None or context is None:
+                disk = None if context is None else service._persistent_layer(context)
+                if disk is None:
                     continue
-                disk.store_report(digest, context.report)
+                disk.store_report(context.digest, context.report)
                 flushed += 1
             except Exception:
                 continue

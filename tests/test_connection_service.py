@@ -525,7 +525,7 @@ class TestPackaging:
     def test_version_and_exports(self):
         import repro
 
-        assert repro.__version__ == "7.0.0"
+        assert repro.__version__ == "8.0.0"
         for name in (
             "BlockClassifier",
             "ConnectionRequest",
@@ -554,7 +554,8 @@ class TestPackaging:
     def test_removed_surfaces_are_gone(self):
         """2.0.0 keeps one front door, 3.0.0 one lane, 4.0.0 one answer
         digest, 5.0.0 one workload model, 6.0.0 one alpha-acyclicity test,
-        7.0.0 one representation per layer."""
+        7.0.0 one representation per layer, 8.0.0 one key per schema
+        version."""
         import importlib
 
         import repro
@@ -696,6 +697,12 @@ class TestPackaging:
         ):
             assert not hasattr(repro.IndexedGraph, name), name
         assert not hasattr(repro.graphs.indexed, "bit_members")
+        # 8.0.0: one canonical byte key per context; its SHA-256 is the digest
+        import repro.engine.cache
+
+        for name in ("vertex_token", "vertex_tokens", "AMBIGUOUS_DIGEST_PREFIX"):
+            assert not hasattr(repro.engine.cache, name), name
+        assert isinstance(repro.engine.schema_fingerprint(graph), bytes)
         # the id solvers' indexed=/index= keywords go together
         indexed, _ = repro.graphs.indexed.to_indexed(graph)
         for solver in (kou_markowsky_berman, steiner_tree_dreyfus_wagner):
@@ -800,6 +807,52 @@ class TestSchemaIdentityHardening:
         graph.add_left(Left())
         graph.add_right(Right())
         assert schema_fingerprint(graph) == schema_fingerprint(graph)
+
+    def test_vertices_that_print_alike_get_ids_by_type(self):
+        # the int 1 and a One() both print "1": ordered by repr alone,
+        # their ids (and so the CSR) followed insertion order
+        from repro.engine.cache import SchemaContext, schema_digest, schema_fingerprint
+        from repro.load.clients import digest_result_object
+
+        class One:
+            def __repr__(self):
+                return "1"
+
+        one = One()
+
+        def schema(*left):
+            graph = BipartiteGraph()
+            for vertex in (*left, "L"):
+                graph.add_left(vertex)
+            graph.add_right("hub")
+            graph.add_right("x")
+            for u, v in ((1, "hub"), (one, "hub"), (one, "x"), ("L", "x")):
+                graph.add_edge(u, v)
+            return graph
+
+        first, second = schema(1, one), schema(one, 1)
+        assert schema_fingerprint(first) == schema_fingerprint(second)
+        assert schema_digest(first) == schema_digest(second)
+        assert SchemaContext(first).indexed == SchemaContext(second).indexed
+        assert SchemaContext(first).index.labels == SchemaContext(second).index.labels
+        service = ConnectionService()
+        for terminals in ([1, "L"], [one, "L"], [1, one, "L"]):
+            answers = [
+                ConnectionService(schema=graph).connect(terminals)
+                for graph in (first, second)
+            ]
+            assert digest_result_object(answers[0]) == digest_result_object(answers[1])
+            service.connect(terminals, schema=first)
+            assert service.connect(terminals, schema=second).provenance.cache_hit
+
+    def test_key_integers_are_8_byte_little_endian_on_any_platform(self):
+        # array('l') is 4 bytes on some platforms; the key widens it
+        from array import array
+
+        from repro.engine.cache import _le64
+
+        wide = (1).to_bytes(8, "little") + (-2).to_bytes(8, "little", signed=True)
+        assert _le64(array("i", [1, -2])) == _le64(array("q", [1, -2])) == wide
 
     def test_ambiguous_schemas_do_not_pollute_the_context_lru(self):
         service = ConnectionService()

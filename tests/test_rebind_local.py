@@ -5,13 +5,15 @@ After a ``SchemaEditor`` transaction, ``ConnectionService`` rebinds through
 ``SchemaCache.adopt``.  Each step now does work in proportion to the edit:
 ``between`` lists edges only for the rows that differ, the context patches
 its block records (re-splitting the blocks that lost an edge, merging the
-blocks on the block-cut path of each added edge) and derives its
-fingerprint from its parent's.  This suite drives multi-edit transactions
+blocks on the block-cut path of each added edge) and builds its key from
+its parent's vertex tokens.  This suite drives multi-edit transactions
 over three schema families and checks, after every transaction:
 
 * the patched context equals ``SchemaContext(graph)`` in graph, CSR,
   labels and report;
-* its fingerprint equals ``schema_fingerprint(graph)``, or both are
+* its key (``fingerprint``) equals the cold context's and
+  ``schema_fingerprint(graph)``, and its digest equals
+  ``schema_digest(graph)`` and the SHA-256 of its key -- or all are
   ambiguous;
 * its block records equal ``biconnected_edge_blocks(graph)``;
 * ``between`` returns the net delta of the whole-graph diff it replaced
@@ -23,6 +25,7 @@ Every edit case is named and also run on its own, so none is reached only
 through random churn.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -40,11 +43,12 @@ from repro.dynamic import SchemaDelta, SchemaEditor, biconnected_edge_blocks
 from repro.dynamic.delta import restore_readded_incident_edges
 from repro.engine.cache import (
     SchemaContext,
-    _patched_fingerprint,
+    digest_is_ambiguous,
     fingerprint_is_ambiguous,
+    schema_digest,
     schema_fingerprint,
 )
-from repro.graphs import BipartiteGraph, Graph
+from repro.graphs import BipartiteGraph
 from repro.graphs.traversal import connected_components
 from repro.load.clients import digest_result_object
 
@@ -109,8 +113,22 @@ class Alias:
         return "Alias()"
 
 
+class Twin:
+    """A vertex that prints like the tuple it wraps: the two tie on ``repr``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return repr(self.value)
+
+
 def plain_vertices(graph):
-    return [vertex for vertex in graph.sorted_vertices() if not isinstance(vertex, Alias)]
+    return [
+        vertex
+        for vertex in graph.sorted_vertices()
+        if not isinstance(vertex, (Alias, Twin))
+    ]
 
 
 def grow_pendant(graph, tx, rng, fresh, state):
@@ -290,6 +308,23 @@ def alias_collision(graph, tx, rng, fresh, state):
     return True
 
 
+def repr_tie(graph, tx, rng, fresh, state):
+    """Add a tuple and a ``Twin`` of it: ids order the pair by type name.
+
+    The twin goes in first, so its id follows the tuple's by type name
+    alone; it stays isolated, so no two edges print alike.
+    """
+    anchors = plain_vertices(graph)
+    if not anchors:
+        return False
+    anchor = rng.choice(anchors)
+    vertex = ("t", next(fresh))
+    tx.add_vertex(Twin(vertex), side=rng.choice([1, 2]))
+    tx.add_vertex(vertex, side=3 - graph.side_of(anchor))
+    tx.add_edge(vertex, anchor)
+    return True
+
+
 CASES = {
     "grow-pendant": grow_pendant,
     "prune-pendant": prune_pendant,
@@ -303,6 +338,7 @@ CASES = {
     "flip-side": flip_side,
     "flip-edge": flip_edge,
     "alias-collision": alias_collision,
+    "repr-tie": repr_tie,
 }
 
 #: Transactions that set a case up before it runs alone (a collision needs
@@ -346,11 +382,14 @@ def check_rebind(context, service, graph, seed):
     assert patched.indexed == cold.indexed
     assert list(patched.index.labels) == list(cold.index.labels)
     assert patched.report == cold.report
-    fingerprint = schema_fingerprint(graph)
-    if fingerprint_is_ambiguous(fingerprint):
+    if fingerprint_is_ambiguous(cold.fingerprint):
         assert fingerprint_is_ambiguous(patched.fingerprint)
+        assert fingerprint_is_ambiguous(schema_fingerprint(graph))
+        assert digest_is_ambiguous(patched.digest)
     else:
-        assert patched.fingerprint == fingerprint
+        assert patched.fingerprint == cold.fingerprint == schema_fingerprint(graph)
+        assert patched.digest == schema_digest(patched.graph)
+        assert patched.digest == hashlib.sha256(patched.fingerprint).hexdigest()
     records = [edges for edges, _, _ in patched._records.records.values()]
     assert block_set(records) == block_set(biconnected_edge_blocks(graph))
     assert sum(map(len, records)) == graph.number_of_edges()
@@ -373,8 +412,6 @@ def run_transactions(graph, transactions, seed):
     fresh = itertools.count(1)
     context = SchemaContext(graph)
     context.report
-    # as SchemaCache.lookup sets it, so the chain derives every later one
-    context._fingerprint = schema_fingerprint(graph)
     service = ConnectionService(schema=graph)
     for terminals in queries(graph, seed):
         service.connect(terminals)
@@ -456,14 +493,30 @@ def test_merge_follows_the_block_cut_path():
     assert block_set(blocks) == block_set(biconnected_edge_blocks(graph))
 
 
-def test_fingerprint_patch_refuses_tokens_that_do_not_add_up():
+def test_an_edit_that_makes_two_tokens_collide_gives_an_ambiguous_key():
     # the isolated int 1 is removed through the equal float 1.0 while a
-    # twin of an existing Alias is added: the counts add up, the tokens
-    # do not, and the edited graph is ambiguous
+    # twin of an existing Alias is added: the vertex count holds, and the
+    # edited graph is ambiguous
     first, second = Alias(), Alias()
-    graph = Graph(vertices=[1, first], edges=[("a", "b")])
-    delta = SchemaDelta(removed_vertices=((1.0, None),), added_vertices=((second, None),))
+    graph = BipartiteGraph(left=[1, "a"], right=[first, "b"], edges=[("a", "b")])
+    context = SchemaContext(graph)
+    assert not fingerprint_is_ambiguous(context.fingerprint)
+    delta = SchemaDelta(removed_vertices=((1.0, 1),), added_vertices=((second, 2),))
     edited = delta.apply_to(graph.copy())
     assert edited.number_of_vertices() == graph.number_of_vertices()
-    assert _patched_fingerprint(schema_fingerprint(graph), delta, edited) is None
+    patched = context.apply_delta(delta)
+    assert fingerprint_is_ambiguous(patched.fingerprint)
+    assert digest_is_ambiguous(patched.digest)
     assert fingerprint_is_ambiguous(schema_fingerprint(edited))
+
+
+def test_a_token_is_reused_only_for_the_same_object():
+    # 1.0 replaces the equal int 1: the parent's token names an int, so
+    # reusing it by equality would key the edited graph as the old one
+    graph = BipartiteGraph(left=[1, "a"], right=["b"], edges=[("a", "b")])
+    context = SchemaContext(graph)
+    delta = SchemaDelta(removed_vertices=((1, 1),), added_vertices=((1.0, 1),))
+    edited = delta.apply_to(graph.copy())
+    patched = context.apply_delta(delta)
+    assert patched.fingerprint == SchemaContext(edited).fingerprint
+    assert patched.fingerprint != context.fingerprint

@@ -42,7 +42,7 @@ def caching_service(graph, tmp_path) -> ConnectionService:
 # ----------------------------------------------------------------------
 # fidelity
 # ----------------------------------------------------------------------
-def test_replay_is_answer_identical_across_service_instances(tmp_path):
+def test_replay_is_answer_identical_across_service_instances(tmp_path, monkeypatch):
     graph = small_schema()
     queries = [random_terminals(graph, 3, rng=i) for i in range(6)]
 
@@ -52,11 +52,16 @@ def test_replay_is_answer_identical_across_service_instances(tmp_path):
 
     # a fresh service over the same cache dir simulates a process restart
     second = caching_service(graph, tmp_path)
+    solves = []
+    monkeypatch.setattr(second.engine, "execute_plan", lambda *args: solves.append(args))
     replayed = second.batch(queries)
     assert all(r.provenance.result_cache == "disk" for r in replayed)
     assert canonical_checksum(replayed) == canonical_checksum(computed)
-    # the replay never built a schema context (no classification, no solve)
-    assert second.cache_stats()["misses"] == 0
+    # the replay keyed an unclassified context: it classified no block and
+    # solved nothing
+    context, _ = second._context(None)
+    assert context._blocks.stats()["blocks_classified"] == 0
+    assert solves == []
 
 
 def test_disk_report_warm_starts_classification(tmp_path):

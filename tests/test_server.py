@@ -30,12 +30,14 @@ from hypothesis import given, strategies as st
 
 from strategies import chordal_bipartite_graphs, common_settings, draw_terminals
 
-from repro.api import ConnectionService, ServiceConfig
+from repro.api import ConnectionRequest, ConnectionService, ServiceConfig
 from repro.dynamic.editor import SchemaEditor
 from repro.engine import registry as engine_registry
+from repro.engine.cache import SchemaContext
 from repro.engine.registry import chordal_elimination_work
 from repro.exceptions import ValidationError
 from repro.graphs import BipartiteGraph
+from repro.load.clients import digest_result_object
 from repro.metrics import MetricsRegistry
 from repro.server import (
     AdmissionError,
@@ -338,6 +340,28 @@ class TestSchemaRegistry:
         replay = registry.service("a").connect(["A", 3])
         assert replay.provenance.result_cache == "disk"
         assert replay.to_dict(include_timing=False)["cost"] == first.cost
+
+    def test_a_drain_after_an_edit_stores_no_stale_report(self, tmp_path):
+        # a drain flushes the bound context's report; an edit since the
+        # last request has moved the live graph, not that context, so the
+        # report must go under the context's digest
+        registry = SchemaRegistry(cache_dir=str(tmp_path))
+        registry.create("t", small_graph())  # a path: a forest
+        registry.service("t").connect(["A", 3])
+        graph = registry.record("t").graph
+        with SchemaEditor(graph) as transaction:
+            transaction.add_edge("A", 3)  # closes a chordless 6-cycle
+        assert registry.flush() == 1
+        cached = ConnectionService(
+            schema=graph.copy(), config=ServiceConfig(cache_dir=str(tmp_path))
+        )
+        assert cached.classification() == SchemaContext(graph).report
+        assert not cached.classification().steiner_tractable()
+        plain = ConnectionService(schema=graph.copy())
+        for terminals in (["A", "C"], ["A", 3], ["B", 3]):
+            assert digest_result_object(cached.connect(terminals)) == (
+                digest_result_object(plain.connect(terminals))
+            )
 
     def test_admission_limit(self):
         registry = SchemaRegistry()
@@ -743,6 +767,27 @@ class TestSolvePlacement:
                 assert solves(metrics) == {"loop": 2, "worker": 4}
                 client.connect("t", ["A", "D"])
                 assert solves(metrics) == {"loop": 3, "worker": 4}
+
+    def test_a_connect_rpc_builds_one_request(self, monkeypatch):
+        made = []
+        original = ConnectionRequest.of.__func__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ConnectionRequest, "of", classmethod(counting))
+        metrics = MetricsRegistry()
+        with running_server(metrics=metrics) as server:
+            with ReproClient(port=server.port) as client:
+                client.create_schema("t", small_graph())
+                # the first connect builds the context on a worker, the
+                # second answers warm on the loop: one request each
+                for placement in ({"loop": 0, "worker": 1}, {"loop": 1, "worker": 1}):
+                    made.clear()
+                    client.connect("t", ["A", 3])
+                    assert solves(metrics) == placement
+                    assert len(made) == 1
 
     def test_batches_and_other_plans_run_on_a_worker(self):
         metrics = MetricsRegistry()
