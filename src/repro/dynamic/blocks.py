@@ -149,11 +149,12 @@ class BlockCutTree:
                     self.depth[child] = self.depth[node] + 1
                     order.append(child)
 
-    def span(self, vertices: Iterable[int]) -> Set[int]:
-        """Return the ids of the blocks on the tree paths between ``vertices``.
+    def spanned_nodes(self, vertices: Iterable[int]) -> Set[int]:
+        """Return the nodes on the tree paths between the nodes of ``vertices``.
 
         Walks up from each vertex's node, deepest first, until the walks
         meet, so it costs time in proportion to the subtree it spans.
+        Every leaf of that subtree is the node of one of ``vertices``.
         """
         parent, depth = self.parent, self.depth
         pending = {self.node_of[vertex] for vertex in vertices}
@@ -168,7 +169,12 @@ class BlockCutTree:
             if above not in pending:
                 pending.add(above)
                 heapq.heappush(heap, (-depth[above], above))
-        return {vertex for node in spanned for vertex in self.members[node]}
+        return spanned
+
+    def span(self, vertices: Iterable[int]) -> Set[int]:
+        """Return the ids of the blocks on the tree paths between ``vertices``."""
+        members = self.members
+        return {vertex for node in self.spanned_nodes(vertices) for vertex in members[node]}
 
 
 def block_subgraph(graph: Graph, edges: Sequence[Edge]) -> Graph:

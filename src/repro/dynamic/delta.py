@@ -23,6 +23,8 @@ snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
+from operator import is_
 from typing import Dict, Optional, Tuple
 
 from repro.exceptions import ValidationError
@@ -145,13 +147,16 @@ class SchemaDelta:
 
         Vertices present in both graphs but assigned to *different*
         bipartition sides are treated as removed-then-added, so applying
-        the delta reproduces ``new`` exactly.  The two graphs must be of
-        compatible kinds (both bipartite or both plain).
+        the delta reproduces ``new`` exactly; so is a vertex that ``new``
+        stores as an equal object of another type or ``repr`` (``1`` and
+        ``1.0``), whose canonical token differs.  The two graphs must be
+        of compatible kinds (both bipartite or both plain).
 
-        Costs one C-level neighbour-set comparison per vertex, plus time
-        in proportion to the rows that differ: edges are listed only for
-        those, and sides are compared per vertex only when the side maps
-        differ.
+        Costs one C-level neighbour-set comparison and one C-level
+        identity check per vertex, plus time in proportion to the rows
+        that differ (edges are listed only for those), to the vertices
+        after the run that both graphs store in the same order, and, when
+        the side maps differ, to the vertices.
         """
         old_sides = _sides(old)
         new_sides = _sides(new)
@@ -161,20 +166,22 @@ class SchemaDelta:
         removed = []
         for vertex in sorted(new_vertices - old_vertices, key=repr):
             added.append((vertex, new_sides.get(vertex)))
-        for vertex in sorted(old_vertices - new_vertices, key=repr):
+        gone = old_vertices - new_vertices
+        for vertex in sorted(gone, key=repr):
             removed.append((vertex, old_sides.get(vertex)))
         old_rows, new_rows = old._adjacency, new._adjacency
+        renewed = _renewed_vertices(old_rows, new_rows, gone)
         if old_sides != new_sides:
-            flipped = {
-                vertex
-                for vertex, _ in old_sides.items() ^ new_sides.items()
-                if vertex in old_rows
-                and vertex in new_rows
-                and old_sides.get(vertex) != new_sides.get(vertex)
-            }
-            for vertex in sorted(flipped, key=repr):
-                removed.append((vertex, old_sides.get(vertex)))
-                added.append((vertex, new_sides.get(vertex)))
+            for vertex, _ in old_sides.items() ^ new_sides.items():
+                if (
+                    vertex in old_rows
+                    and vertex in new_rows
+                    and old_sides.get(vertex) != new_sides.get(vertex)
+                ):
+                    renewed.setdefault(vertex, vertex)
+        for vertex in sorted(renewed, key=repr):
+            removed.append((vertex, old_sides.get(vertex)))
+            added.append((renewed[vertex], new_sides.get(vertex)))
         # each list keeps its graph's row order, so an edge is oriented
         # as that graph's edges() orients it
         added_edge_map = _edges_missing_from(
@@ -247,13 +254,41 @@ def restore_readded_incident_edges(
     on their ``{edge key: edge}`` map of net added edges before freezing
     the delta.
     """
-    readded = {vertex for vertex, _ in added_vertices} & {
-        vertex for vertex, _ in removed_vertices
-    }
+    gone = {vertex for vertex, _ in removed_vertices}
+    # the added objects: a renewed vertex's edges must name its new object
+    readded = [vertex for vertex, _ in added_vertices if vertex in gone]
     for vertex in readded:
         for neighbor in graph_after.neighbors(vertex):
             key = _edge_key((vertex, neighbor))
             added_edge_map.setdefault(key, (vertex, neighbor))
+
+
+def _renewed_vertices(old_rows: dict, new_rows: dict, gone: set) -> dict:
+    """Return ``{old object: new object}`` for each vertex stored as another object.
+
+    Only a vertex that both graphs hold, as equal objects that differ in
+    type or ``repr``, counts: its token changes, so the delta must list it
+    as removed and re-added.  ``gone`` holds the vertices ``new`` lacks.
+    Rows keep insertion order, so ``old``'s other vertices and ``new``'s
+    usually start alike, object for object; that common run is skipped by
+    one C-level identity pass, and only the vertices after it are looked
+    up.  (A vertex in the run is the very same object in both graphs, so
+    neither of its objects can stand after the run.)
+    """
+    kept = list(filterfalse(gone.__contains__, old_rows)) if gone else list(old_rows)
+    if all(map(is_, kept, new_rows)):
+        return {}  # the rest of new_rows is added vertices
+    fresh = list(new_rows)
+    start = list(map(is_, kept, fresh)).index(False)
+    stored = dict(zip(kept[start:], kept[start:]))
+    renewed = {}
+    for vertex in fresh[start:]:
+        held = stored.get(vertex, vertex)
+        if held is not vertex and (
+            type(held) is not type(vertex) or repr(held) != repr(vertex)
+        ):
+            renewed[held] = vertex
+    return renewed
 
 
 def _sides(graph: Graph) -> dict:

@@ -41,9 +41,9 @@ import sys
 import uuid
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 # classify_bipartite_graph stays bound here although contexts classify
 # blockwise: the per-layer tracing of perfbench/tracing.py patches this name
@@ -253,12 +253,32 @@ class SidePlan:
     component is alpha-cyclic, i.e. not ``V_side``-chordal and conformal,
     so Algorithm 1 does not apply -- and ``blocks`` the component's rooted
     :class:`~repro.dynamic.blocks.BlockCutTree` on ids, which
-    :meth:`region` reads.
+    :meth:`region` and Step 2's block scan read.  ``masks`` holds the
+    neighbour masks of each block a query has touched (see
+    :meth:`block_masks`); an edit drops them with the plan.
     """
 
     component: FrozenSet[int]
     ordering: Optional[Tuple[int, ...]]
     blocks: BlockCutTree
+    masks: Dict[int, List[int]] = field(default_factory=dict, compare=False, repr=False)
+
+    def block_masks(self, node: int, row: Callable[[int], List[int]]) -> List[int]:
+        """Return the neighbour masks of block ``node``, built on first use from ``row``.
+
+        Bit ``i`` stands for ``blocks.members[node][i]``, and entry ``i``
+        is the mask of that member's neighbours.  Two blocks share at most
+        one vertex, so every edge between two members belongs to the
+        block: the masks are the block's own adjacency.
+        """
+        masks = self.masks.get(node)
+        if masks is None:
+            members = self.blocks.members[node]
+            bits = {vertex: 1 << i for i, vertex in enumerate(members)}
+            masks = self.masks[node] = [
+                sum(bits[u] for u in row(vertex) if u in bits) for vertex in members
+            ]
+        return masks
 
     def region(self, terminal_ids: List[int]) -> Iterable[int]:
         """Return the ids Step 2 of Algorithm 1 must scan for ``terminal_ids``.
@@ -269,6 +289,9 @@ class SidePlan:
         path confines the scan then, and the batch rule keeps a vertex
         whose only alive neighbour is the lone terminal, so the cover
         depends on the order in which the whole component is scanned.
+        The served scan decides each removal inside one of these blocks;
+        ``indexed_elimination_cover(restrict=region(...))`` is its
+        reference.
         """
         if len(terminal_ids) < 2:
             return self.component

@@ -101,8 +101,9 @@ def plan_query(
             reason="general schema, large query: KMB 2-approximation",
         )
     if objective == "side":
-        side_vertices = context.graph.side(side)
-        optional_side = len(side_vertices - set(terminal_list))
+        ids, sides = context.index.ids, context.indexed.sides
+        on_side = sum(1 for t in terminal_list if t in ids and sides[ids[t]] == side)
+        optional_side = sides.count(side) - on_side
         small = optional_side <= exact_vertex_limit
         fallback = "pseudo-bruteforce" if small else "kmb"
         if report.pseudo_steiner_tractable(side):

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from enum import Enum
 from math import isqrt
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.cache import SchemaContext
+from repro.engine.cache import SchemaContext, SidePlan
 from repro.exceptions import DisconnectedTerminalsError, NotApplicableError
 from repro.graphs.graph import Vertex
-from repro.graphs.indexed import indexed_elimination_cover, indexed_pruned_tree, iter_bits
+from repro.graphs.indexed import indexed_pruned_tree, iter_bits
 from repro.steiner.exact import steiner_tree_bruteforce, steiner_tree_dreyfus_wagner
 from repro.steiner.heuristics import kou_markowsky_berman
 from repro.steiner.problem import SteinerInstance, SteinerSolution
@@ -273,19 +273,19 @@ def _reached(masks: List[int], alive: int, root: int, goal: int = -1) -> int:
 def solve_algorithm1_indexed(
     context: SchemaContext, terminals: Iterable[Vertex], side: int = 2
 ) -> SteinerSolution:
-    """Algorithm 1 on the indexed backend with cached Lemma 1 orderings.
+    """Algorithm 1 on ids, with cached Lemma 1 orderings and Step 2 block by block.
 
     The component restriction, the Lemma 1 elimination ordering (whose
     absence is the structural precondition's failure) and the block-cut
     tree are all read from the schema context (computed once per
-    component); only the Step 2 elimination runs per query, on the array
-    fast lane, and only inside the plan's
-    :meth:`~repro.engine.cache.SidePlan.region`: the blocks on the
-    block-cut-tree paths between the terminals.
+    component); only Step 2 runs per query.  With two or more terminals it
+    runs in :func:`_block_scan`, one block of the plan's
+    :meth:`~repro.engine.cache.SidePlan.region` at a time; with one it has
+    a closed form (:func:`_lone_terminal_cover`).
 
-    Every simple path between two terminals stays inside those blocks, so
+    Every simple path between two terminals stays inside the region, so
     each removal there matches the whole-component scan's decision, and
-    that scan removes every ``V_side`` vertex outside them.  It visits only
+    that scan removes every ``V_side`` vertex outside it.  It visits only
     ``V_side`` vertices, though, so it keeps every neighbour of a surviving
     one; adding those back (a no-op when the region is the component)
     gives the same cover as
@@ -304,13 +304,10 @@ def solve_algorithm1_indexed(
             f"and V{side}-conformal; Algorithm 1 does not apply"
         )
     indexed = context.indexed
-    cover_ids = indexed_elimination_cover(
-        indexed,
-        terminal_ids,
-        ordering=plan.ordering,
-        removal_batches=True,
-        restrict=plan.region(terminal_ids),
-    )
+    if len(terminal_ids) == 1:
+        cover_ids = _lone_terminal_cover(plan.ordering, indexed, terminal_ids[0], side)
+    else:
+        cover_ids = _block_scan(plan, indexed, terminal_ids)
     sides, row = indexed.sides, indexed.row
     cover_ids.update([u for v in cover_ids if sides[v] == side for u in row(v)])
     solution = SteinerSolution(
@@ -323,6 +320,141 @@ def solve_algorithm1_indexed(
     solution.metadata["cover"] = context.index.decode_set(cover_ids)
     solution.metadata["ordering"] = context.index.decode(plan.ordering)
     return solution
+
+
+def _block_scan(plan: SidePlan, indexed, terminal_ids: Sequence[int]) -> Set[int]:
+    """Step 2 of Algorithm 1 for two or more terminals, each removal decided in one block.
+
+    Equal to ``indexed_elimination_cover(indexed, terminal_ids,
+    ordering=plan.ordering, removal_batches=True,
+    restrict=plan.region(terminal_ids))``, the scan of the region the
+    blocks on the block-cut-tree paths between the terminals span.  Let
+    ``S`` be the nodes on those paths.  The *ports* of a block of ``S``
+    are its terminals and its vertices whose cut node is in ``S``.  Every
+    leaf of ``S`` is a terminal's node, so every block of ``S`` has two
+    ports or more, and every branch at a cut node of ``S`` holds a
+    terminal.  The scan walks ``plan.ordering``:
+
+    * a port is kept: removing it would cut two of those branches apart;
+    * any other candidate lies in exactly one block ``B`` of ``S``; its
+      batch (it and the alive neighbours whose only alive neighbour it is)
+      is read from ``B``'s masks and kept whole if it holds a port;
+    * otherwise the batch goes exactly when ``B``'s ports stay connected
+      inside ``B``'s alive vertices.  A first search asks whether the
+      candidate's neighbours outside the batch stay connected to each
+      other: every piece the removal could cut off holds one of them, so
+      then the ports stay connected too.  Only when that fails does a
+      search from a port decide.
+
+    That is the region scan.  A simple terminal-terminal path meets ``B``
+    only between two ports, and a path that leaves ``B`` comes back
+    through the same cut vertex, so "the terminals stay connected" and
+    "``B``'s ports stay connected inside ``B``" are one test.  A cut-vertex
+    port keeps an alive neighbour in its other block of ``S`` (its branch
+    there holds a terminal), so the region scan never lists it in a
+    batch, and a block batch that holds one would cut it off from ``B``'s
+    other ports: both scans keep it.  The cover is, per block of ``S``,
+    the alive vertices connected to its ports.
+    """
+    tree = plan.blocks
+    nodes = tree.spanned_nodes(terminal_ids)
+    node_of = tree.node_of
+    terminal_set = set(terminal_ids)
+    blocks: List[int] = []  # block nodes of S, by slot
+    ports: List[int] = []  # each slot's port mask
+    where: Dict[int, Tuple[int, int]] = {}  # candidate -> (slot, bit index)
+    for node in nodes:
+        members = tree.members[node]
+        if not members:
+            continue  # a cut node
+        slot, mask = len(blocks), 0
+        for i, vertex in enumerate(members):
+            home = node_of[vertex]
+            if vertex in terminal_set or (home != node and home in nodes):
+                mask |= 1 << i
+            else:
+                where[vertex] = (slot, i)
+        blocks.append(node)
+        ports.append(mask)
+    full = [(1 << len(tree.members[node])) - 1 for node in blocks]
+    alive = full[:]
+    masks_of: List[Optional[List[int]]] = [None] * len(blocks)
+    for vertex in plan.ordering:
+        hit = where.get(vertex)
+        if hit is None:
+            continue
+        slot, i = hit
+        masks = masks_of[slot]
+        if masks is None:
+            masks = masks_of[slot] = plan.block_masks(blocks[slot], indexed.row)
+        bit, live, goal = 1 << i, alive[slot], ports[slot]
+        if not live & bit:
+            continue  # went in an earlier batch
+        batch = bit
+        for j in iter_bits(masks[i] & live):
+            if masks[j] & live == bit:
+                batch |= 1 << j
+        if batch & goal:
+            continue
+        rest = live ^ batch
+        left = masks[i] & rest  # the candidate's neighbours that stay
+        if (
+            not left
+            or _reached(masks, rest, _low(left), left) & left == left
+            or _reached(masks, rest, _low(goal), goal) & goal == goal
+        ):
+            alive[slot] = rest
+    cover: Set[int] = set()
+    for slot, node in enumerate(blocks):
+        members, live = tree.members[node], alive[slot]
+        if live == full[slot]:
+            cover.update(members)
+            continue
+        live = _reached(masks_of[slot], live, _low(ports[slot]))
+        cover.update(members[i] for i in iter_bits(live))
+    return cover
+
+
+def _low(mask: int) -> int:
+    """Return the index of the lowest set bit of a nonzero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _lone_terminal_cover(
+    ordering: Sequence[int], indexed, terminal: int, side: int
+) -> Set[int]:
+    """Algorithm 1's cover for one terminal ``t``, in closed form.
+
+    ``{t}`` plus its neighbours when ``t`` is a ``V_side`` vertex;
+    otherwise ``{t, h}`` plus the neighbours of ``h``, the last
+    neighbour of ``t`` in ``ordering``; ``{t}`` when ``t`` has none.
+    This is the whole-component scan with the add-back step.  With one
+    terminal every connectivity test holds, so the scan removes each
+    ``V_side`` candidate with its batch unless the batch holds ``t``:
+
+    * ``t`` in ``V_side``: no batch holds ``t`` (no candidate is its
+      neighbour), so every other ``V_side`` vertex goes; each neighbour of
+      ``t`` keeps the alive neighbour ``t``, so none is in a batch.  The
+      terminal's component is ``t`` with its neighbours.
+    * ``t`` in ``V_other``: a batch holds ``t`` exactly when its candidate
+      is ``t``'s only alive neighbour.  Every neighbour of ``t`` before
+      ``h`` in the ordering goes, since ``h`` is still alive beside it;
+      ``h``'s batch holds ``t``, so ``h`` stays, and so does each of its
+      neighbours, which keeps the alive neighbour ``h``.  Every other
+      ``V_side`` vertex goes, and the component is ``h`` with its
+      neighbours, ``t`` among them.
+
+    Either way every ``V_side`` vertex of the component is ``t`` or ``h``,
+    whose neighbours are all in it, so the add-back adds nothing.
+    """
+    row = indexed.row
+    hub: Optional[int] = terminal
+    if indexed.sides[terminal] != side:
+        neighbours = set(row(terminal))
+        hub = next((v for v in reversed(ordering) if v in neighbours), None)
+        if hub is None:
+            return {terminal}
+    return {terminal, hub, *row(hub)}
 
 
 def solve_dreyfus_wagner(context: SchemaContext, terminals: Iterable[Vertex]) -> SteinerSolution:

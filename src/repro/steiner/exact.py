@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import add
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.exceptions import DisconnectedTerminalsError
 from repro.graphs.graph import Graph, Vertex
@@ -33,7 +33,6 @@ from repro.graphs.indexed import (
 )
 from repro.graphs.spanning import spanning_tree
 from repro.graphs.traversal import component_containing, vertices_in_same_component
-from repro.kernels.bfs import bfs_parents_row
 from repro.kernels.oracle import DistanceOracle
 from repro.steiner.problem import (
     SteinerInstance,
@@ -131,8 +130,9 @@ def steiner_tree_dreyfus_wagner(
         neither; built on the fly when omitted.
     oracle:
         A :class:`~repro.kernels.oracle.DistanceOracle` over ``indexed``
-        supplying the terminals' distance rows (cached across calls).
-        Without one, a private oracle computes them.
+        supplying the terminals' distance rows and the parent rows the
+        tree's paths follow (both cached across calls).  Without one, a
+        private oracle computes them.
     """
     instance = SteinerInstance(graph, terminals)
     terminal_list: List[Vertex] = instance.terminal_list()
@@ -183,17 +183,13 @@ def steiner_tree_dreyfus_wagner(
         merged[mask] = best
         cost[mask] = _extend(best, adjacency, unreachable)
 
-    # recover the tree edges (id pairs along BFS parent rows)
+    # recover the tree edges (id pairs along BFS parent rows); the oracle
+    # keeps each source's row across calls, with the same tie-break
     edges: List[Tuple[int, int]] = []
-    parent_rows: Dict[int, List[int]] = {}
 
     def _shortest_path_edges(u: int, v: int) -> None:
-        if u == v:
-            return
-        parents = parent_rows.get(u)
-        if parents is None:
-            parents = parent_rows[u] = bfs_parents_row(indexed, u)
-        edges.extend(parent_path_edges(parents, u, v))
+        if u != v:
+            edges.extend(parent_path_edges(oracle.parents(u), u, v))
 
     stack = [(full_mask, root)]
     while stack:

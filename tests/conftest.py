@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import warnings
 
 import pytest
 
@@ -71,3 +74,24 @@ def fig5():
 @pytest.fixture
 def fig11():
     return figures.figure11_graph()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Under ``python -X dev``, fail the session when the collector finds a leaked resource.
+
+    A socket or file left open in a reference cycle warns only when the
+    garbage collector frees it, at the end of the session, where the
+    warning cannot fail a test even under ``-W error::ResourceWarning``.
+    So collect here, record every ResourceWarning and fail the run on
+    any.  CI runs the server suites this way.
+    """
+    if not sys.flags.dev_mode:
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    for leak in leaks:
+        print(f"leaked resource: {leak.message}", file=sys.stderr)
+    if leaks:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED

@@ -59,7 +59,11 @@ SETTINGS = common_settings(max_examples=30)
 # the whole-graph diff that SchemaDelta.between replaced
 # ----------------------------------------------------------------------
 def reference_between(old, new):
-    """``SchemaDelta.between`` as it was: a diff of every vertex and edge."""
+    """``SchemaDelta.between`` as it was: a diff of every vertex and edge.
+
+    A vertex stored as an equal object of another type or ``repr`` is
+    listed as removed and re-added, as a side flip is.
+    """
 
     def side_map(graph):
         if isinstance(graph, BipartiteGraph):
@@ -68,15 +72,23 @@ def reference_between(old, new):
 
     old_sides, new_sides = side_map(old), side_map(new)
     old_vertices, new_vertices = old.vertices(), new.vertices()
+    old_stored = {vertex: vertex for vertex in old_vertices}
+    new_stored = {vertex: vertex for vertex in new_vertices}
     added, removed = [], []
     for vertex in sorted(new_vertices - old_vertices, key=repr):
         added.append((vertex, new_sides.get(vertex)))
     for vertex in sorted(old_vertices - new_vertices, key=repr):
         removed.append((vertex, old_sides.get(vertex)))
     for vertex in sorted(old_vertices & new_vertices, key=repr):
-        if old_sides.get(vertex) != new_sides.get(vertex):
-            removed.append((vertex, old_sides.get(vertex)))
-            added.append((vertex, new_sides.get(vertex)))
+        # a side flip, or an equal object of another type or repr
+        before, after = old_stored[vertex], new_stored[vertex]
+        if (
+            old_sides.get(vertex) != new_sides.get(vertex)
+            or type(before) is not type(after)
+            or repr(before) != repr(after)
+        ):
+            removed.append((before, old_sides.get(vertex)))
+            added.append((after, new_sides.get(vertex)))
     old_edges = {frozenset(edge): edge for edge in old.edges()}
     new_edges = {frozenset(edge): edge for edge in new.edges()}
     added_edge_map = {key: new_edges[key] for key in new_edges.keys() - old_edges.keys()}
@@ -121,6 +133,17 @@ class Twin:
 
     def __repr__(self):
         return repr(self.value)
+
+
+class RetypedStr(str):
+    """A string of another type: equal to, and printing like, the ``str`` it copies."""
+
+
+class RetypedTuple(tuple):
+    """A tuple of another type: equal to, and printing like, the ``tuple`` it copies."""
+
+
+RETYPED = {str: RetypedStr, tuple: RetypedTuple}
 
 
 def plain_vertices(graph):
@@ -295,6 +318,28 @@ def flip_edge(graph, tx, rng, fresh, state):
     return True
 
 
+def retype(graph, tx, rng, fresh, state):
+    """Replace a vertex by an equal object of another type, on its side, with its edges.
+
+    The two objects are equal and print alike, so only the canonical
+    token (which carries the type) tells the graphs apart.
+    """
+    candidates = [
+        v for v in plain_vertices(graph) if type(v) in RETYPED and v not in state["flipped"]
+    ]
+    if not candidates:
+        return False
+    vertex = rng.choice(candidates)
+    twin = RETYPED[type(vertex)](vertex)
+    side, neighbours = graph.side_of(vertex), sorted(graph.neighbors(vertex), key=repr)
+    tx.remove_vertex(vertex)
+    tx.add_vertex(twin, side=side)
+    for neighbour in neighbours:
+        tx.add_edge(twin, neighbour)
+    state["flipped"].add(twin)
+    return True
+
+
 def alias_collision(graph, tx, rng, fresh, state):
     """Add an isolated vertex whose token equals an existing vertex's.
 
@@ -337,6 +382,7 @@ CASES = {
     "remove-isolated": remove_isolated,
     "flip-side": flip_side,
     "flip-edge": flip_edge,
+    "retype": retype,
     "alias-collision": alias_collision,
     "repr-tie": repr_tie,
 }
@@ -370,6 +416,12 @@ def check_rebind(context, service, graph, seed):
     reference = reference_between(context.graph, graph)
     assert delta.added_vertices == reference.added_vertices
     assert delta.removed_vertices == reference.removed_vertices
+    # equal objects of another type are told apart by type
+    for listed, expected in (
+        (delta.added_vertices, reference.added_vertices),
+        (delta.removed_vertices, reference.removed_vertices),
+    ):
+        assert [type(vertex) for vertex, _ in listed] == [type(vertex) for vertex, _ in expected]
     # same edges; here (no two edges print alike) even the same tuples
     assert edge_set(delta.added_edges) == edge_set(reference.added_edges)
     assert edge_set(delta.removed_edges) == edge_set(reference.removed_edges)
@@ -520,3 +572,26 @@ def test_a_token_is_reused_only_for_the_same_object():
     patched = context.apply_delta(delta)
     assert patched.fingerprint == SchemaContext(edited).fingerprint
     assert patched.fingerprint != context.fingerprint
+
+
+def test_a_vertex_replaced_by_an_equal_object_of_another_type_is_rebound():
+    # 1.0 takes the place of the equal int 1 with the same side and edge:
+    # the rows and sides compare equal, yet the canonical tokens differ
+    graph = BipartiteGraph(left=[1, "A"], right=["x"], edges=[(1, "x"), ("A", "x")])
+    service = ConnectionService(schema=graph)
+    service.connect([1, "A"])
+    before = graph.copy()
+    graph.remove_vertex(1)
+    graph.add_to_side(1.0, 1)
+    graph.add_edge(1.0, "x")
+
+    delta = SchemaDelta.between(before, graph)
+    assert [(type(v), side) for v, side in delta.removed_vertices] == [(int, 1)]
+    assert [(type(v), side) for v, side in delta.added_vertices] == [(float, 1)]
+    assert [type(v) for edge in delta.added_edges for v in edge if v == 1] == [float]
+
+    result = service.connect([1.0, "A"])
+    assert float in {type(vertex) for vertex in result.tree.vertices()}
+    fresh = ConnectionService(schema=graph.copy()).connect([1.0, "A"])
+    assert digest_result_object(result) == digest_result_object(fresh)
+    assert service.cache_stats()["rebind_fallbacks"] == 0
