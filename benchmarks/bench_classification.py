@@ -42,7 +42,7 @@ import pytest
 from conftest import record
 
 from repro.datasets.generators import random_alpha_schema_graph, random_beta_schema_graph
-from repro.dynamic import biconnected_edge_blocks, block_subgraph, combine_reports
+from repro.dynamic import biconnected_edge_blocks, combine_reports
 from repro.engine.cache import SchemaContext
 from repro.graphs.generators import large_block_chain
 from repro.graphs.indexed import GraphIndex, from_indexed
@@ -83,7 +83,13 @@ def _giant_block():
         graph = random_beta_schema_graph(40, attributes=20, rng=1)
     else:
         graph = random_beta_schema_graph(200, attributes=100, rng=2)
-    return block_subgraph(graph, max(biconnected_edge_blocks(graph), key=len))
+    return _block(graph, max(biconnected_edge_blocks(graph), key=len))
+
+
+def _block(graph, edges):
+    """One block as a graph: the subgraph its vertices induce (every edge
+    between two of them belongs to the block)."""
+    return graph.subgraph({vertex for edge in edges for vertex in edge})
 
 
 CASES = {
@@ -111,7 +117,7 @@ def test_cold_classification(benchmark, case):
 
     start = perf_counter()
     reference = combine_reports(
-        field_by_field_report(block_subgraph(graph, edges))
+        field_by_field_report(_block(graph, edges))
         for edges in biconnected_edge_blocks(graph)
     )
     reference_seconds = perf_counter() - start

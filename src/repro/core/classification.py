@@ -152,11 +152,20 @@ def classify_bipartite_graph(graph: Graph) -> ChordalityReport:
         [nodes[vertex] for vertex in bipartite.neighbors(hub)]
         for hub in bipartite.right()
     ]
-    if gamma_reduces(len(nodes), edges):
+    return hypergraph_walk(len(nodes), edges)
+
+
+def hypergraph_walk(node_count: int, edges: List[List[int]]) -> ChordalityReport:
+    """Steps 2-4 of :func:`classify_bipartite_graph`, for a graph with a cycle.
+
+    ``H_2`` has the ``V_1`` vertices as nodes ``0 .. node_count - 1`` and
+    one edge per ``V_2`` vertex, the list of its neighbours' nodes.
+    """
+    if gamma_reduces(node_count, edges):
         return GAMMA_REPORT
-    if nest_point_order(len(nodes), edges) is not None:
+    if nest_point_order(node_count, edges) is not None:
         return BETA_REPORT
-    dual: List[List[int]] = [[] for _ in nodes]
+    dual: List[List[int]] = [[] for _ in range(node_count)]
     for hub, members in enumerate(edges):
         for node in members:
             dual[node].append(hub)
@@ -165,7 +174,7 @@ def classify_bipartite_graph(graph: Graph) -> ChordalityReport:
         chordal_61=False,
         chordal_62=False,
         v1_alpha=running_intersection_order(len(edges), dual) is not None,
-        v2_alpha=running_intersection_order(len(nodes), edges) is not None,
+        v2_alpha=running_intersection_order(node_count, edges) is not None,
     )
 
 

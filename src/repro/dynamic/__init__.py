@@ -29,7 +29,6 @@ traffic of a :class:`~repro.load.spec.LoadSpec`.
 from repro.dynamic.blocks import (
     BlockClassifier,
     biconnected_edge_blocks,
-    block_subgraph,
     combine_reports,
 )
 from repro.dynamic.delta import EditOp, SchemaDelta
@@ -41,6 +40,5 @@ __all__ = [
     "SchemaDelta",
     "SchemaEditor",
     "biconnected_edge_blocks",
-    "block_subgraph",
     "combine_reports",
 ]

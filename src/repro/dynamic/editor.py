@@ -146,8 +146,8 @@ class SchemaEditor:
         executed an effective edit leaves the version untouched.
         """
         self._require_open()
-        added_vertices = tuple(sorted(self._net_vertex_added.items(), key=repr))
-        removed_vertices = tuple(sorted(self._net_vertex_removed.items(), key=repr))
+        added_vertices = tuple(sorted(self._net_vertex_added.values(), key=repr))
+        removed_vertices = tuple(sorted(self._net_vertex_removed.values(), key=repr))
         # a vertex removed and re-added (side flip) must re-list its
         # surviving edges, or applying the delta would bring it back bare
         restore_readded_incident_edges(
@@ -309,22 +309,23 @@ class SchemaEditor:
             raise GraphError(f"unknown journal op {op.kind!r}")
 
     # net-effect bookkeeping with cancellation: an add that revokes a
-    # pending remove (or vice versa) nets to nothing
+    # pending remove (or vice versa) nets to nothing.  The vertex maps hold
+    # {vertex: (object, side)}: an equal object of another type or repr
+    # revokes nothing, as SchemaDelta.between lists it (its token differs)
     def _record_vertex_added(self, vertex: Vertex, side: Optional[int]) -> None:
-        if (
-            vertex in self._net_vertex_removed
-            and self._net_vertex_removed[vertex] == side
+        removed = self._net_vertex_removed.get(vertex)
+        if removed == (vertex, side) and type(removed[0]) is type(vertex) and (
+            repr(removed[0]) == repr(vertex)
         ):
-            # removed and re-added on the same side: net nothing
             del self._net_vertex_removed[vertex]
         else:
-            self._net_vertex_added[vertex] = side
+            self._net_vertex_added[vertex] = (vertex, side)
 
     def _record_vertex_removed(self, vertex: Vertex, side: Optional[int]) -> None:
         if vertex in self._net_vertex_added:
             del self._net_vertex_added[vertex]
         else:
-            self._net_vertex_removed[vertex] = side
+            self._net_vertex_removed[vertex] = (vertex, side)
 
     def _record_edge_added(self, edge) -> None:
         key = frozenset(edge)

@@ -41,9 +41,9 @@ import sys
 import uuid
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 # classify_bipartite_graph stays bound here although contexts classify
 # blockwise: the per-layer tracing of perfbench/tracing.py patches this name
@@ -251,34 +251,15 @@ class SidePlan:
     ``component`` holds the ids of the component, ``ordering`` the Lemma 1
     elimination ordering on ids -- ``None`` when ``H_side`` of the
     component is alpha-cyclic, i.e. not ``V_side``-chordal and conformal,
-    so Algorithm 1 does not apply -- and ``blocks`` the component's rooted
-    :class:`~repro.dynamic.blocks.BlockCutTree` on ids, which
-    :meth:`region` and Step 2's block scan read.  ``masks`` holds the
-    neighbour masks of each block a query has touched (see
-    :meth:`block_masks`); an edit drops them with the plan.
+    so Algorithm 1 does not apply -- and ``blocks`` the context's one
+    block-cut forest on ids (:class:`~repro.dynamic.blocks.BlockCutTree`,
+    with the masks of the blocks queries touched), which :meth:`region`
+    and Step 2's block scan read.
     """
 
     component: FrozenSet[int]
     ordering: Optional[Tuple[int, ...]]
     blocks: BlockCutTree
-    masks: Dict[int, List[int]] = field(default_factory=dict, compare=False, repr=False)
-
-    def block_masks(self, node: int, row: Callable[[int], List[int]]) -> List[int]:
-        """Return the neighbour masks of block ``node``, built on first use from ``row``.
-
-        Bit ``i`` stands for ``blocks.members[node][i]``, and entry ``i``
-        is the mask of that member's neighbours.  Two blocks share at most
-        one vertex, so every edge between two members belongs to the
-        block: the masks are the block's own adjacency.
-        """
-        masks = self.masks.get(node)
-        if masks is None:
-            members = self.blocks.members[node]
-            bits = {vertex: 1 << i for i, vertex in enumerate(members)}
-            masks = self.masks[node] = [
-                sum(bits[u] for u in row(vertex) if u in bits) for vertex in members
-            ]
-        return masks
 
     def region(self, terminal_ids: List[int]) -> Iterable[int]:
         """Return the ids Step 2 of Algorithm 1 must scan for ``terminal_ids``.
@@ -332,10 +313,9 @@ class SchemaContext:
         # it is shared (by reference) along every apply_delta chain rooted
         # here, so its counter covers the whole lineage
         self._blocks = BlockClassifier()
-        # the cold pass's (edges, report) pairs, until the first edit or
-        # side plan turns them into block records (see _block_records)
-        self._cold_blocks: Optional[list] = None
+        # the blocks on ids, and their block-cut forest (first side plan)
         self._records: Optional[BlockRecords] = None
+        self._block_cut: Optional[BlockCutTree] = None
         # the cross-query distance oracle is lazy (first BFS builds it);
         # the counters are shared with the owning SchemaCache when there
         # is one, so they survive eviction and apply_delta re-derivation
@@ -352,13 +332,10 @@ class SchemaContext:
     def report(self) -> ChordalityReport:
         """The (lazily computed, cached) chordality classification.
 
-        Computed blockwise; the cold pass keeps its per-block reports for
-        the block records an ``apply_delta`` chain or a side plan reads.
+        Computed blockwise, by building the context's block records.
         """
         if self._report is None:
-            blocks: list = []
-            self._report = self._blocks.classify(self.graph, blocks)
-            self._cold_blocks = blocks
+            self._report = self._block_records().report()
         return self._report
 
     @cached_property
@@ -373,21 +350,13 @@ class SchemaContext:
         return _digest(self.fingerprint)
 
     def _block_records(self) -> BlockRecords:
-        """Return the block records, built on first use (not in the cold pass).
+        """Return the block records on ids, built and classified on first use.
 
-        From the cold pass's blocks; a context whose report came from disk
-        runs the cold pass here.  The first edit and the first side plan
-        read them.
+        A context whose report came from disk builds them on its first
+        edit or side plan.
         """
         if self._records is None:
-            blocks = self._cold_blocks
-            if blocks is None:
-                blocks = []
-                report = self._blocks.classify(self.graph, blocks)
-                if self._report is None:
-                    self._report = report
-            self._records = BlockRecords(blocks)
-            self._cold_blocks = None
+            self._records = self._blocks.classify(self.indexed)
         return self._records
 
     # ------------------------------------------------------------------
@@ -407,12 +376,10 @@ class SchemaContext:
         * the CSR backend is patched from the old arrays plus the delta's
           edge changes (the label index is reused verbatim when the vertex
           set did not change; vertex churn re-derives it);
-        * the Theorem 1 classification is kept on the context's
-          :class:`~repro.dynamic.blocks.BlockRecords`: blocks that lost
-          an edge are re-split, the blocks on each added edge's
-          block-cut path are merged, and only the blocks the edit created
-          are classified, through the lineage's shared
-          :class:`~repro.dynamic.blocks.BlockClassifier`;
+        * the context's :class:`~repro.dynamic.blocks.BlockRecords` on ids
+          are patched (:meth:`~repro.dynamic.blocks.BlockRecords.patched`):
+          only the blocks the edit created are classified, through the
+          lineage's shared :class:`~repro.dynamic.blocks.BlockClassifier`;
         * the vertex tokens are the parent's, and a vertex the edit added
           is the only one encoded; the key is rebuilt from the tokens and
           the patched CSR;
@@ -462,8 +429,10 @@ class SchemaContext:
                 ]
                 context._oracle = self._oracle.inherit(context.indexed, touched)
         context._blocks = self._blocks
-        context._records = records.patched(new_graph, delta, self._blocks)
-        context._cold_blocks = None
+        context._records = records.patched(
+            delta, self.index, context.indexed, context.index, self._blocks
+        )
+        context._block_cut = None
         context._report = context._records.report()
         context._side_plans = {}
         context._components = None
@@ -521,10 +490,8 @@ class SchemaContext:
         through the oracle, so no uncounted row store exists; the
         remaining memos (side plans, components) hold one entry per
         connected component and side, and are bounded by the schema rather
-        than by the traffic.  That holds for a side plan's block
-        decomposition too: its block-cut tree stores each block's ids
-        once, linear in the component.  So do the context's block records,
-        which hold each block once.
+        than by the traffic.  So are the block records and the block-cut
+        forest the side plans share: linear in the schema.
         """
         total = self.indexed.nbytes()
         if self._oracle is not None:
@@ -568,8 +535,9 @@ class SchemaContext:
         ascending id (repr) order, which is the order
         :func:`~repro.steiner.algorithm1.lemma1_ordering` returns.  Its
         ``None`` is Theorem 1(v)/(vi)'s verdict that the component is not
-        ``V_side``-chordal and conformal.  The rooted block-cut tree comes
-        from the context's block records.
+        ``V_side``-chordal and conformal.  Every plan reads the context's
+        one block-cut forest, built from the block records on the first
+        plan.
         """
         component = self.component_ids(vertex_id)
         key = (side, min(component))
@@ -586,16 +554,9 @@ class SchemaContext:
                 len(nodes), [[nodes[u] for u in row(hub)] for hub in hubs]
             )
             ordering = None if order is None else tuple(hubs[e] for e in reversed(order))
-            records = self._block_records()
-            labels = self.index.decode(members)
-            ids = self.index.ids
-            blocks = BlockCutTree(
-                [ids[vertex] for vertex in records.records[block][1]]
-                for block in sorted(
-                    {block for label in labels for block in records.blocks_of.get(label, ())}
-                )
-            )
-            plan = SidePlan(component=component, ordering=ordering, blocks=blocks)
+            if self._block_cut is None:
+                self._block_cut = BlockCutTree(self._block_records().members.values())
+            plan = SidePlan(component=component, ordering=ordering, blocks=self._block_cut)
             self._side_plans[key] = plan
         return plan
 

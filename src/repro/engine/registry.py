@@ -386,7 +386,7 @@ def _block_scan(plan: SidePlan, indexed, terminal_ids: Sequence[int]) -> Set[int
         slot, i = hit
         masks = masks_of[slot]
         if masks is None:
-            masks = masks_of[slot] = plan.block_masks(blocks[slot], indexed.row)
+            masks = masks_of[slot] = tree.block_masks(blocks[slot], indexed.row)
         bit, live, goal = 1 << i, alive[slot], ports[slot]
         if not live & bit:
             continue  # went in an earlier batch

@@ -21,6 +21,7 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping
 from repro.core.classification import ChordalityReport
 from repro.exceptions import ValidationError
 from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.indexed import to_indexed
 from repro.hypergraphs.acyclicity import acyclicity_degree, satisfies_degree
 from repro.hypergraphs.conversions import incidence_graph
 from repro.hypergraphs.hypergraph import Hypergraph
@@ -117,7 +118,7 @@ class RelationalSchema:
         # function-level import: repro.dynamic sits above repro.semantic
         from repro.dynamic.blocks import BlockClassifier
 
-        return BlockClassifier().classify(self.schema_graph())
+        return BlockClassifier().classify(to_indexed(self.schema_graph())[0]).report()
 
     # ------------------------------------------------------------------
     # instances

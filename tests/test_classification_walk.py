@@ -50,6 +50,7 @@ from repro.datasets.generators import (
 )
 from repro.dynamic import BlockClassifier
 from repro.engine.cache import SchemaContext
+from repro.graphs.indexed import to_indexed
 from repro.hypergraphs import (
     find_beta_cycle,
     find_gamma_cycle,
@@ -136,7 +137,7 @@ def test_walk_matches_the_field_by_field_reference(family, data):
     other_side = rescanning_nest_order(hypergraph_of_side(graph, 1)) is not None
     assert other_side == reference.chordal_61
     assert classify_bipartite_graph(graph) == reference
-    assert BlockClassifier().classify(graph) == reference
+    assert BlockClassifier().classify(to_indexed(graph)[0]).report() == reference
 
 
 def _forbid(monkeypatch, *functions):

@@ -525,7 +525,7 @@ class TestPackaging:
     def test_version_and_exports(self):
         import repro
 
-        assert repro.__version__ == "8.0.0"
+        assert repro.__version__ == "9.0.0"
         for name in (
             "BlockClassifier",
             "ConnectionRequest",
@@ -555,7 +555,7 @@ class TestPackaging:
         """2.0.0 keeps one front door, 3.0.0 one lane, 4.0.0 one answer
         digest, 5.0.0 one workload model, 6.0.0 one alpha-acyclicity test,
         7.0.0 one representation per layer, 8.0.0 one key per schema
-        version."""
+        version, 9.0.0 one block structure on ids."""
         import importlib
 
         import repro
@@ -708,6 +708,18 @@ class TestPackaging:
         for solver in (kou_markowsky_berman, steiner_tree_dreyfus_wagner):
             with pytest.raises(TypeError, match="pass both or neither"):
                 solver(graph, ["A", "B"], indexed=indexed)
+        # 9.0.0: blocks live on ids; no label subgraph per block, no masks
+        # on a side plan, and the classifier reads the CSR
+        import repro.dynamic.blocks
+
+        for module in (repro.dynamic, repro.dynamic.blocks):
+            assert not hasattr(module, "block_subgraph"), module.__name__
+        assert "block_subgraph" not in repro.dynamic.__all__
+        assert [f.name for f in fields(SidePlan)] == ["component", "ordering", "blocks"]
+        assert not hasattr(SidePlan, "block_masks")
+        assert repro.BlockClassifier().classify(indexed).report() == repro.ChordalityReport(
+            **{f.name: True for f in fields(repro.ChordalityReport)}
+        )
 
     def test_py_typed_marker_ships(self):
         import repro

@@ -5,7 +5,11 @@ One version bump per committed transaction, exact rollback on error
 cancellation rules.
 """
 
+import random
+
 import pytest
+from hypothesis import given, strategies as st
+from strategies import common_settings
 
 from repro.dynamic import SchemaDelta, SchemaEditor
 from repro.exceptions import GraphError, ValidationError
@@ -252,3 +256,118 @@ def test_add_vertex_side_conflict_fails_loudly():
     with SchemaEditor(g) as tx:
         tx.add_vertex("A", side=1)
     assert g.mutation_version == v
+
+
+# ----------------------------------------------------------------------
+# the editor's net delta against the structural diff
+# ----------------------------------------------------------------------
+def test_a_type_swap_commits_the_delta_between_lists():
+    # 1.0 takes the place of the equal int 1, on its side, with its edge:
+    # the canonical token changes, so the net delta is not empty
+    graph = BipartiteGraph(left=[1, "A"], right=["x"], edges=[(1, "x"), ("A", "x")])
+    before = graph.copy()
+    with SchemaEditor(graph) as tx:
+        tx.remove_vertex(1)
+        tx.add_vertex(1.0, side=1)
+        tx.add_edge(1.0, "x")
+    assert tx.delta.counts() == {
+        "added_vertices": 1, "removed_vertices": 1, "added_edges": 1, "removed_edges": 0,
+    }
+    assert [(type(v), side) for v, side in tx.delta.removed_vertices] == [(int, 1)]
+    assert [(type(v), side) for v, side in tx.delta.added_vertices] == [(float, 1)]
+    reference = SchemaDelta.between(before, graph)
+    assert vertex_tokens(tx.delta.added_vertices) == vertex_tokens(reference.added_vertices)
+    assert edge_keys(tx.delta.added_edges) == edge_keys(reference.added_edges) == {
+        frozenset((1.0, "x"))
+    }
+    assert stored(tx.delta.apply_to(before.copy())) == stored(graph)
+
+
+class RetypedStr(str):
+    """A string of another type: equal to, and printing like, the ``str`` it copies."""
+
+
+def vertex_tokens(vertices):
+    return sorted((repr(vertex), type(vertex).__name__, side) for vertex, side in vertices)
+
+
+def edge_keys(edges):
+    return {frozenset(edge) for edge in edges}
+
+
+def stored(graph):
+    """Each stored vertex object's type, repr and side, and the edge set."""
+    vertices = sorted(
+        (repr(vertex), type(vertex).__name__, graph.side_of(vertex)) for vertex in graph.vertices()
+    )
+    return vertices, edge_keys(graph.edges())
+
+
+def swapped(vertex):
+    """An equal object of another type: int <-> float, str <-> RetypedStr."""
+    if isinstance(vertex, float):
+        return int(vertex)
+    if isinstance(vertex, int):
+        return float(vertex)
+    return str(vertex) if type(vertex) is RetypedStr else RetypedStr(vertex)
+
+
+def random_edit(graph, tx, rng, fresh):
+    """One random editor operation on ``graph``'s stored vertex objects."""
+    kind = rng.choice(["add-vertex", "remove-vertex", "add-edge", "remove-edge", "flip", "swap"])
+    vertices = graph.sorted_vertices()
+    if kind == "add-vertex" or not vertices:
+        side = rng.choice([1, 2])
+        tx.add_vertex(next(fresh) if side == 1 else f"r{next(fresh)}", side=side)
+    elif kind == "remove-vertex":
+        tx.remove_vertex(rng.choice(vertices))
+    elif kind == "add-edge":
+        pairs = [
+            (u, v)
+            for u in vertices
+            for v in vertices
+            if graph.side_of(u) == 1 and graph.side_of(v) == 2 and not graph.has_edge(u, v)
+        ]
+        if pairs:
+            tx.add_edge(*rng.choice(pairs))
+    elif kind == "remove-edge":
+        edges = sorted((tuple(edge) for edge in graph.edges()), key=repr)
+        if edges:
+            tx.remove_edge(*rng.choice(edges))
+    else:
+        # remove a vertex and put it back, on the other side (flip) or as
+        # an equal object of another type (swap), with some edges
+        vertex = rng.choice(vertices)
+        side = graph.side_of(vertex)
+        neighbours = sorted(graph.neighbors(vertex), key=repr)
+        tx.remove_vertex(vertex)
+        if kind == "flip":
+            partners = [w for w in graph.sorted_vertices() if graph.side_of(w) == side]
+            side, back = 3 - side, vertex
+        else:
+            partners, back = neighbours, swapped(vertex)
+        tx.add_vertex(back, side=side)
+        for partner in rng.sample(partners, rng.randint(0, min(2, len(partners)))):
+            tx.add_edge(back, partner)
+
+
+@common_settings(max_examples=60)
+@given(seed=st.integers(0, 2**16), edits=st.integers(1, 8))
+def test_editor_delta_equals_the_structural_diff(seed, edits):
+    rng = random.Random(seed)
+    left = list(range(rng.randint(1, 4)))
+    right = [f"r{j}" for j in range(rng.randint(1, 4))]
+    graph = BipartiteGraph(
+        left=left, right=right, edges=[(u, v) for u in left for v in right if rng.random() < 0.5]
+    )
+    fresh = iter(range(100, 10**6))
+    before = graph.copy()
+    with SchemaEditor(graph) as tx:
+        for _ in range(edits):
+            random_edit(graph, tx, rng, fresh)
+    delta, reference = tx.delta, SchemaDelta.between(before, graph)
+    assert vertex_tokens(delta.added_vertices) == vertex_tokens(reference.added_vertices)
+    assert vertex_tokens(delta.removed_vertices) == vertex_tokens(reference.removed_vertices)
+    assert edge_keys(delta.added_edges) == edge_keys(reference.added_edges)
+    assert edge_keys(delta.removed_edges) == edge_keys(reference.removed_edges)
+    assert stored(delta.apply_to(before.copy())) == stored(graph)

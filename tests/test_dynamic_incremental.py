@@ -21,11 +21,16 @@ from repro.dynamic import (
     SchemaDelta,
     SchemaEditor,
     biconnected_edge_blocks,
-    block_subgraph,
     combine_reports,
 )
 from repro.engine.cache import SchemaContext
 from repro.graphs import BipartiteGraph
+from repro.graphs.indexed import to_indexed
+
+
+def blockwise_report(graph, classifier=None):
+    """The whole-graph report of ``graph``, classified block by block on ids."""
+    return (classifier or BlockClassifier()).classify(to_indexed(graph)[0]).report()
 
 
 # ----------------------------------------------------------------------
@@ -34,13 +39,13 @@ from repro.graphs import BipartiteGraph
 @COMMON_SETTINGS
 @given(graph=bipartite_graphs(max_left=5, max_right=5))
 def test_blockwise_report_equals_monolithic(graph):
-    assert BlockClassifier().classify(graph) == classify_bipartite_graph(graph)
+    assert blockwise_report(graph) == classify_bipartite_graph(graph)
 
 
 @COMMON_SETTINGS
 @given(graph=chordal_bipartite_graphs(max_blocks=5))
 def test_blockwise_report_equals_monolithic_on_chordal_schemas(graph):
-    assert BlockClassifier().classify(graph) == classify_bipartite_graph(graph)
+    assert blockwise_report(graph) == classify_bipartite_graph(graph)
 
 
 @COMMON_SETTINGS
@@ -66,17 +71,6 @@ def test_blocks_of_known_shapes():
         edges=[("l1", "r1"), ("r1", "l2"), ("l2", "r2"), ("r2", "l1")],
     )
     assert [len(b) for b in biconnected_edge_blocks(cycle)] == [4]
-
-
-def test_block_subgraph_preserves_sides():
-    graph = BipartiteGraph(
-        left=["A", "B"], right=[1, 2],
-        edges=[("A", 1), ("B", 1), ("A", 2), ("B", 2)],
-    )
-    (edges,) = biconnected_edge_blocks(graph)
-    block = block_subgraph(graph, edges)
-    assert isinstance(block, BipartiteGraph)
-    assert block.left() == {"A", "B"} and block.right() == {1, 2}
 
 
 def test_combine_reports_of_nothing_is_all_true():
@@ -114,9 +108,10 @@ def test_ambiguous_blocks_are_classified_but_never_memoised():
     graph.add_right(b)
     graph.add_edge(a, b)
     classifier = BlockClassifier()
-    first = classifier.classify(graph)
-    second = classifier.classify(graph)
+    first = blockwise_report(graph, classifier)
+    second = blockwise_report(graph, classifier)
     assert first == second == classify_bipartite_graph(graph)
+    assert classifier.stats()["blocks_classified"] == 2
 
 
 # ----------------------------------------------------------------------

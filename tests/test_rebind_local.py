@@ -15,7 +15,10 @@ over three schema families and checks, after every transaction:
   ``schema_fingerprint(graph)``, and its digest equals
   ``schema_digest(graph)`` and the SHA-256 of its key -- or all are
   ambiguous;
-* its block records equal ``biconnected_edge_blocks(graph)``;
+* its block records on ids, decoded, equal ``biconnected_edge_blocks(graph)``
+  (also across vertex churn, which re-keys every id), and its block-cut
+  forest, shared by the side plans of both sides, gives a cold context's
+  ``span`` for random vertex sets inside one component;
 * ``between`` returns the net delta of the whole-graph diff it replaced
   (kept below as ``reference_between``): identical vertex tuples and
   identical edge sets;
@@ -112,6 +115,36 @@ def edge_set(edges):
 
 def block_set(blocks):
     return {frozenset(map(frozenset, edges)) for edges in blocks}
+
+
+def record_edge_blocks(context):
+    """The context's block records on ids, decoded to label edge lists.
+
+    A block is its member ids; its edges are the edges between members.
+    """
+    labels, row = context.index.labels, context.indexed.row
+    blocks = []
+    for members in context._block_records().members.values():
+        assert list(members) == sorted(set(members))
+        inside = set(members)
+        blocks.append(
+            [(labels[u], labels[v]) for u in members for v in row(u) if v > u and v in inside]
+        )
+    return blocks
+
+
+def check_block_cut_spans(patched, cold, graph, rng):
+    """The patched context's block-cut forest spans what a cold context's does."""
+    for component in connected_components(graph):
+        ids = sorted(patched.index.encode(v for v in component if graph.degree(v)))
+        if len(ids) < 2:
+            continue
+        plan = patched.side_plan(2, ids[0])
+        assert patched.side_plan(1, ids[0]).blocks is plan.blocks
+        reference = cold.side_plan(2, ids[0]).blocks
+        for _ in range(3):
+            picked = rng.sample(ids, rng.randint(2, min(4, len(ids))))
+            assert plan.blocks.span(picked) == reference.span(picked)
 
 
 # ----------------------------------------------------------------------
@@ -442,9 +475,10 @@ def check_rebind(context, service, graph, seed):
         assert patched.fingerprint == cold.fingerprint == schema_fingerprint(graph)
         assert patched.digest == schema_digest(patched.graph)
         assert patched.digest == hashlib.sha256(patched.fingerprint).hexdigest()
-    records = [edges for edges, _, _ in patched._records.records.values()]
+    records = record_edge_blocks(patched)
     assert block_set(records) == block_set(biconnected_edge_blocks(graph))
     assert sum(map(len, records)) == graph.number_of_edges()
+    check_block_cut_spans(patched, cold, graph, random.Random(seed))
 
     fresh_service = ConnectionService(schema=graph.copy())
     for terminals in queries(graph, seed):
@@ -536,11 +570,11 @@ def test_merge_follows_the_block_cut_path():
     context = SchemaContext(graph)
     context.report
     records = context._block_records()
-    assert len(records.records) == 4
+    assert len(records.members) == 4
     with SchemaEditor(graph) as tx:
         tx.add_edge(chain[0], ("r", "tail"))
     patched = context.apply_delta(SchemaDelta.between(context.graph, graph))
-    blocks = [edges for edges, _, _ in patched._records.records.values()]
+    blocks = record_edge_blocks(patched)
     assert [len(edges) for edges in blocks] == [14]
     assert block_set(blocks) == block_set(biconnected_edge_blocks(graph))
 
