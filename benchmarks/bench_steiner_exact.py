@@ -271,7 +271,7 @@ def _scan_answer(context, terminals, restrict):
     )
     sides, row = context.indexed.sides, context.indexed.row
     cover.update([u for v in cover if sides[v] == 2 for u in row(v)])
-    tree = _cover_tree(context, cover, ids)
+    tree = _cover_tree(context, cover, ids).decode(context.index.labels)
     return context.index.decode_set(cover), (tree.vertices(), tree.edge_set())
 
 
@@ -396,7 +396,7 @@ def _restricted_elimination_answer(context, terminals):
             terminal = parents[terminal]
             seed.add(terminal)
     cover = indexed_elimination_cover(context.indexed, ids, restrict=seed)
-    tree = _cover_tree(context, cover, ids)
+    tree = _cover_tree(context, cover, ids).decode(context.index.labels)
     return context.index.decode_set(cover), (tree.vertices(), tree.edge_set())
 
 

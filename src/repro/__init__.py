@@ -151,7 +151,7 @@ from repro.steiner import (
     steiner_tree_dreyfus_wagner,
 )
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "BipartiteGraph",

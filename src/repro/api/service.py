@@ -363,6 +363,7 @@ class ConnectionService:
             return None
         disk.hits += 1
         self._disk_replays.inc()
+        replay.solution.index_on(context.index)
         return replay
 
     def _disk_store(self, disk, request: ConnectionRequest, context: SchemaContext, result) -> None:
@@ -813,6 +814,7 @@ class ConnectionService:
         return EnumerationStream(
             context.graph,
             req,
+            index=context.index,
             instance_class=instance_class,
             cache_hit=cache_hit,
             budget=budget if budget is not None else self._config.enumeration_budget,

@@ -23,6 +23,7 @@ from repro.api.request import ConnectionRequest, validate_terminals
 from repro.api.result import ConnectionResult, Guarantee, Provenance
 from repro.exceptions import ValidationError
 from repro.graphs.graph import Graph
+from repro.graphs.indexed import GraphIndex
 from repro.graphs.spanning import spanning_tree
 from repro.graphs.traversal import component_containing, vertices_in_same_component
 from repro.steiner.problem import SteinerInstance, SteinerSolution
@@ -111,6 +112,10 @@ class EnumerationStream:
       yields further results.
     * ``budget=0`` is valid: the stream starts paused and yields nothing
       until extended.
+
+    With ``index`` (the schema context's
+    :class:`~repro.graphs.indexed.GraphIndex`), every yielded tree is also
+    numbered by its ids, which is the form the wire renders.
     """
 
     def __init__(
@@ -118,6 +123,7 @@ class EnumerationStream:
         graph: Graph,
         request: ConnectionRequest,
         *,
+        index: Optional[GraphIndex] = None,
         instance_class: str,
         cache_hit: bool,
         budget: Optional[int] = None,
@@ -137,6 +143,7 @@ class EnumerationStream:
         self._instance = SteinerInstance(graph, request.terminals)
         self._instance.require_feasible()
         self._generator = _connection_solutions(graph, self._instance, max_extra)
+        self._index = index
         self._instance_class = instance_class
         self._cache_hit = cache_hit
         self._budget = budget
@@ -210,6 +217,8 @@ class EnumerationStream:
             self._exhausted = True
             raise
         self._yielded += 1
+        if self._index is not None:
+            solution.index_on(self._index)
         provenance = Provenance(
             solver="ranked-enumeration",
             instance_class=self._instance_class,

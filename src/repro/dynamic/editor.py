@@ -231,10 +231,16 @@ class SchemaEditor:
         self._record_vertex_added(vertex, side)
 
     def remove_vertex(self, vertex: Vertex) -> None:
-        """Remove a vertex with its incident edges (journalled for rollback)."""
+        """Remove a vertex with its incident edges (journalled for rollback).
+
+        The delta and the journal name the object the graph stores, which
+        may be an equal object of another type than ``vertex`` (``1.0``
+        for ``1``), as :meth:`SchemaDelta.between` does.
+        """
         self._require_open()
         if not self._graph.has_vertex(vertex):
             raise GraphError(f"vertex {vertex!r} is not in the graph")
+        vertex = _stored(self._graph, vertex)
         side = self._side_of(vertex)
         incident = tuple((vertex, other) for other in sorted(
             self._graph.neighbors(vertex), key=repr
@@ -272,8 +278,13 @@ class SchemaEditor:
         self._record_edge_added((u, v))
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
-        """Remove an edge (endpoints stay, possibly isolated)."""
+        """Remove an edge (endpoints stay, possibly isolated).
+
+        Like :meth:`remove_vertex`, it records the endpoints the graph stores.
+        """
         self._require_open()
+        if self._graph.has_edge(u, v):
+            u, v = _stored(self._graph, u), _stored(self._graph, v)
         self._graph.remove_edge(u, v)  # raises GraphError when absent
         self._journal.append(EditOp(kind="remove_edge", edge=(u, v)))
         self._record_edge_removed((u, v))
@@ -340,3 +351,16 @@ class SchemaEditor:
             del self._net_edge_added[key]
         else:
             self._net_edge_removed[key] = edge
+
+
+def _stored(graph: Graph, vertex: Vertex) -> Vertex:
+    """Return the object ``graph`` stores for ``vertex``, an equal one.
+
+    That is the vertex-map key: what :meth:`Graph.vertices` lists and
+    :meth:`SchemaDelta.between` names, and whose type and ``repr`` make
+    the vertex's token.  Rows may hold another equal object, since
+    ``add_edge`` stores the caller's endpoints there, so the key is found
+    by one C-level scan of the vertex map.
+    """
+    keys = list(graph._adjacency)
+    return keys[keys.index(vertex)]

@@ -13,7 +13,8 @@ orderings.  The engine amortises them:
   :class:`~repro.engine.registry.SolverRegistry` using the cached class;
 * :meth:`InterpretationEngine.execute_plan` runs the solver on the
   integer-indexed fast lane and returns a
-  :class:`~repro.steiner.problem.SteinerSolution` on the original graph.
+  :class:`~repro.steiner.problem.SteinerSolution` on the original graph,
+  kept on the context's ids until a label is read.
 
 The engine is not an entry point of its own: requests, batches and
 dispatch limits live in :class:`~repro.api.service.ConnectionService`,
@@ -103,7 +104,11 @@ class InterpretationEngine:
 
         This is the one place in the library where a solver is actually
         invoked; every :class:`~repro.api.service.ConnectionService`
-        request funnels through it.
+        request funnels through it.  A solution whose tree a solver built
+        in label space (brute force, a one-terminal shortcut, a custom
+        solver) is numbered here by the context's ids, so that every
+        answer reaches the wire on ids
+        (:meth:`~repro.steiner.problem.SteinerSolution.index_on`).
         """
         names = (plan.solver, *plan.fallbacks)
         last_error: Optional[NotApplicableError] = None
@@ -117,6 +122,8 @@ class InterpretationEngine:
             except NotApplicableError as error:
                 last_error = error
                 continue
+            if solution.ids is None:
+                solution.index_on(context.index)
             solution.metadata.setdefault("plan", plan.reason)
             solution.metadata.setdefault("solver", name)
             if position > 0:

@@ -56,10 +56,12 @@ from repro.graphs.indexed import (
     IndexedGraph,
     id_order,
     indexed_in_order,
+    prefix_free,
     type_name,
 )
 from repro.hypergraphs.reduction import running_intersection_order
 from repro.kernels.oracle import DistanceOracle, OracleStats
+from repro.steiner.problem import OnIds
 
 
 class LRUCache:
@@ -146,13 +148,15 @@ def _blob(text: str) -> bytes:
     return len(data).to_bytes(8, "little") + data
 
 
-def _tokens(labels: List[Vertex], reprs: List[str], parent=None) -> List[bytes]:
+def _tokens(
+    labels: List[Vertex], reprs: List[str], found: Optional[List[int]] = None, parent=None
+) -> List[bytes]:
     """Return the vertex tokens of ``labels``, whose reprs are ``reprs``.
 
     A token is the blob of the vertex's :func:`type_name` followed by the
-    blob of its ``repr``.  With a ``parent`` context, a vertex that is the
-    very object the parent holds keeps the parent's token -- identity, not
-    equality: ``1 == 1.0`` -- and only the others are encoded.
+    blob of its ``repr``.  With a ``parent`` context and ``found`` from
+    :func:`_found`, a vertex the parent holds as the very object keeps
+    the parent's token, and only the others are encoded.
     """
     kinds: Dict[type, bytes] = {}
 
@@ -164,12 +168,32 @@ def _tokens(labels: List[Vertex], reprs: List[str], parent=None) -> List[bytes]:
 
     if parent is None:
         return list(map(encode, labels, reprs))
-    ids, known, tokens = parent.index.ids, parent.index.labels, parent._tokens
+    tokens = _carried(parent._tokens, found)
+    at = -1
+    try:
+        while True:  # the few vertices the parent does not hold
+            at = found.index(-1, at + 1)
+            tokens[at] = encode(labels[at], reprs[at])
+    except ValueError:
+        return tokens
+
+
+def _found(labels: List[Vertex], parent_index: GraphIndex) -> List[int]:
+    """Return, per label, the parent's id of that very object, or ``-1``.
+
+    Identity, not equality: ``1 == 1.0``.  One pass over the vertices
+    tells a vertex-churn edit which per-vertex values it inherits.
+    """
+    ids, known = parent_index.ids, parent_index.labels
     return [
-        tokens[at] if (at := ids.get(vertex)) is not None and known[at] is vertex
-        else encode(vertex, text)
-        for vertex, text in zip(labels, reprs)
+        at if (at := ids.get(vertex)) is not None and known[at] is vertex else -1
+        for vertex in labels
     ]
+
+
+def _carried(values: List, found: List[int]) -> List:
+    """Return ``values[found[i]]`` per ``i``, ``None`` where ``found[i] == -1``."""
+    return list(map([*values, None].__getitem__, found))
 
 
 def _le64(values: array) -> bytes:
@@ -209,12 +233,22 @@ def _digest(key: bytes) -> str:
 def _canonical_form(graph: Graph, parent=None) -> Tuple:
     """Return ``(indexed, index, tokens, key)`` for a schema graph.
 
-    The vertices are ordered and their reprs taken once; ``parent`` (a
-    context) lends its tokens as :func:`_tokens` describes.
+    The vertices are ordered and their reprs taken once, which also gives
+    the index its :attr:`~repro.graphs.indexed.GraphIndex.repr_sorted`.
+    ``parent`` (a context) lends its tokens as :func:`_tokens` describes,
+    and its label table's wire fragments the same way, so no vertex-churn
+    edit re-encodes the labels it keeps.
     """
     labels, reprs = id_order(graph)
     indexed, index = indexed_in_order(graph, labels)
-    tokens = _tokens(labels, reprs, parent)
+    index._repr_sorted = prefix_free(reprs)  # as to_indexed sets it
+    if parent is None:
+        tokens = _tokens(labels, reprs)
+    else:
+        found = _found(labels, parent.index)
+        tokens = _tokens(labels, reprs, found, parent)
+        if parent.index.fragments is not None:
+            index.fragments = _carried(parent.index.fragments, found)
     return indexed, index, tokens, _key(tokens, indexed, len(set(tokens)) < len(tokens))
 
 
@@ -260,6 +294,16 @@ class SidePlan:
     component: FrozenSet[int]
     ordering: Optional[Tuple[int, ...]]
     blocks: BlockCutTree
+
+    @cached_property
+    def ordering_ids(self) -> OnIds:
+        """The ordering as the answers' ``metadata["ordering"]`` value.
+
+        One instance per plan, shared by every answer the plan gives, so
+        the wire renders the ordering's text once per plan; each answer's
+        metadata decodes its own label list on first read.
+        """
+        return OnIds(self.ordering, list)
 
     def region(self, terminal_ids: List[int]) -> Iterable[int]:
         """Return the ids Step 2 of Algorithm 1 must scan for ``terminal_ids``.

@@ -17,8 +17,10 @@ Every solver takes ``(context, terminals)`` (plus ``side`` for the
 pseudo-Steiner ones), where ``context`` is a cached
 :class:`~repro.engine.cache.SchemaContext`, and returns a
 :class:`~repro.steiner.problem.SteinerSolution` whose tree lives on the
-*original* hashable-vertex schema graph -- the indexed backend is an
-internal fast lane, never visible in results.  Custom solvers can be
+*original* hashable-vertex schema graph.  The id solvers hand it over on
+the context's ids (its label tree and its cover decode on first read);
+:meth:`~repro.engine.batch.InterpretationEngine.execute_plan` numbers the
+label trees of the others by the same ids.  Custom solvers can be
 registered to experiment with alternative strategies without touching the
 planner.
 """
@@ -35,7 +37,7 @@ from repro.graphs.graph import Vertex
 from repro.graphs.indexed import indexed_pruned_tree, iter_bits
 from repro.steiner.exact import steiner_tree_bruteforce, steiner_tree_dreyfus_wagner
 from repro.steiner.heuristics import kou_markowsky_berman
-from repro.steiner.problem import SteinerInstance, SteinerSolution
+from repro.steiner.problem import OnIds, SteinerInstance, SteinerSolution
 from repro.steiner.pseudo import pseudo_steiner_bruteforce
 
 # spanning_tree and prune_non_terminal_leaves stay bound here although the
@@ -142,14 +144,15 @@ def solve_chordal_elimination(context: SchemaContext, terminals: Iterable[Vertex
     # 2. nonredundant elimination inside the seed (ascending id order)
     cover = _eliminate_within(indexed, seed, terminal_ids)
 
-    # 3. spanning tree of the cover, built on ids, decoded once
+    # 3. spanning tree of the cover, on ids (labels decode on first read)
     solution = SteinerSolution(
-        tree=indexed_pruned_tree(cover, terminal_ids, context.index.labels),
+        ids=indexed_pruned_tree(cover, terminal_ids),
+        index=context.index,
         instance=instance,
         method="engine-chordal-elimination",
         optimal=context.report.steiner_tractable(),
     )
-    solution.metadata["cover"] = context.index.decode_set(cover)
+    solution.metadata["cover"] = OnIds(cover, set)
     return solution
 
 
@@ -213,10 +216,10 @@ def _seed_cover(
 
 
 def _cover_tree(context: SchemaContext, cover: Set[int], terminal_ids: Sequence[int]):
-    """The pruned spanning tree of a connected id cover, as a label graph."""
+    """The pruned spanning tree of a connected id cover, on ids."""
     row = context.indexed.row
     adjacency = {v: [u for u in row(v) if u in cover] for v in cover}
-    return indexed_pruned_tree(adjacency, terminal_ids, context.index.labels)
+    return indexed_pruned_tree(adjacency, terminal_ids)
 
 
 def _eliminate_within(indexed, seed: Set[int], terminal_ids: Sequence[int]) -> Dict[int, List[int]]:
@@ -311,14 +314,15 @@ def solve_algorithm1_indexed(
     sides, row = indexed.sides, indexed.row
     cover_ids.update([u for v in cover_ids if sides[v] == side for u in row(v)])
     solution = SteinerSolution(
-        tree=_cover_tree(context, cover_ids, terminal_ids),
+        ids=_cover_tree(context, cover_ids, terminal_ids),
+        index=context.index,
         instance=instance,
         method="engine-algorithm1",
         side=side,
         optimal=True,
     )
-    solution.metadata["cover"] = context.index.decode_set(cover_ids)
-    solution.metadata["ordering"] = context.index.decode(plan.ordering)
+    solution.metadata["cover"] = OnIds(cover_ids, set)
+    solution.metadata["ordering"] = plan.ordering_ids
     return solution
 
 

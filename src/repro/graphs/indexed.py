@@ -33,7 +33,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from itertools import accumulate, chain, islice
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
 
@@ -47,15 +47,24 @@ class GraphIndex:
     ``ids[label]`` inverts it.  Instances are produced by :func:`to_indexed`
     and consumed by :func:`from_indexed` and by the engine layer when it
     translates terminal sets and covers between labels and ids.
+
+    Two things derived from the labels ride along, so that each is
+    computed once per label table: :attr:`repr_sorted` (whether ascending
+    ids follow the labels' ``repr`` order) and :attr:`fragments`, one slot
+    per id for the label's wire text, which :mod:`repro.server.codec`
+    fills on first use.
     """
 
-    __slots__ = ("labels", "ids")
+    __slots__ = ("labels", "ids", "fragments", "_repr_sorted")
 
     def __init__(self, labels: Sequence) -> None:
         self.labels: Tuple = tuple(labels)
         self.ids: Dict = {label: index for index, label in enumerate(self.labels)}
         if len(self.ids) != len(self.labels):
             raise GraphError("vertex labels must be distinct")
+        self.fragments: Optional[List[Optional[str]]] = None
+        # set by the builders that hold the reprs in id order already
+        self._repr_sorted: Optional[bool] = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -68,6 +77,25 @@ class GraphIndex:
     def __setstate__(self, state: Tuple) -> None:
         self.labels = tuple(state)
         self.ids = {label: index for index, label in enumerate(self.labels)}
+        self.fragments = None
+        self._repr_sorted = None
+
+    @property
+    def repr_sorted(self) -> bool:
+        """True when ascending ids sort the labels by ``repr``, none a prefix of another.
+
+        Then sorting ids sorts labels by ``repr``, and sorting
+        ``(low, high)`` id pairs sorts the pairs by the ``repr`` of the
+        label pair (see :func:`prefix_free`).  :func:`to_indexed` and the
+        engine's schema contexts set it from the reprs they order the
+        labels by; otherwise it is computed from the labels on first use.
+        """
+        flag = self._repr_sorted
+        if flag is None:
+            reprs = list(map(repr, self.labels))
+            flag = all(map(str.__lt__, reprs, islice(reprs, 1, None))) and prefix_free(reprs)
+            self._repr_sorted = flag
+        return flag
 
     def encode(self, vertices: Iterable) -> List[int]:
         """Map original vertex labels to integer ids (raises on unknowns)."""
@@ -76,6 +104,24 @@ class GraphIndex:
         except KeyError as error:
             raise GraphError(f"vertex {error.args[0]!r} is not in the index") from None
 
+    def number(self, tree) -> Optional["IdTree"]:
+        """Return the :class:`IdTree` of a label graph, or ``None``.
+
+        ``None`` unless every vertex of ``tree`` has a label here that
+        stands for it: the very object, or one of the same type and value
+        that prints alike (:func:`same_label`) -- ``1`` does not stand for
+        ``1.0``, nor ``(1, 'a')`` for ``(1.0, 'a')``, although they are
+        equal.  Vertices and edges keep the graph's iteration order.
+        """
+        ids, labels = self.ids, self.labels
+        vertices = []
+        for vertex in tree:
+            at = ids.get(vertex)
+            if at is None or not same_label(vertex, labels[at]):
+                return None
+            vertices.append(at)
+        return IdTree(vertices, [(ids[u], ids[v]) for u, v in tree.edges()])
+
     def decode(self, ids: Iterable[int]) -> List:
         """Map integer ids back to the original vertex labels."""
         return [self.labels[i] for i in ids]
@@ -83,6 +129,39 @@ class GraphIndex:
     def decode_set(self, ids: Iterable[int]) -> Set:
         """Map integer ids back to a set of original labels."""
         return {self.labels[i] for i in ids}
+
+
+def same_label(vertex, label) -> bool:
+    """True when ``label`` stands for ``vertex``, an equal object.
+
+    Both are the same object, or have the same type and print alike: a
+    ``str`` or ``int`` (equal means identical then), a ``float`` with the
+    same ``repr`` (``0.0 == -0.0``), or a ``tuple`` whose items stand for
+    each other.
+    """
+    if vertex is label:
+        return True
+    kind = type(vertex)
+    if kind is not type(label):
+        return False
+    if kind is str or kind is int:
+        return True
+    if kind is float:
+        return repr(vertex) == repr(label)
+    return kind is tuple and all(map(same_label, vertex, label))
+
+
+def prefix_free(reprs: Sequence[str]) -> bool:
+    """True when none of ``reprs``, in ascending order, is a prefix of another.
+
+    Equal reprs count as prefixes.  In sorted order a prefix is followed
+    by one of its extensions, so one C-level pass over neighbours decides
+    it.  Without prefixes, comparing ``repr((a, b))`` with
+    ``repr((c, d))`` compares ``repr(a)`` with ``repr(c)``, then
+    ``repr(b)`` with ``repr(d)``, and every comparison is decided inside
+    both strings.
+    """
+    return not any(map(str.startswith, islice(reprs, 1, None), reprs))
 
 
 class IndexedGraph:
@@ -356,7 +435,10 @@ def to_indexed(graph) -> Tuple[IndexedGraph, GraphIndex]:
     :class:`~repro.graphs.bipartite.BipartiteGraph` is preserved in
     :attr:`IndexedGraph.sides`.
     """
-    return indexed_in_order(graph, id_order(graph)[0])
+    labels, reprs = id_order(graph)
+    indexed, index = indexed_in_order(graph, labels)
+    index._repr_sorted = prefix_free(reprs)
+    return indexed, index
 
 
 def indexed_in_order(graph, labels: Sequence) -> Tuple[IndexedGraph, GraphIndex]:
@@ -565,19 +647,40 @@ def edge_adjacency(edges: Iterable[Edge]) -> Dict[int, List[int]]:
     return {vertex: sorted(neighbors) for vertex, neighbors in adjacency.items()}
 
 
+class IdTree(NamedTuple):
+    """An answer tree on the ids of a :class:`GraphIndex`.
+
+    ``vertices`` lists every vertex once and ``edges`` the ``(u, v)`` id
+    pairs, both in the order the label tree adds them, so :meth:`decode`
+    builds the very :class:`~repro.graphs.graph.Graph` (row order
+    included) that the solver used to build in label space.
+    """
+
+    vertices: Sequence[int]
+    edges: Sequence[Edge]
+
+    def decode(self, labels: Sequence):
+        """Return the label :class:`~repro.graphs.graph.Graph` (``labels[i]`` for id ``i``)."""
+        from repro.graphs.graph import Graph
+
+        return Graph(
+            vertices=[labels[v] for v in self.vertices],
+            edges=[(labels[u], labels[v]) for u, v in self.edges],
+        )
+
+
 def indexed_pruned_tree(
     adjacency: Mapping[int, Sequence[int]],
     terminals: Iterable[int],
-    labels: Sequence,
-):
-    """Return the label tree of a solver's id-space cover, pruned to the terminals.
+) -> IdTree:
+    """Return the BFS spanning tree of a solver's id-space cover, pruned to the terminals.
 
     ``adjacency`` maps every id of the cover to its neighbours inside the
     cover, in ascending order; the cover must be connected and hold every
-    terminal.  The result is the label
-    :class:`~repro.graphs.graph.Graph` (``labels[i]`` for id ``i``) of the
-    BFS spanning tree rooted at the cover's smallest id, neighbours
-    visited in ascending order, with non-terminal leaves pruned.
+    terminal.  The result is the :class:`IdTree` of the BFS spanning tree
+    rooted at the cover's smallest id, neighbours visited in ascending
+    order, with non-terminal leaves pruned: its vertices from the
+    topmost kept one down in BFS order, its edges ``(parent, child)``.
 
     On ids numbered by :func:`to_indexed` that is exactly
     ``prune_non_terminal_leaves(spanning_tree(cover), terminals)`` on the
@@ -593,8 +696,6 @@ def indexed_pruned_tree(
         If the cover is not connected, as ``spanning_tree`` does, or
         misses a terminal.
     """
-    from repro.graphs.graph import Graph
-
     root = min(adjacency)
     parent = {root: root}
     order = [root]
@@ -626,11 +727,8 @@ def indexed_pruned_tree(
         keep.discard(top)
         top = children[top][0]
 
-    tree = Graph(vertices=[labels[top]])
-    for vertex in order:
-        if vertex in keep and vertex != top:
-            tree.add_edge(labels[parent[vertex]], labels[vertex])
-    return tree
+    below = [vertex for vertex in order if vertex in keep and vertex != top]
+    return IdTree([top, *below], [(parent[vertex], vertex) for vertex in below])
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -52,27 +52,6 @@ class PayloadError(ValueError):
     """Raised by :func:`decode_result` on malformed or mismatched payloads."""
 
 
-#: Memo of label ``repr`` strings.  Every encoded result repr-sorts its
-#: tree vertices and edges, and labels are drawn from a small per-schema
-#: universe, so caching the strings takes the sort keys off the
-#: per-result hot path (pool transport and the server wire alike).
-_REPR_MEMO: dict = {}
-_REPR_MEMO_MAX = 65536
-
-
-def _label_repr(label) -> str:
-    """``repr(label)``, memoised for hashable labels."""
-    try:
-        return _REPR_MEMO[label]
-    except KeyError:
-        text = repr(label)
-        if len(_REPR_MEMO) < _REPR_MEMO_MAX:
-            _REPR_MEMO[label] = text
-        return text
-    except TypeError:  # unhashable label; legal, just not memoisable
-        return repr(label)
-
-
 def request_key(request: ConnectionRequest, config: Optional[ServiceConfig] = None) -> str:
     """Return a stable content address for one request.
 
@@ -130,16 +109,12 @@ def encode_result(result: ConnectionResult) -> dict:
     tree = solution.tree
     return {
         "version": PAYLOAD_VERSION,
-        "tree_vertices": sorted(tree.vertices(), key=_label_repr),
-        # each edge oriented low-repr-first (inlined two-element sort --
-        # this is the per-result hot path for both pool transport and
-        # the server wire), then the edge list repr-sorted as a whole
+        "tree_vertices": sorted(tree.vertices(), key=repr),
+        # each edge oriented low-repr-first, then the edge list
+        # repr-sorted as a whole
         "tree_edges": sorted(
-            (
-                (u, v) if _label_repr(u) <= _label_repr(v) else (v, u)
-                for u, v in tree.edges()
-            ),
-            key=_label_repr,
+            ((u, v) if repr(u) <= repr(v) else (v, u) for u, v in tree.edges()),
+            key=repr,
         ),
         "method": solution.method,
         "side": solution.side,

@@ -68,6 +68,7 @@ from repro.server.errors import (
 from repro.server.protocol import (
     BATCH_REQUEST,
     WIRE_FORMAT_VERSION,
+    Rendered,
     encode_frame,
     lookup_command,
     read_frame,
@@ -520,7 +521,7 @@ class ReproServer:
         """List registered tenant names (coldest first)."""
         return {"tenants": self._registry.names()}
 
-    async def _cmd_connect(self, params, writer, message_id) -> dict:
+    async def _cmd_connect(self, params, writer, message_id) -> Rendered:
         """Answer one connection request; the body is a wire-encoded result."""
         tenant = params["tenant"]
         terminals = [decode_value(t) for t in params["terminals"]]
@@ -544,7 +545,7 @@ class ReproServer:
             lambda service: service.connect(request()),
             inline_if=lambda service: service.warm_within(request(), LOOP_WORK_LIMIT),
         )
-        return {"result": encode_wire_result(result)}
+        return Rendered('{"result":' + encode_wire_result(result) + "}")
 
     def _decode_batch_requests(self, tenant: str, params) -> list:
         """Build the typed request list for ``batch`` (validating quotas)."""
@@ -566,16 +567,16 @@ class ReproServer:
             requests.append(ConnectionRequest.of(terminals, **kwargs))
         return requests
 
-    async def _cmd_batch(self, params, writer, message_id) -> dict:
+    async def _cmd_batch(self, params, writer, message_id) -> Rendered:
         """Answer many requests over the tenant's schema in one call."""
         tenant = params["tenant"]
         requests = self._decode_batch_requests(tenant, params)
         results = await self._solve(
             tenant, params["token"], lambda service: service.batch(requests)
         )
-        return {"results": [encode_wire_result(result) for result in results]}
+        return _rendered_results(results)
 
-    async def _cmd_interpret(self, params, writer, message_id) -> dict:
+    async def _cmd_interpret(self, params, writer, message_id) -> Rendered:
         """Batch over bare terminal lists (``ConnectionService.batch``)."""
         tenant = params["tenant"]
         queries = params["queries"]
@@ -598,7 +599,7 @@ class ReproServer:
                 decoded, objective=objective, side=side
             ),
         )
-        return {"results": [encode_wire_result(result) for result in results]}
+        return _rendered_results(results)
 
     async def _cmd_mutate(self, params, writer, message_id) -> dict:
         """Apply one transactional schema evolution (authenticated).
@@ -754,7 +755,7 @@ class ReproServer:
         for result in results:
             await self._send(
                 writer,
-                {"id": message_id, "stream": encode_wire_result(result)},
+                {"id": message_id, "stream": Rendered(encode_wire_result(result))},
             )
         continuation = None
         if stream.paused and not stream.exhausted:
@@ -864,6 +865,13 @@ class ReproServer:
             pass
         finally:
             writer.close()
+
+
+def _rendered_results(results) -> Rendered:
+    """The ``{"results": [...]}`` body of a batch reply, one rendered answer each."""
+    return Rendered(
+        '{"results":[' + ",".join([encode_wire_result(result) for result in results]) + "]}"
+    )
 
 
 def _apply_edit(transaction: SchemaEditor, edit, position: int) -> None:

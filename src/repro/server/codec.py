@@ -9,6 +9,12 @@ runtime payload codec (:mod:`repro.runtime.codec`): tuples are tagged
 (``{"__t__": [...]}``) on the way out and restored on the way in, for
 vertex labels and recursively inside solution metadata.
 
+Answers are written straight to JSON text (:func:`encode_wire_result`):
+a served answer stays on the schema context's ids from the solver to the
+socket, and each label's text is encoded once per label table
+(:attr:`~repro.graphs.indexed.GraphIndex.fragments`) and joined from
+there.
+
 It also defines the two wire-only encodings that have no runtime
 counterpart: bipartite schema uploads (``{"left", "right", "edges"}``)
 and the **opaque continuation tokens** that make enumeration resumable
@@ -24,14 +30,19 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-from typing import Any, List, Optional
+from itertools import chain
+from json.encoder import encode_basestring as _string
+from typing import Any, List, Optional, Sequence
 
 from repro.api.request import ConnectionRequest
 from repro.api.result import ConnectionResult
 from repro.exceptions import ValidationError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.runtime.codec import _label_repr, decode_result, encode_result
+from repro.graphs.indexed import GraphIndex, id_order, same_label
+from repro.runtime.codec import PAYLOAD_VERSION, decode_result
 from repro.server.errors import ProtocolError
+from repro.server.protocol import to_json
+from repro.steiner.problem import OnIds
 
 #: Tag key marking an encoded tuple; chosen to be implausible as a user
 #: dict key and rejected in incoming plain dicts' keys by no one -- a
@@ -48,44 +59,18 @@ SET_TAG = "__s__"
 #: rejected with a protocol error instead of resuming garbage.
 CONTINUATION_VERSION = 1
 
-#: Memo of encoded tuple labels.  Vertex labels are drawn from a small
-#: universe but appear in every result's tree/metadata, so caching the
-#: encoded form takes label encoding off the round-trip critical path
-#: (SV1, ``benchmarks/bench_server.py``).  Consequence: encoded payloads
-#: share substructure -- treat wire payloads as immutable (the server
-#: only ever serialises them, and decoding builds fresh objects).
-_TUPLE_MEMO: dict = {}
-_TUPLE_MEMO_MAX = 65536
-
-
 def encode_value(value: Any) -> Any:
     """Return a JSON-safe encoding of a vertex label or metadata value.
 
     Tuples become ``{"__t__": [...]}`` (recursively); lists, dicts and
     scalars pass through with their elements encoded.
     """
-    # scalars first: the overwhelming majority of calls are leaf labels,
-    # and this ordering is what keeps result encoding off the round-trip
-    # critical path (see benchmarks/bench_server.py, SV1)
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, tuple):
-        try:
-            return _TUPLE_MEMO[value]
-        except KeyError:
-            encoded = {TUPLE_TAG: [encode_value(item) for item in value]}
-            if len(_TUPLE_MEMO) < _TUPLE_MEMO_MAX:
-                _TUPLE_MEMO[value] = encoded
-            return encoded
-        except TypeError:  # unhashable elements (e.g. a nested list)
-            return {TUPLE_TAG: [encode_value(item) for item in value]}
+        return {TUPLE_TAG: [encode_value(item) for item in value]}
     if isinstance(value, (set, frozenset)):
-        return {
-            SET_TAG: [
-                encode_value(item)
-                for item in sorted(value, key=_label_repr)
-            ]
-        }
+        return {SET_TAG: [encode_value(item) for item in sorted(value, key=repr)]}
     if isinstance(value, list):
         return [encode_value(item) for item in value]
     if isinstance(value, dict):
@@ -156,50 +141,173 @@ def decode_schema(payload: dict) -> BipartiteGraph:
 # ----------------------------------------------------------------------
 # results
 # ----------------------------------------------------------------------
-def encode_wire_result(result: ConnectionResult) -> dict:
-    """Return the JSON-safe wire payload for one answered request.
+def encode_wire_result(result: ConnectionResult) -> str:
+    """Return the JSON text of the wire payload for one answered request.
 
-    Built on :func:`~repro.runtime.codec.encode_result` (so provenance,
-    guarantee and the tree travel exactly as they do to the disk cache)
-    with every vertex label made JSON-safe, plus the request's terminals
-    and objective so a schema-holding receiver can rebuild the full
-    :class:`~repro.api.result.ConnectionResult` without out-of-band
-    state.
+    The payload is the runtime codec's record of the answer
+    (:func:`~repro.runtime.codec.encode_result`: tree, guarantee,
+    provenance) with every vertex label made JSON-safe, plus the request's
+    terminals, objective and cost, so a schema-holding receiver can
+    rebuild the full :class:`~repro.api.result.ConnectionResult`
+    (:func:`decode_wire_result` of ``json.loads`` of the text).  Its keys
+    come in this order: ``version``, ``tree_vertices`` (only when the edges
+    do not cover the tree, i.e. a one-vertex tree), ``tree_edges``,
+    ``method``, ``side``, ``optimal``, ``metadata`` (without ``cover`` when
+    the cover is the tree's vertex set), ``guarantee``, ``rank``,
+    ``provenance``, ``cover_is_tree`` (only then), ``terminals``,
+    ``objective``, ``cost``.  Vertex lists and sets are sorted by
+    ``repr``, each edge is oriented low-``repr`` first, and the edge list
+    is sorted by the ``repr`` of the pair.
+
+    The text is joined from the ids the answer carries
+    (:attr:`~repro.steiner.problem.SteinerSolution.ids`) and each label's
+    text, encoded once per label table
+    (:attr:`~repro.graphs.indexed.GraphIndex.fragments`).  Where the table's
+    ids follow ``repr`` order (:attr:`~repro.graphs.indexed.GraphIndex.repr_sorted`)
+    the sorts are sorts of ids; otherwise the answer's labels are decoded
+    and sorted by ``repr`` as the runtime codec sorts them.  A result
+    without ids (built by hand, or decoded from the wire) is numbered by
+    its own tree's labels first.
     """
-    payload = encode_result(result)
-    tree_vertex_set = set(payload["tree_vertices"])
-    # a solution tree is connected, so when it has edges at all the
-    # vertex list is exactly the union of the edge endpoints -- omit it
-    # from the wire (it is the single largest redundant payload chunk;
-    # decode_wire_result rebuilds the identical repr-sorted list)
-    covered = {v for edge in payload["tree_edges"] for v in edge}
-    if covered == tree_vertex_set:
-        del payload["tree_vertices"]
+    solution = result.solution
+    if solution.ids is None:
+        solution.index_on(GraphIndex(id_order(solution.tree.vertices())[0]))
+    tree, index = solution.ids, solution.index
+    vertices = tree.vertices
+    vertex_set = set(vertices)
+    frags = _fragments(index, vertices)
+    by_ids = index.repr_sorted
+    if by_ids:
+        edges = sorted([(u, v) if u < v else (v, u) for u, v in tree.edges])
     else:
-        payload["tree_vertices"] = [
-            encode_value(v) for v in payload["tree_vertices"]
-        ]
-    payload["tree_edges"] = [
-        [encode_value(u), encode_value(v)] for u, v in payload["tree_edges"]
-    ]
-    # same trick for the cover: the paper's solvers report the tree's
-    # vertex set as its cover, so a matching set travels as one flag
-    metadata = payload["metadata"]
-    if metadata.get("cover") == tree_vertex_set:
-        metadata = {k: v for k, v in metadata.items() if k != "cover"}
-        payload["cover_is_tree"] = True
-    payload["metadata"] = encode_value(metadata)
-    payload["terminals"] = [
-        encode_value(t) for t in result.request.terminals
-    ]
-    payload["objective"] = result.request.objective
-    # derived, but clients without the schema want it without decoding
-    payload["cost"] = result.cost
+        edges = _edges_by_repr(solution)
+    edge_text = "[[" + "],[".join([frags[u] + "," + frags[v] for u, v in edges]) + "]]"
+    # a solution tree is connected, so when it has edges at all its
+    # vertices are the edge endpoints: the list travels only otherwise
+    # (decode_wire_result rebuilds the identical repr-sorted list)
+    if len(vertex_set) == len(set(chain.from_iterable(edges))):
+        head = '{"version":%d,"tree_edges":%s' % (PAYLOAD_VERSION, edge_text if edges else "[]")
+    else:
+        listed = sorted(vertices) if by_ids else _by_repr(index, solution.tree.vertices())
+        head = '{"version":%d,"tree_vertices":%s,"tree_edges":%s' % (
+            PAYLOAD_VERSION,
+            _id_list(frags, listed),
+            edge_text if edges else "[]",
+        )
+    # the paper's solvers report the tree's vertex set as their cover, so
+    # a matching cover travels as one flag
+    cover_is_tree = False
+    entries = []
+    for key, value in dict.items(solution.metadata):  # OnIds values undecoded
+        if key == "cover":
+            if type(value) is OnIds:
+                cover_is_tree = value.kind is set and vertex_set == set(value.ids)
+            else:
+                cover_is_tree = value == solution.tree.vertices()
+            if cover_is_tree:
+                continue
+        if type(value) is OnIds:
+            text = _on_ids(key, value, solution, by_ids)
+        elif type(value) is str:
+            text = _string(value)
+        else:
+            text = to_json(encode_value(value))
+        entries.append(_string(str(key)) + ":" + text)
+    provenance = result.provenance
+    request = result.request
     # the runtime codec drops result_cache (a disk replay re-stamps it on
-    # the reading side); the wire is the final hop, so carry it through
-    payload["provenance"] = dict(payload["provenance"])
-    payload["provenance"]["result_cache"] = result.provenance.result_cache
-    return payload
+    # the reading side); the wire is the final hop, so it travels.  The
+    # cost is derived, but clients without the schema want it as it is.
+    return (
+        f'{head},"method":{to_json(solution.method)},"side":{to_json(solution.side)}'
+        f',"optimal":{to_json(solution.optimal)},"metadata":{{{",".join(entries)}}}'
+        f',"guarantee":{to_json(result.guarantee.value)},"rank":{to_json(result.rank)}'
+        f',"provenance":{{"solver":{to_json(provenance.solver)}'
+        f',"instance_class":{to_json(provenance.instance_class)}'
+        f',"plan":{to_json(provenance.plan)},"cache_hit":{to_json(provenance.cache_hit)}'
+        f',"fallback_from":{to_json(provenance.fallback_from)}'
+        f',"wall_time_ms":{to_json(provenance.wall_time_ms)}'
+        f',"request_id":{to_json(provenance.request_id)},"tenant":{to_json(provenance.tenant)}'
+        f',"phases":{to_json(provenance.phases)}'
+        f',"result_cache":{to_json(provenance.result_cache)}}}'
+        f'{_COVER_IS_TREE if cover_is_tree else ""}'
+        f',"terminals":{_terminals(request.terminals, index, frags)}'
+        f',"objective":{to_json(request.objective)},"cost":{to_json(result.cost)}}}'
+    )
+
+
+_COVER_IS_TREE = ',"cover_is_tree":true'
+
+
+def _fragments(index: GraphIndex, ids: Sequence[int]) -> List[str]:
+    """Return the index's label texts, with those of ``ids`` filled in.
+
+    The text of label ``i`` is ``to_json(encode_value(labels[i]))``,
+    encoded the first time an answer shows it.
+    """
+    frags = index.fragments
+    if frags is None:
+        frags = index.fragments = [None] * len(index.labels)
+    if None in map(frags.__getitem__, ids):
+        labels = index.labels
+        for i in ids:
+            if frags[i] is None:
+                frags[i] = to_json(encode_value(labels[i]))
+    return frags
+
+
+def _id_list(frags: List[str], ids) -> str:
+    return "[" + ",".join(map(frags.__getitem__, ids)) + "]"
+
+
+def _on_ids(key, value: OnIds, solution, by_ids: bool) -> str:
+    """The text of metadata entry ``key``, held on ids: a tagged set, or a list in order."""
+    index = solution.index
+    if value.kind is set:
+        ids = sorted(value.ids) if by_ids else _by_repr(index, solution.metadata[key])
+        return '{"' + SET_TAG + '":' + _id_list(_fragments(index, ids), ids) + "}"
+    if value.text is None:  # a shared plan ordering renders once
+        value.text = _id_list(_fragments(index, value.ids), value.ids)
+    return value.text
+
+
+def _terminals(terminals, index: GraphIndex, frags: List[Optional[str]]) -> str:
+    """The request's terminals, each the table's text when its label stands for it."""
+    ids, labels = index.ids, index.labels
+    texts = []
+    for terminal in terminals:
+        at = ids.get(terminal)
+        if at is not None and same_label(terminal, labels[at]):
+            texts.append(frags[at] or _fragments(index, (at,))[at])
+        else:
+            texts.append(to_json(encode_value(terminal)))
+    return "[" + ",".join(texts) + "]"
+
+
+def _by_repr(index: GraphIndex, labels) -> List[int]:
+    """The ids of ``labels``, a collection of the table's labels, in ``repr`` order.
+
+    A stable sort, as the runtime codec's: labels that print alike keep
+    the collection's iteration order.
+    """
+    ids = index.ids
+    return [ids[v] for v in sorted(labels, key=repr)]
+
+
+def _edges_by_repr(solution) -> List:
+    """The answer's edges as id pairs, in the runtime codec's order.
+
+    Each edge is oriented low-``repr`` first and the list is sorted by
+    the ``repr`` of the pair, over the decoded label tree.
+    """
+    ids = solution.index.ids
+    return [
+        (ids[u], ids[v])
+        for u, v in sorted(
+            ((u, v) if repr(u) <= repr(v) else (v, u) for u, v in solution.tree.edges()),
+            key=repr,
+        )
+    ]
 
 
 def decode_wire_result(
@@ -233,8 +341,7 @@ def decode_wire_result(
             ]
         else:  # omitted on the wire: rebuild from the edge endpoints
             inner["tree_vertices"] = sorted(
-                {v for edge in inner["tree_edges"] for v in edge},
-                key=_label_repr,
+                {v for edge in inner["tree_edges"] for v in edge}, key=repr
             )
         inner["metadata"] = decode_value(inner["metadata"])
         if inner.pop("cover_is_tree", False):

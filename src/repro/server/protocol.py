@@ -24,6 +24,7 @@ import asyncio
 import json
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _string
 from typing import Dict, Optional, Tuple
 
 from repro.server.errors import ProtocolError
@@ -41,14 +42,69 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LENGTH = struct.Struct("!I")
 
+#: ``json.dumps`` with the frame's separators.  ensure_ascii=False skips
+#: the escape pass (labels are rarely non-ASCII, and UTF-8 framing
+#: carries them either way).
+_dumps = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
+def to_json(value) -> str:
+    """Return ``json.dumps(value)`` with the frame's separators.
+
+    Strings and finite scalars are written directly, which is the text
+    :mod:`json` writes for them; the rest goes through :mod:`json`.
+    """
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and value - value == 0:  # finite: json writes repr()
+        return float.__repr__(value)
+    return _dumps(value)
+
+
+class Rendered:
+    """A message value whose JSON text was written before its frame.
+
+    The answer-carrying handlers (``connect``, ``batch``, ``interpret``
+    and ``enumerate``'s stream frames) return their body as one, built
+    from :func:`~repro.server.codec.encode_wire_result` texts;
+    :func:`encode_frame` places ``text`` verbatim where the value sits.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
 
 def encode_frame(message: dict) -> bytes:
-    """Return the wire bytes for one message (length prefix + JSON)."""
-    # ensure_ascii=False skips the escape pass (labels are rarely
-    # non-ASCII, and UTF-8 framing carries them either way)
-    payload = json.dumps(
-        message, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    """Return the wire bytes for one message (length prefix + JSON).
+
+    The text is ``json.dumps(message)`` with compact separators.  A
+    top-level value that is :class:`Rendered` is written as its text
+    instead: the frame is then joined from its keys and values, which
+    gives the bytes ``json.dumps`` would give for the value the text
+    encodes.  No text is searched or substituted, so nothing inside a
+    client-supplied string can change the frame.
+    """
+    if any(type(value) is Rendered for value in message.values()):
+        text = "{" + ",".join(
+            [
+                _string(key) + ":" + (value.text if type(value) is Rendered else to_json(value))
+                for key, value in message.items()
+            ]
+        ) + "}"
+    else:
+        text = _dumps(message)
+    payload = text.encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES "

@@ -213,10 +213,13 @@ def steiner_tree_dreyfus_wagner(
     # the union of the recovered paths is connected and spans the
     # terminals, and a spanning tree of it achieves the DP cost (with unit
     # weights any cycle would contradict minimality, but pruning keeps us
-    # safe); built on ids and decoded once
-    tree = indexed_pruned_tree(edge_adjacency(edges), ids, index.labels)
+    # safe); built on ids, its labels decode on first read
     solution = SteinerSolution(
-        tree=tree, instance=instance, method="dreyfus-wagner", optimal=True
+        ids=indexed_pruned_tree(edge_adjacency(edges), ids),
+        index=index,
+        instance=instance,
+        method="dreyfus-wagner",
+        optimal=True,
     )
     solution.metadata["dp_cost_edges"] = cost[full_mask][root]
     return solution

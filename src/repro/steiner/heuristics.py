@@ -104,8 +104,8 @@ def kou_markowsky_berman(
     that order -- so the tree is the one the label-space formulation
     builds: Prim picks the least ``(distance, u, v)``, and a parent row
     holds the discovery order of
-    :func:`~repro.graphs.paths.shortest_path`.  Labels are decoded once,
-    at the end.
+    :func:`~repro.graphs.paths.shortest_path`.  The tree stays on ids; its
+    labels decode on first read.
 
     Parameters
     ----------
@@ -159,6 +159,12 @@ def kou_markowsky_berman(
     path_edges: List[Tuple[int, int]] = []
     for u, v in closure_edges:
         path_edges.extend(parent_path_edges(oracle.parents(u), u, v))
-    # 4. spanning tree of the expansion, pruned to the terminals
-    tree = indexed_pruned_tree(edge_adjacency(path_edges), ids, index.labels)
-    return SteinerSolution(tree=tree, instance=instance, method="kmb", optimal=False)
+    # 4. spanning tree of the expansion, pruned to the terminals (on ids;
+    #    its labels decode on first read)
+    return SteinerSolution(
+        ids=indexed_pruned_tree(edge_adjacency(path_edges), ids),
+        index=index,
+        instance=instance,
+        method="kmb",
+        optimal=False,
+    )

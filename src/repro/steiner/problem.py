@@ -16,7 +16,7 @@ solver blindly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Set
 
 from repro.exceptions import DisconnectedTerminalsError, ValidationError
@@ -72,9 +72,112 @@ class SteinerInstance:
         return sorted(self.terminals, key=repr)
 
 
-@dataclass
+class OnIds:
+    """A metadata value a solver left on ids: a ``set`` or ``list`` of labels.
+
+    :class:`SolutionMetadata` decodes it on first read; the wire renderer
+    reads ``ids`` directly and may keep the value's rendered text in
+    ``text`` (one side plan's Lemma 1 ordering is one shared instance, so
+    its text is rendered once per plan).
+    """
+
+    __slots__ = ("ids", "kind", "text")
+
+    def __init__(self, ids: Iterable[int], kind: type) -> None:
+        self.ids = ids
+        self.kind = kind
+        self.text: Optional[str] = None
+
+    def decode(self, labels):
+        """Return the label value: ``{labels[i], ...}`` or ``[labels[i], ...]``."""
+        if self.kind is set:
+            return {labels[i] for i in self.ids}
+        return [labels[i] for i in self.ids]
+
+
+class SolutionMetadata(dict):
+    """A solution's metadata dict, whose :class:`OnIds` entries decode on first read.
+
+    Every read path (item access, ``get``, iteration over items or
+    values, copies, comparison, ``dict(...)``, pickling) sees labels;
+    ``dict.items(metadata)`` is the renderer's view, with :class:`OnIds`
+    values left as they are.
+    """
+
+    __slots__ = ("_labels",)
+
+    def __init__(self, labels=None) -> None:
+        super().__init__()
+        self._labels = labels
+
+    def _decode(self, key, value):
+        if type(value) is OnIds:
+            value = value.decode(self._labels)
+            dict.__setitem__(self, key, value)
+        return value
+
+    def _decode_all(self) -> "SolutionMetadata":
+        for key, value in list(dict.items(self)):
+            self._decode(key, value)
+        return self
+
+    def __getitem__(self, key):
+        return self._decode(key, dict.__getitem__(self, key))
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def setdefault(self, key, default=None):
+        if key not in self:
+            dict.__setitem__(self, key, default)
+        return self[key]
+
+    def pop(self, key, *default):
+        value = dict.pop(self, key, *default)
+        return value.decode(self._labels) if type(value) is OnIds else value
+
+    def popitem(self):
+        self._decode_all()
+        return dict.popitem(self)
+
+    def __iter__(self):
+        # defined so that dict(...) and {**...} read through __getitem__
+        return dict.__iter__(self)
+
+    def items(self):
+        return dict.items(self._decode_all())
+
+    def values(self):
+        return dict.values(self._decode_all())
+
+    def copy(self) -> dict:
+        return dict(self._decode_all())
+
+    def __eq__(self, other):
+        if isinstance(other, SolutionMetadata):
+            other._decode_all()
+        return dict.__eq__(self._decode_all(), other)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self) -> str:
+        return dict.__repr__(self._decode_all())
+
+    def __reduce__(self):
+        return dict, (dict(self._decode_all()),)
+
+
 class SteinerSolution:
     """A (pseudo-)Steiner tree together with bookkeeping metadata.
+
+    A solver that works in label space passes ``tree``; the engine's id
+    solvers pass ``ids`` (an :class:`~repro.graphs.indexed.IdTree`) and the
+    ``index`` whose labels they number, and the label :attr:`tree` is then
+    decoded on first access only -- a served answer goes to the wire
+    without it (:func:`repro.server.codec.encode_wire_result` reads the
+    ids).
 
     Attributes
     ----------
@@ -89,21 +192,85 @@ class SteinerSolution:
         was minimised; ``None`` for plain Steiner solutions.
     optimal:
         Whether the solver guarantees optimality for its objective.
+    metadata:
+        A :class:`SolutionMetadata` dict; entries a solver keeps on ids
+        decode to labels on first read.
+    ids, index:
+        The tree on ids and the :class:`~repro.graphs.indexed.GraphIndex`
+        numbering them, or ``None`` for a tree not indexed yet
+        (:meth:`index_on`).
     """
 
-    tree: Graph
-    instance: SteinerInstance
-    method: str = "unspecified"
-    side: Optional[int] = None
-    optimal: bool = False
-    metadata: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        tree: Optional[Graph] = None,
+        instance: Optional[SteinerInstance] = None,
+        method: str = "unspecified",
+        side: Optional[int] = None,
+        optimal: bool = False,
+        metadata: Optional[dict] = None,
+        *,
+        ids=None,
+        index=None,
+    ) -> None:
+        if (tree is None) == (ids is None) or (ids is None) != (index is None):
+            raise TypeError("pass tree=, or ids= with its index=")
+        self._tree = tree
+        self.instance = instance
+        self.method = method
+        self.side = side
+        self.optimal = optimal
+        self.ids = ids
+        self.index = index
+        self.metadata = SolutionMetadata(None if index is None else index.labels)
+        if metadata:
+            self.metadata.update(metadata)
+
+    @property
+    def tree(self) -> Graph:
+        """The answer tree as a label :class:`Graph` (decoded from ids once)."""
+        if self._tree is None:
+            self._tree = self.ids.decode(self.index.labels)
+        return self._tree
+
+    def index_on(self, index) -> None:
+        """Number a label-space tree by ``index``, a :class:`~repro.graphs.indexed.GraphIndex`.
+
+        The label tree is kept.  A solution already on ids is left alone,
+        and so is one with a vertex that none of the index's labels stands
+        for (:meth:`~repro.graphs.indexed.GraphIndex.number`).
+        """
+        if self.ids is None:
+            ids = index.number(self._tree)
+            if ids is not None:
+                self.ids, self.index = ids, index
+                if isinstance(self.metadata, SolutionMetadata):
+                    self.metadata._labels = index.labels
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SteinerSolution):
+            return NotImplemented
+        return (
+            self.tree == other.tree
+            and self.instance == other.instance
+            and (self.method, self.side, self.optimal) == (other.method, other.side, other.optimal)
+            and self.metadata == other.metadata
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SteinerSolution(method={self.method!r}, vertices={self.vertex_count()}, "
+            f"side={self.side!r}, optimal={self.optimal!r})"
+        )
 
     # ------------------------------------------------------------------
     # objective values
     # ------------------------------------------------------------------
     def vertex_count(self) -> int:
         """Return ``|V'|``, the Steiner objective of Definition 8."""
-        return self.tree.number_of_vertices()
+        if self._tree is None:
+            return len(self.ids.vertices)
+        return self._tree.number_of_vertices()
 
     def steiner_vertices(self) -> Set[Vertex]:
         """Return the non-terminal ("auxiliary") vertices used by the tree."""

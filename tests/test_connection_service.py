@@ -525,7 +525,7 @@ class TestPackaging:
     def test_version_and_exports(self):
         import repro
 
-        assert repro.__version__ == "9.0.0"
+        assert repro.__version__ == "10.0.0"
         for name in (
             "BlockClassifier",
             "ConnectionRequest",
@@ -555,7 +555,8 @@ class TestPackaging:
         """2.0.0 keeps one front door, 3.0.0 one lane, 4.0.0 one answer
         digest, 5.0.0 one workload model, 6.0.0 one alpha-acyclicity test,
         7.0.0 one representation per layer, 8.0.0 one key per schema
-        version, 9.0.0 one block structure on ids."""
+        version, 9.0.0 one block structure on ids, 10.0.0 answers on ids
+        up to the socket."""
         import importlib
 
         import repro
@@ -720,6 +721,18 @@ class TestPackaging:
         assert repro.BlockClassifier().classify(indexed).report() == repro.ChordalityReport(
             **{f.name: True for f in fields(repro.ChordalityReport)}
         )
+        # 10.0.0: answers stay on ids; the wire renders JSON text from them,
+        # and the process-wide label memos are gone
+        import repro.runtime.codec
+        import repro.server.codec
+
+        assert not hasattr(repro.server.codec, "_TUPLE_MEMO")
+        assert not hasattr(repro.runtime.codec, "_REPR_MEMO")
+        assert not hasattr(repro.runtime.codec, "_label_repr")
+        tree = repro.graphs.indexed.indexed_pruned_tree({0: [1], 1: [0]}, [0, 1])
+        assert tree == ([0, 1], [(0, 1)])
+        answer = repro.ConnectionService(schema=graph).connect(["A", "B"])
+        assert isinstance(repro.server.codec.encode_wire_result(answer), str)
 
     def test_py_typed_marker_ships(self):
         import repro

@@ -283,6 +283,44 @@ def test_a_type_swap_commits_the_delta_between_lists():
     assert stored(tx.delta.apply_to(before.copy())) == stored(graph)
 
 
+def test_a_removal_names_the_object_the_graph_stores():
+    # the graph holds 1.0; the caller names it by the equal int 1
+    graph = BipartiteGraph(left=[1.0, "A"], right=["x"], edges=[(1.0, "x"), ("A", "x")])
+    before = graph.copy()
+    with SchemaEditor(graph) as tx:
+        tx.remove_vertex(1)
+    assert [(type(v), side) for v, side in tx.delta.removed_vertices] == [(float, 1)]
+    assert [tuple(map(type, edge)) for edge in tx.delta.removed_edges] == [(float, str)]
+    reference = SchemaDelta.between(before, graph)
+    assert vertex_tokens(tx.delta.removed_vertices) == vertex_tokens(reference.removed_vertices)
+    assert edge_tokens(tx.delta.removed_edges) == edge_tokens(reference.removed_edges)
+    with SchemaEditor(graph) as tx:
+        tx.add_vertex(2.0, side=1)
+        tx.add_edge(2.0, "x")
+    with SchemaEditor(graph) as tx:
+        tx.remove_edge(2, "x")
+    assert edge_tokens(tx.delta.removed_edges) == [[("'x'", "str"), ("2.0", "float")]]
+
+
+def test_a_removal_by_the_stored_object_keeps_its_type_through_a_rollback():
+    # the graph stores 1.0, but the row of "x" holds the int 1 its edge was added with
+    graph = BipartiteGraph(left=[1.0, "A"], right=["x"], edges=[(1, "x"), ("A", "x")])
+    before, original = graph.copy(), stored(graph)
+    with SchemaEditor(graph) as tx:
+        tx.remove_vertex(1.0)
+    assert [(type(v), side) for v, side in tx.delta.removed_vertices] == [(float, 1)]
+    reference = SchemaDelta.between(before, graph)
+    assert vertex_tokens(tx.delta.removed_vertices) == vertex_tokens(reference.removed_vertices)
+    graph = before.copy()
+    with pytest.raises(RuntimeError):
+        with SchemaEditor(graph) as tx:
+            tx.remove_vertex(1.0)
+            tx.remove_edge("A", "x")
+            raise RuntimeError("abort")
+    assert stored(graph) == original
+    assert [type(v) for v in graph.vertices() if v == 1] == [float]
+
+
 class RetypedStr(str):
     """A string of another type: equal to, and printing like, the ``str`` it copies."""
 
@@ -293,6 +331,11 @@ def vertex_tokens(vertices):
 
 def edge_keys(edges):
     return {frozenset(edge) for edge in edges}
+
+
+def edge_tokens(edges):
+    """Each edge's endpoints as (repr, type name) pairs: tells ``1`` from ``1.0``."""
+    return sorted(sorted((repr(v), type(v).__name__) for v in edge) for edge in edges)
 
 
 def stored(graph):
@@ -314,14 +357,22 @@ def swapped(vertex):
 
 def random_edit(graph, tx, rng, fresh):
     """One random editor operation on ``graph``'s stored vertex objects."""
-    kind = rng.choice(["add-vertex", "remove-vertex", "add-edge", "remove-edge", "flip", "swap"])
+    kind = rng.choice(
+        [
+            "add-vertex", "remove-vertex", "remove-swapped", "add-edge", "add-swapped-edge",
+            "remove-edge", "flip", "swap",
+        ]
+    )
     vertices = graph.sorted_vertices()
     if kind == "add-vertex" or not vertices:
         side = rng.choice([1, 2])
         tx.add_vertex(next(fresh) if side == 1 else f"r{next(fresh)}", side=side)
     elif kind == "remove-vertex":
         tx.remove_vertex(rng.choice(vertices))
-    elif kind == "add-edge":
+    elif kind == "remove-swapped":
+        # named by an equal object of another type than the stored one
+        tx.remove_vertex(swapped(rng.choice(vertices)))
+    elif kind in ("add-edge", "add-swapped-edge"):
         pairs = [
             (u, v)
             for u in vertices
@@ -329,11 +380,16 @@ def random_edit(graph, tx, rng, fresh):
             if graph.side_of(u) == 1 and graph.side_of(v) == 2 and not graph.has_edge(u, v)
         ]
         if pairs:
-            tx.add_edge(*rng.choice(pairs))
+            u, v = rng.choice(pairs)
+            if kind == "add-swapped-edge":
+                # the rows then hold objects of another type than the vertex map
+                u, v = rng.choice([(swapped(u), v), (u, swapped(v)), (swapped(u), swapped(v))])
+            tx.add_edge(u, v)
     elif kind == "remove-edge":
         edges = sorted((tuple(edge) for edge in graph.edges()), key=repr)
         if edges:
-            tx.remove_edge(*rng.choice(edges))
+            u, v = rng.choice(edges)
+            tx.remove_edge(*((swapped(u), swapped(v)) if rng.random() < 0.5 else (u, v)))
     else:
         # remove a vertex and put it back, on the other side (flip) or as
         # an equal object of another type (swap), with some edges

@@ -234,16 +234,17 @@ def test_invalid_terminals_keep_their_exception_types(terminals, error):
 def test_tree_helper_keeps_spanning_trees_checks():
     labels = ["a", "b", "c", "d"]
     path = {0: [1], 1: [0, 2], 2: [1]}
-    tree = indexed_pruned_tree(path, [0, 2], labels)
-    assert tree_shape(tree) == (
+    tree = indexed_pruned_tree(path, [0, 2])
+    assert tree == ([0, 1, 2], [(0, 1), (1, 2)])
+    assert tree_shape(tree.decode(labels)) == (
         {"a", "b", "c"},
         {frozenset("ab"), frozenset("bc")},
     )
-    assert tree_shape(indexed_pruned_tree(path, [1], labels)) == ({"b"}, set())
+    assert tree_shape(indexed_pruned_tree(path, [1]).decode(labels)) == ({"b"}, set())
     with pytest.raises(GraphError):  # not connected
-        indexed_pruned_tree({0: [1], 1: [0], 3: []}, [0], labels)
+        indexed_pruned_tree({0: [1], 1: [0], 3: []}, [0])
     with pytest.raises(GraphError):  # terminal outside the cover
-        indexed_pruned_tree(path, [0, 3], labels)
+        indexed_pruned_tree(path, [0, 3])
 
 
 def test_parent_path_edges_and_edge_adjacency():

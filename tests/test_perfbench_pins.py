@@ -125,7 +125,7 @@ def _served(service, requests):
     through the wire codec and a JSON round trip."""
     with request_scope(request_id="req-pin", tenant="pin"):
         results = service.batch(requests)
-    return json.loads(json.dumps([encode_wire_result(r) for r in results]))
+    return [json.loads(encode_wire_result(r)) for r in results]
 
 
 def _oracle(graph, requests):
@@ -207,7 +207,7 @@ def _with(result, **changes):
 
 
 def _digests(result):
-    wire = json.loads(json.dumps(encode_wire_result(result)))
+    wire = json.loads(encode_wire_result(result))
     return digest_result_object(result), digest_wire_payload(wire)
 
 

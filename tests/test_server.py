@@ -253,7 +253,7 @@ class TestCodec:
         graph = small_graph()
         service = ConnectionService(schema=graph)
         result = service.connect(["A", 3])
-        payload = json.loads(json.dumps(encode_wire_result(result)))
+        payload = json.loads(encode_wire_result(result))
         clone = decode_wire_result(payload, graph=graph, request=result.request)
         assert clone.to_dict() == result.to_dict()
         assert clone.tree.vertices() == result.tree.vertices()
@@ -261,7 +261,7 @@ class TestCodec:
     def test_malformed_wire_result_is_a_protocol_error(self):
         graph = small_graph()
         result = ConnectionService(schema=graph).connect(["A", 3])
-        payload = json.loads(json.dumps(encode_wire_result(result)))
+        payload = json.loads(encode_wire_result(result))
         damaged = [
             {k: v for k, v in payload.items() if k != "version"},
             {k: v for k, v in payload.items() if k != "tree_edges"},
