@@ -42,7 +42,7 @@ The package provides:
   ``LoadSpec``),
 * the kernel layer (``repro.kernels``): BFS kernels over the CSR
   backend and the cross-query ``DistanceOracle`` attached to every
-  schema context (component-granular invalidation under edits; see
+  schema version (an edit starts the next version's oracle empty; see
   ``docs/performance.md``),
 * the observability layer (``repro.metrics``): zero-dependency
   counters/gauges/histograms with Prometheus text exposition, wired
@@ -151,7 +151,7 @@ from repro.steiner import (
     steiner_tree_dreyfus_wagner,
 )
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "BipartiteGraph",

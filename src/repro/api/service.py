@@ -299,13 +299,12 @@ class ConnectionService:
             # the bound-schema memo bypasses the keyed LRU, so its
             # context (and oracle) may not be in the cache at all
             contexts.setdefault(id(bound), bound)
-        seen_oracles: set = set()
-        rows = 0
-        for context in contexts.values():
-            oracle = getattr(context, "_oracle", None)
-            if oracle is not None and id(oracle) not in seen_oracles:
-                seen_oracles.add(id(oracle))
-                rows += oracle.rows_cached()
+        # each context owns its oracle: no row is held by two of them
+        rows = sum(
+            context._oracle.rows_cached()
+            for context in contexts.values()
+            if context._oracle is not None
+        )
         disk = self._disk_cache()
         return {
             "schema_contexts": len(contexts),

@@ -142,19 +142,6 @@ def random_alpha_acyclic_schema(
     return RelationalSchema(schemes)
 
 
-def random_cyclic_schema(
-    relations: int, attributes: int = 10, max_arity: int = 4, rng: RandomLike = None
-) -> RelationalSchema:
-    """Random unrestricted schema (usually cyclic for moderate densities)."""
-    generator = ensure_rng(rng)
-    names = [f"a{i}" for i in range(attributes)]
-    schemes = {}
-    for index in range(relations):
-        arity = generator.randint(2, min(max_arity, attributes))
-        schemes[f"R{index}"] = generator.sample(names, arity)
-    return RelationalSchema(schemes)
-
-
 # ----------------------------------------------------------------------
 # bipartite graph generators per chordality class
 # ----------------------------------------------------------------------

@@ -352,7 +352,7 @@ class SchemaContext:
         self.fingerprint: bytes = form[3]
         self._report = report
         self._side_plans: Dict[Tuple[int, int], SidePlan] = {}
-        self._components: Optional[List[FrozenSet[int]]] = None
+        self._components: Optional[Tuple[array, Dict[int, FrozenSet[int]]]] = None
         # blockwise classifier: the cold report classifies through it, and
         # it is shared (by reference) along every apply_delta chain rooted
         # here, so its counter covers the whole lineage
@@ -427,11 +427,11 @@ class SchemaContext:
         * the vertex tokens are the parent's, and a vertex the edit added
           is the only one encoded; the key is rebuilt from the tokens and
           the patched CSR;
-        * the distance oracle keeps only the rows outside the touched
-          component (all of them are dropped on vertex churn), and the
-          side plans and components start empty: a structural edit can
-          shift distances and components globally, and they re-amortise
-          across the next queries.
+        * the distance oracle, the components and the side plans start
+          empty, whatever the edit: an edit can shift distances and
+          components globally, and they re-amortise across the next
+          queries.  The parent's cached rows count once in the oracle's
+          ``invalidated`` counter.
 
         The original context is not modified (version-keyed callers such
         as the engine LRU may still be holding it); the block classifier
@@ -445,13 +445,11 @@ class SchemaContext:
         context._oracle_stats = self._oracle_stats
         context._oracle = None
         context._memory_budget = self._memory_budget
+        if self._oracle is not None:
+            self._oracle.stats.invalidated += self._oracle.rows_cached()
         if delta.added_vertices or delta.removed_vertices:
             form = _canonical_form(new_graph, self)
             context.indexed, context.index, context._tokens, context.fingerprint = form
-            # vertex churn re-keys every id: nothing the old oracle holds
-            # is addressable any more, so the whole row set is lost
-            if self._oracle is not None:
-                self._oracle.stats.invalidated += self._oracle.rows_cached()
         else:
             context.index = self.index
             context.indexed = _patch_indexed(self.indexed, self.index, delta)
@@ -459,19 +457,6 @@ class SchemaContext:
             context.fingerprint = _key(
                 self._tokens, context.indexed, fingerprint_is_ambiguous(self.fingerprint)
             )
-            if self._oracle is not None:
-                # component-granular invalidation: an edge edit lives in
-                # one biconnected block, so only rows rooted in that
-                # block's connected component can have moved -- every
-                # other cached row transfers to the patched context
-                ids = self.index.ids
-                touched = [
-                    ids[vertex]
-                    for edge in (*delta.added_edges, *delta.removed_edges)
-                    for vertex in edge
-                    if vertex in ids
-                ]
-                context._oracle = self._oracle.inherit(context.indexed, touched)
         context._blocks = self._blocks
         context._records = records.patched(
             delta, self.index, context.indexed, context.index, self._blocks
@@ -547,23 +532,33 @@ class SchemaContext:
     # ------------------------------------------------------------------
     def component_ids(self, vertex_id: int) -> FrozenSet[int]:
         """Return the id set of the connected component containing ``vertex_id``."""
-        for component in self._all_components():
-            if vertex_id in component:
-                return component
-        raise KeyError(vertex_id)  # pragma: no cover - ids are always valid
+        labels, members = self._component_sweep()
+        return members[labels[vertex_id]]
 
-    def _all_components(self) -> List[FrozenSet[int]]:
+    def _component_sweep(self) -> Tuple[array, Dict[int, FrozenSet[int]]]:
+        """Return ``(labels, members)`` of the connected components, swept once.
+
+        ``labels[v]`` is the smallest id of ``v``'s component, and
+        ``members`` maps that id to the component's id set.  One BFS per
+        component over the CSR rows, each vertex labelled once: linear in
+        the schema, however many components it has.
+        """
         if self._components is None:
-            seen = [False] * self.indexed.n
-            components: List[FrozenSet[int]] = []
-            for start in range(self.indexed.n):
-                if seen[start]:
+            rows = self.indexed._rows
+            labels = array("i", [-1]) * self.indexed.n
+            members: Dict[int, FrozenSet[int]] = {}
+            for root in range(self.indexed.n):
+                if labels[root] >= 0:
                     continue
-                members = self.indexed.component_of(start)
-                for member in members:
-                    seen[member] = True
-                components.append(frozenset(members))
-            self._components = components
+                labels[root] = root
+                found = [root]
+                for current in found:  # grows while it is read: BFS order
+                    for neighbor in rows[current]:
+                        if labels[neighbor] < 0:
+                            labels[neighbor] = root
+                            found.append(neighbor)
+                members[root] = frozenset(found)
+            self._components = (labels, members)
         return self._components
 
     # ------------------------------------------------------------------
@@ -583,10 +578,11 @@ class SchemaContext:
         one block-cut forest, built from the block records on the first
         plan.
         """
-        component = self.component_ids(vertex_id)
-        key = (side, min(component))
+        labels, components = self._component_sweep()
+        key = (side, labels[vertex_id])
         plan = self._side_plans.get(key)
         if plan is None:
+            component = components[key[1]]
             members = sorted(component)
             sides, row = self.indexed.sides, self.indexed.row
             hubs = [vertex for vertex in members if sides[vertex] == side]
@@ -758,8 +754,7 @@ class SchemaCache:
     def memory_bytes(self) -> int:
         """Return the budget-relevant bytes of every cached context.
 
-        CSR storage plus oracle rows; oracles shared along ``apply_delta``
-        chains are counted once.  This is the number the
+        CSR storage plus oracle rows.  This is the number the
         ``repro_memory_held_bytes{component="schema_cache"}`` gauge exports
         and :meth:`enforce_memory_budget` bounds.
         """
@@ -799,30 +794,15 @@ class SchemaCache:
     def oracle_bytes(self) -> int:
         """Total bytes held by the cached contexts' distance-oracle rows.
 
-        The oracle-side slice of :meth:`memory_bytes`; shared oracles are
-        counted once.  Exported as
+        The oracle-side slice of :meth:`memory_bytes`; each context owns
+        its oracle, so no row is counted twice.  Exported as
         ``repro_memory_held_bytes{component="distance_oracle"}``.
         """
-        return sum(oracle.bytes_held() for oracle in self._oracles())
-
-    def oracle_rows(self) -> int:
-        """Total BFS rows held by the cached contexts' distance oracles.
-
-        A *capacity* number, not a traffic counter: it is what a leak
-        monitor (:mod:`repro.load.soak`) watches for unbounded growth.
-        Contexts whose oracle was never forced stay at zero rows; shared
-        oracles (``apply_delta`` chains) are counted once.
-        """
-        return sum(oracle.rows_cached() for oracle in self._oracles())
-
-    def _oracles(self) -> List[DistanceOracle]:
-        """Return the cached contexts' distinct forced oracles."""
-        distinct: Dict[int, DistanceOracle] = {}
-        for context in self._contexts.values():
-            oracle = context._oracle
-            if oracle is not None:
-                distinct.setdefault(id(oracle), oracle)
-        return list(distinct.values())
+        return sum(
+            context._oracle.bytes_held()
+            for context in self._contexts.values()
+            if context._oracle is not None
+        )
 
     def __len__(self) -> int:
         return len(self._contexts)

@@ -48,22 +48,6 @@ def maximal_cliques(graph: Graph) -> Iterator[Set[Vertex]]:
     yield from _expand(set(), set(vertices), set())
 
 
-def all_cliques(graph: Graph, max_size: int = None) -> Iterator[Set[Vertex]]:
-    """Yield every non-empty clique (not only maximal ones).
-
-    Used by the strictest form of the definitional conformality check and
-    by property-based tests on small graphs.
-    """
-    from itertools import combinations
-
-    for clique in maximal_cliques(graph):
-        members = sorted(clique, key=repr)
-        top = len(members) if max_size is None else min(len(members), max_size)
-        for size in range(1, top + 1):
-            for subset in combinations(members, size):
-                yield set(subset)
-
-
 def maximum_clique_size(graph: Graph) -> int:
     """Return the size of a largest clique (0 for the empty graph)."""
     best = 0

@@ -69,13 +69,6 @@ def is_path(graph: Graph, vertices: Sequence[Vertex]) -> bool:
     )
 
 
-def path_length(vertices: Sequence[Vertex]) -> int:
-    """Return the length (number of edges) of a path given as a vertex sequence."""
-    if not vertices:
-        raise ValueError("a path must contain at least one vertex")
-    return len(vertices) - 1
-
-
 def simple_paths(
     graph: Graph,
     source: Vertex,
@@ -188,34 +181,6 @@ def nonredundant_paths(
                 limit -= 1
                 if limit <= 0:
                     return
-
-
-def induced_path_exists(graph: Graph, length: int) -> bool:
-    """Return ``True`` when the graph contains an induced path with ``length`` edges."""
-    vertices = list(graph.vertices())
-
-    def _search(path: List[Vertex], members: Set[Vertex]) -> bool:
-        if len(path) - 1 == length:
-            return True
-        current = path[-1]
-        for neighbor in graph.neighbors(current):
-            if neighbor in members:
-                continue
-            # induced: the new vertex may only be adjacent to the last one
-            if any(graph.has_edge(neighbor, other) for other in path[:-1]):
-                continue
-            path.append(neighbor)
-            members.add(neighbor)
-            if _search(path, members):
-                return True
-            members.discard(neighbor)
-            path.pop()
-        return False
-
-    for start in vertices:
-        if _search([start], {start}):
-            return True
-    return False
 
 
 def _connects(graph: Graph, source: Vertex, target: Vertex) -> bool:

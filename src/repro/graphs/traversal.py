@@ -2,8 +2,7 @@
 
 These are the low-level primitives used throughout the library:
 
-* breadth-first search (orders, distances, BFS trees),
-* depth-first search,
+* breadth-first search (orders and distances),
 * connected components and connectivity tests,
 * the "is this vertex set covered by one component" test that Definition 10
   (covers) and Algorithms 1 and 2 run in their inner loops.
@@ -51,40 +50,6 @@ def bfs_distances(graph: Graph, source: Vertex) -> Dict[Vertex, int]:
                 distances[neighbor] = distances[current] + 1
                 queue.append(neighbor)
     return distances
-
-
-def bfs_tree(graph: Graph, source: Vertex) -> Dict[Vertex, Optional[Vertex]]:
-    """Return a BFS predecessor map ``vertex -> parent`` (source maps to None)."""
-    if source not in graph:
-        raise GraphError(f"source vertex {source!r} is not in the graph")
-    parents: Dict[Vertex, Optional[Vertex]] = {source: None}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        for neighbor in sorted(graph.neighbors(current), key=repr):
-            if neighbor not in parents:
-                parents[neighbor] = current
-                queue.append(neighbor)
-    return parents
-
-
-def dfs_order(graph: Graph, source: Vertex) -> List[Vertex]:
-    """Return vertices reachable from ``source`` in (iterative) DFS preorder."""
-    if source not in graph:
-        raise GraphError(f"source vertex {source!r} is not in the graph")
-    visited: Set[Vertex] = set()
-    order: List[Vertex] = []
-    stack = [source]
-    while stack:
-        current = stack.pop()
-        if current in visited:
-            continue
-        visited.add(current)
-        order.append(current)
-        for neighbor in sorted(graph.neighbors(current), key=repr, reverse=True):
-            if neighbor not in visited:
-                stack.append(neighbor)
-    return order
 
 
 def connected_components(graph: Graph) -> List[Set[Vertex]]:

@@ -10,9 +10,9 @@ The kernel layer sits between the graph substrate and the engine:
   object the oracle fills rows through (:func:`resolve_backend`);
 * :mod:`repro.kernels.oracle` -- :class:`DistanceOracle`, the
   cross-query LRU of those rows attached to every
-  :class:`~repro.engine.cache.SchemaContext`, with component-granular
-  invalidation wired into ``apply_delta`` and an optional byte budget
-  under which it evicts instead of growing.
+  :class:`~repro.engine.cache.SchemaContext`: one per schema version
+  (``apply_delta`` starts the next version's empty), with an optional
+  byte budget under which it evicts instead of growing.
 
 See ``docs/backends.md`` for the buffer layout and memory budgets, and
 ``docs/performance.md`` for the measured numbers.

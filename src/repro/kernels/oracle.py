@@ -1,4 +1,4 @@
-"""The cross-query distance oracle: BFS rows cached across queries and edits.
+"""The cross-query distance oracle: BFS rows cached across one version's queries.
 
 A schema serves streams of queries whose terminal sets overlap heavily;
 every one of them used to re-run single-source BFS from each terminal.
@@ -12,17 +12,11 @@ structure per ``mutation_version``, a row cached here can never be stale
 within its context -- the effective cache key is ``(source,
 mutation_version)``.
 
-Across versions the oracle is *inherited* rather than dropped:
-:meth:`~repro.engine.cache.SchemaContext.apply_delta` calls
-:meth:`DistanceOracle.inherit` with the edited edge set, and only the
-rows whose source lies in a touched connected component are invalidated.
-The granularity argument is the same separator-local one PR 4's
-:class:`~repro.dynamic.blocks.BlockClassifier` rests on: an edge edit
-lives inside one biconnected block, distances from a source only involve
-the source's connected component, and the touched block's component is
-exactly the set of sources whose rows the edit can change.  Every row in
-any other component survives verbatim (the edit neither added nor removed
-anything reachable from it).
+A new schema version starts with an empty oracle:
+:meth:`~repro.engine.cache.SchemaContext.apply_delta` counts the parent's
+cached rows as ``invalidated`` and leaves the patched context to fill
+its own, whatever the edit.  No row is shared across versions, so each
+row's bytes belong to exactly one context.
 
 Counters (``hits`` / ``misses`` / ``evictions`` / ``invalidated``) are
 accumulated on a shared :class:`OracleStats` so
@@ -35,7 +29,7 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Set
+from typing import List, Optional
 
 from repro.graphs.indexed import IndexedGraph
 from repro.kernels.backend import resolve_backend
@@ -67,14 +61,6 @@ class OracleStats:
             "evictions": self.evictions,
             "invalidated": self.invalidated,
         }
-
-    @property
-    def hit_rate(self) -> Optional[float]:
-        """Hits over lookups (``None`` before the first lookup)."""
-        lookups = self.hits + self.misses
-        if lookups == 0:
-            return None
-        return self.hits / lookups
 
 
 def _row_bytes(row: Optional[array]) -> int:
@@ -130,7 +116,6 @@ class DistanceOracle:
         "scratch",
         "_rows",
         "_bytes",
-        "_components",
     )
 
     def __init__(
@@ -152,7 +137,6 @@ class DistanceOracle:
         # source id -> [levels row | None, parents row | None]
         self._rows: "OrderedDict[int, List[Optional[array]]]" = OrderedDict()
         self._bytes = 0
-        self._components: Optional[array] = None
 
     # ------------------------------------------------------------------
     # row access
@@ -232,84 +216,9 @@ class DistanceOracle:
         while self._bytes > budget and len(self._rows) > 1:
             self._evict_oldest()
 
-    # ------------------------------------------------------------------
-    # structure
-    # ------------------------------------------------------------------
-    def component_labels(self) -> array:
-        """Return (lazily computing) the component id of every vertex.
-
-        One linear sweep labels each vertex with the smallest vertex id
-        of its connected component; the labels drive the selective
-        invalidation of :meth:`inherit`.
-        """
-        if self._components is None:
-            indexed = self.indexed
-            labels = array("i", [0] * indexed.n)
-            rows = indexed._rows
-            seen = bytearray(indexed.n)
-            for start in range(indexed.n):
-                if seen[start]:
-                    continue
-                seen[start] = 1
-                labels[start] = start
-                frontier = [start]
-                while frontier:
-                    nxt: List[int] = []
-                    for current in frontier:
-                        for neighbor in rows[current]:
-                            if not seen[neighbor]:
-                                seen[neighbor] = 1
-                                labels[neighbor] = start
-                                nxt.append(neighbor)
-                    frontier = nxt
-            self._components = labels
-        return self._components
-
     def rows_cached(self) -> int:
         """Return how many sources currently hold a cached row."""
         return len(self._rows)
-
-    # ------------------------------------------------------------------
-    # incremental evolution
-    # ------------------------------------------------------------------
-    def inherit(
-        self, new_indexed: IndexedGraph, touched_ids: Iterable[int]
-    ) -> "DistanceOracle":
-        """Return the oracle for an edge-only edited graph, keeping safe rows.
-
-        ``touched_ids`` are the endpoints (old = new ids; the delta is
-        edge-only so the vertex set and the id assignment are unchanged)
-        of every added or removed edge.  A cached row survives exactly
-        when its source's connected component -- in the *old* graph --
-        contains no touched vertex: such a component kept its entire
-        vertex and edge set, so both the distances and the
-        discovery-order parents are unchanged, including the ``-1``
-        entries for everything outside it.  Rows in touched components
-        are dropped and counted as ``invalidated``.
-        """
-        successor = DistanceOracle(
-            new_indexed,
-            stats=self.stats,
-            maxsize=self.maxsize,
-            memory_budget_bytes=self.memory_budget_bytes,
-        )
-        labels = self.component_labels()
-        touched_components: Set[int] = {
-            labels[v] for v in touched_ids if 0 <= v < self.indexed.n
-        }
-        for source, entry in self._rows.items():
-            if labels[source] in touched_components:
-                self.stats.invalidated += 1
-            else:
-                successor._rows[source] = entry
-                successor._bytes += _entry_bytes(entry)
-        return successor
-
-    def drop_all(self) -> None:
-        """Invalidate every cached row (vertex churn re-keys all ids)."""
-        self.stats.invalidated += len(self._rows)
-        self._rows.clear()
-        self._bytes = 0
 
     def stats_dict(self) -> dict:
         """Return the shared counters plus this oracle's current size."""

@@ -385,7 +385,9 @@ class ReproServer:
         worker path, and the whole admitted span (lock wait included)
         runs as a task awaited with that timeout; on expiry the caller
         gets a typed ``deadline`` envelope at once and
-        ``repro_deadline_exceeded_total`` is incremented.  A request
+        ``repro_deadline_exceeded_total`` is incremented.  An answer the
+        loop finds ready only after the deadline (a worker that held the
+        GIL until its solve was done) is treated the same way.  A request
         still waiting for the lock is cancelled.  One whose solve already
         runs is *abandoned*: its thread finishes in the background, and
         the task keeps the tenant's lock and inflight slot until it does,
@@ -427,6 +429,8 @@ class ReproServer:
 
             if deadline_ms is None:
                 return await admitted()
+            loop = asyncio.get_running_loop()
+            expires = loop.time() + deadline_ms / 1000.0
             task = asyncio.ensure_future(admitted())
 
             def settle(finished: asyncio.Task) -> None:
@@ -449,7 +453,9 @@ class ReproServer:
                         self._abandoned.add(task)
                     else:
                         task.cancel()
-            if task in done:
+            # a worker that held the GIL past the deadline ends before the
+            # loop can run the timer: the task is done, and its answer late
+            if task in done and loop.time() <= expires:
                 return task.result()
             self._deadline_total.labels(tenant=tenant).inc()
             raise DeadlineError(

@@ -1,10 +1,6 @@
 """Steiner and pseudo-Steiner solvers, baselines and reduction gadgets."""
 
-from repro.steiner.algorithm1 import (
-    algorithm1_cover,
-    lemma1_ordering,
-    pseudo_steiner_algorithm1,
-)
+from repro.steiner.algorithm1 import lemma1_ordering, pseudo_steiner_algorithm1
 from repro.steiner.algorithm2 import nonredundant_cover_tree, steiner_algorithm2
 from repro.steiner.exact import steiner_tree_bruteforce, steiner_tree_dreyfus_wagner
 from repro.steiner.heuristics import kou_markowsky_berman, shortest_path_heuristic
@@ -13,7 +9,7 @@ from repro.steiner.problem import (
     SteinerSolution,
     prune_non_terminal_leaves,
 )
-from repro.steiner.pseudo import minimum_side_count, pseudo_steiner_bruteforce
+from repro.steiner.pseudo import pseudo_steiner_bruteforce
 from repro.steiner.reductions import (
     SteinerReduction,
     UNIVERSAL_VERTEX,
@@ -31,12 +27,10 @@ __all__ = [
     "SteinerSolution",
     "UNIVERSAL_VERTEX",
     "X3CInstance",
-    "algorithm1_cover",
     "chordal_steiner_to_pseudo_steiner",
     "exact_cover_from_tree",
     "kou_markowsky_berman",
     "lemma1_ordering",
-    "minimum_side_count",
     "nonredundant_cover_tree",
     "prune_non_terminal_leaves",
     "pseudo_steiner_algorithm1",

@@ -24,7 +24,7 @@ together is NP-hard (Theorem 2).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Optional
 
 from repro.core.covers import greedy_elimination_cover
 from repro.exceptions import NotApplicableError, ValidationError
@@ -158,14 +158,3 @@ def pseudo_steiner_algorithm1(
     solution.metadata["cover"] = set(cover_vertices)
     solution.metadata["ordering"] = list(ordering)
     return solution
-
-
-def algorithm1_cover(
-    graph: BipartiteGraph,
-    terminals: Iterable[Vertex],
-    side: int = 2,
-    check: bool = True,
-) -> Set[Vertex]:
-    """Return the ``V_side``-minimum cover computed by Algorithm 1 (Step 2 output)."""
-    solution = pseudo_steiner_algorithm1(graph, terminals, side=side, check=check)
-    return set(solution.metadata["cover"])

@@ -77,16 +77,3 @@ def pseudo_steiner_bruteforce(
     raise DisconnectedTerminalsError(
         "no connecting side-subset found within the allowed size"
     )
-
-
-def minimum_side_count(
-    graph: BipartiteGraph, terminals: Iterable[Vertex], side: int
-) -> int:
-    """Return the optimal pseudo-Steiner objective (number of ``V_side`` vertices).
-
-    Convenience wrapper around :func:`pseudo_steiner_bruteforce` that only
-    reports the objective value.  Note that the returned count includes the
-    terminals that already lie on ``V_side``.
-    """
-    solution = pseudo_steiner_bruteforce(graph, terminals, side)
-    return solution.side_count(side)

@@ -525,7 +525,7 @@ class TestPackaging:
     def test_version_and_exports(self):
         import repro
 
-        assert repro.__version__ == "10.0.0"
+        assert repro.__version__ == "11.0.0"
         for name in (
             "BlockClassifier",
             "ConnectionRequest",
@@ -556,7 +556,8 @@ class TestPackaging:
         digest, 5.0.0 one workload model, 6.0.0 one alpha-acyclicity test,
         7.0.0 one representation per layer, 8.0.0 one key per schema
         version, 9.0.0 one block structure on ids, 10.0.0 answers on ids
-        up to the socket."""
+        up to the socket, 11.0.0 one oracle per schema version and no
+        unused public functions."""
         import importlib
 
         import repro
@@ -733,6 +734,27 @@ class TestPackaging:
         assert tree == ([0, 1], [(0, 1)])
         answer = repro.ConnectionService(schema=graph).connect(["A", "B"])
         assert isinstance(repro.server.codec.encode_wire_result(answer), str)
+        # 11.0.0: no oracle row crosses a schema version, and the public
+        # functions nothing called are gone
+        from repro.kernels import OracleStats
+
+        for name in ("inherit", "component_labels", "drop_all"):
+            assert not hasattr(DistanceOracle, name), name
+        assert not hasattr(OracleStats, "hit_rate")
+        assert not hasattr(SchemaCache, "oracle_rows")
+        import repro.datasets
+        import repro.graphs.paths
+        import repro.steiner
+
+        for module, names in {
+            repro.graphs: ("all_cliques", "bfs_tree", "dfs_order"),
+            repro.graphs.paths: ("induced_path_exists", "path_length"),
+            repro.datasets: ("random_cyclic_schema",),
+            repro.steiner: ("algorithm1_cover", "minimum_side_count"),
+        }.items():
+            for name in names:
+                assert name not in getattr(module, "__all__", ()), (module.__name__, name)
+                assert not hasattr(module, name), (module.__name__, name)
 
     def test_py_typed_marker_ships(self):
         import repro

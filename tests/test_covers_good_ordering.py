@@ -1,5 +1,6 @@
 """Covers (Definition 10), greedy elimination, good orderings (Definition 11),
-Lemma 5, Corollary 5 and the Theorem 6 counterexample (sampled check)."""
+Lemma 5, Corollary 5 and the Theorem 6 counterexample (sampled, and
+exhaustively through its case decomposition)."""
 
 import random
 
@@ -22,6 +23,7 @@ from repro.core import (
     nonredundant_covers,
     sample_orderings_not_good,
     verify_case_exhaustively,
+    verify_no_good_ordering,
 )
 from repro.core.covers import connects_terminals, terminal_component
 from repro.datasets.figures import (
@@ -145,6 +147,23 @@ class TestGoodOrderings:
         bad_case = OrderingCase(pivot="Z", hubs=frozenset({"A", "Z"}), witness=frozenset({3, "C"}))
         with pytest.raises(ValidationError):
             verify_case_exhaustively(graph, bad_case)
+
+    def test_theorem6_case_decomposition(self):
+        # one case per hub, each checked over every ordering that puts its
+        # pivot first among the hubs: no ordering of Figure 11 is good
+        assert verify_no_good_ordering(figure11_graph(), figure11_cases())
+        assert not verify_no_good_ordering(figure11_graph(), [])
+
+    def test_case_decomposition_validation_errors(self):
+        graph = figure11_graph()
+        cases = figure11_cases()
+        other_hubs = OrderingCase(
+            pivot="A", hubs=frozenset({"A", "B"}), witness=cases[0].witness
+        )
+        with pytest.raises(ValidationError, match="same hub set"):
+            verify_no_good_ordering(graph, [*cases[1:], other_hubs])
+        with pytest.raises(ValidationError, match="one case per hub"):
+            verify_no_good_ordering(graph, cases[:-1])
 
 
 class TestLemma5:

@@ -18,6 +18,7 @@ Three layers of proof, in rough order of ambition:
 
 import asyncio
 import contextlib
+import sys
 import threading
 import time
 
@@ -398,6 +399,45 @@ class TestDeadline:
                 with pytest.raises(RemoteError) as info:
                     client.connect("tight", terminals)
                 assert info.value.kind == "deadline"
+
+    def test_an_answer_ready_after_the_deadline_is_not_sent(self, monkeypatch):
+        """A solve that holds the GIL past ``deadline_ms`` is answered ``deadline``.
+
+        With a 1 s switch interval the event loop cannot run the deadline's
+        timer until the worker is done, so it finds the solve finished;
+        the answer was ready 50 ms after admission, ten times the budget.
+        """
+        from repro.api.service import ConnectionService
+
+        original = ConnectionService.connect
+
+        def gil_holding_connect(service, *args, **kwargs):
+            stop = time.perf_counter() + 0.05
+            while time.perf_counter() < stop:
+                pass
+            return original(service, *args, **kwargs)
+
+        monkeypatch.setattr(ConnectionService, "connect", gil_holding_connect)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0)
+        try:
+            with running_server() as server:
+                with ReproClient("127.0.0.1", server.port) as client:
+                    client.create_schema(
+                        "late", small_graph(), limits={"deadline_ms": 5}
+                    )
+                    kinds = []
+                    for _ in range(10):
+                        try:
+                            client.connect("late", ["A", 3])
+                            kinds.append("ok")
+                        except RemoteError as error:
+                            kinds.append(error.kind)
+                    text = client.metrics_text()
+        finally:
+            sys.setswitchinterval(interval)
+        assert kinds == ["deadline"] * 10
+        assert 'repro_deadline_exceeded_total{tenant="late"} 10' in text
 
     def test_no_deadline_by_default(self):
         with running_server() as server:

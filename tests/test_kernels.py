@@ -6,10 +6,10 @@ Three contracts are pinned here:
   to ``bfs_levels`` / ``bfs_parents`` on arbitrary (including
   disconnected and bipartite) graphs, also when many sources share one
   scratch, so rewiring the solvers onto them cannot move a single answer;
-* **oracle invalidation** -- cached distance/parent rows survive exactly
-  the schema edits that cannot affect them (component granularity), and
-  a service answering interleaved edits and queries agrees
-  checksum-for-checksum with a fresh-context oracle;
+* **oracle invalidation** -- every edit starts the new schema version
+  with an empty oracle while the parent keeps its rows, and a service
+  answering interleaved edits and queries agrees checksum-for-checksum
+  with a fresh-context oracle;
 * **compact pickling** -- an :class:`IndexedGraph` and its
   :class:`GraphIndex` round-trip through ``pickle`` losslessly, shipping
   only the CSR arrays.
@@ -104,7 +104,7 @@ def _two_component_schema():
     )
 
 
-def test_apply_delta_keeps_rows_of_untouched_components():
+def test_apply_delta_starts_an_empty_oracle_after_an_edge_edit():
     graph = _two_component_schema()
     context = SchemaContext(graph)
     oracle = context.distance_oracle
@@ -114,19 +114,24 @@ def test_apply_delta_keeps_rows_of_untouched_components():
     assert oracle.stats.invalidated == 0
 
     edited = graph.copy()
-    edited.remove_edge("lb1", "rb0")  # touches component B only
+    edited.remove_edge("lb1", "rb0")  # an edge-only edit of component B
     delta = SchemaDelta.between(context.graph, edited)
     patched = context.apply_delta(delta)
 
-    # component A's row transferred verbatim (same object, no recompute);
-    # component B's row was dropped and recomputes against the new graph
-    assert patched.distance_oracle.levels(ids["la0"]) is row_a
-    assert oracle.stats.invalidated == 1
-    fresh_b = patched.indexed.bfs_levels(ids["lb0"])
-    assert list(patched.distance_oracle.levels(ids["lb0"])) == fresh_b
-    assert list(row_b) != fresh_b  # the old row really was stale
+    # the new version keeps no row, not even component A's; the parent's
+    # two rows count once as invalidated
+    assert patched.distance_oracle.rows_cached() == 0
+    assert oracle.stats.invalidated == 2
+    for vertex, old_row in (("la0", row_a), ("lb0", row_b)):
+        row = patched.distance_oracle.levels(ids[vertex])
+        assert row is not old_row
+        assert list(row) == patched.indexed.bfs_levels(ids[vertex])
+    assert list(patched.distance_oracle.levels(ids["la0"])) == list(row_a)
+    assert list(patched.distance_oracle.levels(ids["lb0"])) != list(row_b)
+    assert oracle.stats.invalidated == 2
     # the original context still answers from its own snapshot
-    assert list(oracle.levels(ids["lb0"])) == list(row_b)
+    assert oracle.levels(ids["lb0"]) is row_b
+    assert list(row_b) == context.indexed.bfs_levels(ids["lb0"])
 
 
 def test_apply_delta_with_vertex_churn_drops_all_rows():

@@ -22,7 +22,10 @@ terminal's cover has a closed form.  This suite pins that:
   ``pseudo_steiner_algorithm1``, on small alpha schemas and on generated
   ones of up to 120 relations, with 2-8 terminals;
 * after a ``SchemaEditor`` transaction, side answers equal a cold
-  context's.
+  context's;
+* a context's components, swept once per version, are the label graph's
+  connected components, with one plan per component and side; thousands
+  of isolated vertices leave a side answer unchanged.
 """
 
 import itertools
@@ -46,7 +49,7 @@ from repro.engine.registry import _block_scan, solve_algorithm1_indexed
 from repro.graphs import BipartiteGraph
 from repro.graphs.indexed import indexed_elimination_cover
 from repro.graphs.spanning import spanning_tree
-from repro.graphs.traversal import vertices_in_same_component
+from repro.graphs.traversal import connected_components, vertices_in_same_component
 from repro.steiner import pseudo_steiner_algorithm1
 from repro.steiner.problem import prune_non_terminal_leaves
 
@@ -385,3 +388,54 @@ def test_side_answers_after_an_edit_equal_a_cold_context(seed):
         assert after.solution.metadata.get("cover") == expected.solution.metadata.get("cover")
         assert after.tree.vertices() == expected.tree.vertices()
         assert after.tree.edge_set() == expected.tree.edge_set()
+
+
+# ----------------------------------------------------------------------
+# components
+# ----------------------------------------------------------------------
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """Disjoint bipartite pieces plus isolated vertices on both sides."""
+    graph = BipartiteGraph()
+    for part in range(draw(st.integers(min_value=1, max_value=3))):
+        piece = draw(bipartite_graphs(max_left=3, max_right=3))
+        for vertex in piece.vertices():
+            graph.add_to_side((part, vertex), piece.side_of(vertex))
+        for u, v in piece.edges():
+            graph.add_edge((part, u), (part, v))
+    sides = draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=5))
+    for number, side in enumerate(sides):
+        graph.add_to_side(("isolated", number), side)
+    return graph
+
+
+@SETTINGS
+@given(graph=graphs_with_isolated_vertices())
+def test_component_ids_are_the_connected_components(graph):
+    context = SchemaContext(graph)
+    ids = context.index.ids
+    components = connected_components(context.graph)
+    assert len(components) > 1
+    for component in components:
+        members = frozenset(ids[vertex] for vertex in component)
+        plans = {side: context.side_plan(side, min(members)) for side in (1, 2)}
+        for vertex in members:
+            assert context.component_ids(vertex) == members
+            for side, plan in plans.items():
+                assert context.side_plan(side, vertex) is plan
+                assert plan.component == members
+
+
+def test_isolated_vertices_leave_a_side_answer_unchanged():
+    graph = random_alpha_schema_graph(60, rng=7)
+    terminals = random_terminals(graph, 4, rng=random.Random(1))
+    padded = graph.copy()
+    for number in range(8000):
+        padded.add_to_side(("isolated", number), 1 + number % 2)
+    expected = ConnectionService(schema=graph).connect(terminals, objective="side")
+    answer = ConnectionService(schema=padded).connect(terminals, objective="side")
+    assert answer.provenance.solver == expected.provenance.solver == "algorithm1-indexed"
+    assert answer.cost == expected.cost
+    assert answer.solution.metadata["cover"] == expected.solution.metadata["cover"]
+    assert answer.tree.vertices() == expected.tree.vertices()
+    assert answer.tree.edge_set() == expected.tree.edge_set()
